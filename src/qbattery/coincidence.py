@@ -25,6 +25,7 @@ from .bloch import bloch_decompose
 from .haar import DEFAULT_CHUNK, SamplerConfig, iter_pair_unitaries
 from .linalg import StateLike, as_density
 from .montecarlo import MomentAccumulator
+from .tpm import _check_eps
 from .workstats import analytic_work_variance
 
 __all__ = [
@@ -34,11 +35,6 @@ __all__ = [
     "mc_coincidence",
     "coincidence_bound",
 ]
-
-
-def _check_eps(eps: float, name: str = "epsilon") -> None:
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {eps}")
 
 
 def coincidence_povm(spec: SpectralDecomposition, side: str, epsilon: float) -> np.ndarray:

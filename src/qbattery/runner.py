@@ -24,6 +24,7 @@ from .haar import HaarSampler, SamplerConfig, iter_pair_unitaries, twirl1, twirl
 from .linalg import random_density_matrix, random_hermitian
 from .serialization import ConfigError, battery_from_spec, state_from_spec
 from .tpm import (
+    _check_eps,
     mc_tpm_statistics,
     tpm_spectral_stats,
     tpm_variance_closed_form,
@@ -117,7 +118,32 @@ class ExperimentConfig:
         return n
 
     def streams(self) -> int:
-        return int(self.sampling.get("streams", 1))
+        s = int(self.sampling.get("streams", 1))
+        if s < 1:
+            raise ConfigError("sampling.streams", f"need at least one stream, got {s}")
+        return s
+
+
+def _checked_eps(value, path: str, *, simulate: bool = False) -> float:
+    """Detector efficiency read from the config at ``path``, validated to [0, 1].
+
+    ``simulate`` additionally rejects eps = 0, where the TPM energy labels
+    diverge and only the closed form is defined.
+    """
+    try:
+        eps = float(value)
+        _check_eps(eps)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
+    if simulate and eps == 0.0:
+        raise ConfigError(path, "Monte-Carlo TPM needs eps > 0 (energy labels diverge at 0)")
+    return eps
+
+
+def _eps_param(cfg: ExperimentConfig, key: str, *, simulate: bool = False) -> float:
+    """parameters.<key>, falling back to the symmetric parameters.eps, then 1."""
+    name = key if key in cfg.parameters else "eps"
+    return _checked_eps(cfg.parameters.get(name, 1.0), f"parameters.{name}", simulate=simulate)
 
 
 def _ising_params(cfg: ExperimentConfig) -> dict:
@@ -182,9 +208,12 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     ip = _ising_params(cfg)
     tp = _thermal_params(cfg)
-    eps_grid = [float(x) for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))]
-    a_grid = [float(x) for x in cfg.parameters.get("alpha_grid", np.round(np.arange(0.0, 1.001, 0.05), 10))]
     with_mc = bool(cfg.sampling.get("mc", False))
+    eps_grid = [
+        _checked_eps(x, "parameters.eps_grid", simulate=with_mc)
+        for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))
+    ]
+    a_grid = [float(x) for x in cfg.parameters.get("alpha_grid", np.round(np.arange(0.0, 1.001, 0.05), 10))]
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
     tau_a = gibbs_state(h.ha, float(tp["T"]))
@@ -274,8 +303,8 @@ def run_point(cfg: ExperimentConfig) -> dict:
         return {"protocol": protocol, **detect_schmidt_number(rho, h).to_dict()}
     if protocol == "tpm":
         spec = spectral_decomposition(h)
-        eps_a = float(cfg.parameters.get("eps_a", cfg.parameters.get("eps", 1.0)))
-        eps_b = float(cfg.parameters.get("eps_b", cfg.parameters.get("eps", 1.0)))
+        eps_a = _eps_param(cfg, "eps_a", simulate=want_mc)
+        eps_b = _eps_param(cfg, "eps_b", simulate=want_mc)
         out = {"protocol": protocol, **tpm_variance_closed_form(rho, spec, eps_a, eps_b).to_dict()}
         if want_mc:
             mc = mc_tpm_statistics(rho, spec, eps_a, eps_b, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
@@ -289,7 +318,7 @@ def run_point(cfg: ExperimentConfig) -> dict:
         return out
     if protocol == "coincidence":
         spec = spectral_decomposition(h)
-        eps = float(cfg.parameters.get("eps", 1.0))
+        eps = _eps_param(cfg, "eps")
         rep = coincidence_bound(rho, h, spec, eps)
         out = {"protocol": protocol, **rep.to_dict()}
         if want_mc:

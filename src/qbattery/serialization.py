@@ -101,6 +101,10 @@ def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
         p = spec["thermal_mixture"]
         alpha = float(_require(p, "alpha", "state.thermal_mixture"))
         temperature = float(_require(p, "T", "state.thermal_mixture"))
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError("state.thermal_mixture.alpha", f"mixing ratio must lie in [0, 1], got {alpha}")
+        if temperature <= 0:
+            raise ConfigError("state.thermal_mixture.T", f"temperature must be positive, got {temperature}")
         tau_a = gibbs_state(battery.ha, temperature)
         tau_b = gibbs_state(battery.hb, temperature)
         return thermal_mixture_state(alpha, tau_a, tau_b)

@@ -51,6 +51,7 @@ __all__ = [
 
 
 def _check_eps(eps: float, name: str = "epsilon") -> None:
+    """Detector efficiencies (TPM and coincidence) must lie in [0, 1]."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {eps}")
 
@@ -139,13 +140,19 @@ def instrument_average(
 
     Expands to f_A^2 f_B^2 * (jointly dephased rho) + kappa_A * (A-dephased)
     + kappa_B * (B-dephased) + kappa_AB * rho; the per-unitary presumed work
-    is tr[rho H_D] minus this operator's rotated overlap with H_D.
+    is tr[rho H_D] minus this operator's rotated overlap with H_D.  In the
+    product eigenbasis W = V_A (x) V_B every dephasing is an entrywise mask,
+    so the sum costs two basis rotations.
     """
     m = as_density(rho).data
-    ra = noisy_povm(spec, "A", eps_a).roots
-    rb = noisy_povm(spec, "B", eps_b).roots
-    kr = np.einsum("iab,jcd->ijacbd", ra, rb).reshape(spec.d**2, spec.d**2, spec.d**2)
-    return np.einsum("mab,bc,mdc->ad", kr, m, kr.conj())
+    d = spec.d
+    w = tpm_weights(eps_a, eps_b, d)
+    basis = np.kron(spec.vecs_a, spec.vecs_b)
+    r = (basis.conj().T @ m @ basis).reshape(d, d, d, d)
+    same_a = np.eye(d)[:, None, :, None]  # delta_ac on r[a, b, c, e]
+    same_b = np.eye(d)[None, :, None, :]  # delta_be
+    mask = w.f_a**2 * w.f_b**2 * same_a * same_b + w.kappa_a * same_a + w.kappa_b * same_b + w.kappa_ab
+    return basis @ (r * mask).reshape(d * d, d * d) @ basis.conj().T
 
 
 def tpm_run(
@@ -369,7 +376,9 @@ class TpmSpectralStats:
 
 
 def _zeta(proj: np.ndarray, lam: np.ndarray, d: int) -> np.ndarray:
-    return np.einsum("nab,ibc,ncd,jda->ij", proj, lam, proj, lam, optimize=True).real / d
+    # Rank-1 Pi_n factorize tr(Pi_n lam_i Pi_n lam_j) = tr(Pi_n lam_i) tr(Pi_n lam_j).
+    x = np.einsum("nab,iba->ni", proj, lam).real
+    return x.T @ x / d
 
 
 def tpm_spectral_stats(rho: StateLike, spec: SpectralDecomposition) -> TpmSpectralStats:

@@ -132,9 +132,11 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
 
     The purity-form criterion (tr[rho^2] vs k * min marginal purity) is
     evaluated as a second route; with a nonzero interaction weight it is the
-    same inequality rewritten and the two routes must agree.  With g^2 v^2
-    = 0 the variance route is insensitive to k and only the purity route
-    can detect, so no agreement is enforced there.
+    same inequality rewritten and the two routes must agree.  Agreement is
+    enforced only where the variance route can resolve one k-step: the caps
+    of consecutive k differ by at least g^2 v^2 d / (d^2 - 1)^2, and below the
+    detection margin (in particular at g^2 v^2 = 0) only the purity route
+    can detect.
     """
     rho = as_density(rho)
     d = h.d
@@ -154,7 +156,8 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     purity_violated = [k for k in range(1, d + 1) if _violates(pur, k * min_marginal)]
     purity_sn = 1 + max(purity_violated, default=0)
 
-    if h.g2v2 > DETECTION_MARGIN and purity_sn != detected:
+    k_step = h.g2v2 * d / (d * d - 1) ** 2
+    if k_step > DETECTION_MARGIN * max(1.0, abs(var)) and purity_sn != detected:
         raise RuntimeError(
             f"witness routes disagree: variance route {detected}, purity route {purity_sn}"
         )

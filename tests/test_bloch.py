@@ -86,6 +86,13 @@ def test_purity_identity_dual_path(rng, d):
         assert abs(form.purity() - purity(rho)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [8, 16])
+def test_purity_identity_large_dimension(rng, d):
+    for _ in range(3):
+        rho = random_density_matrix(rng, d * d)
+        assert abs(bloch_decompose(rho, d).purity() - purity(rho)) < 1e-12
+
+
 def test_dimension_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         bloch_decompose(np.eye(4) / 4, 3)
@@ -105,4 +112,12 @@ def test_interaction_coeffs_reconstruct(rng):
     lam = gell_mann_basis(d).matrices
     v_true = rng.standard_normal((3, 3))
     v = np.einsum("ij,iab,jcd->acbd", v_true, lam, lam).reshape(4, 4)
+    np.testing.assert_allclose(interaction_coeffs(v, d), v_true, atol=1e-12)
+
+
+def test_interaction_coeffs_reconstruct_d8(rng):
+    d = 8
+    lam = gell_mann_basis(d).matrices
+    v_true = rng.standard_normal((d * d - 1, d * d - 1))
+    v = np.einsum("ij,iab,jcd->acbd", v_true, lam, lam).reshape(d * d, d * d)
     np.testing.assert_allclose(interaction_coeffs(v, d), v_true, atol=1e-12)

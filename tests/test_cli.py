@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qbattery
 from qbattery.battery import gibbs_state, ising_battery, thermal_mixture_state
 from qbattery.cli import main
 from qbattery.runner import ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
@@ -129,6 +133,27 @@ def test_cli_bad_config_key(tmp_path, capsys):
     config.write_text(json.dumps({"protocl": "variance"}))
     assert main(["variance", "--config", str(config)]) == 1
     assert "protocl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["tpm", "--eps", "1.5"], "parameters.eps"),
+        (["tpm", "--eps", "0", "--seed", "1", "--n", "100"], "parameters.eps"),
+        (["variance", "--streams", "0", "--seed", "1", "--n", "100"], "sampling.streams"),
+        (["witness", "--alpha", "1.2"], "state.thermal_mixture.alpha"),
+        (["coincidence", "--eps", "-0.1"], "parameters.eps"),
+    ],
+)
+def test_cli_out_of_range_flag_is_a_config_error(args, key):
+    src = os.path.dirname(os.path.dirname(qbattery.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbattery.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"configuration error: {key}:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_verify_passes_and_is_deterministic(capsys):

@@ -58,6 +58,14 @@ def test_state_spec_thermal_and_explicit():
         state_from_spec({"matrix": matrix_to_json(np.eye(4))}, h)
 
 
+@pytest.mark.parametrize("alpha, temperature, key", [(1.2, 1.5, "alpha"), (-0.1, 1.5, "alpha"), (0.5, 0.0, "T")])
+def test_thermal_mixture_spec_out_of_range(alpha, temperature, key):
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    with pytest.raises(ConfigError) as info:
+        state_from_spec({"thermal_mixture": {"alpha": alpha, "T": temperature}}, h)
+    assert info.value.key == f"state.thermal_mixture.{key}"
+
+
 def test_config_round_trip():
     raw = {
         "protocol": "tpm",

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
-from qbattery.bloch import bloch_decompose
+from qbattery.bloch import bloch_decompose, gell_mann_basis
 from qbattery.haar import HaarSampler, SamplerConfig
 from qbattery.linalg import DensityMatrix, random_density_matrix
 from qbattery.tpm import (
+    _zeta,
     diagonal_work_variance,
     energy_labels,
     instrument_average,
@@ -179,6 +180,39 @@ def test_instrument_average_kappa_combination(rng):
         w.f_a**2 * w.f_b**2 * deph_ab + w.kappa_a * deph_a + w.kappa_b * deph_b + w.kappa_ab * rho
     )
     np.testing.assert_allclose(instrument_average(rho, spec, ea, eb), expected, atol=1e-12)
+
+
+def _instrument_average_reference(rho, spec, eps_a, eps_b):
+    """sum_ij sqrt(P_ij) rho sqrt(P_ij) over the explicit stack of d^2 Kraus operators."""
+    d = spec.d
+    ra = noisy_povm(spec, "A", eps_a).roots
+    rb = noisy_povm(spec, "B", eps_b).roots
+    kr = np.einsum("iab,jcd->ijacbd", ra, rb).reshape(d * d, d * d, d * d)
+    return np.einsum("mab,bc,mdc->ad", kr, rho, kr.conj())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, "ising"])
+def test_instrument_average_matches_kraus_sum(rng, d):
+    # "ising" is the degenerate, computational-basis eigenbasis of the default battery
+    spec = _ising_spec() if d == "ising" else spectral_decomposition(make_random_battery(rng, d))
+    rho = random_density_matrix(rng, spec.d**2).data
+    for ea, eb in ((0.37, 0.81), (1.0, 0.2), (0.0, 0.5), (1.0, 1.0)):
+        np.testing.assert_allclose(
+            instrument_average(rho, spec, ea, eb), _instrument_average_reference(rho, spec, ea, eb), atol=1e-12
+        )
+
+
+def test_zeta_matches_explicit_trace_loop(rng):
+    for d in (2, 3, 4):
+        spec = spectral_decomposition(make_random_battery(rng, d))
+        lam = gell_mann_basis(d).matrices
+        n_basis = d * d - 1
+        expected = np.zeros((n_basis, n_basis))
+        for proj in spec.proj_a:
+            for i in range(n_basis):
+                for j in range(n_basis):
+                    expected[i, j] += np.trace(proj @ lam[i] @ proj @ lam[j]).real / d
+        np.testing.assert_allclose(_zeta(spec.proj_a, lam, d), expected, atol=1e-12)
 
 
 def test_probability_closure(rng):

@@ -146,6 +146,16 @@ def test_witness_routes_agree_on_random_states(rng):
         assert rep.purity_route_sn == rep.detected_sn_lower_bound
 
 
+@pytest.mark.parametrize("g", [5e-5, 3.2e-5])
+def test_weak_coupling_bell_state_does_not_raise(g):
+    # g^2 v^2 is above the absolute margin, but one k-step of the variance caps is not
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    rep = detect_schmidt_number(bell, battery_hamiltonian(Z, Z, np.kron(Z, Z), g))
+    assert rep.purity_route_sn == 2
+    assert rep.detected_sn_lower_bound <= rep.purity_route_sn
+
+
 def test_soundness_on_separable_states(rng):
     # products and their mixtures can never violate the k = 1 bound
     h = _ising()
