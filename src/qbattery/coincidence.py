@@ -22,11 +22,10 @@ import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition
 from .bloch import bloch_decompose
-from .haar import DEFAULT_CHUNK, SamplerConfig, iter_pair_unitaries
+from .haar import DEFAULT_CHUNK, SamplerConfig
 from .linalg import StateLike, as_density
-from .montecarlo import MomentAccumulator
 from .tpm import _check_eps
-from .workstats import analytic_work_variance
+from .workstats import analytic_work_variance, conjugate, iter_samples, pair_kron, summarize
 
 __all__ = [
     "CoincidenceReport",
@@ -122,20 +121,15 @@ def mc_coincidence(
     independent-rotations mode because the closed form requires identical
     rotations on the copies.
     """
-    if n < 2:
-        raise ValueError(f"need at least two samples, got {n}")
     _check_eps(eps_a, "eps_a")
     _check_eps(eps_b, "eps_b")
-    if cfg.d != spec.d:
-        raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {spec.d}")
     m = as_density(rho).data
-    acc = MomentAccumulator()
-    for ua, ub in iter_pair_unitaries(cfg, n, streams=streams, chunk=chunk):
-        k, d = ua.shape[0], spec.d
-        u = np.einsum("nab,ncd->nacbd", ua, ub).reshape(k, d * d, d * d)
-        rotated = u @ m @ u.conj().transpose(0, 2, 1)
-        acc.add_chunk(_coincidence_batch(rotated, spec, eps_a, eps_b))
-    return acc.mean, acc.se_mean
+
+    def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        return _coincidence_batch(conjugate(pair_kron(ua, ub), m), spec, eps_a, eps_b)
+
+    stats = summarize(iter_samples(sample, spec.d, n, cfg, streams=streams, chunk=chunk))
+    return stats.mean, stats.se_mean
 
 
 @dataclass(frozen=True)
@@ -159,22 +153,6 @@ class CoincidenceReport:
     t2: float
     cbar_mc: float | None = None
     cbar_mc_se: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "eps_a": self.eps_a,
-            "eps_b": self.eps_b,
-            "cbar_closed": self.cbar_closed,
-            "bound_rhs": self.bound_rhs,
-            "slack": self.slack,
-            "c_excess": self.c_excess,
-            "h2_min": self.h2_min,
-            "variance": self.variance,
-            "t2": self.t2,
-            "cbar_mc": self.cbar_mc,
-            "cbar_mc_se": self.cbar_mc_se,
-        }
 
 
 def coincidence_bound(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,9 +20,9 @@ import numpy as np
 from .battery import BatteryHamiltonian, gibbs_state, spectral_decomposition, thermal_mixture_state
 from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
-from .haar import HaarSampler, SamplerConfig, iter_pair_unitaries, twirl1, twirl2, two_copy_local_twirl
+from .haar import HaarSampler, SamplerConfig, twirl1, twirl2, two_copy_local_twirl
 from .linalg import random_density_matrix, random_hermitian
-from .serialization import ConfigError, battery_from_spec, state_from_spec
+from .serialization import ConfigError, _require, battery_from_spec, state_from_spec
 from .tpm import (
     _check_eps,
     mc_tpm_statistics,
@@ -32,7 +32,16 @@ from .tpm import (
     tpm_work_mean,
 )
 from .witness import detect_schmidt_number
-from .workstats import analytic_work_variance, mc_work_statistics, work_sample_summary
+from .workstats import (
+    MAX_HISTOGRAM_BINS,
+    analytic_work_variance,
+    conjugate,
+    histogram_bin_bound,
+    iter_samples,
+    mc_work_statistics,
+    pair_kron,
+    work_sample_summary,
+)
 from . import battery as battery_mod
 
 __all__ = [
@@ -55,7 +64,7 @@ DEFAULT_VERIFY_SEED = 20240901
 
 @dataclass
 class ExperimentConfig:
-    """Validated runner configuration with round-trippable serialization."""
+    """Validated runner configuration; ``dataclasses.asdict`` round-trips it."""
 
     protocol: str = "variance"
     battery: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_BATTERY)))
@@ -92,16 +101,6 @@ class ExperimentConfig:
                 raise ConfigError(f"parameters.{k}", "grid must be non-empty")
         return cfg
 
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "battery": self.battery,
-            "state": self.state,
-            "parameters": self.parameters,
-            "sampling": self.sampling,
-            "output": self.output,
-        }
-
     def sampler(self, d: int, *, required: bool = True) -> SamplerConfig | None:
         """Sampler config from the sampling section; seed is mandatory."""
         seed = self.sampling.get("seed")
@@ -113,8 +112,8 @@ class ExperimentConfig:
 
     def n_unitaries(self, default: int = 100_000) -> int:
         n = int(self.sampling.get("n_unitaries", default))
-        if n < 2:
-            raise ConfigError("sampling.n_unitaries", f"need at least 2 samples, got {n}")
+        if n < 3:
+            raise ConfigError("sampling.n_unitaries", f"need at least 3 samples, got {n}")
         return n
 
     def streams(self) -> int:
@@ -152,10 +151,19 @@ def _ising_params(cfg: ExperimentConfig) -> dict:
     return dict(cfg.battery["ising"])
 
 
-def _thermal_params(cfg: ExperimentConfig) -> dict:
+def _thermal_sweep(cfg: ExperimentConfig, alpha_step: float) -> tuple[float, list[float]]:
+    """Temperature and mixing-ratio grid of a thermal-mixture sweep, range-checked."""
     if "thermal_mixture" not in cfg.state:
         raise ConfigError("state", "this sweep requires the 'thermal_mixture' state family")
-    return dict(cfg.state["thermal_mixture"])
+    temperature = float(_require(cfg.state["thermal_mixture"], "T", "state.thermal_mixture"))
+    if temperature <= 0:
+        raise ConfigError("state.thermal_mixture.T", f"temperature must be positive, got {temperature}")
+    default = np.round(np.arange(0.0, 1.001, alpha_step), 10)
+    a_grid = [float(x) for x in cfg.parameters.get("alpha_grid", default)]
+    for alpha in a_grid:
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError("parameters.alpha_grid", f"mixing ratios must lie in [0, 1], got {alpha}")
+    return temperature, a_grid
 
 
 def _build_point(cfg: ExperimentConfig):
@@ -172,14 +180,13 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     detection thresholds.
     """
     ip = _ising_params(cfg)
-    tp = _thermal_params(cfg)
+    temperature, a_grid = _thermal_sweep(cfg, 0.04)
     b_grid = [float(x) for x in cfg.parameters.get("b_grid", np.round(np.arange(0.0, 0.901, 0.05), 10))]
-    a_grid = [float(x) for x in cfg.parameters.get("alpha_grid", np.round(np.arange(0.0, 1.001, 0.04), 10))]
     rows = []
     for b in b_grid:
         h = battery_from_spec({"ising": {**ip, "b": b}})
-        tau_a = gibbs_state(h.ha, float(tp["T"]))
-        tau_b = gibbs_state(h.hb, float(tp["T"]))
+        tau_a = gibbs_state(h.ha, temperature)
+        tau_b = gibbs_state(h.hb, temperature)
         for alpha in a_grid:
             rho = thermal_mixture_state(alpha, tau_a, tau_b)
             rep = detect_schmidt_number(rho, h)
@@ -187,7 +194,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "J1": float(ip["J1"]),
                 "J2": float(ip["J2"]),
                 "J3": float(ip["J3"]),
-                "T": float(tp["T"]),
+                "T": temperature,
                 "b": b,
                 "alpha": alpha,
                 "variance": rep.variance_used,
@@ -207,17 +214,16 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     ``mc: true``.
     """
     ip = _ising_params(cfg)
-    tp = _thermal_params(cfg)
+    temperature, a_grid = _thermal_sweep(cfg, 0.05)
     with_mc = bool(cfg.sampling.get("mc", False))
     eps_grid = [
         _checked_eps(x, "parameters.eps_grid", simulate=with_mc)
         for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))
     ]
-    a_grid = [float(x) for x in cfg.parameters.get("alpha_grid", np.round(np.arange(0.0, 1.001, 0.05), 10))]
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
-    tau_a = gibbs_state(h.ha, float(tp["T"]))
-    tau_b = gibbs_state(h.hb, float(tp["T"]))
+    tau_a = gibbs_state(h.ha, temperature)
+    tau_b = gibbs_state(h.hb, temperature)
     sampler = cfg.sampler(h.d) if with_mc else None
     rows = []
     for alpha in a_grid:
@@ -229,7 +235,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "J2": float(ip["J2"]),
                 "J3": float(ip["J3"]),
                 "b": float(ip["b"]),
-                "T": float(tp["T"]),
+                "T": temperature,
                 "alpha": alpha,
                 "eps_a": eps,
                 "eps_b": eps,
@@ -258,6 +264,8 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     bin_width = float(cfg.parameters.get("bin_width", 0.1))
     if bin_width <= 0:
         raise ConfigError("parameters.bin_width", f"must be positive, got {bin_width}")
+    if histogram_bin_bound(h, bin_width) > MAX_HISTOGRAM_BINS:
+        raise ConfigError("parameters.bin_width", f"needs more than {MAX_HISTOGRAM_BINS} bins over the work range")
     n = cfg.n_unitaries()
     sampler = cfg.sampler(h.d)
     stats, hist = work_sample_summary(rho, h, n, sampler, bin_width=bin_width, streams=cfg.streams())
@@ -286,47 +294,43 @@ def run_point(cfg: ExperimentConfig) -> dict:
     h, rho = _build_point(cfg)
     protocol = cfg.protocol
     want_mc = bool(cfg.sampling.get("mc", False)) or "n_unitaries" in cfg.sampling
-    if protocol == "variance":
-        stats = analytic_work_variance(rho, h)
-        out = {"protocol": protocol, "mean": stats.mean, "variance": stats.variance}
-        if want_mc:
-            mc = mc_work_statistics(rho, h, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
-            out["mc"] = {
-                "n": mc.n_samples,
-                "mean": mc.mean,
-                "se_mean": mc.se_mean,
-                "variance": mc.variance,
-                "se_variance": mc.se_variance,
-            }
-        return out
     if protocol == "witness":
-        return {"protocol": protocol, **detect_schmidt_number(rho, h).to_dict()}
-    if protocol == "tpm":
-        spec = spectral_decomposition(h)
-        eps_a = _eps_param(cfg, "eps_a", simulate=want_mc)
-        eps_b = _eps_param(cfg, "eps_b", simulate=want_mc)
-        out = {"protocol": protocol, **tpm_variance_closed_form(rho, spec, eps_a, eps_b).to_dict()}
-        if want_mc:
-            mc = mc_tpm_statistics(rho, spec, eps_a, eps_b, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
-            out["mc"] = {
-                "n": mc.n_samples,
-                "mean": mc.mean,
-                "se_mean": mc.se_mean,
-                "variance": mc.variance,
-                "se_variance": mc.se_variance,
-            }
-        return out
+        return {"protocol": protocol, **asdict(detect_schmidt_number(rho, h))}
     if protocol == "coincidence":
         spec = spectral_decomposition(h)
         eps = _eps_param(cfg, "eps")
-        rep = coincidence_bound(rho, h, spec, eps)
-        out = {"protocol": protocol, **rep.to_dict()}
+        if min(h.ha2, h.hb2) <= 0:
+            raise ConfigError("battery", "the coincidence bound needs non-zero local Hamiltonians (h^2 = 0)")
+        out = {"protocol": protocol, **asdict(coincidence_bound(rho, h, spec, eps))}
         if want_mc:
             mean, se = mc_coincidence(rho, spec, eps, eps, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
             out["cbar_mc"] = mean
             out["cbar_mc_se"] = se
         return out
-    raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
+    mc = None
+    if protocol == "variance":
+        stats = analytic_work_variance(rho, h)
+        out = {"protocol": protocol, "mean": stats.mean, "variance": stats.variance}
+        if want_mc:
+            mc = mc_work_statistics(rho, h, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
+    elif protocol == "tpm":
+        spec = spectral_decomposition(h)
+        eps_a = _eps_param(cfg, "eps_a", simulate=want_mc)
+        eps_b = _eps_param(cfg, "eps_b", simulate=want_mc)
+        out = {"protocol": protocol, **asdict(tpm_variance_closed_form(rho, spec, eps_a, eps_b))}
+        if want_mc:
+            mc = mc_tpm_statistics(rho, spec, eps_a, eps_b, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
+    else:
+        raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
+    if mc is not None:
+        out["mc"] = {
+            "n": mc.n_samples,
+            "mean": mc.mean,
+            "se_mean": mc.se_mean,
+            "variance": mc.variance,
+            "se_variance": mc.se_variance,
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,55 +362,36 @@ def _max_se_ratio(mc_mean, se, target, floor: float = 1e-12) -> float:
     return float(np.max(dev / (se + floor)))
 
 
+def _haar_chunks(cfg: SamplerConfig, n: int, chunk: int):
+    """n Haar unitaries from one stream, in batches of at most ``chunk``."""
+    sampler = HaarSampler(cfg)
+    for start in range(0, n, chunk):
+        yield sampler.unitaries(min(chunk, n - start))
+
+
 def _check_single_copy_twirl(rng, d, n, cfg) -> dict:
     x = random_hermitian(rng, d)
-    target = twirl1(x)
-    sampler = HaarSampler(cfg)
-
-    def chunks():
-        left = n
-        while left > 0:
-            k = min(4096, left)
-            u = sampler.unitaries(k)
-            yield u @ x @ u.conj().transpose(0, 2, 1)
-            left -= k
-
-    mean, se, _ = _mc_matrix_mean(chunks(), (d, d))
-    return {"deviation": _max_se_ratio(mean, se, target)}
+    chunks = (conjugate(u, x) for u in _haar_chunks(cfg, n, 4096))
+    mean, se, _ = _mc_matrix_mean(chunks, (d, d))
+    return {"deviation": _max_se_ratio(mean, se, twirl1(x))}
 
 
 def _check_two_copy_twirl(rng, d, n, cfg) -> dict:
     x = random_hermitian(rng, d * d)
-    target = twirl2(x)
-    sampler = HaarSampler(cfg)
-
-    def chunks():
-        left = n
-        while left > 0:
-            k = min(2048, left)
-            u = sampler.unitaries(k)
-            uu = np.einsum("nab,ncd->nacbd", u, u).reshape(k, d * d, d * d)
-            yield uu @ x @ uu.conj().transpose(0, 2, 1)
-            left -= k
-
-    mean, se, _ = _mc_matrix_mean(chunks(), (d * d, d * d))
-    return {"deviation": _max_se_ratio(mean, se, target)}
+    chunks = (conjugate(pair_kron(u, u), x) for u in _haar_chunks(cfg, n, 2048))
+    mean, se, _ = _mc_matrix_mean(chunks, (d * d, d * d))
+    return {"deviation": _max_se_ratio(mean, se, twirl2(x))}
 
 
 def _check_two_copy_local_twirl(rng, d, n, cfg) -> dict:
     rho = random_density_matrix(rng, d * d)
-    target = two_copy_local_twirl(rho, d)
-    m = rho.data
 
-    def chunks():
-        for ua, ub in iter_pair_unitaries(cfg, n, chunk=512):
-            k = ua.shape[0]
-            u = np.einsum("nab,ncd->nacbd", ua, ub).reshape(k, d * d, d * d)
-            rot = u @ m @ u.conj().transpose(0, 2, 1)
-            yield np.einsum("nab,ncd->nacbd", rot, rot).reshape(k, d**4, d**4)
+    def sample(ua, ub):
+        rot = conjugate(pair_kron(ua, ub), rho.data)
+        return pair_kron(rot, rot)
 
-    mean, se, _ = _mc_matrix_mean(chunks(), (d**4, d**4))
-    return {"deviation": _max_se_ratio(mean, se, target)}
+    mean, se, _ = _mc_matrix_mean(iter_samples(sample, d, n, cfg, chunk=512), (d**4, d**4))
+    return {"deviation": _max_se_ratio(mean, se, two_copy_local_twirl(rho, d))}
 
 
 def _random_battery(rng, d) -> BatteryHamiltonian:

@@ -24,10 +24,9 @@ import numpy as np
 
 from .battery import SpectralDecomposition
 from .bloch import bloch_decompose, gell_mann_basis
-from .haar import DEFAULT_CHUNK, SamplerConfig, iter_pair_unitaries
+from .haar import DEFAULT_CHUNK, SamplerConfig
 from .linalg import StateLike, as_density
-from .montecarlo import MomentAccumulator
-from .workstats import WorkStatistics, conjugation_traces, pair_kron
+from .workstats import WorkStatistics, conjugation_traces, iter_samples, pair_kron, summarize
 
 __all__ = [
     "NoisyPovm",
@@ -248,25 +247,16 @@ def mc_tpm_statistics(
     with Xi the outcome-summed instrument output, so each sample costs one
     conjugation instead of a branch enumeration.
     """
-    if n < 2:
-        raise ValueError(f"need at least two samples, got {n}")
     if eps_a == 0.0 or eps_b == 0.0:
         raise ValueError("simulation requires epsilon > 0; labels diverge at 0")
-    if cfg.d != spec.d:
-        raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {spec.d}")
     m = as_density(rho).data
     xi = instrument_average(m, spec, eps_a, eps_b)
     base = float(np.trace(m @ spec.h_diag).real)
-    acc = MomentAccumulator()
-    for ua, ub in iter_pair_unitaries(cfg, n, streams=streams, chunk=chunk):
-        acc.add_chunk(base - conjugation_traces(pair_kron(ua, ub), xi, spec.h_diag))
-    return WorkStatistics(
-        mean=acc.mean,
-        variance=acc.variance,
-        n_samples=acc.n,
-        se_mean=acc.se_mean,
-        se_variance=acc.se_variance,
-    )
+
+    def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        return base - conjugation_traces(pair_kron(ua, ub), xi, spec.h_diag)
+
+    return summarize(iter_samples(sample, spec.d, n, cfg, streams=streams, chunk=chunk))
 
 
 @dataclass(frozen=True)
@@ -294,26 +284,6 @@ class TpmWeights:
     n0: float
     n1: float
     n_noisy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "eps_a": self.eps_a,
-            "eps_b": self.eps_b,
-            "f_a": self.f_a,
-            "g_a": self.g_a,
-            "f_b": self.f_b,
-            "g_b": self.g_b,
-            "kappa_a": self.kappa_a,
-            "kappa_b": self.kappa_b,
-            "kappa_ab": self.kappa_ab,
-            "gamma_a": self.gamma_a,
-            "gamma_b": self.gamma_b,
-            "gamma_ab": self.gamma_ab,
-            "n0": self.n0,
-            "n1": self.n1,
-            "n_noisy": self.n_noisy,
-        }
 
 
 def tpm_weights(eps_a: float, eps_b: float, d: int) -> TpmWeights:
@@ -491,25 +461,6 @@ class TpmVarianceReport:
     hb2: float
     g2v2_diag: float
     weights: TpmWeights
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "eps_a": self.eps_a,
-            "eps_b": self.eps_b,
-            "mean_tpm": self.mean_tpm,
-            "var_tpm": self.var_tpm,
-            "var_diag": self.var_diag,
-            "var_projective": self.var_projective,
-            "var_noisy": self.var_noisy,
-            "ideal_term": self.ideal_term,
-            "projective_term": self.projective_term,
-            "noisy_term": self.noisy_term,
-            "ha2": self.ha2,
-            "hb2": self.hb2,
-            "g2v2_diag": self.g2v2_diag,
-            "weights": self.weights.to_dict(),
-        }
 
 
 def tpm_variance_closed_form(

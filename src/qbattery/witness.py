@@ -78,17 +78,6 @@ class PureStateReport:
     detected_sn_lower_bound: int
     bound_direction: str  # 'upper' | 'lower' | 'flat'
 
-    def to_dict(self) -> dict:
-        return {
-            "g_term": self.g_term,
-            "h2": self.h2,
-            "variance": self.variance,
-            "t2": self.t2,
-            "t2_caps": [list(c) for c in self.t2_caps],
-            "detected_sn_lower_bound": self.detected_sn_lower_bound,
-            "bound_direction": self.bound_direction,
-        }
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -107,24 +96,6 @@ class WitnessReport:
     hb2: float
     g2v2: float
     pure_state_branch: PureStateReport | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "d": self.d,
-            "variance_used": self.variance_used,
-            "thresholds": [list(t) for t in self.thresholds],
-            "detected_sn_lower_bound": self.detected_sn_lower_bound,
-            "purity_route_sn": self.purity_route_sn,
-            "ppt_min_eig": self.ppt_min_eig,
-            "r_a2": self.r_a2,
-            "r_b2": self.r_b2,
-            "t2": self.t2,
-            "ha2": self.ha2,
-            "hb2": self.hb2,
-            "g2v2": self.g2v2,
-            "pure_state_branch": None if self.pure_state_branch is None else self.pure_state_branch.to_dict(),
-        }
-        return out
 
 
 def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessReport:

@@ -13,9 +13,8 @@ Hamiltonian enter.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -34,7 +33,12 @@ __all__ = [
     "mc_work_statistics",
     "work_histogram",
     "work_sample_summary",
+    "MAX_HISTOGRAM_BINS",
 ]
+
+#: Finest histogram allowed: the counts array spans every bin between the
+#: extreme work values, so a bin width needing more bins is refused up front.
+MAX_HISTOGRAM_BINS = 10**7
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,50 @@ def pair_kron(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return np.einsum("nab,ncd->nacbd", ua, ub).reshape(k, d * d, d * d)
 
 
+def conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Batched U m U^dag for a stack of unitaries."""
+    return u @ m @ u.conj().transpose(0, 2, 1)
+
+
 def conjugation_traces(u: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Batched tr[U m U^dag obs] for a stack of unitaries."""
-    rotated = u @ m @ u.conj().transpose(0, 2, 1)
-    return np.einsum("nij,ji->n", rotated, obs).real
+    return np.einsum("nij,ji->n", conjugate(u, m), obs).real
+
+
+def iter_samples(
+    sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    d: int,
+    n: int,
+    cfg: SamplerConfig,
+    *,
+    streams: int = 1,
+    chunk: int = DEFAULT_CHUNK,
+) -> Iterator[np.ndarray]:
+    """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs.
+
+    Every estimator is a per-chunk sample function over local unitary
+    stacks; chunks follow the sampler's (seed, stream, chunk) order.
+    """
+    if n < 3:
+        raise ValueError(f"need at least three samples, got {n}")
+    if cfg.d != d:
+        raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
+    for ua, ub in iter_pair_unitaries(cfg, n, streams=streams, chunk=chunk):
+        yield sample(ua, ub)
+
+
+def summarize(chunks: Iterable[np.ndarray]) -> WorkStatistics:
+    """Fold chunks of sample values into moments with standard errors."""
+    acc = MomentAccumulator()
+    for values in chunks:
+        acc.add_chunk(values)
+    return WorkStatistics(
+        mean=acc.mean,
+        variance=acc.variance,
+        n_samples=acc.n,
+        se_mean=acc.se_mean,
+        se_variance=acc.se_variance,
+    )
 
 
 def iter_work_values(
@@ -108,13 +152,20 @@ def iter_work_values(
     chunk: int = DEFAULT_CHUNK,
 ) -> Iterator[np.ndarray]:
     """Yield chunks of exact work values for n Haar-random unitary pairs."""
-    if cfg.d != h.d:
-        raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {h.d}")
     m = as_density(rho).data
     total = h.total
     energy = float(np.trace(m @ total).real)
-    for ua, ub in iter_pair_unitaries(cfg, n, streams=streams, chunk=chunk):
-        yield energy - conjugation_traces(pair_kron(ua, ub), m, total)
+
+    def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        return energy - conjugation_traces(pair_kron(ua, ub), m, total)
+
+    return iter_samples(sample, h.d, n, cfg, streams=streams, chunk=chunk)
+
+
+def histogram_bin_bound(h: BatteryHamiltonian, bin_width: float) -> float:
+    """Most bins work values can fill: they lie in [E - max spec H, E - min spec H]."""
+    spectrum = np.linalg.eigvalsh(h.total)
+    return (spectrum[-1] - spectrum[0]) / bin_width + 2
 
 
 def work_sample_summary(
@@ -127,33 +178,27 @@ def work_sample_summary(
     streams: int = 1,
 ) -> tuple[WorkStatistics, WorkHistogram | None]:
     """One pass over n work samples: moments plus an optional histogram."""
-    if n < 2:
-        raise ValueError(f"need at least two samples, got {n}")
-    if bin_width is not None and bin_width <= 0:
+    chunks = iter_work_values(rho, h, n, cfg, streams=streams)
+    if bin_width is None:
+        return summarize(chunks), None
+    if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
-    acc = MomentAccumulator()
-    bins: Counter[int] = Counter()
-    for values in iter_work_values(rho, h, n, cfg, streams=streams):
-        acc.add_chunk(values)
-        if bin_width is not None:
-            idx, cnt = np.unique(np.floor(values / bin_width).astype(np.int64), return_counts=True)
-            for i, c in zip(idx, cnt):
-                bins[int(i)] += int(c)
-    stats = WorkStatistics(
-        mean=acc.mean,
-        variance=acc.variance,
-        n_samples=acc.n,
-        se_mean=acc.se_mean,
-        se_variance=acc.se_variance,
-    )
-    hist = None
-    if bin_width is not None:
-        lo, hi = min(bins), max(bins)
-        counts = np.zeros(hi - lo + 1, dtype=np.int64)
-        for i, c in bins.items():
-            counts[i - lo] = c
-        hist = WorkHistogram(bin_width=bin_width, origin=lo * bin_width, counts=counts, n_samples=n)
-    return stats, hist
+    if histogram_bin_bound(h, bin_width) > MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin width {bin_width} needs more than {MAX_HISTOGRAM_BINS} bins")
+    lo, counts = None, np.zeros(0, dtype=np.int64)  # counts[i] is bin lo + i
+
+    def counted(values: np.ndarray) -> np.ndarray:
+        nonlocal lo, counts
+        idx = np.floor(values / bin_width).astype(np.int64)
+        base = int(idx.min()) if lo is None else min(lo, int(idx.min()))
+        shift = 0 if lo is None else lo - base
+        merged = np.bincount(idx - base, minlength=shift + counts.size)
+        merged[shift : shift + counts.size] += counts
+        lo, counts = base, merged
+        return values
+
+    stats = summarize(map(counted, chunks))
+    return stats, WorkHistogram(bin_width=bin_width, origin=lo * bin_width, counts=counts, n_samples=n)
 
 
 def mc_work_statistics(

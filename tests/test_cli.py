@@ -143,6 +143,9 @@ def test_cli_bad_config_key(tmp_path, capsys):
         (["variance", "--streams", "0", "--seed", "1", "--n", "100"], "sampling.streams"),
         (["witness", "--alpha", "1.2"], "state.thermal_mixture.alpha"),
         (["coincidence", "--eps", "-0.1"], "parameters.eps"),
+        (["variance", "--seed", "1", "--n", "2"], "sampling.n_unitaries"),
+        (["tpm", "--seed", "1", "--n", "2"], "sampling.n_unitaries"),
+        (["histogram", "--seed", "1", "--n", "100", "--bin-width", "1e-12"], "parameters.bin_width"),
     ],
 )
 def test_cli_out_of_range_flag_is_a_config_error(args, key):
@@ -155,6 +158,45 @@ def test_cli_out_of_range_flag_is_a_config_error(args, key):
     assert proc.stderr.startswith(f"configuration error: {key}:")
     assert "Traceback" not in proc.stderr
 
+
+_ZERO2 = [[[0.0, 0.0]] * 2] * 2
+_Z_Z = [[[float(v), 0.0] for v in row] for row in np.diag([1, -1, -1, 1])]
+_MIXED4 = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("sweep", {"protocol": "variance", "parameters": {"b_grid": [0.45], "alpha_grid": [1.2]}}, "parameters.alpha_grid"),
+        ("sweep", {"protocol": "tpm", "parameters": {"alpha_grid": [-0.5]}}, "parameters.alpha_grid"),
+        (
+            "sweep",
+            {"protocol": "variance", "state": {"thermal_mixture": {"alpha": 0.5, "T": -1}}},
+            "state.thermal_mixture.T",
+        ),
+        ("sweep", {"protocol": "tpm", "state": {"thermal_mixture": {"alpha": 0.5}}}, "state.thermal_mixture.T"),
+        (
+            "coincidence",
+            {"battery": {"explicit": {"HA": _ZERO2, "HB": _ZERO2, "V": _Z_Z, "g": 1.0}}, "state": {"matrix": _MIXED4}},
+            "battery",
+        ),
+    ],
+)
+def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(qbattery.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbattery.cli", command, "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"configuration error: {key}:")
+    assert "Traceback" not in proc.stderr
 
 def test_cli_verify_passes_and_is_deterministic(capsys):
     args = ["verify", "--n", "1500", "--seed", "99"]

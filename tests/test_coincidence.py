@@ -182,7 +182,8 @@ def test_bound_rejects_flat_local_hamiltonian():
 
 def test_report_serializes():
     import json
+    from dataclasses import asdict
 
     h, spec = _ising_spec()
-    text = json.dumps(coincidence_bound(_mixture(0.5), h, spec, 0.7).to_dict())
+    text = json.dumps(asdict(coincidence_bound(_mixture(0.5), h, spec, 0.7)))
     assert "cbar_closed" in text

@@ -6,9 +6,11 @@ the reproducibility contract is changed on purpose.
 
 import numpy as np
 
-from qbattery.battery import gibbs_state, ising_battery, thermal_mixture_state
+from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
+from qbattery.coincidence import mc_coincidence
 from qbattery.haar import DEFAULT_CHUNK, SamplerConfig, haar_unitary
-from qbattery.workstats import mc_work_statistics
+from qbattery.tpm import mc_tpm_statistics
+from qbattery.workstats import mc_work_statistics, work_histogram
 
 FIRST_UNITARY_D3_SEED20240901_STREAM2 = np.array(
     [
@@ -31,6 +33,16 @@ FIRST_UNITARY_D3_SEED20240901_STREAM2 = np.array(
 )
 MC_WORK_MEAN_N1000_SEED7_STREAM1 = -0.8357497109355763
 MC_WORK_VARIANCE_N1000_SEED7_STREAM1 = 0.07436027663230564
+MC_WORK_MEAN_N1000_SEED7_STREAM1_STREAMS3 = -0.8452718817189663
+MC_TPM_MEAN_N1000_SEED7_STREAM1 = -0.8381196677560298  # eps_a = 0.6, eps_b = 0.8
+MC_TPM_SE_MEAN_N1000_SEED7_STREAM1 = 0.005619528907309764
+MC_COINCIDENCE_MEAN_N1000_SEED7_STREAM1 = 0.066361779489197  # eps_a = 0.7, eps_b = 0.4
+MC_COINCIDENCE_SE_N1000_SEED7_STREAM1 = 4.4030963317066995e-05
+HISTOGRAM_ORIGIN_N1000_SEED7_STREAM1 = -1.75  # bin width 0.05
+HISTOGRAM_COUNTS_N1000_SEED7_STREAM1 = [
+    1, 1, 1, 1, 6, 6, 7, 4, 14, 18, 29, 33, 39, 46, 75, 64, 59, 77, 69,
+    74, 73, 61, 50, 59, 29, 33, 14, 16, 10, 11, 7, 2, 5, 3, 2, 0, 1,
+]  # fmt: skip
 
 
 def test_first_haar_unitary_is_pinned():
@@ -38,10 +50,43 @@ def test_first_haar_unitary_is_pinned():
     np.testing.assert_allclose(u, FIRST_UNITARY_D3_SEED20240901_STREAM2, rtol=0, atol=1e-12)
 
 
-def test_mc_work_statistics_is_pinned():
-    assert DEFAULT_CHUNK == 4096  # the chunk the pinned run was drawn with
+def _default_point():
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     rho = thermal_mixture_state(0.96, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
-    stats = mc_work_statistics(rho, h, 1000, SamplerConfig(d=4, seed=7, stream=1))
+    return h, rho, SamplerConfig(d=4, seed=7, stream=1)
+
+
+def test_mc_work_statistics_is_pinned():
+    assert DEFAULT_CHUNK == 4096  # the chunk the pinned run was drawn with
+    h, rho, cfg = _default_point()
+    stats = mc_work_statistics(rho, h, 1000, cfg)
     assert abs(stats.mean - MC_WORK_MEAN_N1000_SEED7_STREAM1) < 1e-12
     assert abs(stats.variance - MC_WORK_VARIANCE_N1000_SEED7_STREAM1) < 1e-12
+
+
+def test_multi_stream_merge_order_is_pinned():
+    h, rho, cfg = _default_point()
+    stats = mc_work_statistics(rho, h, 1000, cfg, streams=3)
+    assert abs(stats.mean - MC_WORK_MEAN_N1000_SEED7_STREAM1_STREAMS3) < 1e-12
+
+
+def test_work_histogram_is_pinned():
+    h, rho, cfg = _default_point()
+    hist = work_histogram(rho, h, 1000, 0.05, cfg)
+    assert hist.origin == HISTOGRAM_ORIGIN_N1000_SEED7_STREAM1
+    assert hist.counts.tolist() == HISTOGRAM_COUNTS_N1000_SEED7_STREAM1
+    assert hist.n_samples == 1000
+
+
+def test_mc_tpm_statistics_is_pinned():
+    h, rho, cfg = _default_point()
+    stats = mc_tpm_statistics(rho, spectral_decomposition(h), 0.6, 0.8, 1000, cfg)
+    assert abs(stats.mean - MC_TPM_MEAN_N1000_SEED7_STREAM1) < 1e-12
+    assert abs(stats.se_mean - MC_TPM_SE_MEAN_N1000_SEED7_STREAM1) < 1e-12
+
+
+def test_mc_coincidence_is_pinned():
+    h, rho, cfg = _default_point()
+    mean, se = mc_coincidence(rho, spectral_decomposition(h), 0.7, 0.4, 1000, cfg)
+    assert abs(mean - MC_COINCIDENCE_MEAN_N1000_SEED7_STREAM1) < 1e-12
+    assert abs(se - MC_COINCIDENCE_SE_N1000_SEED7_STREAM1) < 1e-12

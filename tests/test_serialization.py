@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -76,8 +77,8 @@ def test_config_round_trip():
         "output": {"path": "out.csv", "format": "csv"},
     }
     cfg = ExperimentConfig.from_dict(raw)
-    assert cfg.to_dict() == raw
-    assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == raw
+    assert asdict(cfg) == raw
+    assert asdict(ExperimentConfig.from_dict(asdict(cfg))) == raw
 
 
 def test_config_rejects_unknown_keys_and_empty_grids():

@@ -408,8 +408,9 @@ def test_report_serializes():
     spec = _ising_spec()
     rho = _mixture(0.5)
     import json
+    from dataclasses import asdict
 
-    text = json.dumps(tpm_variance_closed_form(rho, spec, 0.4, 0.4).to_dict())
+    text = json.dumps(asdict(tpm_variance_closed_form(rho, spec, 0.4, 0.4)))
     assert "var_tpm" in text and "n_noisy" in text
 
 

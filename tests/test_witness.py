@@ -234,7 +234,8 @@ def test_pure_state_report_rejects_mixed_and_asymmetric(rng):
 
 def test_report_serializes(rng):
     import json
+    from dataclasses import asdict
 
     rep = detect_schmidt_number(_mixture(0.96, _ising()), _ising())
-    text = json.dumps(rep.to_dict())
+    text = json.dumps(asdict(rep))
     assert "detected_sn_lower_bound" in text

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from qbattery.battery import battery_hamiltonian, ising_battery
+from qbattery.battery import battery_hamiltonian, ising_battery, spectral_decomposition
+from qbattery.coincidence import mc_coincidence
 from qbattery.haar import HaarSampler, SamplerConfig
 from qbattery.linalg import DensityMatrix, random_density_matrix
+from qbattery.tpm import mc_tpm_statistics
 from qbattery.workstats import (
+    MAX_HISTOGRAM_BINS,
     analytic_work_mean,
     analytic_work_variance,
+    histogram_bin_bound,
     iter_work_values,
     mc_work_statistics,
     work,
@@ -197,3 +201,36 @@ def test_summary_consistent_with_parts():
 def test_histogram_rejects_bad_bin_width():
     with pytest.raises(ValueError):
         work_histogram(bell_state(), _bell_battery(), 100, 0.0, SamplerConfig(d=2, seed=1))
+
+
+def test_histogram_matches_direct_binning_across_chunks():
+    # 10_000 samples span three chunks, so the bin counts are merged twice
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    rho = DensityMatrix(np.eye(16) / 16)
+    cfg = SamplerConfig(d=4, seed=21)
+    hist = work_histogram(rho, h, 10_000, 0.05, cfg)
+    idx = np.floor(np.concatenate(list(iter_work_values(rho, h, 10_000, cfg))) / 0.05).astype(np.int64)
+    assert hist.origin == idx.min() * 0.05
+    assert hist.counts.tolist() == np.bincount(idx - idx.min()).tolist()
+    assert hist.counts[0] > 0 and hist.counts[-1] > 0
+    assert len(hist.counts) <= histogram_bin_bound(h, 0.05)
+
+
+def test_histogram_rejects_too_many_bins_before_sampling():
+    h = _bell_battery()
+    assert histogram_bin_bound(h, 1e-12) > MAX_HISTOGRAM_BINS
+    with pytest.raises(ValueError, match="bins"):
+        work_histogram(bell_state(), h, 100, 1e-12, SamplerConfig(d=2, seed=1))
+
+
+def test_mc_estimators_need_three_samples():
+    h = _bell_battery()
+    spec = spectral_decomposition(h)
+    cfg = SamplerConfig(d=2, seed=1)
+    with pytest.raises(ValueError, match="three"):
+        mc_work_statistics(bell_state(), h, 2, cfg)
+    with pytest.raises(ValueError, match="three"):
+        mc_tpm_statistics(bell_state(), spec, 0.5, 0.5, 2, cfg)
+    with pytest.raises(ValueError, match="three"):
+        mc_coincidence(bell_state(), spec, 0.5, 0.5, 2, cfg)
+    assert mc_coincidence(bell_state(), spec, 0.5, 0.5, 3, cfg)[1] >= 0
