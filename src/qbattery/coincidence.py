@@ -25,7 +25,7 @@ from .bloch import bloch_decompose
 from .haar import DEFAULT_CHUNK, SamplerConfig
 from .linalg import StateLike, as_density
 from .tpm import _check_eps
-from .workstats import analytic_work_variance, conjugate, iter_samples, pair_kron, summarize
+from .workstats import conjugate, iter_samples, pair_kron, sector_variance, summarize
 
 __all__ = [
     "CoincidenceReport",
@@ -36,20 +36,15 @@ __all__ = [
 ]
 
 
-def coincidence_povm(spec: SpectralDecomposition, side: str, epsilon: float) -> np.ndarray:
+def coincidence_povm(proj: np.ndarray, epsilon: float) -> np.ndarray:
     """Dichotomic same-outcome POVM element on the doubled local space.
 
-    P = eps^2 * sum_i Pi_i (x) Pi_i + (1 - eps^2)/d * 1, satisfying
-    0 <= P <= 1 and tr[P] = d for every eps.
+    P = eps^2 * sum_i Pi_i (x) Pi_i + (1 - eps^2)/d * 1 for one side's
+    (d, d, d) projector stack, satisfying 0 <= P <= 1 and tr[P] = d for
+    every eps.
     """
     _check_eps(epsilon)
-    if side == "A":
-        proj = spec.proj_a
-    elif side == "B":
-        proj = spec.proj_b
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    d = spec.d
+    d = proj.shape[-1]
     pair = np.einsum("iab,icd->acbd", proj, proj).reshape(d * d, d * d)
     return epsilon**2 * pair + (1.0 - epsilon**2) / d * np.eye(d * d)
 
@@ -175,7 +170,7 @@ def coincidence_bound(
     if h2 <= 0:
         raise ValueError("the bound is undefined for vanishing local weight h^2 = 0")
     form = bloch_decompose(rho, d)
-    var = analytic_work_variance(rho, h).variance
+    var = sector_variance(form.r_a2, form.r_b2, form.t2, h.ha2, h.hb2, h.g2v2, d)
     c = h.g2v2 / (d - 1) - h2 * epsilon**2
     rhs = (
         1.0

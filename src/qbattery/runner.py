@@ -18,15 +18,14 @@ from typing import Callable
 import numpy as np
 
 from .battery import BatteryHamiltonian, gibbs_state, spectral_decomposition, thermal_mixture_state
-from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
 from .haar import HaarSampler, SamplerConfig, twirl1, twirl2, two_copy_local_twirl
 from .linalg import random_density_matrix, random_hermitian
-from .serialization import ConfigError, _require, battery_from_spec, state_from_spec
+from .serialization import ConfigError, _number, _positive, _required_number, battery_from_spec, state_from_spec
 from .tpm import (
     _check_eps,
+    _dephased_sectors,
     mc_tpm_statistics,
-    tpm_spectral_stats,
     tpm_variance_closed_form,
     tpm_weights,
     tpm_work_mean,
@@ -60,6 +59,14 @@ SCHEMA_VERSION = 1
 DEFAULT_BATTERY = {"ising": {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}}
 DEFAULT_STATE = {"thermal_mixture": {"alpha": 0.96, "T": 1.5}}
 DEFAULT_VERIFY_SEED = 20240901
+#: Largest local dimension ``verify`` accepts: ``_check_two_copy_local_twirl``
+#: holds 512 * d^8 complex entries per chunk, 0.5 GB at d = 4 and 3.2 GB at d = 5.
+MAX_VERIFY_DIM = 4
+
+
+def _min_samples(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"need at least 3 samples, got {n}")
 
 
 @dataclass
@@ -95,10 +102,9 @@ class ExperimentConfig:
         for key in ("parameters", "sampling", "output", "battery", "state"):
             if not isinstance(getattr(cfg, key), dict):
                 raise ConfigError(key, "must be a JSON object")
-        grids = [k for k in cfg.parameters if k.endswith("_grid")]
-        for k in grids:
-            if len(cfg.parameters[k]) == 0:
-                raise ConfigError(f"parameters.{k}", "grid must be non-empty")
+        for k, grid in cfg.parameters.items():
+            if k.endswith("_grid") and not (isinstance(grid, list) and grid):
+                raise ConfigError(f"parameters.{k}", "grid must be a non-empty list")
         return cfg
 
     def sampler(self, d: int, *, required: bool = True) -> SamplerConfig | None:
@@ -108,19 +114,14 @@ class ExperimentConfig:
             if required:
                 raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
             return None
-        return SamplerConfig(d=d, seed=int(seed), stream=int(self.sampling.get("stream", 0)))
+        seed = _number(seed, "sampling.seed", int)
+        return SamplerConfig(d=d, seed=seed, stream=_number(self.sampling.get("stream", 0), "sampling.stream", int))
 
     def n_unitaries(self, default: int = 100_000) -> int:
-        n = int(self.sampling.get("n_unitaries", default))
-        if n < 3:
-            raise ConfigError("sampling.n_unitaries", f"need at least 3 samples, got {n}")
-        return n
+        return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_min_samples)
 
     def streams(self) -> int:
-        s = int(self.sampling.get("streams", 1))
-        if s < 1:
-            raise ConfigError("sampling.streams", f"need at least one stream, got {s}")
-        return s
+        return _number(self.sampling.get("streams", 1), "sampling.streams", int, check=_positive)
 
 
 def _checked_eps(value, path: str, *, simulate: bool = False) -> float:
@@ -129,11 +130,7 @@ def _checked_eps(value, path: str, *, simulate: bool = False) -> float:
     ``simulate`` additionally rejects eps = 0, where the TPM energy labels
     diverge and only the closed form is defined.
     """
-    try:
-        eps = float(value)
-        _check_eps(eps)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
+    eps = _number(value, path, check=_check_eps)
     if simulate and eps == 0.0:
         raise ConfigError(path, "Monte-Carlo TPM needs eps > 0 (energy labels diverge at 0)")
     return eps
@@ -146,20 +143,22 @@ def _eps_param(cfg: ExperimentConfig, key: str, *, simulate: bool = False) -> fl
 
 
 def _ising_params(cfg: ExperimentConfig) -> dict:
+    """The ising parameters as numbers; ``battery_from_spec`` reports missing ones."""
     if "ising" not in cfg.battery:
         raise ConfigError("battery", "this sweep requires the 'ising' battery family")
-    return dict(cfg.battery["ising"])
+    ip = cfg.battery["ising"]
+    if not isinstance(ip, dict):
+        raise ConfigError("battery.ising", "must be a JSON object")
+    return {key: _number(ip[key], f"battery.ising.{key}") for key in ("J1", "J2", "J3", "b") if key in ip}
 
 
 def _thermal_sweep(cfg: ExperimentConfig, alpha_step: float) -> tuple[float, list[float]]:
     """Temperature and mixing-ratio grid of a thermal-mixture sweep, range-checked."""
     if "thermal_mixture" not in cfg.state:
         raise ConfigError("state", "this sweep requires the 'thermal_mixture' state family")
-    temperature = float(_require(cfg.state["thermal_mixture"], "T", "state.thermal_mixture"))
-    if temperature <= 0:
-        raise ConfigError("state.thermal_mixture.T", f"temperature must be positive, got {temperature}")
+    temperature = _required_number(cfg.state["thermal_mixture"], "T", "state.thermal_mixture", check=_positive)
     default = np.round(np.arange(0.0, 1.001, alpha_step), 10)
-    a_grid = [float(x) for x in cfg.parameters.get("alpha_grid", default)]
+    a_grid = [_number(x, "parameters.alpha_grid") for x in cfg.parameters.get("alpha_grid", default)]
     for alpha in a_grid:
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError("parameters.alpha_grid", f"mixing ratios must lie in [0, 1], got {alpha}")
@@ -181,7 +180,8 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.04)
-    b_grid = [float(x) for x in cfg.parameters.get("b_grid", np.round(np.arange(0.0, 0.901, 0.05), 10))]
+    default = np.round(np.arange(0.0, 0.901, 0.05), 10)
+    b_grid = [_number(x, "parameters.b_grid") for x in cfg.parameters.get("b_grid", default)]
     rows = []
     for b in b_grid:
         h = battery_from_spec({"ising": {**ip, "b": b}})
@@ -191,9 +191,9 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
             rho = thermal_mixture_state(alpha, tau_a, tau_b)
             rep = detect_schmidt_number(rho, h)
             row = {
-                "J1": float(ip["J1"]),
-                "J2": float(ip["J2"]),
-                "J3": float(ip["J3"]),
+                "J1": ip["J1"],
+                "J2": ip["J2"],
+                "J3": ip["J3"],
                 "T": temperature,
                 "b": b,
                 "alpha": alpha,
@@ -231,10 +231,10 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
         for eps in eps_grid:
             rep = tpm_variance_closed_form(rho, spec, eps, eps)
             row = {
-                "J1": float(ip["J1"]),
-                "J2": float(ip["J2"]),
-                "J3": float(ip["J3"]),
-                "b": float(ip["b"]),
+                "J1": ip["J1"],
+                "J2": ip["J2"],
+                "J3": ip["J3"],
+                "b": ip["b"],
                 "T": temperature,
                 "alpha": alpha,
                 "eps_a": eps,
@@ -261,9 +261,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
 def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Binned work counts plus a summary with sample mean/variance and SEs."""
     h, rho = _build_point(cfg)
-    bin_width = float(cfg.parameters.get("bin_width", 0.1))
-    if bin_width <= 0:
-        raise ConfigError("parameters.bin_width", f"must be positive, got {bin_width}")
+    bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=_positive)
     if histogram_bin_bound(h, bin_width) > MAX_HISTOGRAM_BINS:
         raise ConfigError("parameters.bin_width", f"needs more than {MAX_HISTOGRAM_BINS} bins over the work range")
     n = cfg.n_unitaries()
@@ -446,23 +444,12 @@ def _check_proof_inequalities(rng, d, n, cfg) -> dict:
         h = _random_battery(rng, d)
         spec = spectral_decomposition(h)
         rho = random_density_matrix(rng, d * d)
-        form = bloch_decompose(rho, d)
-        st = tpm_spectral_stats(rho, spec)
-        ca = float(np.sum(st.zeta_a * (form.t @ form.t.T)))
-        cb = float(np.sum(st.zeta_b * (form.t.T @ form.t)))
-        slacks = [
-            form.r_a2 - (d * st.p_a2 - 1),
-            form.r_b2 - (d * st.p_b2 - 1),
-            form.t2 - (d * d * st.p_ab2 - d * st.p_a2 - d * st.p_b2 + 1),
-            form.t2 - ca,
-            form.t2 - cb,
-        ]
+        form, st, sectors = _dephased_sectors(rho, spec)
+        (c1, c2, c3), ca, cb = sectors["joint"], sectors["local_a"][2], sectors["local_b"][2]
+        slacks = [form.r_a2 - c1, form.r_b2 - c2, form.t2 - c3, form.t2 - ca, form.t2 - cb]
         worst = min(worst, min(slacks))
         closing = float(np.einsum("ab,cd,ac,bd->", form.t, form.t, st.zeta_a, st.zeta_b))
-        closing_dev = max(
-            closing_dev,
-            abs(closing - (d * d * st.p_ab2 - d * st.p_a2 - d * st.p_b2 + 1)),
-        )
+        closing_dev = max(closing_dev, abs(closing - c3))
     # report the worst violation (positive = ok) through the same ratio slot
     return {"deviation": max(-worst, closing_dev) / 1e-10, "detail": {"min_slack": worst, "closing_dev": closing_dev}}
 
@@ -500,10 +487,12 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     report echoes seed and sizes so a rerun reproduces it bit for bit.
     """
     p = cfg.parameters
-    d = int(p.get("d", 2))
-    n = int(p.get("n", cfg.sampling.get("n_unitaries", 10_000)))
-    seed = int(cfg.sampling.get("seed", DEFAULT_VERIFY_SEED))
-    multiplier = float(p.get("se_multiplier", 5.0))
+    d = _number(p.get("d", 2), "parameters.d", int)
+    if not 2 <= d <= MAX_VERIFY_DIM:
+        raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_VERIFY_DIM}, got {d}")
+    n = _number(p["n"], "parameters.n", int, check=_min_samples) if "n" in p else cfg.n_unitaries(10_000)
+    seed = _number(cfg.sampling.get("seed", DEFAULT_VERIFY_SEED), "sampling.seed", int)
+    multiplier = _number(p.get("se_multiplier", 5.0), "parameters.se_multiplier")
     checks = []
     all_passed = True
     for idx, (name, fn) in enumerate(CHECKS.items()):

@@ -56,9 +56,31 @@ def matrix_from_json(obj, key: str = "matrix") -> np.ndarray:
 
 
 def _require(obj: dict, key: str, context: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(context, "must be a JSON object")
     if key not in obj:
         raise ConfigError(f"{context}.{key}", "missing required key")
     return obj[key]
+
+
+def _number(value, key: str, kind: type = float, check=None):
+    """``kind(value)`` for a config value; a failed conversion or ``check`` is a ConfigError at ``key``."""
+    try:
+        x = kind(value)
+        if check is not None:
+            check(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(key, str(exc)) from None
+    return x
+
+
+def _required_number(obj: dict, key: str, context: str, check=None) -> float:
+    return _number(_require(obj, key, context), f"{context}.{key}", check=check)
+
+
+def _positive(x: float) -> None:
+    if not x > 0:
+        raise ValueError(f"must be positive, got {x}")
 
 
 def battery_from_spec(spec: dict) -> BatteryHamiltonian:
@@ -67,19 +89,21 @@ def battery_from_spec(spec: dict) -> BatteryHamiltonian:
     if "ising" in spec:
         p = spec["ising"]
         return ising_battery(
-            j1=float(_require(p, "J1", "battery.ising")),
-            j2=float(_require(p, "J2", "battery.ising")),
-            j3=float(_require(p, "J3", "battery.ising")),
-            b=float(_require(p, "b", "battery.ising")),
+            j1=_required_number(p, "J1", "battery.ising"),
+            j2=_required_number(p, "J2", "battery.ising"),
+            j3=_required_number(p, "J3", "battery.ising"),
+            b=_required_number(p, "b", "battery.ising"),
         )
     if "explicit" in spec:
         p = spec["explicit"]
-        return battery_hamiltonian(
-            ha=matrix_from_json(_require(p, "HA", "battery.explicit"), "battery.explicit.HA"),
-            hb=matrix_from_json(_require(p, "HB", "battery.explicit"), "battery.explicit.HB"),
-            v=matrix_from_json(_require(p, "V", "battery.explicit"), "battery.explicit.V"),
-            g=float(_require(p, "g", "battery.explicit")),
+        ha, hb, v = (
+            matrix_from_json(_require(p, key, "battery.explicit"), f"battery.explicit.{key}") for key in ("HA", "HB", "V")
         )
+        g = _required_number(p, "g", "battery.explicit")
+        try:
+            return battery_hamiltonian(ha, hb, v, g=g)
+        except ValueError as exc:
+            raise ConfigError("battery.explicit", str(exc)) from None
     raise ConfigError("battery", f"unknown battery family {list(spec)!r}")
 
 
@@ -99,15 +123,16 @@ def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
         raise ConfigError("state", "expected exactly one of 'thermal_mixture' or 'matrix'")
     if "thermal_mixture" in spec:
         p = spec["thermal_mixture"]
-        alpha = float(_require(p, "alpha", "state.thermal_mixture"))
-        temperature = float(_require(p, "T", "state.thermal_mixture"))
+        alpha = _required_number(p, "alpha", "state.thermal_mixture")
+        temperature = _required_number(p, "T", "state.thermal_mixture", check=_positive)
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError("state.thermal_mixture.alpha", f"mixing ratio must lie in [0, 1], got {alpha}")
-        if temperature <= 0:
-            raise ConfigError("state.thermal_mixture.T", f"temperature must be positive, got {temperature}")
         tau_a = gibbs_state(battery.ha, temperature)
         tau_b = gibbs_state(battery.hb, temperature)
-        return thermal_mixture_state(alpha, tau_a, tau_b)
+        try:
+            return thermal_mixture_state(alpha, tau_a, tau_b)
+        except ValueError as exc:
+            raise ConfigError("state", str(exc)) from None
     if "matrix" in spec:
         m = matrix_from_json(spec["matrix"], "state.matrix")
         try:

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import SpectralDecomposition
-from .bloch import bloch_decompose, gell_mann_basis
+from .bloch import BlochForm, bloch_decompose, gell_mann_basis
 from .haar import DEFAULT_CHUNK, SamplerConfig
 from .linalg import StateLike, as_density
-from .workstats import WorkStatistics, conjugation_traces, iter_samples, pair_kron, summarize
+from .workstats import WorkStatistics, conjugation_traces, iter_samples, pair_kron, sector_variance, summarize
 
 __all__ = [
     "NoisyPovm",
@@ -75,33 +75,18 @@ class NoisyPovm:
     = f * Pi_i + g * 1; the POVM sums to the identity for every eps.
     """
 
-    d: int
-    epsilon: float
     elements: np.ndarray  # (d, d, d)
     roots: np.ndarray  # (d, d, d)
     f: float
     g: float
 
 
-def noisy_povm(spec: SpectralDecomposition, side: str, epsilon: float) -> NoisyPovm:
-    """POVM elements eps * Pi_i + (1-eps)/d * 1 for one side's projectors."""
-    _check_eps(epsilon)
-    if side == "A":
-        proj = spec.proj_a
-    elif side == "B":
-        proj = spec.proj_b
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    f, g = povm_root_coeffs(epsilon, spec.d)
-    eye = np.eye(spec.d)
-    return NoisyPovm(
-        d=spec.d,
-        epsilon=epsilon,
-        elements=epsilon * proj + (1.0 - epsilon) / spec.d * eye,
-        roots=f * proj + g * eye,
-        f=f,
-        g=g,
-    )
+def noisy_povm(proj: np.ndarray, epsilon: float) -> NoisyPovm:
+    """POVM elements eps * Pi_i + (1-eps)/d * 1 for one side's (d, d, d) projector stack."""
+    d = proj.shape[-1]
+    f, g = povm_root_coeffs(epsilon, d)
+    eye = np.eye(d)
+    return NoisyPovm(elements=epsilon * proj + (1.0 - epsilon) / d * eye, roots=f * proj + g * eye, f=f, g=g)
 
 
 def energy_labels(
@@ -154,6 +139,19 @@ def instrument_average(
     return basis @ (r * mask).reshape(d * d, d * d) @ basis.conj().T
 
 
+def _joint_instrument(
+    spec: SpectralDecomposition, eps_a: float, eps_b: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat outcome labels e_ij, joint POVM elements and joint Kraus operators."""
+    d = spec.d
+    labels = energy_labels(spec, eps_a, eps_b).ravel()
+    pa = noisy_povm(spec.proj_a, eps_a)
+    pb = noisy_povm(spec.proj_b, eps_b)
+    povm = np.einsum("iab,jcd->ijacbd", pa.elements, pb.elements).reshape(d * d, d * d, d * d)
+    kraus = np.einsum("iab,jcd->ijacbd", pa.roots, pb.roots).reshape(d * d, d * d, d * d)
+    return labels, povm, kraus
+
+
 def tpm_run(
     rho: StateLike,
     spec: SpectralDecomposition,
@@ -169,13 +167,7 @@ def tpm_run(
     contributes zero weight.
     """
     m = as_density(rho).data
-    d = spec.d
-    labels = energy_labels(spec, eps_a, eps_b).ravel()
-    pa = noisy_povm(spec, "A", eps_a)
-    pb = noisy_povm(spec, "B", eps_b)
-    povm = np.einsum("iab,jcd->ijacbd", pa.elements, pb.elements).reshape(d * d, d * d, d * d)
-    kr = np.einsum("iab,jcd->ijacbd", pa.roots, pb.roots).reshape(d * d, d * d, d * d)
-
+    labels, povm, kr = _joint_instrument(spec, eps_a, eps_b)
     first = np.einsum("mab,ba->m", povm, m).real
     joint = np.einsum("mab,bc,mdc->mad", kr, m, kr.conj())
     u = np.kron(ua, ub)
@@ -210,12 +202,7 @@ def tpm_shot_sample(
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
     m = as_density(rho).data
-    d = spec.d
-    labels = energy_labels(spec, eps_a, eps_b).ravel()
-    pa = noisy_povm(spec, "A", eps_a)
-    pb = noisy_povm(spec, "B", eps_b)
-    povm = np.einsum("iab,jcd->ijacbd", pa.elements, pb.elements).reshape(d * d, d * d, d * d)
-    kr = np.einsum("iab,jcd->ijacbd", pa.roots, pb.roots).reshape(d * d, d * d, d * d)
+    labels, povm, kr = _joint_instrument(spec, eps_a, eps_b)
     first_probs = np.clip(np.einsum("mab,ba->m", povm, m).real, 0.0, None)
     first_probs /= first_probs.sum()
     u = np.kron(ua, ub)
@@ -278,16 +265,13 @@ class TpmWeights:
     kappa_a: float
     kappa_b: float
     kappa_ab: float
-    gamma_a: float
-    gamma_b: float
-    gamma_ab: float
     n0: float
     n1: float
     n_noisy: float
 
 
 def tpm_weights(eps_a: float, eps_b: float, d: int) -> TpmWeights:
-    """All kappa/gamma/n coefficients for given detector errors.
+    """All f/g/kappa/n coefficients for given detector errors.
 
     kappa_AB uses the product form g_A g_B (2 f_A + d g_A)(2 f_B + d g_B),
     equal to kappa_A kappa_B / (f_A^2 f_B^2) wherever the latter is defined
@@ -299,13 +283,9 @@ def tpm_weights(eps_a: float, eps_b: float, d: int) -> TpmWeights:
     kappa_b = fb**2 * ga * (2 * fa + d * ga)
     kappa_ab = ga * gb * (2 * fa + d * ga) * (2 * fb + d * gb)
     ff = fa**2 * fb**2
-    ksum = kappa_a + kappa_b + kappa_ab
-    gamma_a = ff * ksum + kappa_a * (kappa_b + kappa_ab)
-    gamma_b = ff * ksum + kappa_b * (kappa_a + kappa_ab)
-    gamma_ab = ff * ksum + kappa_a * kappa_b
     n0 = kappa_ab**2
     n1 = ff**2 + kappa_a**2 + kappa_b**2
-    n_noisy = 2 * (ff * ksum + kappa_a * kappa_b + kappa_a * kappa_ab + kappa_b * kappa_ab)
+    n_noisy = 2 * (ff * (kappa_a + kappa_b + kappa_ab) + kappa_a * kappa_b + kappa_a * kappa_ab + kappa_b * kappa_ab)
     return TpmWeights(
         d=d,
         eps_a=eps_a,
@@ -317,9 +297,6 @@ def tpm_weights(eps_a: float, eps_b: float, d: int) -> TpmWeights:
         kappa_a=kappa_a,
         kappa_b=kappa_b,
         kappa_ab=kappa_ab,
-        gamma_a=gamma_a,
-        gamma_b=gamma_b,
-        gamma_ab=gamma_ab,
         n0=n0,
         n1=n1,
         n_noisy=n_noisy,
@@ -372,24 +349,73 @@ def tpm_spectral_stats(rho: StateLike, spec: SpectralDecomposition) -> TpmSpectr
     )
 
 
-def _local_weight(energies: np.ndarray, d: int) -> float:
-    """Traceless squared weight of a local Hamiltonian from its spectrum."""
-    return float(np.sum(energies**2) / d - (np.sum(energies) / d) ** 2)
+def _diagonal_weights(spec: SpectralDecomposition) -> tuple[float, float, float]:
+    """Traceless weights (ha2, hb2, g^2 v^2) of the diagonal Hamiltonian H_D.
+
+    The local weights come from the spectra; the interaction weight is
+    g^2 (sum_ij D_ij^2) / d^2.
+    """
+    d = spec.d
+    ea, eb = spec.energies_a, spec.energies_b
+    ha2 = float(np.sum(ea**2) / d - (np.sum(ea) / d) ** 2)
+    hb2 = float(np.sum(eb**2) / d - (np.sum(eb) / d) ** 2)
+    return ha2, hb2, spec.g**2 * float(np.sum(spec.d_mat**2)) / d**2
 
 
 def diagonal_work_variance(rho: StateLike, spec: SpectralDecomposition) -> float:
     """Work variance of the diagonal Hamiltonian H_D (off-diagonal part off).
 
-    Same closed form as the ideal variance, with the interaction weight
-    g^2 v^2 replaced by g^2 (sum_ij D_ij^2) / d^2.
+    The ideal closed form ``sector_variance`` with the weights of H_D.
+    """
+    form = bloch_decompose(rho, spec.d)
+    return sector_variance(form.r_a2, form.r_b2, form.t2, *_diagonal_weights(spec), spec.d)
+
+
+def _dephased_sectors(
+    rho: StateLike, spec: SpectralDecomposition
+) -> tuple[BlochForm, TpmSpectralStats, dict[str, tuple[float, float, float]]]:
+    """Sector lengths (rA^2, rB^2, t^2) of rho and of its dephased versions.
+
+    Dephasing in the local energy eigenbases keeps the populations:
+    'joint' (both sides) has lengths (c1, c2, c3), 'local_a' (A only)
+    (c1, rB^2, ca) and 'local_b' (B only) (rA^2, c2, cb); 'state' is rho
+    itself.  Returns the Bloch form and spectral stats they came from.
     """
     d = spec.d
     form = bloch_decompose(rho, d)
-    ha2 = _local_weight(spec.energies_a, d)
-    hb2 = _local_weight(spec.energies_b, d)
-    gv2 = spec.g**2 * float(np.sum(spec.d_mat**2)) / d**2
-    dd = d * d - 1
-    return (form.r_a2 * ha2 + form.r_b2 * hb2 + form.t2 * gv2 / dd) / dd
+    stats = tpm_spectral_stats(rho, spec)
+    c1 = d * stats.p_a2 - 1.0
+    c2 = d * stats.p_b2 - 1.0
+    c3 = d * d * stats.p_ab2 - d * stats.p_a2 - d * stats.p_b2 + 1.0
+    ca = float(np.sum(stats.zeta_a * (form.t @ form.t.T)))
+    cb = float(np.sum(stats.zeta_b * (form.t.T @ form.t)))
+    return form, stats, {
+        "state": (form.r_a2, form.r_b2, form.t2),
+        "joint": (c1, c2, c3),
+        "local_a": (c1, form.r_b2, ca),
+        "local_b": (form.r_a2, c2, cb),
+    }
+
+
+def _integral_terms(rho: StateLike, spec: SpectralDecomposition, w: TpmWeights) -> tuple[dict[str, float], float]:
+    """The ten Haar integrals of ``tpm_integral_terms``, and var_diag."""
+    _, _, sectors = _dephased_sectors(rho, spec)
+    weights = _diagonal_weights(spec)
+    var = {name: sector_variance(*lengths, *weights, spec.d) for name, lengths in sectors.items()}
+    ff = w.f_a**2 * w.f_b**2
+    terms = {
+        "joint": ff**2 * var["joint"],
+        "local_a": w.kappa_a**2 * var["local_a"],
+        "local_b": w.kappa_b**2 * var["local_b"],
+        "state": w.kappa_ab**2 * var["state"],
+        "cross_joint_a": ff * w.kappa_a * var["joint"],
+        "cross_joint_b": ff * w.kappa_b * var["joint"],
+        "cross_a_b": w.kappa_a * w.kappa_b * var["joint"],
+        "cross_joint_state": ff * w.kappa_ab * var["joint"],
+        "cross_a_state": w.kappa_a * w.kappa_ab * var["local_a"],
+        "cross_b_state": w.kappa_b * w.kappa_ab * var["local_b"],
+    }
+    return terms, var["state"]
 
 
 def tpm_integral_terms(
@@ -399,42 +425,13 @@ def tpm_integral_terms(
 
     Keys: 'joint' / 'local_a' / 'local_b' for the dephased-state integrals,
     'state' for the undisturbed-state one, and 'cross_*' for the six mixed
-    products.  The variance equals joint + local_a + local_b + state
-    + 2 * sum(cross terms); the report's ideal/projective/noisy split is a
-    regrouping of exactly these pieces.
+    products.  Each is a product of kappa weights with the work variance
+    (under H_D) of one of the four states of ``_dephased_sectors``.  The
+    variance equals joint + local_a + local_b + state + 2 * sum(cross
+    terms); the report's ideal/projective/noisy split is a regrouping of
+    exactly these pieces.
     """
-    d = spec.d
-    w = tpm_weights(eps_a, eps_b, d)
-    stats = tpm_spectral_stats(rho, spec)
-    form = bloch_decompose(rho, d)
-    ha2 = _local_weight(spec.energies_a, d)
-    hb2 = _local_weight(spec.energies_b, d)
-    gv2 = spec.g**2 * float(np.sum(spec.d_mat**2)) / d**2
-    dd = d * d - 1
-
-    c1 = d * stats.p_a2 - 1.0
-    c2 = d * stats.p_b2 - 1.0
-    c3 = d * d * stats.p_ab2 - d * stats.p_a2 - d * stats.p_b2 + 1.0
-    ca = float(np.sum(stats.zeta_a * (form.t @ form.t.T)))
-    cb = float(np.sum(stats.zeta_b * (form.t.T @ form.t)))
-
-    bracket_joint = c1 * ha2 + c2 * hb2 + c3 * gv2 / dd
-    bracket_a = c1 * ha2 + form.r_b2 * hb2 + gv2 * ca / dd
-    bracket_b = form.r_a2 * ha2 + c2 * hb2 + gv2 * cb / dd
-    ff = w.f_a**2 * w.f_b**2
-
-    return {
-        "joint": ff**2 * bracket_joint / dd,
-        "local_a": w.kappa_a**2 * bracket_a / dd,
-        "local_b": w.kappa_b**2 * bracket_b / dd,
-        "state": w.kappa_ab**2 * diagonal_work_variance(rho, spec),
-        "cross_joint_a": ff * w.kappa_a * bracket_joint / dd,
-        "cross_joint_b": ff * w.kappa_b * bracket_joint / dd,
-        "cross_a_b": w.kappa_a * w.kappa_b * bracket_joint / dd,
-        "cross_joint_state": ff * w.kappa_ab * bracket_joint / dd,
-        "cross_a_state": w.kappa_a * w.kappa_ab * bracket_a / dd,
-        "cross_b_state": w.kappa_b * w.kappa_ab * bracket_b / dd,
-    }
+    return _integral_terms(rho, spec, tpm_weights(eps_a, eps_b, spec.d))[0]
 
 
 @dataclass(frozen=True)
@@ -473,43 +470,17 @@ def tpm_variance_closed_form(
     """
     d = spec.d
     w = tpm_weights(eps_a, eps_b, d)
-    stats = tpm_spectral_stats(rho, spec)
-    form = bloch_decompose(rho, d)
-    ha2 = _local_weight(spec.energies_a, d)
-    hb2 = _local_weight(spec.energies_b, d)
-    gv2 = spec.g**2 * float(np.sum(spec.d_mat**2)) / d**2
-    dd = d * d - 1
-
-    c1 = d * stats.p_a2 - 1.0
-    c2 = d * stats.p_b2 - 1.0
-    c3 = d * d * stats.p_ab2 - d * stats.p_a2 - d * stats.p_b2 + 1.0
-    ca = float(np.sum(stats.zeta_a * (form.t @ form.t.T)))
-    cb = float(np.sum(stats.zeta_b * (form.t.T @ form.t)))
-    ff = w.f_a**2 * w.f_b**2
-
-    var_diag = (form.r_a2 * ha2 + form.r_b2 * hb2 + form.t2 * gv2 / dd) / dd
-    ideal = w.kappa_ab**2 * var_diag
-    proj = (
-        ((ff**2 + w.kappa_a**2) * c1 + w.kappa_b**2 * form.r_a2) * ha2
-        + ((ff**2 + w.kappa_b**2) * c2 + w.kappa_a**2 * form.r_b2) * hb2
-        + gv2 / dd * (ff**2 * c3 + w.kappa_a**2 * ca + w.kappa_b**2 * cb)
-    ) / dd
-    noisy = (
-        2.0
-        * (
-            (w.gamma_a * c1 + w.kappa_b * w.kappa_ab * form.r_a2) * ha2
-            + (w.gamma_b * c2 + w.kappa_a * w.kappa_ab * form.r_b2) * hb2
-            + gv2 / dd * (w.gamma_ab * c3 + w.kappa_a * w.kappa_ab * ca + w.kappa_b * w.kappa_ab * cb)
-        )
-        / dd
-    )
-    var_tpm = ideal + proj + noisy
+    ha2, hb2, gv2 = _diagonal_weights(spec)
+    terms, var_diag = _integral_terms(rho, spec, w)
+    ideal = terms["state"]
+    proj = terms["joint"] + terms["local_a"] + terms["local_b"]
+    noisy = 2.0 * sum(value for key, value in terms.items() if key.startswith("cross_"))
     return TpmVarianceReport(
         d=d,
         eps_a=eps_a,
         eps_b=eps_b,
         mean_tpm=tpm_work_mean(rho, spec),
-        var_tpm=var_tpm,
+        var_tpm=ideal + proj + noisy,
         var_diag=var_diag,
         var_projective=proj / w.n1 if w.n1 > 0 else 0.0,
         var_noisy=noisy / w.n_noisy if w.n_noisy > 0 else 0.0,

@@ -21,7 +21,7 @@ import numpy as np
 from .battery import BatteryHamiltonian
 from .bloch import bloch_decompose
 from .linalg import StateLike, as_density, partial_trace, partial_transpose_min_eig, purity
-from .workstats import analytic_work_variance
+from .workstats import sector_variance
 
 __all__ = [
     "DETECTION_MARGIN",
@@ -56,8 +56,7 @@ def work_variance_bound(
     k: int, d: int, r_a2: float, r_b2: float, ha2: float, hb2: float, g2v2: float
 ) -> float:
     """Work-variance cap for states of Schmidt number at most k."""
-    dd = d * d - 1
-    return (r_a2 * ha2 + r_b2 * hb2 + g2v2 * schmidt_t2_cap(k, d, r_a2, r_b2) / dd) / dd
+    return sector_variance(r_a2, r_b2, schmidt_t2_cap(k, d, r_a2, r_b2), ha2, hb2, g2v2, d)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     if rho.dim != d * d:
         raise ValueError(f"state dimension {rho.dim} does not match battery d^2 = {d * d}")
     form = bloch_decompose(rho, d)
-    var = analytic_work_variance(rho, h).variance
+    var = sector_variance(form.r_a2, form.r_b2, form.t2, h.ha2, h.hb2, h.g2v2, d)
     thresholds = tuple(
         (k, work_variance_bound(k, d, form.r_a2, form.r_b2, h.ha2, h.hb2, h.g2v2))
         for k in range(1, d + 1)

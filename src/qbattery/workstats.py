@@ -29,6 +29,7 @@ __all__ = [
     "WorkHistogram",
     "work",
     "analytic_work_mean",
+    "sector_variance",
     "analytic_work_variance",
     "mc_work_statistics",
     "work_histogram",
@@ -82,11 +83,21 @@ def analytic_work_mean(rho: StateLike, h: BatteryHamiltonian) -> float:
     return float((np.trace(m @ total) - np.trace(total) / h.d**2).real)
 
 
+def sector_variance(
+    r_a2: float, r_b2: float, t2: float, ha2: float, hb2: float, g2v2: float, d: int
+) -> float:
+    """The Haar work variance of the module docstring from sector lengths and weights.
+
+    Also evaluated at capped (Schmidt-number) or dephased (TPM) sector lengths.
+    """
+    dd = d * d - 1
+    return (r_a2 * ha2 + r_b2 * hb2 + t2 * g2v2 / dd) / dd
+
+
 def analytic_work_variance(rho: StateLike, h: BatteryHamiltonian) -> WorkStatistics:
     """Closed-form work variance over Haar-random local unitary pairs."""
     form = bloch_decompose(rho, h.d)
-    dd = h.d**2 - 1
-    var = (form.r_a2 * h.ha2 + form.r_b2 * h.hb2 + form.t2 * h.g2v2 / dd) / dd
+    var = sector_variance(form.r_a2, form.r_b2, form.t2, h.ha2, h.hb2, h.g2v2, h.d)
     return WorkStatistics(mean=analytic_work_mean(rho, h), variance=var)
 
 

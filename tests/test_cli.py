@@ -146,6 +146,9 @@ def test_cli_bad_config_key(tmp_path, capsys):
         (["variance", "--seed", "1", "--n", "2"], "sampling.n_unitaries"),
         (["tpm", "--seed", "1", "--n", "2"], "sampling.n_unitaries"),
         (["histogram", "--seed", "1", "--n", "100", "--bin-width", "1e-12"], "parameters.bin_width"),
+        (["verify", "--n", "2"], "sampling.n_unitaries"),
+        (["verify", "--d", "1"], "parameters.d"),
+        (["verify", "--d", "17"], "parameters.d"),  # rejected before any allocation
     ],
 )
 def test_cli_out_of_range_flag_is_a_config_error(args, key):
@@ -162,6 +165,9 @@ def test_cli_out_of_range_flag_is_a_config_error(args, key):
 _ZERO2 = [[[0.0, 0.0]] * 2] * 2
 _Z_Z = [[[float(v), 0.0] for v in row] for row in np.diag([1, -1, -1, 1])]
 _MIXED4 = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+_RAISING = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]  # not Hermitian
+_ISING_J1_X = {"ising": {"J1": "x", "J2": 1.0, "J3": 0.5, "b": 0.45}}
 
 
 @pytest.mark.parametrize(
@@ -179,6 +185,25 @@ _MIXED4 = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
             "coincidence",
             {"battery": {"explicit": {"HA": _ZERO2, "HB": _ZERO2, "V": _Z_Z, "g": 1.0}}, "state": {"matrix": _MIXED4}},
             "battery",
+        ),
+        ("sweep", {"protocol": "variance", "parameters": {"b_grid": [0.45], "alpha_grid": ["x"]}}, "parameters.alpha_grid"),
+        ("sweep", {"protocol": "variance", "parameters": {"alpha_grid": 0.5}}, "parameters.alpha_grid"),
+        ("variance", {"sampling": {"seed": 1, "n_unitaries": "many"}}, "sampling.n_unitaries"),
+        ("variance", {"sampling": {"seed": "s", "n_unitaries": 10}}, "sampling.seed"),
+        ("verify", {"parameters": {"d": "two"}}, "parameters.d"),
+        ("witness", {"battery": _ISING_J1_X}, "battery.ising.J1"),
+        ("sweep", {"protocol": "variance", "battery": _ISING_J1_X}, "battery.ising.J1"),
+        ("witness", {"battery": {"ising": 5}}, "battery.ising"),
+        ("sweep", {"protocol": "variance", "battery": {"ising": 5}}, "battery.ising"),
+        (
+            "variance",
+            {"battery": {"explicit": {"HA": _RAISING, "HB": _Z, "V": _Z_Z, "g": 1.0}}, "state": {"matrix": _MIXED4}},
+            "battery.explicit",
+        ),
+        (
+            "witness",  # the two halves' Gibbs spectra differ, so no thermal mixture exists
+            {"battery": {"explicit": {"HA": _Z, "HB": [[[2.0 * x for x in e] for e in row] for row in _Z], "V": _Z_Z, "g": 1.0}}},
+            "state",
         ),
     ],
 )

@@ -31,10 +31,10 @@ def test_povm_limits_and_trace(rng):
     for d in (2, 3):
         spec = spectral_decomposition(make_random_battery(rng, d))
         pair = np.einsum("iab,icd->acbd", spec.proj_a, spec.proj_a).reshape(d * d, d * d)
-        np.testing.assert_allclose(coincidence_povm(spec, "A", 1.0), pair, atol=1e-13)
-        np.testing.assert_allclose(coincidence_povm(spec, "A", 0.0), np.eye(d * d) / d, atol=1e-13)
+        np.testing.assert_allclose(coincidence_povm(spec.proj_a, 1.0), pair, atol=1e-13)
+        np.testing.assert_allclose(coincidence_povm(spec.proj_a, 0.0), np.eye(d * d) / d, atol=1e-13)
         for eps in (0.0, 0.4, 1.0):
-            p = coincidence_povm(spec, "A", eps)
+            p = coincidence_povm(spec.proj_a, eps)
             assert abs(np.trace(p).real - d) < 1e-12
             eig = np.linalg.eigvalsh(p)
             assert eig[0] >= -1e-12 and eig[-1] <= 1 + 1e-12
@@ -54,8 +54,8 @@ def test_per_unitary_identity_vs_four_copy_trace(rng):
         spec = spectral_decomposition(make_random_battery(rng, d))
         rho = random_density_matrix(rng, d * d).data
         ea, eb = 0.6, 0.35
-        paa = coincidence_povm(spec, "A", ea)
-        pbb = coincidence_povm(spec, "B", eb)
+        paa = coincidence_povm(spec.proj_a, ea)
+        pbb = coincidence_povm(spec.proj_b, eb)
         perm = subsystem_permutation((0, 2, 1, 3), (d, d, d, d))  # (A,A',B,B') -> (A,B,A',B')
         big = perm @ np.kron(paa, pbb) @ perm.T
         u = np.kron(

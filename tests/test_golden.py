@@ -1,16 +1,29 @@
-"""Golden values pinning the sampling contract: (seed, stream, chunk) -> samples.
+"""Golden values pinning the sampling contract and the closed forms.
 
-The numbers were recorded from the implementation and must not move unless
-the reproducibility contract is changed on purpose.
+Sampling: (seed, stream, chunk) -> samples.  Closed forms: the TPM split,
+the witness thresholds and the work variance at fixed inputs.  The numbers
+were recorded from the implementation and must not move unless the
+reproducibility contract or a formula is changed on purpose.
 """
 
-import numpy as np
+import warnings
 
-from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
+import numpy as np
+import pytest
+
+from qbattery.battery import (
+    battery_hamiltonian,
+    gibbs_state,
+    ising_battery,
+    spectral_decomposition,
+    thermal_mixture_state,
+)
 from qbattery.coincidence import mc_coincidence
 from qbattery.haar import DEFAULT_CHUNK, SamplerConfig, haar_unitary
-from qbattery.tpm import mc_tpm_statistics
-from qbattery.workstats import mc_work_statistics, work_histogram
+from qbattery.linalg import random_density_matrix, random_hermitian
+from qbattery.tpm import mc_tpm_statistics, tpm_variance_closed_form
+from qbattery.witness import detect_schmidt_number
+from qbattery.workstats import analytic_work_variance, mc_work_statistics, work_histogram
 
 FIRST_UNITARY_D3_SEED20240901_STREAM2 = np.array(
     [
@@ -90,3 +103,73 @@ def test_mc_coincidence_is_pinned():
     mean, se = mc_coincidence(rho, spectral_decomposition(h), 0.7, 0.4, 1000, cfg)
     assert abs(mean - MC_COINCIDENCE_MEAN_N1000_SEED7_STREAM1) < 1e-12
     assert abs(se - MC_COINCIDENCE_SE_N1000_SEED7_STREAM1) < 1e-12
+
+
+# Closed forms, pinned to 1e-12 relative.  TPM rows: (eps_a, eps_b) ->
+# var_tpm, ideal, projective and noisy terms, n0, n1, n_noisy for the
+# seeded d = 3 battery and state of _seeded_d3_point.
+TPM_CLOSED_FORM_D3_SEED314159 = {
+    (0.6, 0.8): (
+        0.06429251547643985,
+        0.023430401728458613,
+        0.008961339391175608,
+        0.03190077435680564,
+        0.17249873098953258,
+        0.14728754305760652,
+        0.6802137259528606,
+    ),
+    (1e-8, 1e-8): (
+        0.1358294150574383,
+        0.13582941505743829,
+        8.499368506823653e-34,
+        2.2664983100676667e-17,
+        1.0,
+        1.1249999587213206e-32,
+        2.999999944961761e-16,
+    ),
+}
+WITNESS_VARIANCE_DEFAULT_POINT = 0.07268752138344028
+WITNESS_THRESHOLDS_DEFAULT_POINT = (
+    (1, 0.026974386120857282),
+    (2, 0.047272450787784984),
+    (3, 0.06757051545471268),
+    (4, 0.08786858012164038),
+)
+ANALYTIC_WORK_MEAN_DEFAULT_POINT = -0.8409451502654683
+ANALYTIC_WORK_VARIANCE_DEFAULT_POINT = 0.07268752138344028
+
+
+def _assert_rel(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+
+
+def _seeded_d3_point():
+    rng = np.random.default_rng(314159)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the random interaction carries local parts
+        h = battery_hamiltonian(random_hermitian(rng, 3), random_hermitian(rng, 3), random_hermitian(rng, 9), g=0.7)
+    return spectral_decomposition(h), random_density_matrix(rng, 9)
+
+
+@pytest.mark.parametrize("eps", sorted(TPM_CLOSED_FORM_D3_SEED314159))
+def test_tpm_closed_form_is_pinned(eps):
+    spec, rho = _seeded_d3_point()
+    rep = tpm_variance_closed_form(rho, spec, *eps)
+    w = rep.weights
+    actual = (rep.var_tpm, rep.ideal_term, rep.projective_term, rep.noisy_term, w.n0, w.n1, w.n_noisy)
+    _assert_rel(actual, TPM_CLOSED_FORM_D3_SEED314159[eps])
+
+
+def test_witness_thresholds_are_pinned():
+    h, rho, _ = _default_point()
+    rep = detect_schmidt_number(rho, h)
+    _assert_rel(rep.variance_used, WITNESS_VARIANCE_DEFAULT_POINT)
+    assert [k for k, _ in rep.thresholds] == [k for k, _ in WITNESS_THRESHOLDS_DEFAULT_POINT]
+    _assert_rel([b for _, b in rep.thresholds], [b for _, b in WITNESS_THRESHOLDS_DEFAULT_POINT])
+
+
+def test_analytic_work_variance_is_pinned():
+    h, rho, _ = _default_point()
+    stats = analytic_work_variance(rho, h)
+    _assert_rel(stats.mean, ANALYTIC_WORK_MEAN_DEFAULT_POINT)
+    _assert_rel(stats.variance, ANALYTIC_WORK_VARIANCE_DEFAULT_POINT)

@@ -1,0 +1,65 @@
+"""Property tests over random batteries, states and detector efficiencies, d = 2..6.
+
+Each example draws a local dimension and a numpy seed; the seed fixes the
+battery, the state and the local unitaries.  Runs are derandomized, so the
+examples are the same on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_random_battery
+from qbattery.battery import spectral_decomposition
+from qbattery.coincidence import avg_coincidence_closed
+from qbattery.haar import SamplerConfig, haar_unitary
+from qbattery.linalg import DensityMatrix, random_density_matrix, random_pure_state
+from qbattery.tpm import tpm_variance_closed_form
+from qbattery.witness import detect_schmidt_number
+from qbattery.workstats import analytic_work_variance
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+dims = st.integers(2, 6)
+seeds = st.integers(0, 2**32 - 1)
+efficiencies = st.floats(0.0, 1.0)
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, eps_a=efficiencies, eps_b=efficiencies)
+def test_variance_and_coincidence_are_local_unitary_invariant(d, seed, eps_a, eps_b):
+    rng = np.random.default_rng(seed)
+    h = make_random_battery(rng, d)
+    spec = spectral_decomposition(h)
+    rho = random_density_matrix(rng, d * d)
+    u = np.kron(haar_unitary(SamplerConfig(d, seed, 0)), haar_unitary(SamplerConfig(d, seed, 1)))
+    rotated = DensityMatrix(u @ rho.data @ u.conj().T)
+    np.testing.assert_allclose(
+        analytic_work_variance(rotated, h).variance, analytic_work_variance(rho, h).variance, rtol=1e-10
+    )
+    np.testing.assert_allclose(
+        avg_coincidence_closed(rotated, spec, eps_a, eps_b), avg_coincidence_closed(rho, spec, eps_a, eps_b), rtol=1e-10
+    )
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, eps_a=efficiencies, eps_b=efficiencies)
+def test_tpm_weights_are_a_partition_and_noise_never_adds_variance(d, seed, eps_a, eps_b):
+    rng = np.random.default_rng(seed)
+    spec = spectral_decomposition(make_random_battery(rng, d))
+    rep = tpm_variance_closed_form(random_density_matrix(rng, d * d), spec, eps_a, eps_b)
+    w = rep.weights
+    for n in (w.n0, w.n1, w.n_noisy):
+        assert 0.0 <= n <= 1.0 + 1e-12
+    assert abs(w.n0 + w.n1 + w.n_noisy - 1.0) < 1e-12
+    assert rep.var_tpm <= rep.var_diag * (1.0 + 1e-12)
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, terms=st.integers(1, 4))
+def test_witness_never_certifies_a_separable_state(d, seed, terms):
+    rng = np.random.default_rng(seed)
+    h = make_random_battery(rng, d)
+    weights = rng.dirichlet(np.ones(terms))
+    products = [np.kron(random_pure_state(rng, d).data, random_pure_state(rng, d).data) for _ in range(terms)]
+    rho = DensityMatrix(sum(p * m for p, m in zip(weights, products)))
+    assert detect_schmidt_number(rho, h).detected_sn_lower_bound == 1

@@ -40,17 +40,17 @@ def _mixture(alpha, temperature=1.5):
 
 def test_povm_limits():
     spec = _ising_spec()
-    sharp = noisy_povm(spec, "A", 1.0)
+    sharp = noisy_povm(spec.proj_a, 1.0)
     np.testing.assert_allclose(sharp.elements, spec.proj_a, atol=1e-14)
-    blind = noisy_povm(spec, "A", 0.0)
+    blind = noisy_povm(spec.proj_a, 0.0)
     np.testing.assert_allclose(blind.elements, np.broadcast_to(np.eye(4) / 4, (4, 4, 4)), atol=1e-14)
 
 
 def test_povm_completeness_and_roots(rng):
     for d, eps in [(2, 0.3), (3, 0.62), (4, 0.9)]:
         spec = spectral_decomposition(make_random_battery(rng, d))
-        for side in "AB":
-            povm = noisy_povm(spec, side, eps)
+        for proj in (spec.proj_a, spec.proj_b):
+            povm = noisy_povm(proj, eps)
             np.testing.assert_allclose(povm.elements.sum(axis=0), np.eye(d), atol=1e-12)
             for root, elem in zip(povm.roots, povm.elements):
                 np.testing.assert_allclose(root @ root, elem, atol=1e-12)
@@ -60,7 +60,7 @@ def test_povm_completeness_and_roots(rng):
 def test_povm_rejects_bad_epsilon():
     spec = _ising_spec()
     with pytest.raises(ValueError):
-        noisy_povm(spec, "A", 1.2)
+        noisy_povm(spec.proj_a, 1.2)
     with pytest.raises(ValueError):
         povm_root_coeffs(-0.1, 4)
 
@@ -80,8 +80,8 @@ def test_labels_unbiased_for_diagonal_hamiltonian(rng):
         rho = random_density_matrix(rng, d * d)
         for ea, eb in [(1.0, 1.0), (0.6, 0.85), (0.2, 0.9)]:
             labels = energy_labels(spec, ea, eb)
-            pa = noisy_povm(spec, "A", ea)
-            pb = noisy_povm(spec, "B", eb)
+            pa = noisy_povm(spec.proj_a, ea)
+            pb = noisy_povm(spec.proj_b, eb)
             povm = np.einsum("iab,jcd->ijacbd", pa.elements, pb.elements).reshape(d * d, d * d, d * d)
             m = np.einsum("mab,ba->m", povm, rho.data).real
             lhs = float(m @ labels.ravel())
@@ -185,8 +185,8 @@ def test_instrument_average_kappa_combination(rng):
 def _instrument_average_reference(rho, spec, eps_a, eps_b):
     """sum_ij sqrt(P_ij) rho sqrt(P_ij) over the explicit stack of d^2 Kraus operators."""
     d = spec.d
-    ra = noisy_povm(spec, "A", eps_a).roots
-    rb = noisy_povm(spec, "B", eps_b).roots
+    ra = noisy_povm(spec.proj_a, eps_a).roots
+    rb = noisy_povm(spec.proj_b, eps_b).roots
     kr = np.einsum("iab,jcd->ijacbd", ra, rb).reshape(d * d, d * d, d * d)
     return np.einsum("mab,bc,mdc->ad", kr, rho, kr.conj())
 
@@ -220,8 +220,8 @@ def test_probability_closure(rng):
     spec = spectral_decomposition(make_random_battery(rng, d))
     rho = random_density_matrix(rng, d * d).data
     ea, eb = 0.55, 0.3
-    pa = noisy_povm(spec, "A", ea)
-    pb = noisy_povm(spec, "B", eb)
+    pa = noisy_povm(spec.proj_a, ea)
+    pb = noisy_povm(spec.proj_b, eb)
     povm = np.einsum("iab,jcd->ijacbd", pa.elements, pb.elements).reshape(d * d, d * d, d * d)
     m = np.einsum("mab,ba->m", povm, rho).real
     assert abs(m.sum() - 1) < 1e-12
