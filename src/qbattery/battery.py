@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import interaction_coeffs, operator_coeffs
 from .linalg import (
+    MAX_LOCAL_DIM,
     DensityMatrix,
     StateLike,
     dagger,
@@ -39,10 +39,11 @@ __all__ = [
 class BatteryHamiltonian:
     """H = ha (x) 1 + 1 (x) hb + g * v with a canonical (no local parts) v.
 
-    The derived coefficient vectors/matrix expand the traceless parts of
-    ha, hb and v over the generalized basis; the squared norms ha2, hb2, v2
-    deliberately exclude identity components, which is forced by the shift
-    invariance of extracted work.
+    ha2, hb2 and v2 are the squared norms of the traceless parts of ha, hb
+    and v in the generalized basis (``bloch.operator_coeffs`` and
+    ``bloch.interaction_coeffs``): ha2 = ||ha - tr(ha)/d 1||^2 / d and
+    v2 = ||v||^2 / d^2.  They deliberately exclude identity components,
+    which is forced by the shift invariance of extracted work.
     """
 
     d: int
@@ -50,21 +51,9 @@ class BatteryHamiltonian:
     hb: np.ndarray
     v: np.ndarray
     g: float
-    ha_vec: np.ndarray
-    hb_vec: np.ndarray
-    v_mat: np.ndarray
-
-    @property
-    def ha2(self) -> float:
-        return float(np.dot(self.ha_vec, self.ha_vec))
-
-    @property
-    def hb2(self) -> float:
-        return float(np.dot(self.hb_vec, self.hb_vec))
-
-    @property
-    def v2(self) -> float:
-        return float(np.sum(self.v_mat * self.v_mat))
+    ha2: float
+    hb2: float
+    v2: float
 
     @property
     def g2v2(self) -> float:
@@ -77,23 +66,27 @@ class BatteryHamiltonian:
         return np.kron(self.ha, eye) + np.kron(eye, self.hb) + self.g * self.v
 
 
+def _sq_norm(m: np.ndarray) -> float:
+    return float(np.vdot(m, m).real)
+
+
 def battery_hamiltonian(
     ha: np.ndarray,
     hb: np.ndarray,
     v: np.ndarray,
     g: float,
-    *,
-    atol: float = 1e-12,
 ) -> BatteryHamiltonian:
     """Assemble and canonicalize a battery Hamiltonian.
 
-    ``ha``/``hb`` are Hermitian d x d local terms; ``v`` is a Hermitian
-    d^2 x d^2 interaction; ``g`` its coupling strength.
+    ``ha``/``hb`` are Hermitian d x d local terms with 2 <= d <= MAX_LOCAL_DIM;
+    ``v`` is a Hermitian d^2 x d^2 interaction; ``g`` its coupling strength.
     """
     ha = np.asarray(ha, dtype=np.complex128)
+    d = ha.shape[0]
+    if not 2 <= d <= MAX_LOCAL_DIM:
+        raise ValueError(f"local dimension must lie in 2..{MAX_LOCAL_DIM}, got {d}")
     hb = np.asarray(hb, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
-    d = ha.shape[0]
     if ha.shape != (d, d) or hb.shape != (d, d):
         raise ValueError("local Hamiltonians must be square and equal-sized")
     if v.shape != (d * d, d * d):
@@ -109,7 +102,7 @@ def battery_hamiltonian(
     local_b = partial_trace(v, "B", d) / d - offset * eye
     v_corr = v - offset * np.eye(d * d) - np.kron(local_a, eye) - np.kron(eye, local_b)
     moved = max(abs(offset), np.max(np.abs(local_a)), np.max(np.abs(local_b)))
-    if moved > atol:
+    if moved > 1e-12:
         warnings.warn(
             "interaction had identity/local components; local parts were folded "
             "(scaled by g) into the local Hamiltonians and the identity offset dropped",
@@ -125,9 +118,9 @@ def battery_hamiltonian(
         hb=hb,
         v=v,
         g=float(g),
-        ha_vec=operator_coeffs(ha, d),
-        hb_vec=operator_coeffs(hb, d),
-        v_mat=interaction_coeffs(v, d),
+        ha2=_sq_norm(ha - np.trace(ha) / d * eye) / d,
+        hb2=_sq_norm(hb - np.trace(hb) / d * eye) / d,
+        v2=_sq_norm(v_corr) / d**2,
     )
 
 
@@ -174,8 +167,6 @@ def thermal_mixture_state(
     alpha: float,
     tau_a: StateLike,
     tau_b: StateLike,
-    *,
-    spectrum_tol: float = 1e-9,
 ) -> DensityMatrix:
     """Mixture of a correlated pure state with the product of its marginals.
 
@@ -183,7 +174,7 @@ def thermal_mixture_state(
     |phi> = sum_i sqrt(p_i) |e_i>|f_i> pairs the eigenvectors of tau_A and
     tau_B in descending-eigenvalue order.  Both marginals of rho equal the
     given tau's for every alpha, which requires the two spectra to agree
-    within ``spectrum_tol``.  The pairing freedom (phases, degenerate
+    within 1e-9.  The pairing freedom (phases, degenerate
     rotations) amounts to a local unitary and leaves all sector lengths
     unchanged.
     """
@@ -197,7 +188,7 @@ def thermal_mixture_state(
     wb, ub = np.linalg.eigh(tb)
     wa, ua = wa[::-1], _fix_phases(ua[:, ::-1])
     wb, ub = wb[::-1], _fix_phases(ub[:, ::-1])
-    if np.max(np.abs(wa - wb)) > spectrum_tol:
+    if np.max(np.abs(wa - wb)) > 1e-9:
         raise ValueError(
             "incompatible marginals: tau_A and tau_B spectra differ beyond tolerance, "
             "no correlated pure state has both as reductions"
@@ -232,7 +223,7 @@ class SpectralDecomposition:
     h_diag: np.ndarray  # (d^2, d^2)
 
 
-def _local_eigenbasis(h: np.ndarray, atol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _local_eigenbasis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Energies and eigenvector columns with a deterministic ordering.
 
     A Hamiltonian diagonal in the computational basis keeps that basis and
@@ -241,7 +232,7 @@ def _local_eigenbasis(h: np.ndarray, atol: float = 1e-12) -> tuple[np.ndarray, n
     of each vector's largest-magnitude component.
     """
     d = h.shape[0]
-    if np.max(np.abs(h - np.diag(np.diagonal(h)))) <= atol:
+    if np.max(np.abs(h - np.diag(np.diagonal(h)))) <= 1e-12:
         return np.diagonal(h).real.copy(), np.eye(d, dtype=np.complex128)
     w, u = np.linalg.eigh(h)
     u = _fix_phases(u)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition
 from .bloch import bloch_decompose
-from .haar import DEFAULT_CHUNK, SamplerConfig
+from .haar import SamplerConfig
 from .linalg import StateLike, as_density
 from .tpm import _check_eps
 from .workstats import conjugate, iter_samples, pair_kron, sector_variance, summarize
@@ -108,7 +108,6 @@ def mc_coincidence(
     cfg: SamplerConfig,
     *,
     streams: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, standard error) of the coincidence average.
 
@@ -123,7 +122,7 @@ def mc_coincidence(
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return _coincidence_batch(conjugate(pair_kron(ua, ub), m), spec, eps_a, eps_b)
 
-    stats = summarize(iter_samples(sample, spec.d, n, cfg, streams=streams, chunk=chunk))
+    stats = summarize(iter_samples(sample, spec.d, n, cfg, streams=streams))
     return stats.mean, stats.se_mean
 
 

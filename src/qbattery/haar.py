@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateLike, _raw, subsystem_permutation, swap_operator
+from .linalg import MAX_LOCAL_DIM, StateLike, _raw, subsystem_permutation, swap_operator
 
 __all__ = [
     "SamplerConfig",
@@ -32,6 +32,16 @@ __all__ = [
 DEFAULT_CHUNK = 4096
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
+
+
+def _check_stream(stream: int) -> None:
+    if not 0 <= stream < 2**64:
+        raise ValueError(f"stream index must be a non-negative 64-bit integer, got {stream}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Addressable random stream: (d, seed, stream) fixes the sample sequence."""
@@ -41,12 +51,10 @@ class SamplerConfig:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.stream < 0:
-            raise ValueError("stream index must be non-negative")
+        if not 2 <= self.d <= MAX_LOCAL_DIM:
+            raise ValueError(f"dimension must lie in 2..{MAX_LOCAL_DIM}, got {self.d}")
+        _check_seed(self.seed)
+        _check_stream(self.stream)
 
 
 def stream_configs(cfg: SamplerConfig, streams: int) -> list[SamplerConfig]:

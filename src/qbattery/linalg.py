@@ -149,10 +149,10 @@ def swap_operator(d: int) -> np.ndarray:
     return subsystem_permutation((1, 0), (d, d))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE-like, unnormalized)."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + dagger(g)) / 2
+    return (g + dagger(g)) / 2
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -162,9 +162,8 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state from a normalized Ginibre product G G^dag."""
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Random full-rank mixed state from a normalized square Ginibre product G G^dag."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ dagger(g)
     return DensityMatrix(m / np.trace(m).real)

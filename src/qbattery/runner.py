@@ -1,11 +1,11 @@
 """Configuration-driven experiment runner: sweeps, histograms, verification.
 
 Configs are JSON dicts with the sections ``battery``, ``state``,
-``protocol``, ``parameters``, ``sampling`` and ``output`` (see
-``serialization`` for the battery/state formats).  Sweeps emit one CSV row
-per grid point with the swept parameters echoed, so any row can be
-reproduced by a direct library call; CSV files start with a versioned
-schema comment.  A seed is mandatory for anything that samples unitaries.
+``protocol``, ``parameters`` and ``sampling`` (see ``serialization`` for
+the battery/state formats).  Sweeps emit one CSV row per grid point with
+the swept parameters echoed, so any row can be reproduced by a direct
+library call; CSV files start with a versioned schema comment.  A seed is
+mandatory for anything that samples unitaries.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .battery import BatteryHamiltonian, gibbs_state, spectral_decomposition, thermal_mixture_state
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
-from .haar import HaarSampler, SamplerConfig, twirl1, twirl2, two_copy_local_twirl
+from .haar import HaarSampler, SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl
 from .linalg import random_density_matrix, random_hermitian
 from .serialization import ConfigError, _number, _positive, _required_number, battery_from_spec, state_from_spec
 from .tpm import (
@@ -78,7 +78,6 @@ class ExperimentConfig:
     state: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_STATE)))
     parameters: dict = field(default_factory=dict)
     sampling: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
 
     KNOWN_PROTOCOLS = ("variance", "witness", "histogram", "tpm", "coincidence", "verify")
 
@@ -86,7 +85,7 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        unknown = set(obj) - {"protocol", "battery", "state", "parameters", "sampling", "output"}
+        unknown = set(obj) - {"protocol", "battery", "state", "parameters", "sampling"}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration key")
         cfg = cls(
@@ -95,11 +94,10 @@ class ExperimentConfig:
             state=obj.get("state", json.loads(json.dumps(DEFAULT_STATE))),
             parameters=obj.get("parameters", {}),
             sampling=obj.get("sampling", {}),
-            output=obj.get("output", {}),
         )
         if cfg.protocol not in cls.KNOWN_PROTOCOLS:
             raise ConfigError("protocol", f"unknown protocol {cfg.protocol!r}")
-        for key in ("parameters", "sampling", "output", "battery", "state"):
+        for key in ("parameters", "sampling", "battery", "state"):
             if not isinstance(getattr(cfg, key), dict):
                 raise ConfigError(key, "must be a JSON object")
         for k, grid in cfg.parameters.items():
@@ -107,15 +105,13 @@ class ExperimentConfig:
                 raise ConfigError(f"parameters.{k}", "grid must be a non-empty list")
         return cfg
 
-    def sampler(self, d: int, *, required: bool = True) -> SamplerConfig | None:
+    def sampler(self, d: int) -> SamplerConfig:
         """Sampler config from the sampling section; seed is mandatory."""
-        seed = self.sampling.get("seed")
-        if seed is None:
-            if required:
-                raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
-            return None
-        seed = _number(seed, "sampling.seed", int)
-        return SamplerConfig(d=d, seed=seed, stream=_number(self.sampling.get("stream", 0), "sampling.stream", int))
+        if self.sampling.get("seed") is None:
+            raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
+        seed = _number(self.sampling["seed"], "sampling.seed", int, check=_check_seed)
+        stream = _number(self.sampling.get("stream", 0), "sampling.stream", int, check=_check_stream)
+        return SamplerConfig(d=d, seed=seed, stream=stream)
 
     def n_unitaries(self, default: int = 100_000) -> int:
         return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_min_samples)
@@ -210,8 +206,8 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
 def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Closed-form TPM variance and weights on an (alpha, eps) grid.
 
-    Monte-Carlo columns appear when the sampling section provides a seed and
-    ``mc: true``.
+    Monte-Carlo columns appear when the sampling section sets ``mc: true``;
+    a seed is then mandatory.
     """
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.05)
@@ -245,7 +241,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "n1": rep.weights.n1,
                 "n_noisy": rep.weights.n_noisy,
             }
-            if with_mc and sampler is not None:
+            if with_mc:
                 stats = mc_tpm_statistics(
                     rho, spec, eps, eps, cfg.n_unitaries(), sampler, streams=cfg.streams()
                 )
@@ -268,9 +264,10 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     sampler = cfg.sampler(h.d)
     stats, hist = work_sample_summary(rho, h, n, sampler, bin_width=bin_width, streams=cfg.streams())
     assert hist is not None
+    edges = hist.edges().tolist()  # Python floats, so CSV cells repr as 0.1
     rows = [
-        {"bin_left": hist.origin + i * bin_width, "bin_right": hist.origin + (i + 1) * bin_width, "count": int(c)}
-        for i, c in enumerate(hist.counts)
+        {"bin_left": left, "bin_right": right, "count": int(c)}
+        for left, right, c in zip(edges[:-1], edges[1:], hist.counts)
     ]
     closed = analytic_work_variance(rho, h)
     summary = {
@@ -355,9 +352,9 @@ def _mc_matrix_mean(sample_chunks, shape) -> tuple[np.ndarray, np.ndarray, int]:
     return mean, se, n
 
 
-def _max_se_ratio(mc_mean, se, target, floor: float = 1e-12) -> float:
+def _max_se_ratio(mc_mean, se, target) -> float:
     dev = np.stack([np.abs(mc_mean.real - target.real), np.abs(mc_mean.imag - target.imag)])
-    return float(np.max(dev / (se + floor)))
+    return float(np.max(dev / (se + 1e-12)))
 
 
 def _haar_chunks(cfg: SamplerConfig, n: int, chunk: int):
@@ -491,7 +488,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     if not 2 <= d <= MAX_VERIFY_DIM:
         raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_VERIFY_DIM}, got {d}")
     n = _number(p["n"], "parameters.n", int, check=_min_samples) if "n" in p else cfg.n_unitaries(10_000)
-    seed = _number(cfg.sampling.get("seed", DEFAULT_VERIFY_SEED), "sampling.seed", int)
+    seed = _number(cfg.sampling.get("seed", DEFAULT_VERIFY_SEED), "sampling.seed", int, check=_check_seed)
     multiplier = _number(p.get("se_multiplier", 5.0), "parameters.se_multiplier")
     checks = []
     all_passed = True

@@ -24,7 +24,7 @@ import numpy as np
 
 from .battery import SpectralDecomposition
 from .bloch import BlochForm, bloch_decompose, gell_mann_basis
-from .haar import DEFAULT_CHUNK, SamplerConfig
+from .haar import SamplerConfig
 from .linalg import StateLike, as_density
 from .workstats import WorkStatistics, conjugation_traces, iter_samples, pair_kron, sector_variance, summarize
 
@@ -89,9 +89,7 @@ def noisy_povm(proj: np.ndarray, epsilon: float) -> NoisyPovm:
     return NoisyPovm(elements=epsilon * proj + (1.0 - epsilon) / d * eye, roots=f * proj + g * eye, f=f, g=g)
 
 
-def energy_labels(
-    spec: SpectralDecomposition, eps_a: float, eps_b: float, g: float | None = None
-) -> np.ndarray:
+def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np.ndarray:
     """Outcome energy labels e_ij making the noisy estimate unbiased.
 
     e_ij = E_i^A/eps_A + E_j^B/eps_B + g D_ij/(eps_A eps_B)
@@ -104,14 +102,13 @@ def energy_labels(
     _check_eps(eps_b, "eps_b")
     if eps_a == 0.0 or eps_b == 0.0:
         raise ValueError("energy labels diverge at epsilon = 0 (weak-measurement limit)")
-    g = spec.g if g is None else g
     d = spec.d
     tra = float(spec.energies_a.sum())
     trb = float(spec.energies_b.sum())
     return (
         spec.energies_a[:, None] / eps_a
         + spec.energies_b[None, :] / eps_b
-        + g * spec.d_mat / (eps_a * eps_b)
+        + spec.g * spec.d_mat / (eps_a * eps_b)
         - (1.0 - eps_a) / (d * eps_a) * tra
         - (1.0 - eps_b) / (d * eps_b) * trb
     )
@@ -226,7 +223,6 @@ def mc_tpm_statistics(
     cfg: SamplerConfig,
     *,
     streams: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> WorkStatistics:
     """Monte-Carlo moments of the presumed TPM work over n unitary pairs.
 
@@ -243,7 +239,7 @@ def mc_tpm_statistics(
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return base - conjugation_traces(pair_kron(ua, ub), xi, spec.h_diag)
 
-    return summarize(iter_samples(sample, spec.d, n, cfg, streams=streams, chunk=chunk))
+    return summarize(iter_samples(sample, spec.d, n, cfg, streams=streams))
 
 
 @dataclass(frozen=True)
@@ -313,8 +309,6 @@ class TpmSpectralStats:
     """
 
     p_joint: np.ndarray  # (d, d)
-    p_a: np.ndarray
-    p_b: np.ndarray
     p_ab2: float
     p_a2: float
     p_b2: float
@@ -329,21 +323,17 @@ def _zeta(proj: np.ndarray, lam: np.ndarray, d: int) -> np.ndarray:
 
 
 def tpm_spectral_stats(rho: StateLike, spec: SpectralDecomposition) -> TpmSpectralStats:
-    """Joint-population matrix, its marginals, and the dephasing overlaps."""
+    """Joint-population matrix, its and its marginals' purities, and the dephasing overlaps."""
     m = as_density(rho).data
     d = spec.d
     m4 = m.reshape(d, d, d, d)
     p_joint = np.einsum("abce,ica,jeb->ij", m4, spec.proj_a, spec.proj_b).real
-    p_a = p_joint.sum(axis=1)
-    p_b = p_joint.sum(axis=0)
     lam = gell_mann_basis(d).matrices
     return TpmSpectralStats(
         p_joint=p_joint,
-        p_a=p_a,
-        p_b=p_b,
         p_ab2=float(np.sum(p_joint**2)),
-        p_a2=float(np.sum(p_a**2)),
-        p_b2=float(np.sum(p_b**2)),
+        p_a2=float(np.sum(p_joint.sum(axis=1) ** 2)),
+        p_b2=float(np.sum(p_joint.sum(axis=0) ** 2)),
         zeta_a=_zeta(spec.proj_a, lam, d),
         zeta_b=_zeta(spec.proj_b, lam, d),
     )

@@ -36,6 +36,8 @@ __all__ = [
 #: Relative margin for strict-inequality violation checks, floored at an
 #: absolute 1e-9 so boundary round-off never produces a false positive.
 DETECTION_MARGIN = 1e-9
+#: Tolerance on purity and on ha2 = hb2 (relative) for the pure-state form.
+_PURE_TOL = 1e-9
 
 
 def _violates(value: float, cap: float) -> bool:
@@ -133,7 +135,7 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
         )
 
     branch = None
-    if abs(pur - 1.0) <= 1e-9 and abs(h.ha2 - h.hb2) <= 1e-9 * max(1.0, h.ha2, h.hb2):
+    if abs(pur - 1.0) <= _PURE_TOL and abs(h.ha2 - h.hb2) <= _PURE_TOL * max(1.0, h.ha2, h.hb2):
         branch = pure_state_report(rho, h)
 
     return WitnessReport(
@@ -153,19 +155,19 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     )
 
 
-def pure_state_report(rho: StateLike, h: BatteryHamiltonian, *, tol: float = 1e-9) -> PureStateReport:
+def pure_state_report(rho: StateLike, h: BatteryHamiltonian) -> PureStateReport:
     """Pure-state criterion t^2 <= d^2 + 1 - 2d/k with the variance rewrite.
 
     Requires a pure input and symmetric local weights ha2 = hb2 = h2 (within
-    ``tol``); then the variance collapses to h2 + g_term * t^2 / (d^2 - 1)
+    ``_PURE_TOL``); then the variance collapses to h2 + g_term * t^2 / (d^2 - 1)
     with g_term = g^2 v^2/(d^2-1) - h2.
     """
     rho = as_density(rho)
     d = h.d
     pur = purity(rho)
-    if abs(pur - 1.0) > tol:
-        raise ValueError(f"state must be pure within {tol}, got purity {pur}")
-    if abs(h.ha2 - h.hb2) > tol * max(1.0, h.ha2, h.hb2):
+    if abs(pur - 1.0) > _PURE_TOL:
+        raise ValueError(f"state must be pure within {_PURE_TOL}, got purity {pur}")
+    if abs(h.ha2 - h.hb2) > _PURE_TOL * max(1.0, h.ha2, h.hb2):
         raise ValueError("local weights must be symmetric (ha2 = hb2) for the pure-state form")
     h2 = (h.ha2 + h.hb2) / 2
     form = bloch_decompose(rho, d)

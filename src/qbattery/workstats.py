@@ -160,7 +160,6 @@ def iter_work_values(
     cfg: SamplerConfig,
     *,
     streams: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> Iterator[np.ndarray]:
     """Yield chunks of exact work values for n Haar-random unitary pairs."""
     m = as_density(rho).data
@@ -170,7 +169,7 @@ def iter_work_values(
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return energy - conjugation_traces(pair_kron(ua, ub), m, total)
 
-    return iter_samples(sample, h.d, n, cfg, streams=streams, chunk=chunk)
+    return iter_samples(sample, h.d, n, cfg, streams=streams)
 
 
 def histogram_bin_bound(h: BatteryHamiltonian, bin_width: float) -> float:

@@ -7,14 +7,14 @@ from qbattery.battery import battery_hamiltonian
 from qbattery.linalg import DensityMatrix, random_hermitian
 
 
-def make_random_battery(rng, d, g=1.0, scale=1.0):
+def make_random_battery(rng, d, g=1.0):
     """Random Hermitian battery; interaction canonicalization warnings silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return battery_hamiltonian(
-            random_hermitian(rng, d, scale),
-            random_hermitian(rng, d, scale),
-            random_hermitian(rng, d * d, scale),
+            random_hermitian(rng, d),
+            random_hermitian(rng, d),
+            random_hermitian(rng, d * d),
             g=g,
         )
 

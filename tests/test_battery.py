@@ -8,7 +8,7 @@ from qbattery.battery import (
     spectral_decomposition,
     thermal_mixture_state,
 )
-from qbattery.bloch import bloch_decompose
+from qbattery.bloch import bloch_decompose, interaction_coeffs, operator_coeffs
 from qbattery.linalg import partial_trace, random_density_matrix, random_hermitian
 from qbattery.workstats import analytic_work_variance
 
@@ -37,6 +37,18 @@ def test_ising_zero_parameters():
     h = ising_battery(0, 0, 0, 0)
     assert np.max(np.abs(h.total)) == 0
     assert h.ha2 == 0 and h.hb2 == 0 and h.g2v2 == 0
+
+
+@pytest.mark.parametrize("d", [*range(2, 9), "ising"])
+def test_weights_match_the_gell_mann_coefficients(rng, d):
+    # a random V carries local parts, so its weights are read after canonicalization
+    h = _ising() if d == "ising" else make_random_battery(rng, d, g=0.7)
+    d = h.d
+    assert h.ha2 == pytest.approx(np.sum(operator_coeffs(h.ha, d) ** 2), rel=1e-12)
+    assert h.hb2 == pytest.approx(np.sum(operator_coeffs(h.hb, d) ** 2), rel=1e-12)
+    assert h.v2 == pytest.approx(np.sum(interaction_coeffs(h.v, d) ** 2), rel=1e-12)
+    no_local = battery_hamiltonian(np.zeros((d, d)), np.zeros((d, d)), h.v, g=1.0)
+    assert no_local.ha2 == 0.0 and no_local.hb2 == 0.0
 
 
 def test_interaction_canonicalization_warns_and_preserves_physics(rng):

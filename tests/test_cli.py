@@ -149,6 +149,9 @@ def test_cli_bad_config_key(tmp_path, capsys):
         (["verify", "--n", "2"], "sampling.n_unitaries"),
         (["verify", "--d", "1"], "parameters.d"),
         (["verify", "--d", "17"], "parameters.d"),  # rejected before any allocation
+        (["variance", "--seed", "-1", "--n", "10"], "sampling.seed"),
+        (["verify", "--seed", "-1"], "sampling.seed"),
+        (["histogram", "--seed", str(2**64), "--n", "10"], "sampling.seed"),
     ],
 )
 def test_cli_out_of_range_flag_is_a_config_error(args, key):
@@ -205,6 +208,9 @@ _ISING_J1_X = {"ising": {"J1": "x", "J2": 1.0, "J3": 0.5, "b": 0.45}}
             {"battery": {"explicit": {"HA": _Z, "HB": [[[2.0 * x for x in e] for e in row] for row in _Z], "V": _Z_Z, "g": 1.0}}},
             "state",
         ),
+        ("variance", {"sampling": {"seed": 1, "stream": -2, "n_unitaries": 10}}, "sampling.stream"),
+        ("tpm", {"sampling": {"seed": 1, "stream": 2**64, "n_unitaries": 10}}, "sampling.stream"),
+        ("verify", {"sampling": {"seed": -1}}, "sampling.seed"),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):

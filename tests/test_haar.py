@@ -11,7 +11,7 @@ from qbattery.haar import (
     twirl2,
     two_copy_local_twirl,
 )
-from qbattery.linalg import random_density_matrix, random_hermitian, subsystem_permutation, swap_operator
+from qbattery.linalg import MAX_LOCAL_DIM, random_density_matrix, random_hermitian, subsystem_permutation, swap_operator
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +200,9 @@ def test_sampler_config_validation():
         SamplerConfig(d=2, seed=-1)
     with pytest.raises(ValueError):
         SamplerConfig(d=2, seed=0, stream=-1)
+
+
+def test_sampler_config_refuses_dimensions_above_the_limit():
+    SamplerConfig(d=MAX_LOCAL_DIM, seed=0)
+    with pytest.raises(ValueError, match="dimension"):
+        SamplerConfig(d=MAX_LOCAL_DIM + 1, seed=0)

@@ -49,6 +49,15 @@ def test_battery_spec_requires_known_family():
         battery_from_spec({"ising": {"J1": 0.5, "J3": 0.5, "b": 0.0}})
 
 
+def test_explicit_battery_above_the_dimension_limit_is_a_config_error():
+    d = 17
+    zero = matrix_to_json(np.zeros((d, d)))
+    spec = {"explicit": {"HA": zero, "HB": zero, "V": matrix_to_json(np.zeros((d * d, d * d))), "g": 1.0}}
+    with pytest.raises(ConfigError) as info:
+        battery_from_spec(spec)
+    assert info.value.key == "battery.explicit"
+
+
 def test_state_spec_thermal_and_explicit():
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     rho = state_from_spec({"thermal_mixture": {"alpha": 0.5, "T": 1.5}}, h)
@@ -74,7 +83,6 @@ def test_config_round_trip():
         "state": {"thermal_mixture": {"alpha": 0.7, "T": 1.5}},
         "parameters": {"eps_grid": [0.2, 0.5, 1.0], "alpha_grid": [0.1, 0.9]},
         "sampling": {"seed": 11, "n_unitaries": 500},
-        "output": {"path": "out.csv", "format": "csv"},
     }
     cfg = ExperimentConfig.from_dict(raw)
     assert asdict(cfg) == raw
