@@ -39,6 +39,7 @@ from .linalg import (
     partial_transpose,
     partial_transpose_min_eig,
     purity,
+    sector_lengths,
     swap_operator,
 )
 from .montecarlo import MomentAccumulator

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition
-from .bloch import bloch_decompose
 from .haar import SamplerConfig
-from .linalg import StateLike, as_density
+from .linalg import StateLike, as_density, sector_lengths
 from .tpm import _check_eps
 from .workstats import conjugate, iter_samples, pair_kron, sector_variance, summarize
 
@@ -60,11 +59,11 @@ def avg_coincidence_closed(
     _check_eps(eps_a, "eps_a")
     _check_eps(eps_b, "eps_b")
     d = spec.d
-    form = bloch_decompose(rho, d)
+    r_a2, r_b2, t2 = sector_lengths(rho, d)
     return (
         1.0
-        + (form.r_a2 * eps_a**2 + form.r_b2 * eps_b**2) / (d + 1)
-        + form.t2 * eps_a**2 * eps_b**2 / (d + 1) ** 2
+        + (r_a2 * eps_a**2 + r_b2 * eps_b**2) / (d + 1)
+        + t2 * eps_a**2 * eps_b**2 / (d + 1) ** 2
     ) / d**2
 
 
@@ -168,13 +167,13 @@ def coincidence_bound(
     h2 = min(h.ha2, h.hb2)
     if h2 <= 0:
         raise ValueError("the bound is undefined for vanishing local weight h^2 = 0")
-    form = bloch_decompose(rho, d)
-    var = sector_variance(form.r_a2, form.r_b2, form.t2, h.ha2, h.hb2, h.g2v2, d)
+    r_a2, r_b2, t2 = sector_lengths(rho, d)
+    var = sector_variance(r_a2, r_b2, t2, h.ha2, h.hb2, h.g2v2, d)
     c = h.g2v2 / (d - 1) - h2 * epsilon**2
     rhs = (
         1.0
         + (d - 1) * epsilon**2 * var / h2
-        + form.t2 * epsilon**2 * (abs(c) - c) / (2 * (d + 1) ** 2 * h2)
+        + t2 * epsilon**2 * (abs(c) - c) / (2 * (d + 1) ** 2 * h2)
     ) / d**2
     lhs = avg_coincidence_closed(rho, spec, epsilon, epsilon)
     return CoincidenceReport(
@@ -187,5 +186,5 @@ def coincidence_bound(
         c_excess=c,
         h2_min=h2,
         variance=var,
-        t2=form.t2,
+        t2=t2,
     )

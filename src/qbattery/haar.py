@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_LOCAL_DIM, StateLike, _raw, subsystem_permutation, swap_operator
+from .linalg import MAX_LOCAL_DIM, StateLike, sector_lengths, subsystem_permutation, swap_operator
 
 __all__ = [
     "SamplerConfig",
@@ -158,9 +158,7 @@ def two_copy_local_twirl(rho: StateLike, d: int) -> np.ndarray:
     two-copy SWAPs.  Subsystem ordering of the returned d^4 x d^4 matrix is
     (A, B, A', B'), matching ``np.kron(rho, rho)``.
     """
-    from .bloch import bloch_decompose
-
-    form = bloch_decompose(rho, d)
+    r_a2, r_b2, t2 = sector_lengths(rho, d)
     dims = (d, d, d, d)
     swap_a = subsystem_permutation((2, 1, 0, 3), dims)
     swap_b = subsystem_permutation((0, 3, 2, 1), dims)
@@ -168,5 +166,5 @@ def two_copy_local_twirl(rho: StateLike, d: int) -> np.ndarray:
     ga = d * swap_a - eye
     gb = d * swap_b - eye
     dd = d * d - 1
-    out = eye + (form.r_a2 * ga + form.r_b2 * gb + form.t2 * (ga @ gb) / dd) / dd
+    out = eye + (r_a2 * ga + r_b2 * gb + t2 * (ga @ gb) / dd) / dd
     return out.astype(np.complex128) / d**4

@@ -24,6 +24,7 @@ __all__ = [
     "partial_transpose",
     "partial_transpose_min_eig",
     "purity",
+    "sector_lengths",
     "subsystem_permutation",
     "swap_operator",
     "random_hermitian",
@@ -129,7 +130,25 @@ def partial_transpose_min_eig(rho: StateLike, d: int) -> float:
 def purity(rho: StateLike) -> float:
     """tr[rho^2], computed as the squared Frobenius norm of a Hermitian matrix."""
     m = _raw(rho)
-    return float(np.sum(np.abs(m) ** 2))
+    return float(np.vdot(m, m).real)
+
+
+def sector_lengths(rho: StateLike, d: int) -> tuple[float, float, float]:
+    """Sector lengths (rA^2, rB^2, t^2) of a d x d bipartite state as squared traceless norms.
+
+    rA^2 = d ||rho_A - 1/d||^2, likewise rB^2, and t^2 = d^2 ||rho - rho_A (x) 1/d - 1/d (x) rho_B + 1/d^2||^2:
+    sums of squares, never negative and exactly 0 for the maximally mixed state.
+    """
+    m = _raw(rho)
+    if m.shape != (d * d, d * d):
+        raise ValueError(f"expected a {d * d} x {d * d} state, got shape {m.shape}")
+    r4 = m.reshape(d, d, d, d)
+    loc_a = r4.trace(axis1=1, axis2=3) - np.eye(d) / d
+    red_b = r4.trace(axis1=0, axis2=2)
+    corr = r4.copy()  # minus loc_a (x) 1/d and 1/d (x) rho_B, through writable diagonal views
+    np.einsum("abcb->acb", corr)[...] -= loc_a[:, :, None] / d
+    np.einsum("abae->abe", corr)[...] -= red_b / d
+    return d * purity(loc_a), d * purity(red_b - np.eye(d) / d), d * d * purity(corr)
 
 
 def subsystem_permutation(perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:

@@ -17,15 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from .battery import BatteryHamiltonian, gibbs_state, spectral_decomposition, thermal_mixture_state
+from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_state
+from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
 from .haar import HaarSampler, SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl
-from .linalg import random_density_matrix, random_hermitian
+from .linalg import DensityMatrix, random_density_matrix, random_hermitian
 from .serialization import ConfigError, _number, _positive, _required_number, battery_from_spec, state_from_spec
 from .tpm import (
     _check_eps,
     _dephased_sectors,
     mc_tpm_statistics,
+    tpm_spectral_stats,
     tpm_variance_closed_form,
     tpm_weights,
     tpm_work_mean,
@@ -106,11 +108,12 @@ class ExperimentConfig:
         return cfg
 
     def sampler(self, d: int) -> SamplerConfig:
-        """Sampler config from the sampling section; seed is mandatory."""
+        """Sampler config from the sampling section; seed is mandatory, and every stream must fit 64 bits."""
         if self.sampling.get("seed") is None:
             raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
         seed = _number(self.sampling["seed"], "sampling.seed", int, check=_check_seed)
         stream = _number(self.sampling.get("stream", 0), "sampling.stream", int, check=_check_stream)
+        _number(self.streams(), "sampling.streams", int, check=lambda streams: _check_stream(stream + streams - 1))
         return SamplerConfig(d=d, seed=seed, stream=stream)
 
     def n_unitaries(self, default: int = 100_000) -> int:
@@ -399,49 +402,47 @@ def _random_battery(rng, d) -> BatteryHamiltonian:
         )
 
 
-def _check_work_variance(rng, d, n, cfg) -> dict:
+def _random_point(rng, d) -> tuple[BatteryHamiltonian, SpectralDecomposition, DensityMatrix]:
     h = _random_battery(rng, d)
-    rho = random_density_matrix(rng, d * d)
+    return h, spectral_decomposition(h), random_density_matrix(rng, d * d)
+
+
+def _check_work_variance(rng, d, n, cfg) -> dict:
+    h, _, rho = _random_point(rng, d)
     closed = analytic_work_variance(rho, h).variance
     mc = mc_work_statistics(rho, h, n, cfg)
     return {"deviation": abs(mc.variance - closed) / (mc.se_variance + 1e-12)}
 
 
 def _check_tpm_mean(rng, d, n, cfg) -> dict:
-    h = _random_battery(rng, d)
-    spec = spectral_decomposition(h)
-    rho = random_density_matrix(rng, d * d)
+    _, spec, rho = _random_point(rng, d)
     mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg)
     return {"deviation": abs(mc.mean - tpm_work_mean(rho, spec)) / (mc.se_mean + 1e-12)}
 
 
 def _check_tpm_variance(rng, d, n, cfg) -> dict:
-    h = _random_battery(rng, d)
-    spec = spectral_decomposition(h)
-    rho = random_density_matrix(rng, d * d)
+    _, spec, rho = _random_point(rng, d)
     closed = tpm_variance_closed_form(rho, spec, 0.6, 0.8).var_tpm
     mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg)
     return {"deviation": abs(mc.variance - closed) / (mc.se_variance + 1e-12)}
 
 
 def _check_coincidence(rng, d, n, cfg) -> dict:
-    h = _random_battery(rng, d)
-    spec = spectral_decomposition(h)
-    rho = random_density_matrix(rng, d * d)
+    _, spec, rho = _random_point(rng, d)
     closed = avg_coincidence_closed(rho, spec, 0.7, 0.4)
     mean, se = mc_coincidence(rho, spec, 0.7, 0.4, n, cfg)
     return {"deviation": abs(mean - closed) / (se + 1e-12)}
 
 
 def _check_proof_inequalities(rng, d, n, cfg) -> dict:
-    """Population/sector-length inequalities behind the TPM noise bound."""
+    """TPM noise-bound inequalities: Gell-Mann lengths and zeta overlaps against dephased traceless norms."""
     worst = np.inf
     closing_dev = 0.0
     for _ in range(50):
-        h = _random_battery(rng, d)
-        spec = spectral_decomposition(h)
-        rho = random_density_matrix(rng, d * d)
-        form, st, sectors = _dephased_sectors(rho, spec)
+        _, spec, rho = _random_point(rng, d)
+        form = bloch_decompose(rho, d)
+        st = tpm_spectral_stats(rho, spec)
+        sectors = _dephased_sectors(rho, spec)
         (c1, c2, c3), ca, cb = sectors["joint"], sectors["local_a"][2], sectors["local_b"][2]
         slacks = [form.r_a2 - c1, form.r_b2 - c2, form.t2 - c3, form.t2 - ca, form.t2 - cb]
         worst = min(worst, min(slacks))

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import SpectralDecomposition
-from .bloch import BlochForm, bloch_decompose, gell_mann_basis
+from .bloch import gell_mann_basis
 from .haar import SamplerConfig
-from .linalg import StateLike, as_density
+from .linalg import StateLike, as_density, sector_lengths
 from .workstats import WorkStatistics, conjugation_traces, iter_samples, pair_kron, sector_variance, summarize
 
 __all__ = [
@@ -114,6 +114,20 @@ def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np
     )
 
 
+def _eigenbasis_state(rho: StateLike, spec: SpectralDecomposition) -> tuple[np.ndarray, ...]:
+    """(W, r, same_a, same_b): r[a, b, c, e] = <ab| W^dag rho W |ce> in the product eigenbasis W = V_A (x) V_B.
+
+    Dephasing side A (B) in its energy eigenbasis keeps the entries with a = c (b = e), the mask same_a (same_b).
+    """
+    m = as_density(rho).data
+    d = spec.d
+    basis = np.kron(spec.vecs_a, spec.vecs_b)
+    r = (basis.conj().T @ m @ basis).reshape(d, d, d, d)
+    same_a = np.eye(d)[:, None, :, None]  # delta_ac on r[a, b, c, e]
+    same_b = np.eye(d)[None, :, None, :]  # delta_be
+    return basis, r, same_a, same_b
+
+
 def instrument_average(
     rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float
 ) -> np.ndarray:
@@ -122,16 +136,12 @@ def instrument_average(
     Expands to f_A^2 f_B^2 * (jointly dephased rho) + kappa_A * (A-dephased)
     + kappa_B * (B-dephased) + kappa_AB * rho; the per-unitary presumed work
     is tr[rho H_D] minus this operator's rotated overlap with H_D.  In the
-    product eigenbasis W = V_A (x) V_B every dephasing is an entrywise mask,
-    so the sum costs two basis rotations.
+    product eigenbasis every dephasing is an entrywise mask, so the sum
+    costs two basis rotations.
     """
-    m = as_density(rho).data
+    basis, r, same_a, same_b = _eigenbasis_state(rho, spec)
     d = spec.d
     w = tpm_weights(eps_a, eps_b, d)
-    basis = np.kron(spec.vecs_a, spec.vecs_b)
-    r = (basis.conj().T @ m @ basis).reshape(d, d, d, d)
-    same_a = np.eye(d)[:, None, :, None]  # delta_ac on r[a, b, c, e]
-    same_b = np.eye(d)[None, :, None, :]  # delta_be
     mask = w.f_a**2 * w.f_b**2 * same_a * same_b + w.kappa_a * same_a + w.kappa_b * same_b + w.kappa_ab
     return basis @ (r * mask).reshape(d * d, d * d) @ basis.conj().T
 
@@ -357,39 +367,26 @@ def diagonal_work_variance(rho: StateLike, spec: SpectralDecomposition) -> float
 
     The ideal closed form ``sector_variance`` with the weights of H_D.
     """
-    form = bloch_decompose(rho, spec.d)
-    return sector_variance(form.r_a2, form.r_b2, form.t2, *_diagonal_weights(spec), spec.d)
+    return sector_variance(*sector_lengths(rho, spec.d), *_diagonal_weights(spec), spec.d)
 
 
-def _dephased_sectors(
-    rho: StateLike, spec: SpectralDecomposition
-) -> tuple[BlochForm, TpmSpectralStats, dict[str, tuple[float, float, float]]]:
+def _dephased_sectors(rho: StateLike, spec: SpectralDecomposition) -> dict[str, tuple[float, float, float]]:
     """Sector lengths (rA^2, rB^2, t^2) of rho and of its dephased versions.
 
-    Dephasing in the local energy eigenbases keeps the populations:
-    'joint' (both sides) has lengths (c1, c2, c3), 'local_a' (A only)
-    (c1, rB^2, ca) and 'local_b' (B only) (rA^2, c2, cb); 'state' is rho
-    itself.  Returns the Bloch form and spectral stats they came from.
+    'joint' dephases both sides in their local energy eigenbases, 'local_a'
+    side A only and 'local_b' side B only; 'state' is rho itself.  Sector
+    lengths are local-unitary invariants, so each is read off the masked
+    state in the product eigenbasis.
     """
     d = spec.d
-    form = bloch_decompose(rho, d)
-    stats = tpm_spectral_stats(rho, spec)
-    c1 = d * stats.p_a2 - 1.0
-    c2 = d * stats.p_b2 - 1.0
-    c3 = d * d * stats.p_ab2 - d * stats.p_a2 - d * stats.p_b2 + 1.0
-    ca = float(np.sum(stats.zeta_a * (form.t @ form.t.T)))
-    cb = float(np.sum(stats.zeta_b * (form.t.T @ form.t)))
-    return form, stats, {
-        "state": (form.r_a2, form.r_b2, form.t2),
-        "joint": (c1, c2, c3),
-        "local_a": (c1, form.r_b2, ca),
-        "local_b": (form.r_a2, c2, cb),
-    }
+    _, r, same_a, same_b = _eigenbasis_state(rho, spec)
+    masks = {"state": 1.0, "joint": same_a * same_b, "local_a": same_a, "local_b": same_b}
+    return {name: sector_lengths((r * mask).reshape(d * d, d * d), d) for name, mask in masks.items()}
 
 
 def _integral_terms(rho: StateLike, spec: SpectralDecomposition, w: TpmWeights) -> tuple[dict[str, float], float]:
     """The ten Haar integrals of ``tpm_integral_terms``, and var_diag."""
-    _, _, sectors = _dephased_sectors(rho, spec)
+    sectors = _dephased_sectors(rho, spec)
     weights = _diagonal_weights(spec)
     var = {name: sector_variance(*lengths, *weights, spec.d) for name, lengths in sectors.items()}
     ff = w.f_a**2 * w.f_b**2

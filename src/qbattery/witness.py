@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import BatteryHamiltonian
-from .bloch import bloch_decompose
-from .linalg import StateLike, as_density, partial_trace, partial_transpose_min_eig, purity
+from .linalg import StateLike, as_density, partial_trace, partial_transpose_min_eig, purity, sector_lengths
 from .workstats import sector_variance
 
 __all__ = [
@@ -114,12 +113,9 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     d = h.d
     if rho.dim != d * d:
         raise ValueError(f"state dimension {rho.dim} does not match battery d^2 = {d * d}")
-    form = bloch_decompose(rho, d)
-    var = sector_variance(form.r_a2, form.r_b2, form.t2, h.ha2, h.hb2, h.g2v2, d)
-    thresholds = tuple(
-        (k, work_variance_bound(k, d, form.r_a2, form.r_b2, h.ha2, h.hb2, h.g2v2))
-        for k in range(1, d + 1)
-    )
+    r_a2, r_b2, t2 = sector_lengths(rho, d)
+    var = sector_variance(r_a2, r_b2, t2, h.ha2, h.hb2, h.g2v2, d)
+    thresholds = tuple((k, work_variance_bound(k, d, r_a2, r_b2, h.ha2, h.hb2, h.g2v2)) for k in range(1, d + 1))
     violated = [k for k, cap in thresholds if _violates(var, cap)]
     detected = 1 + max(violated, default=0)
 
@@ -145,9 +141,9 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
         detected_sn_lower_bound=detected,
         purity_route_sn=purity_sn,
         ppt_min_eig=partial_transpose_min_eig(rho, d),
-        r_a2=form.r_a2,
-        r_b2=form.r_b2,
-        t2=form.t2,
+        r_a2=r_a2,
+        r_b2=r_b2,
+        t2=t2,
         ha2=h.ha2,
         hb2=h.hb2,
         g2v2=h.g2v2,
@@ -170,12 +166,12 @@ def pure_state_report(rho: StateLike, h: BatteryHamiltonian) -> PureStateReport:
     if abs(h.ha2 - h.hb2) > _PURE_TOL * max(1.0, h.ha2, h.hb2):
         raise ValueError("local weights must be symmetric (ha2 = hb2) for the pure-state form")
     h2 = (h.ha2 + h.hb2) / 2
-    form = bloch_decompose(rho, d)
+    t2 = sector_lengths(rho, d)[2]
     dd = d * d - 1
     g_term = h.g2v2 / dd - h2
-    var = h2 + g_term * form.t2 / dd
+    var = h2 + g_term * t2 / dd
     caps = tuple((k, d * d + 1 - 2 * d / k) for k in range(1, d + 1))
-    violated = [k for k, cap in caps if _violates(form.t2, cap)]
+    violated = [k for k, cap in caps if _violates(t2, cap)]
     if g_term > 0:
         direction = "upper"
     elif g_term < 0:
@@ -186,7 +182,7 @@ def pure_state_report(rho: StateLike, h: BatteryHamiltonian) -> PureStateReport:
         g_term=g_term,
         h2=h2,
         variance=var,
-        t2=form.t2,
+        t2=t2,
         t2_caps=caps,
         detected_sn_lower_bound=1 + max(violated, default=0),
         bound_direction=direction,

@@ -19,9 +19,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .battery import BatteryHamiltonian
-from .bloch import bloch_decompose
 from .haar import DEFAULT_CHUNK, SamplerConfig, iter_pair_unitaries
-from .linalg import StateLike, as_density
+from .linalg import StateLike, as_density, sector_lengths
 from .montecarlo import MomentAccumulator
 
 __all__ = [
@@ -96,8 +95,7 @@ def sector_variance(
 
 def analytic_work_variance(rho: StateLike, h: BatteryHamiltonian) -> WorkStatistics:
     """Closed-form work variance over Haar-random local unitary pairs."""
-    form = bloch_decompose(rho, h.d)
-    var = sector_variance(form.r_a2, form.r_b2, form.t2, h.ha2, h.hb2, h.g2v2, h.d)
+    var = sector_variance(*sector_lengths(rho, h.d), h.ha2, h.hb2, h.g2v2, h.d)
     return WorkStatistics(mean=analytic_work_mean(rho, h), variance=var)
 
 

@@ -8,7 +8,7 @@ from qbattery.bloch import (
     interaction_coeffs,
     operator_coeffs,
 )
-from qbattery.linalg import purity, random_density_matrix, random_hermitian
+from qbattery.linalg import purity, random_density_matrix, random_hermitian, random_pure_state, sector_lengths
 
 from conftest import bell_state
 
@@ -91,6 +91,20 @@ def test_purity_identity_large_dimension(rng, d):
     for _ in range(3):
         rho = random_density_matrix(rng, d * d)
         assert abs(bloch_decompose(rho, d).purity() - purity(rho)) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_sector_lengths_match_the_gell_mann_lengths(rng, d):
+    for rho in (random_density_matrix(rng, d * d), random_pure_state(rng, d * d)):
+        form = bloch_decompose(rho, d)
+        np.testing.assert_allclose(sector_lengths(rho, d), (form.r_a2, form.r_b2, form.t2), rtol=1e-13, atol=0)
+
+
+def test_sector_lengths_reject_a_wrongly_shaped_state():
+    with pytest.raises(ValueError):
+        sector_lengths(np.eye(4) / 4, 3)
+    with pytest.raises(ValueError):
+        sector_lengths(np.eye(9)[:, :8], 3)
 
 
 def test_dimension_mismatch_rejected(rng):

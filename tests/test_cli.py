@@ -211,6 +211,7 @@ _ISING_J1_X = {"ising": {"J1": "x", "J2": 1.0, "J3": 0.5, "b": 0.45}}
         ("variance", {"sampling": {"seed": 1, "stream": -2, "n_unitaries": 10}}, "sampling.stream"),
         ("tpm", {"sampling": {"seed": 1, "stream": 2**64, "n_unitaries": 10}}, "sampling.stream"),
         ("verify", {"sampling": {"seed": -1}}, "sampling.seed"),
+        ("variance", {"sampling": {"seed": 1, "stream": 2**64 - 1, "streams": 2, "n_unitaries": 10}}, "sampling.streams"),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):

@@ -239,3 +239,9 @@ def test_report_serializes(rng):
     rep = detect_schmidt_number(_mixture(0.96, _ising()), _ising())
     text = json.dumps(asdict(rep))
     assert "detected_sn_lower_bound" in text
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_maximally_mixed_state_has_exactly_zero_sector_lengths(d):
+    rep = detect_schmidt_number(np.eye(d * d) / d**2, make_random_battery(np.random.default_rng(d), d))
+    assert (rep.r_a2, rep.r_b2, rep.t2) == (0.0, 0.0, 0.0)
