@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="sampler seed (mandatory for Monte Carlo)")
         p.add_argument("--n", type=int, help="number of unitary pairs")
-        p.add_argument("--streams", type=int, help="number of sampler streams")
         p.add_argument("--eps", type=float, help="symmetric detector efficiency")
         p.add_argument("--eps-a", type=float, help="detector efficiency on side A")
         p.add_argument("--eps-b", type=float, help="detector efficiency on side B")
@@ -87,8 +86,6 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
         cfg.sampling["seed"] = args.seed
     if args.n is not None:
         cfg.sampling["n_unitaries"] = args.n
-    if args.streams is not None:
-        cfg.sampling["streams"] = args.streams
     if args.eps is not None:
         cfg.parameters["eps"] = args.eps
     if getattr(args, "eps_a", None) is not None:

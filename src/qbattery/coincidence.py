@@ -105,8 +105,6 @@ def mc_coincidence(
     eps_b: float,
     n: int,
     cfg: SamplerConfig,
-    *,
-    streams: int = 1,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, standard error) of the coincidence average.
 
@@ -121,7 +119,7 @@ def mc_coincidence(
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return _coincidence_batch(conjugate(pair_kron(ua, ub), m), spec, eps_a, eps_b)
 
-    stats = summarize(iter_samples(sample, spec.d, n, cfg, streams=streams))
+    stats = summarize(iter_samples(sample, spec.d, n, cfg))
     return stats.mean, stats.se_mean
 
 

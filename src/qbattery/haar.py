@@ -23,7 +23,6 @@ __all__ = [
     "twirl1",
     "twirl2",
     "two_copy_local_twirl",
-    "stream_configs",
 ]
 
 #: Unitaries are drawn in chunks of this size by the Monte-Carlo drivers.
@@ -57,13 +56,6 @@ class SamplerConfig:
         _check_stream(self.stream)
 
 
-def stream_configs(cfg: SamplerConfig, streams: int) -> list[SamplerConfig]:
-    """Consecutive stream configs for parallel workers; merge in list order."""
-    if streams < 1:
-        raise ValueError("need at least one stream")
-    return [SamplerConfig(cfg.d, cfg.seed, cfg.stream + s) for s in range(streams)]
-
-
 class HaarSampler:
     """Stateful Haar sampler over U(d) for one (seed, stream) pair."""
 
@@ -89,35 +81,19 @@ def haar_unitary(cfg: SamplerConfig) -> np.ndarray:
     return HaarSampler(cfg).unitary()
 
 
-def _split(n: int, parts: int) -> list[int]:
-    base, extra = divmod(n, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
-
-
-def iter_pair_unitaries(
-    cfg: SamplerConfig,
-    n: int,
-    *,
-    streams: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-):
+def iter_pair_unitaries(cfg: SamplerConfig, n: int, *, chunk: int = DEFAULT_CHUNK):
     """Yield chunked batches (ua, ub) covering n independent unitary pairs.
 
-    With ``streams`` > 1 the budget splits over consecutive stream indices,
-    consumed in index order; that order is the reduction contract that keeps
-    multi-worker estimates bitwise reproducible.
+    Each chunk of k pairs draws k unitaries for side A, then k for side B,
+    from the one stream addressed by ``cfg``.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    for sub_cfg, quota in zip(stream_configs(cfg, streams), _split(n, streams)):
-        sampler = HaarSampler(sub_cfg)
-        left = quota
-        while left > 0:
-            k = min(chunk, left)
-            ua = sampler.unitaries(k)
-            ub = sampler.unitaries(k)
-            yield ua, ub
-            left -= k
+    sampler = HaarSampler(cfg)
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
+        ua = sampler.unitaries(k)
+        yield ua, sampler.unitaries(k)
 
 
 def twirl1(x: np.ndarray) -> np.ndarray:

@@ -20,9 +20,20 @@ import numpy as np
 from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_state
 from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
-from .haar import HaarSampler, SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl
+from .haar import SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl
 from .linalg import DensityMatrix, random_density_matrix, random_hermitian
-from .serialization import ConfigError, _number, _positive, _required_number, battery_from_spec, state_from_spec
+from .serialization import (
+    ISING_KEYS,
+    THERMAL_MIXTURE_KEYS,
+    ConfigError,
+    _family,
+    _known_keys,
+    _number,
+    _positive,
+    _required_number,
+    battery_from_spec,
+    state_from_spec,
+)
 from .tpm import (
     _check_eps,
     _dephased_sectors,
@@ -82,14 +93,14 @@ class ExperimentConfig:
     sampling: dict = field(default_factory=dict)
 
     KNOWN_PROTOCOLS = ("variance", "witness", "histogram", "tpm", "coincidence", "verify")
+    PARAMETER_KEYS = ("eps", "eps_a", "eps_b", "eps_grid", "alpha_grid", "b_grid", "bin_width", "d", "n", "se_multiplier")
+    SAMPLING_KEYS = ("seed", "stream", "n_unitaries", "mc")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        unknown = set(obj) - {"protocol", "battery", "state", "parameters", "sampling"}
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown configuration key")
+        _known_keys(obj, ("protocol", "battery", "state", "parameters", "sampling"))
         cfg = cls(
             protocol=obj.get("protocol", "variance"),
             battery=obj.get("battery", json.loads(json.dumps(DEFAULT_BATTERY))),
@@ -102,25 +113,23 @@ class ExperimentConfig:
         for key in ("parameters", "sampling", "battery", "state"):
             if not isinstance(getattr(cfg, key), dict):
                 raise ConfigError(key, "must be a JSON object")
+        _known_keys(cfg.parameters, cls.PARAMETER_KEYS, "parameters")
+        _known_keys(cfg.sampling, cls.SAMPLING_KEYS, "sampling")
         for k, grid in cfg.parameters.items():
             if k.endswith("_grid") and not (isinstance(grid, list) and grid):
                 raise ConfigError(f"parameters.{k}", "grid must be a non-empty list")
         return cfg
 
     def sampler(self, d: int) -> SamplerConfig:
-        """Sampler config from the sampling section; seed is mandatory, and every stream must fit 64 bits."""
+        """Sampler config from the sampling section; seed is mandatory."""
         if self.sampling.get("seed") is None:
             raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
         seed = _number(self.sampling["seed"], "sampling.seed", int, check=_check_seed)
         stream = _number(self.sampling.get("stream", 0), "sampling.stream", int, check=_check_stream)
-        _number(self.streams(), "sampling.streams", int, check=lambda streams: _check_stream(stream + streams - 1))
         return SamplerConfig(d=d, seed=seed, stream=stream)
 
     def n_unitaries(self, default: int = 100_000) -> int:
         return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_min_samples)
-
-    def streams(self) -> int:
-        return _number(self.sampling.get("streams", 1), "sampling.streams", int, check=_positive)
 
 
 def _checked_eps(value, path: str, *, simulate: bool = False) -> float:
@@ -145,17 +154,16 @@ def _ising_params(cfg: ExperimentConfig) -> dict:
     """The ising parameters as numbers; ``battery_from_spec`` reports missing ones."""
     if "ising" not in cfg.battery:
         raise ConfigError("battery", "this sweep requires the 'ising' battery family")
-    ip = cfg.battery["ising"]
-    if not isinstance(ip, dict):
-        raise ConfigError("battery.ising", "must be a JSON object")
-    return {key: _number(ip[key], f"battery.ising.{key}") for key in ("J1", "J2", "J3", "b") if key in ip}
+    ip = _family(cfg.battery, "ising", ISING_KEYS, "battery")
+    return {key: _number(ip[key], f"battery.ising.{key}") for key in ISING_KEYS if key in ip}
 
 
 def _thermal_sweep(cfg: ExperimentConfig, alpha_step: float) -> tuple[float, list[float]]:
     """Temperature and mixing-ratio grid of a thermal-mixture sweep, range-checked."""
     if "thermal_mixture" not in cfg.state:
         raise ConfigError("state", "this sweep requires the 'thermal_mixture' state family")
-    temperature = _required_number(cfg.state["thermal_mixture"], "T", "state.thermal_mixture", check=_positive)
+    family = _family(cfg.state, "thermal_mixture", THERMAL_MIXTURE_KEYS, "state")
+    temperature = _required_number(family, "T", "state.thermal_mixture", check=_positive)
     default = np.round(np.arange(0.0, 1.001, alpha_step), 10)
     a_grid = [_number(x, "parameters.alpha_grid") for x in cfg.parameters.get("alpha_grid", default)]
     for alpha in a_grid:
@@ -245,9 +253,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "n_noisy": rep.weights.n_noisy,
             }
             if with_mc:
-                stats = mc_tpm_statistics(
-                    rho, spec, eps, eps, cfg.n_unitaries(), sampler, streams=cfg.streams()
-                )
+                stats = mc_tpm_statistics(rho, spec, eps, eps, cfg.n_unitaries(), sampler)
                 row.update(
                     mc_mean=stats.mean,
                     mc_variance=stats.variance,
@@ -265,7 +271,7 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
         raise ConfigError("parameters.bin_width", f"needs more than {MAX_HISTOGRAM_BINS} bins over the work range")
     n = cfg.n_unitaries()
     sampler = cfg.sampler(h.d)
-    stats, hist = work_sample_summary(rho, h, n, sampler, bin_width=bin_width, streams=cfg.streams())
+    stats, hist = work_sample_summary(rho, h, n, sampler, bin_width=bin_width)
     assert hist is not None
     edges = hist.edges().tolist()  # Python floats, so CSV cells repr as 0.1
     rows = [
@@ -301,7 +307,7 @@ def run_point(cfg: ExperimentConfig) -> dict:
             raise ConfigError("battery", "the coincidence bound needs non-zero local Hamiltonians (h^2 = 0)")
         out = {"protocol": protocol, **asdict(coincidence_bound(rho, h, spec, eps))}
         if want_mc:
-            mean, se = mc_coincidence(rho, spec, eps, eps, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
+            mean, se = mc_coincidence(rho, spec, eps, eps, cfg.n_unitaries(), cfg.sampler(h.d))
             out["cbar_mc"] = mean
             out["cbar_mc_se"] = se
         return out
@@ -310,14 +316,14 @@ def run_point(cfg: ExperimentConfig) -> dict:
         stats = analytic_work_variance(rho, h)
         out = {"protocol": protocol, "mean": stats.mean, "variance": stats.variance}
         if want_mc:
-            mc = mc_work_statistics(rho, h, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
+            mc = mc_work_statistics(rho, h, cfg.n_unitaries(), cfg.sampler(h.d))
     elif protocol == "tpm":
         spec = spectral_decomposition(h)
         eps_a = _eps_param(cfg, "eps_a", simulate=want_mc)
         eps_b = _eps_param(cfg, "eps_b", simulate=want_mc)
         out = {"protocol": protocol, **asdict(tpm_variance_closed_form(rho, spec, eps_a, eps_b))}
         if want_mc:
-            mc = mc_tpm_statistics(rho, spec, eps_a, eps_b, cfg.n_unitaries(), cfg.sampler(h.d), streams=cfg.streams())
+            mc = mc_tpm_statistics(rho, spec, eps_a, eps_b, cfg.n_unitaries(), cfg.sampler(h.d))
     else:
         raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
     if mc is not None:
@@ -360,23 +366,16 @@ def _max_se_ratio(mc_mean, se, target) -> float:
     return float(np.max(dev / (se + 1e-12)))
 
 
-def _haar_chunks(cfg: SamplerConfig, n: int, chunk: int):
-    """n Haar unitaries from one stream, in batches of at most ``chunk``."""
-    sampler = HaarSampler(cfg)
-    for start in range(0, n, chunk):
-        yield sampler.unitaries(min(chunk, n - start))
-
-
 def _check_single_copy_twirl(rng, d, n, cfg) -> dict:
     x = random_hermitian(rng, d)
-    chunks = (conjugate(u, x) for u in _haar_chunks(cfg, n, 4096))
+    chunks = iter_samples(lambda ua, ub: conjugate(ua, x), d, n, cfg)
     mean, se, _ = _mc_matrix_mean(chunks, (d, d))
     return {"deviation": _max_se_ratio(mean, se, twirl1(x))}
 
 
 def _check_two_copy_twirl(rng, d, n, cfg) -> dict:
     x = random_hermitian(rng, d * d)
-    chunks = (conjugate(pair_kron(u, u), x) for u in _haar_chunks(cfg, n, 2048))
+    chunks = iter_samples(lambda ua, ub: conjugate(pair_kron(ua, ua), x), d, n, cfg, chunk=2048)
     mean, se, _ = _mc_matrix_mean(chunks, (d * d, d * d))
     return {"deviation": _max_se_ratio(mean, se, twirl2(x))}
 
@@ -490,7 +489,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_VERIFY_DIM}, got {d}")
     n = _number(p["n"], "parameters.n", int, check=_min_samples) if "n" in p else cfg.n_unitaries(10_000)
     seed = _number(cfg.sampling.get("seed", DEFAULT_VERIFY_SEED), "sampling.seed", int, check=_check_seed)
-    multiplier = _number(p.get("se_multiplier", 5.0), "parameters.se_multiplier")
+    multiplier = _number(p.get("se_multiplier", 5.0), "parameters.se_multiplier", check=_positive)
     checks = []
     all_passed = True
     for idx, (name, fn) in enumerate(CHECKS.items()):

@@ -10,10 +10,13 @@ Battery and state specs are either named families or explicit matrices:
     {"matrix": M}
 
 The thermal-mixture state derives its marginals from the battery's local
-Hamiltonians at the given temperature.
+Hamiltonians at the given temperature.  A family object holds only the keys
+shown, and every number must be finite.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +31,10 @@ __all__ = [
     "battery_to_spec",
     "state_from_spec",
 ]
+
+
+ISING_KEYS = ("J1", "J2", "J3", "b")
+THERMAL_MIXTURE_KEYS = ("alpha", "T")
 
 
 class ConfigError(ValueError):
@@ -63,10 +70,34 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _known_keys(obj: dict, allowed, context: str = "") -> None:
+    """A ConfigError at the path of the first key of ``obj`` not in ``allowed``."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{context}.{unknown[0]}" if context else unknown[0], "unknown configuration key")
+
+
+def _family(spec: dict, name: str, keys, section: str) -> dict:
+    """The ``name`` family object of a battery or state spec, holding only ``keys``."""
+    p = spec[name]
+    if not isinstance(p, dict):
+        raise ConfigError(f"{section}.{name}", "must be a JSON object")
+    _known_keys(p, keys, f"{section}.{name}")
+    return p
+
+
 def _number(value, key: str, kind: type = float, check=None):
-    """``kind(value)`` for a config value; a failed conversion or ``check`` is a ConfigError at ``key``."""
+    """``kind(value)`` for a finite config value; a failed conversion or ``check`` is a ConfigError at ``key``.
+
+    A float with a fractional part is refused where an ``int`` is expected
+    (tested on the float itself: 64-bit seeds do not survive a float round trip).
+    """
     try:
         x = kind(value)
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"must be finite, got {x}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"must be an integer, got {value}")
         if check is not None:
             check(x)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -87,7 +118,7 @@ def battery_from_spec(spec: dict) -> BatteryHamiltonian:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("battery", "expected exactly one of 'ising' or 'explicit'")
     if "ising" in spec:
-        p = spec["ising"]
+        p = _family(spec, "ising", ISING_KEYS, "battery")
         return ising_battery(
             j1=_required_number(p, "J1", "battery.ising"),
             j2=_required_number(p, "J2", "battery.ising"),
@@ -95,7 +126,7 @@ def battery_from_spec(spec: dict) -> BatteryHamiltonian:
             b=_required_number(p, "b", "battery.ising"),
         )
     if "explicit" in spec:
-        p = spec["explicit"]
+        p = _family(spec, "explicit", ("HA", "HB", "V", "g"), "battery")
         ha, hb, v = (
             matrix_from_json(_require(p, key, "battery.explicit"), f"battery.explicit.{key}") for key in ("HA", "HB", "V")
         )
@@ -122,7 +153,7 @@ def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("state", "expected exactly one of 'thermal_mixture' or 'matrix'")
     if "thermal_mixture" in spec:
-        p = spec["thermal_mixture"]
+        p = _family(spec, "thermal_mixture", THERMAL_MIXTURE_KEYS, "state")
         alpha = _required_number(p, "alpha", "state.thermal_mixture")
         temperature = _required_number(p, "T", "state.thermal_mixture", check=_positive)
         if not 0.0 <= alpha <= 1.0:

@@ -26,7 +26,7 @@ from .battery import SpectralDecomposition
 from .bloch import gell_mann_basis
 from .haar import SamplerConfig
 from .linalg import StateLike, as_density, sector_lengths
-from .workstats import WorkStatistics, conjugation_traces, iter_samples, pair_kron, sector_variance, summarize
+from .workstats import WorkStatistics, conjugation_traces, expectation, iter_samples, pair_kron, sector_variance, summarize
 
 __all__ = [
     "NoisyPovm",
@@ -185,8 +185,7 @@ def tpm_run(
 
 def tpm_work_mean(rho: StateLike, spec: SpectralDecomposition) -> float:
     """Haar average of the presumed TPM work: tr[rho H_D] - tr[H_D]/d^2."""
-    m = as_density(rho).data
-    return float((np.trace(m @ spec.h_diag) - np.trace(spec.h_diag) / spec.d**2).real)
+    return expectation(as_density(rho).data, spec.h_diag) - float(np.trace(spec.h_diag).real) / spec.d**2
 
 
 def tpm_shot_sample(
@@ -231,8 +230,6 @@ def mc_tpm_statistics(
     eps_b: float,
     n: int,
     cfg: SamplerConfig,
-    *,
-    streams: int = 1,
 ) -> WorkStatistics:
     """Monte-Carlo moments of the presumed TPM work over n unitary pairs.
 
@@ -244,12 +241,12 @@ def mc_tpm_statistics(
         raise ValueError("simulation requires epsilon > 0; labels diverge at 0")
     m = as_density(rho).data
     xi = instrument_average(m, spec, eps_a, eps_b)
-    base = float(np.trace(m @ spec.h_diag).real)
+    base = expectation(m, spec.h_diag)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return base - conjugation_traces(pair_kron(ua, ub), xi, spec.h_diag)
 
-    return summarize(iter_samples(sample, spec.d, n, cfg, streams=streams))
+    return summarize(iter_samples(sample, spec.d, n, cfg))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     detected = 1 + max(violated, default=0)
 
     pur = purity(rho)
-    min_marginal = min(purity(partial_trace(rho, "A", d)), purity(partial_trace(rho, "B", d)))
+    min_marginal = min(purity(partial_trace(rho.data, "A", d)), purity(partial_trace(rho.data, "B", d)))
     purity_violated = [k for k in range(1, d + 1) if _violates(pur, k * min_marginal)]
     purity_sn = 1 + max(purity_violated, default=0)
 

@@ -75,11 +75,15 @@ def work(rho: StateLike, h: BatteryHamiltonian, ua: np.ndarray, ub: np.ndarray) 
     return float(np.trace((m - u @ m @ u.conj().T) @ total).real)
 
 
+def expectation(m: np.ndarray, obs: np.ndarray) -> float:
+    """tr[m obs] for Hermitian m and obs, as an elementwise sum (O(D^2), no matrix product)."""
+    return float(np.vdot(obs, m).real)
+
+
 def analytic_work_mean(rho: StateLike, h: BatteryHamiltonian) -> float:
     """Haar-averaged work E - tr[H]/d^2."""
-    m = as_density(rho).data
     total = h.total
-    return float((np.trace(m @ total) - np.trace(total) / h.d**2).real)
+    return expectation(as_density(rho).data, total) - float(np.trace(total).real) / h.d**2
 
 
 def sector_variance(
@@ -121,7 +125,6 @@ def iter_samples(
     n: int,
     cfg: SamplerConfig,
     *,
-    streams: int = 1,
     chunk: int = DEFAULT_CHUNK,
 ) -> Iterator[np.ndarray]:
     """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs.
@@ -133,7 +136,7 @@ def iter_samples(
         raise ValueError(f"need at least three samples, got {n}")
     if cfg.d != d:
         raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
-    for ua, ub in iter_pair_unitaries(cfg, n, streams=streams, chunk=chunk):
+    for ua, ub in iter_pair_unitaries(cfg, n, chunk=chunk):
         yield sample(ua, ub)
 
 
@@ -156,18 +159,16 @@ def iter_work_values(
     h: BatteryHamiltonian,
     n: int,
     cfg: SamplerConfig,
-    *,
-    streams: int = 1,
 ) -> Iterator[np.ndarray]:
     """Yield chunks of exact work values for n Haar-random unitary pairs."""
     m = as_density(rho).data
     total = h.total
-    energy = float(np.trace(m @ total).real)
+    energy = expectation(m, total)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return energy - conjugation_traces(pair_kron(ua, ub), m, total)
 
-    return iter_samples(sample, h.d, n, cfg, streams=streams)
+    return iter_samples(sample, h.d, n, cfg)
 
 
 def histogram_bin_bound(h: BatteryHamiltonian, bin_width: float) -> float:
@@ -183,10 +184,9 @@ def work_sample_summary(
     cfg: SamplerConfig,
     *,
     bin_width: float | None = None,
-    streams: int = 1,
 ) -> tuple[WorkStatistics, WorkHistogram | None]:
     """One pass over n work samples: moments plus an optional histogram."""
-    chunks = iter_work_values(rho, h, n, cfg, streams=streams)
+    chunks = iter_work_values(rho, h, n, cfg)
     if bin_width is None:
         return summarize(chunks), None
     if bin_width <= 0:
@@ -214,11 +214,9 @@ def mc_work_statistics(
     h: BatteryHamiltonian,
     n: int,
     cfg: SamplerConfig,
-    *,
-    streams: int = 1,
 ) -> WorkStatistics:
     """Monte-Carlo mean/variance of work over n unitary pairs, with SEs."""
-    stats, _ = work_sample_summary(rho, h, n, cfg, streams=streams)
+    stats, _ = work_sample_summary(rho, h, n, cfg)
     return stats
 
 
@@ -228,10 +226,8 @@ def work_histogram(
     n: int,
     bin_width: float,
     cfg: SamplerConfig,
-    *,
-    streams: int = 1,
 ) -> WorkHistogram:
     """Histogram of n work samples in bins of ``bin_width`` anchored at 0."""
-    _, hist = work_sample_summary(rho, h, n, cfg, bin_width=bin_width, streams=streams)
+    _, hist = work_sample_summary(rho, h, n, cfg, bin_width=bin_width)
     assert hist is not None
     return hist

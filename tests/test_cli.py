@@ -140,7 +140,7 @@ def test_cli_bad_config_key(tmp_path, capsys):
     [
         (["tpm", "--eps", "1.5"], "parameters.eps"),
         (["tpm", "--eps", "0", "--seed", "1", "--n", "100"], "parameters.eps"),
-        (["variance", "--streams", "0", "--seed", "1", "--n", "100"], "sampling.streams"),
+        (["histogram", "--seed", "1", "--n", "100", "--bin-width", "inf"], "parameters.bin_width"),
         (["witness", "--alpha", "1.2"], "state.thermal_mixture.alpha"),
         (["coincidence", "--eps", "-0.1"], "parameters.eps"),
         (["variance", "--seed", "1", "--n", "2"], "sampling.n_unitaries"),
@@ -171,6 +171,7 @@ _MIXED4 = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
 _Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 _RAISING = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]  # not Hermitian
 _ISING_J1_X = {"ising": {"J1": "x", "J2": 1.0, "J3": 0.5, "b": 0.45}}
+_ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
 
 
 @pytest.mark.parametrize(
@@ -212,6 +213,24 @@ _ISING_J1_X = {"ising": {"J1": "x", "J2": 1.0, "J3": 0.5, "b": 0.45}}
         ("tpm", {"sampling": {"seed": 1, "stream": 2**64, "n_unitaries": 10}}, "sampling.stream"),
         ("verify", {"sampling": {"seed": -1}}, "sampling.seed"),
         ("variance", {"sampling": {"seed": 1, "stream": 2**64 - 1, "streams": 2, "n_unitaries": 10}}, "sampling.streams"),
+        ("tpm", {"parameters": {"epsilon": 0.3}}, "parameters.epsilon"),
+        ("sweep", {"protocol": "tpm", "parameters": {"eps_grd": [0.3]}}, "parameters.eps_grd"),
+        ("variance", {"sampling": {"seed": 3, "n": 50}}, "sampling.n"),
+        (
+            "witness",
+            {"state": {"thermal_mixture": {"alpha": 0.5, "T": 1.5, "temperature": 2.0}}},
+            "state.thermal_mixture.temperature",
+        ),
+        ("witness", {"battery": {"ising": {**_ISING, "J4": 1.0}}}, "battery.ising.J4"),
+        ("sweep", {"protocol": "variance", "battery": {"ising": {**_ISING, "J4": 1.0}}}, "battery.ising.J4"),
+        ("witness", {"battery": {"explicit": {"HA": _Z, "HB": _Z, "V": _Z_Z, "g": 1.0, "G": 2.0}}}, "battery.explicit.G"),
+        ("witness", {"battery": {"ising": {**_ISING, "b": float("inf")}}}, "battery.ising.b"),
+        ("sweep", {"protocol": "variance", "parameters": {"b_grid": [float("nan")]}}, "parameters.b_grid"),
+        ("variance", {"sampling": {"seed": 1, "n_unitaries": 1000.7}}, "sampling.n_unitaries"),
+        ("verify", {"parameters": {"d": 2.7}}, "parameters.d"),
+        ("verify", {"parameters": {"se_multiplier": -1}}, "parameters.se_multiplier"),
+        ("verify", {"parameters": {"se_multiplier": float("nan")}}, "parameters.se_multiplier"),
+        ("witness", {"state": {"thermal_mixture": {"alpha": 0.5, "T": float("inf")}}}, "state.thermal_mixture.T"),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):

@@ -46,7 +46,6 @@ FIRST_UNITARY_D3_SEED20240901_STREAM2 = np.array(
 )
 MC_WORK_MEAN_N1000_SEED7_STREAM1 = -0.8357497109355763
 MC_WORK_VARIANCE_N1000_SEED7_STREAM1 = 0.07436027663230564
-MC_WORK_MEAN_N1000_SEED7_STREAM1_STREAMS3 = -0.8452718817189663
 MC_TPM_MEAN_N1000_SEED7_STREAM1 = -0.8381196677560298  # eps_a = 0.6, eps_b = 0.8
 MC_TPM_SE_MEAN_N1000_SEED7_STREAM1 = 0.005619528907309764
 MC_COINCIDENCE_MEAN_N1000_SEED7_STREAM1 = 0.066361779489197  # eps_a = 0.7, eps_b = 0.4
@@ -75,12 +74,6 @@ def test_mc_work_statistics_is_pinned():
     stats = mc_work_statistics(rho, h, 1000, cfg)
     assert abs(stats.mean - MC_WORK_MEAN_N1000_SEED7_STREAM1) < 1e-12
     assert abs(stats.variance - MC_WORK_VARIANCE_N1000_SEED7_STREAM1) < 1e-12
-
-
-def test_multi_stream_merge_order_is_pinned():
-    h, rho, cfg = _default_point()
-    stats = mc_work_statistics(rho, h, 1000, cfg, streams=3)
-    assert abs(stats.mean - MC_WORK_MEAN_N1000_SEED7_STREAM1_STREAMS3) < 1e-12
 
 
 def test_work_histogram_is_pinned():

@@ -132,17 +132,6 @@ def test_mc_determinism():
     assert a == b
 
 
-def test_mc_stream_split_determinism():
-    h = _bell_battery()
-    cfg = SamplerConfig(d=2, seed=3)
-    a = mc_work_statistics(bell_state(), h, 5000, cfg, streams=4)
-    b = mc_work_statistics(bell_state(), h, 5000, cfg, streams=4)
-    assert a == b
-    c = mc_work_statistics(bell_state(), h, 5000, cfg, streams=1)
-    assert a != c  # different stream layout, statistically equivalent
-    assert abs(a.variance - c.variance) < 5 * (a.se_variance + c.se_variance)
-
-
 def test_mc_se_shrinks_with_n():
     h = _bell_battery()
     small = mc_work_statistics(bell_state(), h, 1000, SamplerConfig(d=2, seed=5))
