@@ -104,12 +104,16 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
             if cfg.state and "matrix" in cfg.state:
                 raise ConfigError("state", "--alpha requires the thermal_mixture state family")
             family = {}
+        if not isinstance(family, dict):
+            raise ConfigError("state.thermal_mixture", "must be a JSON object")
         family["alpha"] = args.alpha
         family.setdefault("T", 1.5)
-        cfg.state = {"thermal_mixture": family}
+        cfg.state["thermal_mixture"] = family  # a second family stays, for state_from_spec to refuse
     if args.b is not None:
         if "ising" not in cfg.battery:
             raise ConfigError("battery", "--b needs the ising battery family")
+        if not isinstance(cfg.battery["ising"], dict):
+            raise ConfigError("battery.ising", "must be a JSON object")
         cfg.battery["ising"]["b"] = args.b
     return cfg
 

@@ -24,7 +24,7 @@ from .battery import BatteryHamiltonian, SpectralDecomposition
 from .haar import SamplerConfig
 from .linalg import StateLike, as_density, sector_lengths
 from .tpm import _check_eps
-from .workstats import conjugate, iter_samples, pair_kron, sector_variance, summarize
+from .workstats import iter_samples, rotated_populations, sector_variance, summarize
 
 __all__ = [
     "CoincidenceReport",
@@ -78,15 +78,14 @@ def coincidence_probability(
     Equal to tr[(P_AA' (x) P_BB') rho (x) rho] = sum_ij m_ij^2 with
     m_ij = tr[(P_i^A (x) P_j^B) rho].
     """
-    return float(_coincidence_batch(rho[None, ...], spec, eps_a, eps_b)[0])
-
-
-def _coincidence_batch(
-    rotated: np.ndarray, spec: SpectralDecomposition, eps_a: float, eps_b: float
-) -> np.ndarray:
     d = spec.d
-    r4 = rotated.reshape(-1, d, d, d, d)
-    q = np.einsum("nabce,ica,jeb->nij", r4, spec.proj_a, spec.proj_b, optimize=True).real
+    q = np.einsum("abce,ica,jeb->ij", rho.reshape(d, d, d, d), spec.proj_a, spec.proj_b).real
+    return float(_coincidence_batch(q[None], eps_a, eps_b)[0])
+
+
+def _coincidence_batch(q: np.ndarray, eps_a: float, eps_b: float) -> np.ndarray:
+    """sum_ij m_ij^2 per sample from the (n, d, d) ideal joint populations q."""
+    d = q.shape[-1]
     qa = q.sum(axis=2)
     qb = q.sum(axis=1)
     m = (
@@ -114,10 +113,10 @@ def mc_coincidence(
     """
     _check_eps(eps_a, "eps_a")
     _check_eps(eps_b, "eps_b")
-    m = as_density(rho).data
+    populations = rotated_populations(as_density(rho).data, spec)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        return _coincidence_batch(conjugate(pair_kron(ua, ub), m), spec, eps_a, eps_b)
+        return _coincidence_batch(populations(ua, ub), eps_a, eps_b)
 
     stats = summarize(iter_samples(sample, spec.d, n, cfg))
     return stats.mean, stats.se_mean

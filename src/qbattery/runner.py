@@ -23,10 +23,13 @@ from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coinciden
 from .haar import SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl
 from .linalg import DensityMatrix, random_density_matrix, random_hermitian
 from .serialization import (
+    BATTERY_FAMILIES,
     ISING_KEYS,
+    STATE_FAMILIES,
     THERMAL_MIXTURE_KEYS,
     ConfigError,
     _family,
+    _family_name,
     _known_keys,
     _number,
     _positive,
@@ -128,6 +131,13 @@ class ExperimentConfig:
         stream = _number(self.sampling.get("stream", 0), "sampling.stream", int, check=_check_stream)
         return SamplerConfig(d=d, seed=seed, stream=stream)
 
+    def mc(self) -> bool:
+        """sampling.mc, which must be a JSON boolean: the string "false" is refused, not read as true."""
+        value = self.sampling.get("mc", False)
+        if not isinstance(value, bool):
+            raise ConfigError("sampling.mc", f"must be true or false, got {value!r}")
+        return value
+
     def n_unitaries(self, default: int = 100_000) -> int:
         return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_min_samples)
 
@@ -152,7 +162,7 @@ def _eps_param(cfg: ExperimentConfig, key: str, *, simulate: bool = False) -> fl
 
 def _ising_params(cfg: ExperimentConfig) -> dict:
     """The ising parameters as numbers; ``battery_from_spec`` reports missing ones."""
-    if "ising" not in cfg.battery:
+    if _family_name(cfg.battery, BATTERY_FAMILIES, "battery") != "ising":
         raise ConfigError("battery", "this sweep requires the 'ising' battery family")
     ip = _family(cfg.battery, "ising", ISING_KEYS, "battery")
     return {key: _number(ip[key], f"battery.ising.{key}") for key in ISING_KEYS if key in ip}
@@ -160,7 +170,7 @@ def _ising_params(cfg: ExperimentConfig) -> dict:
 
 def _thermal_sweep(cfg: ExperimentConfig, alpha_step: float) -> tuple[float, list[float]]:
     """Temperature and mixing-ratio grid of a thermal-mixture sweep, range-checked."""
-    if "thermal_mixture" not in cfg.state:
+    if _family_name(cfg.state, STATE_FAMILIES, "state") != "thermal_mixture":
         raise ConfigError("state", "this sweep requires the 'thermal_mixture' state family")
     family = _family(cfg.state, "thermal_mixture", THERMAL_MIXTURE_KEYS, "state")
     temperature = _required_number(family, "T", "state.thermal_mixture", check=_positive)
@@ -222,7 +232,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     """
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.05)
-    with_mc = bool(cfg.sampling.get("mc", False))
+    with_mc = cfg.mc()
     eps_grid = [
         _checked_eps(x, "parameters.eps_grid", simulate=with_mc)
         for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))
@@ -297,7 +307,7 @@ def run_point(cfg: ExperimentConfig) -> dict:
     """Single-point evaluation for the variance/witness/tpm/coincidence protocols."""
     h, rho = _build_point(cfg)
     protocol = cfg.protocol
-    want_mc = bool(cfg.sampling.get("mc", False)) or "n_unitaries" in cfg.sampling
+    want_mc = cfg.mc() or "n_unitaries" in cfg.sampling
     if protocol == "witness":
         return {"protocol": protocol, **asdict(detect_schmidt_number(rho, h))}
     if protocol == "coincidence":

@@ -35,6 +35,8 @@ __all__ = [
 
 ISING_KEYS = ("J1", "J2", "J3", "b")
 THERMAL_MIXTURE_KEYS = ("alpha", "T")
+BATTERY_FAMILIES = ("ising", "explicit")
+STATE_FAMILIES = ("thermal_mixture", "matrix")
 
 
 class ConfigError(ValueError):
@@ -77,6 +79,13 @@ def _known_keys(obj: dict, allowed, context: str = "") -> None:
         raise ConfigError(f"{context}.{unknown[0]}" if context else unknown[0], "unknown configuration key")
 
 
+def _family_name(spec, families, section: str) -> str:
+    """The one family key of a battery or state spec; anything else is a ConfigError at ``section``."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise ConfigError(section, f"expected exactly one of {families[0]!r} or {families[1]!r}")
+    return next(iter(spec))
+
+
 def _family(spec: dict, name: str, keys, section: str) -> dict:
     """The ``name`` family object of a battery or state spec, holding only ``keys``."""
     p = spec[name]
@@ -115,8 +124,7 @@ def _positive(x: float) -> None:
 
 
 def battery_from_spec(spec: dict) -> BatteryHamiltonian:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("battery", "expected exactly one of 'ising' or 'explicit'")
+    _family_name(spec, BATTERY_FAMILIES, "battery")
     if "ising" in spec:
         p = _family(spec, "ising", ISING_KEYS, "battery")
         return ising_battery(
@@ -150,8 +158,7 @@ def battery_to_spec(h: BatteryHamiltonian) -> dict:
 
 
 def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError("state", "expected exactly one of 'thermal_mixture' or 'matrix'")
+    _family_name(spec, STATE_FAMILIES, "state")
     if "thermal_mixture" in spec:
         p = _family(spec, "thermal_mixture", THERMAL_MIXTURE_KEYS, "state")
         alpha = _required_number(p, "alpha", "state.thermal_mixture")

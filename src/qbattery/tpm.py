@@ -26,7 +26,7 @@ from .battery import SpectralDecomposition
 from .bloch import gell_mann_basis
 from .haar import SamplerConfig
 from .linalg import StateLike, as_density, sector_lengths
-from .workstats import WorkStatistics, conjugation_traces, expectation, iter_samples, pair_kron, sector_variance, summarize
+from .workstats import WorkStatistics, expectation, iter_samples, rotated_populations, sector_variance, summarize
 
 __all__ = [
     "NoisyPovm",
@@ -235,16 +235,18 @@ def mc_tpm_statistics(
 
     Uses the exact per-unitary identity W(U) = tr[rho H_D] - tr[U Xi U^dag H_D]
     with Xi the outcome-summed instrument output, so each sample costs one
-    conjugation instead of a branch enumeration.
+    rotation instead of a branch enumeration.  H_D is diagonal in the product
+    eigenbasis, so the trace is sum_ij e_joint[i, j] q_ij(U; Xi) over the
+    rotated populations of Xi.
     """
     if eps_a == 0.0 or eps_b == 0.0:
         raise ValueError("simulation requires epsilon > 0; labels diverge at 0")
     m = as_density(rho).data
-    xi = instrument_average(m, spec, eps_a, eps_b)
+    populations = rotated_populations(instrument_average(m, spec, eps_a, eps_b), spec)
     base = expectation(m, spec.h_diag)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        return base - conjugation_traces(pair_kron(ua, ub), xi, spec.h_diag)
+        return base - np.einsum("nij,ij->n", populations(ua, ub), spec.e_joint)
 
     return summarize(iter_samples(sample, spec.d, n, cfg))
 

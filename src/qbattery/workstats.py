@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .battery import BatteryHamiltonian
+from .battery import BatteryHamiltonian, SpectralDecomposition
 from .haar import DEFAULT_CHUNK, SamplerConfig, iter_pair_unitaries
 from .linalg import StateLike, as_density, sector_lengths
 from .montecarlo import MomentAccumulator
@@ -115,8 +115,50 @@ def conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def conjugation_traces(u: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Batched tr[U m U^dag obs] for a stack of unitaries."""
+    """Batched tr[U m U^dag obs] for a stack of unitaries (reference for the one-side kernels)."""
     return np.einsum("nij,ji->n", conjugate(u, m), obs).real
+
+
+def apply_pair(ua: np.ndarray, ub: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batched (U_A (x) U_B) x for a fixed (d^2, c) matrix x, one side at a time.
+
+    Side A is one GEMM over the whole chunk, side B a batched matmul, so a
+    pair costs 2 d^3 c multiply-adds and U_A (x) U_B is never formed.
+    """
+    k, d = ua.shape[0], ua.shape[1]
+    c = x.shape[1]
+    t = (ua.reshape(k * d, d) @ x.reshape(d, d * c)).reshape(k, d, d, c)
+    return (ub[:, None] @ t).reshape(k, d * d, c)
+
+
+def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Batched tr[U m U^dag obs] for U = U_A (x) U_B, as sum_xy (U m)[x, y] (U^dag obs)[y, x].
+
+    Two ``apply_pair`` calls: 4 d^5 multiply-adds per pair for any m and obs.
+    """
+    um = apply_pair(ua, ub, m)
+    uo = apply_pair(ua.conj().transpose(0, 2, 1), ub.conj().transpose(0, 2, 1), obs)
+    return np.einsum("nxy,nyx->n", um, uo).real
+
+
+def rotated_populations(
+    x: np.ndarray, spec: SpectralDecomposition
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Per-chunk populations q[n, i, j] = <v_i^A v_j^B| U x U^dag |v_i^A v_j^B> of a Hermitian x.
+
+    With x = sum_r lam_r w_r w_r^dag (one ``eigh`` here, none per chunk),
+    q = sum_r lam_r |(V_A^dag U_A (x) V_B^dag U_B) w_r|^2 entrywise, for
+    signed lam: 2 d^5 multiply-adds per pair.
+    """
+    lam, w = np.linalg.eigh(x)
+    va, vb = spec.vecs_a.conj().T, spec.vecs_b.conj().T
+    d = spec.d
+
+    def populations(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        y = apply_pair(va @ ua, vb @ ub, w)
+        return ((y.real**2 + y.imag**2) @ lam).reshape(-1, d, d)
+
+    return populations
 
 
 def iter_samples(
@@ -125,17 +167,21 @@ def iter_samples(
     n: int,
     cfg: SamplerConfig,
     *,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int | None = None,
 ) -> Iterator[np.ndarray]:
     """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs.
 
     Every estimator is a per-chunk sample function over local unitary
-    stacks; chunks follow the sampler's (seed, stream, chunk) order.
+    stacks; chunks follow the sampler's (seed, stream, chunk) order.  The
+    default chunk keeps a (chunk, d^2, d^2) stack at 2^24 entries at most:
+    ``DEFAULT_CHUNK`` for d <= 8, 256 at d = 16.
     """
     if n < 3:
         raise ValueError(f"need at least three samples, got {n}")
     if cfg.d != d:
         raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
+    if chunk is None:
+        chunk = min(DEFAULT_CHUNK, 2**24 // d**4)
     for ua, ub in iter_pair_unitaries(cfg, n, chunk=chunk):
         yield sample(ua, ub)
 
@@ -166,7 +212,7 @@ def iter_work_values(
     energy = expectation(m, total)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        return energy - conjugation_traces(pair_kron(ua, ub), m, total)
+        return energy - pair_traces(ua, ub, m, total)
 
     return iter_samples(sample, h.d, n, cfg)
 

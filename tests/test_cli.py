@@ -231,6 +231,18 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
         ("verify", {"parameters": {"se_multiplier": -1}}, "parameters.se_multiplier"),
         ("verify", {"parameters": {"se_multiplier": float("nan")}}, "parameters.se_multiplier"),
         ("witness", {"state": {"thermal_mixture": {"alpha": 0.5, "T": float("inf")}}}, "state.thermal_mixture.T"),
+        ("sweep", {"protocol": "tpm", "sampling": {"mc": "false"}}, "sampling.mc"),
+        ("tpm", {"sampling": {"mc": "false"}}, "sampling.mc"),
+        (
+            "sweep",
+            {"protocol": "variance", "battery": {"ising": _ISING, "explicit": {"HA": _Z, "HB": _Z, "V": _Z_Z, "g": 1.0}}},
+            "battery",
+        ),
+        (
+            "sweep",
+            {"protocol": "tpm", "state": {"thermal_mixture": {"alpha": 0.5, "T": 1.5}, "matrix": _MIXED4}},
+            "state",
+        ),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):
@@ -248,6 +260,35 @@ def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, confi
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"configuration error: {key}:")
     assert "Traceback" not in proc.stderr
+
+@pytest.mark.parametrize(
+    "args, config, key",
+    [
+        (["witness", "--alpha", "0.5"], {"state": {"thermal_mixture": 5}}, "state.thermal_mixture"),
+        (["witness", "--b", "0.3"], {"battery": {"ising": 5}}, "battery.ising"),
+        (
+            ["witness", "--alpha", "0.5"],
+            {"state": {"thermal_mixture": {"alpha": 0.9, "T": 1.5}, "matrix": _MIXED4}},
+            "state",
+        ),
+    ],
+)
+def test_cli_flag_override_of_a_malformed_family_is_a_config_error(tmp_path, args, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(qbattery.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbattery.cli", *args, "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"configuration error: {key}:")
+    assert "Traceback" not in proc.stderr
+
 
 def test_cli_verify_passes_and_is_deterministic(capsys):
     args = ["verify", "--n", "1500", "--seed", "99"]

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from qbattery.battery import battery_hamiltonian, ising_battery, spectral_decomposition
-from qbattery.coincidence import mc_coincidence
+from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
+from qbattery.coincidence import avg_coincidence_closed, mc_coincidence
 from qbattery.haar import HaarSampler, SamplerConfig
-from qbattery.linalg import DensityMatrix, random_density_matrix
-from qbattery.tpm import mc_tpm_statistics
+from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermitian, random_pure_state
+from qbattery.tpm import instrument_average, mc_tpm_statistics, tpm_variance_closed_form, tpm_work_mean
 from qbattery.workstats import (
     MAX_HISTOGRAM_BINS,
     analytic_work_mean,
     analytic_work_variance,
+    conjugate,
+    conjugation_traces,
     histogram_bin_bound,
+    iter_samples,
     iter_work_values,
     mc_work_statistics,
+    pair_kron,
+    pair_traces,
+    rotated_populations,
     work,
     work_histogram,
     work_sample_summary,
@@ -223,3 +229,68 @@ def test_mc_estimators_need_three_samples():
     with pytest.raises(ValueError, match="three"):
         mc_coincidence(bell_state(), spec, 0.5, 0.5, 2, cfg)
     assert mc_coincidence(bell_state(), spec, 0.5, 0.5, 3, cfg)[1] >= 0
+
+
+def _kernel_case(case: str, d: int):
+    """(spec, x, obs) for the one-side kernels: a battery's eigenbasis, a Hermitian x and an observable."""
+    rng = np.random.default_rng(900 + d)
+    if case == "ising":  # degenerate local spectra, computational eigenbasis
+        h = ising_battery(0.5, 1.0, 0.5, 0.45)
+        rho = thermal_mixture_state(0.96, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
+    else:
+        h = make_random_battery(rng, d)
+        rho = random_pure_state(rng, d * d) if case == "rank1" else random_density_matrix(rng, d * d)
+    spec = spectral_decomposition(h)
+    if case == "xi_eps1":  # the jointly dephased state: degenerate in x's spectrum
+        return spec, instrument_average(rho, spec, 1.0, 1.0), spec.h_diag
+    if case == "indefinite":  # negative eigenvalues enter with their sign
+        return spec, random_hermitian(rng, d * d), h.total
+    return spec, rho.data, h.total
+
+
+_KERNEL_CASES = [("mixed", d) for d in (2, 3, 4, 8, 16)] + [("rank1", 3), ("xi_eps1", 4), ("ising", 4), ("indefinite", 3)]
+
+
+@pytest.mark.parametrize("case, d", _KERNEL_CASES)
+def test_pair_traces_match_the_kronecker_reference(case, d):
+    spec, x, obs = _kernel_case(case, d)
+    sampler = HaarSampler(SamplerConfig(d=d, seed=31))
+    ua, ub = sampler.unitaries(5), sampler.unitaries(5)
+    reference = conjugation_traces(pair_kron(ua, ub), x, obs)
+    assert np.max(np.abs(pair_traces(ua, ub, x, obs) - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("case, d", _KERNEL_CASES)
+def test_rotated_populations_match_the_kronecker_reference(case, d):
+    spec, x, _ = _kernel_case(case, d)
+    sampler = HaarSampler(SamplerConfig(d=d, seed=32))
+    ua, ub = sampler.unitaries(5), sampler.unitaries(5)
+    basis = np.kron(spec.vecs_a, spec.vecs_b)
+    rotated = basis.conj().T @ conjugate(pair_kron(ua, ub), x) @ basis
+    reference = np.einsum("nxx->nx", rotated).real.reshape(5, d, d)
+    assert np.max(np.abs(rotated_populations(x, spec)(ua, ub) - reference)) < 1e-12
+
+
+def test_default_chunk_keeps_a_pair_stack_at_2_to_the_24_entries():
+    def sizes(d, n):
+        return [len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], d, n, SamplerConfig(d=d, seed=1))]
+
+    assert sizes(8, 5000) == [4096, 904]
+    assert sizes(16, 600) == [256, 256, 88]
+
+
+def test_mc_at_d16_matches_every_closed_form():
+    rng = np.random.default_rng(1616)
+    h = make_random_battery(rng, 16)
+    spec = spectral_decomposition(h)
+    rho = random_density_matrix(rng, 256)
+    n = 2000
+    work_mc = mc_work_statistics(rho, h, n, SamplerConfig(d=16, seed=71))
+    closed = analytic_work_variance(rho, h)
+    assert abs(work_mc.mean - closed.mean) < 5 * work_mc.se_mean
+    assert abs(work_mc.variance - closed.variance) < 5 * work_mc.se_variance
+    tpm_mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, SamplerConfig(d=16, seed=72))
+    assert abs(tpm_mc.mean - tpm_work_mean(rho, spec)) < 5 * tpm_mc.se_mean
+    assert abs(tpm_mc.variance - tpm_variance_closed_form(rho, spec, 0.6, 0.8).var_tpm) < 5 * tpm_mc.se_variance
+    mean, se = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(d=16, seed=73))
+    assert abs(mean - avg_coincidence_closed(rho, spec, 0.7, 0.4)) < 5 * se
