@@ -3,7 +3,8 @@
 Subcommands: variance, witness, histogram, tpm, coincidence, sweep, verify.
 Each takes an optional JSON config (--config) plus flag overrides; results
 go to stdout or --out as CSV/JSON.  Exit codes: 0 success, 1 configuration
-error, 2 verification failure.
+error (an unreadable --config or unwritable --out path included), 2
+verification failure.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {args.config}")
+        except OSError as exc:
+            raise ConfigError("config", f"cannot read {args.config}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
     else:
@@ -118,20 +119,36 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
     return cfg
 
 
+def _open_out(path: str):
+    """Open an output file for writing; a path that cannot be written is a ConfigError naming it."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_csv(rows: list[dict], out: str | None, schema: str) -> None:
+    if out:
+        with _open_out(out) as fh:
+            write_rows_csv(rows, fh, schema)
+    else:
+        write_rows_csv(rows, sys.stdout, schema)
 
 
 def _emit_rows(rows: list[dict], args: argparse.Namespace, schema: str) -> None:
     if args.format == "json":
         _emit_json({"schema": f"qbattery.{schema}", "rows": rows}, args.out)
         return
-    write_rows_csv(rows, args.out if args.out else sys.stdout, schema)
+    _emit_csv(rows, args.out, schema)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,12 +176,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.format == "json":
                 _emit_json({"summary": summary, "bins": rows}, args.out)
             else:
-                if args.out:
-                    write_rows_csv(rows, args.out, "histogram")
-                    _emit_json(summary, args.out + ".summary.json")
-                else:
-                    _emit_rows(rows, args, "histogram")
-                    _emit_json(summary, None)
+                _emit_csv(rows, args.out, "histogram")
+                _emit_json(summary, args.out + ".summary.json" if args.out else None)
             return 0
         # single-point protocols
         cfg = _load_config(args, args.command)

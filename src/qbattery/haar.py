@@ -2,9 +2,17 @@
 
 Sampling uses a counter-based PRNG (Philox) keyed by (seed, stream), so
 independent streams can be drawn without coordination and the sequence for a
-given ``SamplerConfig`` is bit-for-bit reproducible.  Unitaries come from QR
-of a complex Ginibre matrix with the phase of the triangular factor's
-diagonal absorbed into the columns; plain QR alone is not Haar-distributed.
+given ``SamplerConfig`` is bit-for-bit reproducible.
+
+Each unitary is the Q factor of a complex Ginibre matrix Z = A + iB, whose
+real parts A are drawn for the whole batch first and the imaginary parts B
+after them.  Q is Haar-distributed, and unique, when the triangular factor
+R = Q^dag Z has a real, positive diagonal (Mezzadri, math-ph/0609050); plain
+QR alone is not Haar.  Q is computed by classical Gram-Schmidt with one
+reorthogonalization (CGS2) over the columns, vectorised across the batch on
+real and imaginary planes laid out batch-last.  Its R diagonal is a column
+norm, positive by construction, so no phase fix is needed, and Q agrees
+with LAPACK QR plus that phase fix up to rounding.
 """
 
 from __future__ import annotations
@@ -66,14 +74,39 @@ class HaarSampler:
     def unitaries(self, n: int) -> np.ndarray:
         """Draw a batch of n Haar-random unitaries, shape (n, d, d)."""
         d = self.cfg.d
-        z = self._rng.standard_normal((n, d, d)) + 1j * self._rng.standard_normal((n, d, d))
-        q, r = np.linalg.qr(z / np.sqrt(2.0))
-        diag = np.einsum("nii->ni", r)
-        q = q * (diag / np.abs(diag))[:, None, :]
-        return q
+        a = self._rng.standard_normal((n, d, d))
+        b = self._rng.standard_normal((n, d, d))
+        return _gram_schmidt(a, b)
 
     def unitary(self) -> np.ndarray:
         return self.unitaries(1)[0]
+
+
+def _gram_schmidt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q of Z = a + ib, batch of shape (n, d, d), with R = Q^dag Z positive on its diagonal.
+
+    Works on real and imaginary planes indexed [column, row, sample], so every
+    numpy call runs on contiguous length-n rows.  Each column is projected off
+    the earlier ones twice (the second pass restores orthogonality to rounding
+    level) and then normalized.
+    """
+    n, d, _ = a.shape
+    qr = np.ascontiguousarray(a.transpose(2, 1, 0))
+    qi = np.ascontiguousarray(b.transpose(2, 1, 0))
+    for j in range(d):
+        vr, vi, pr, pi = qr[j], qi[j], qr[:j], qi[:j]
+        for _ in range(2 if j else 0):  # c = P^dag v, then v -= P c, on real planes
+            cr = np.einsum("jrn,rn->jn", pr, vr) + np.einsum("jrn,rn->jn", pi, vi)
+            ci = np.einsum("jrn,rn->jn", pr, vi) - np.einsum("jrn,rn->jn", pi, vr)
+            vr -= np.einsum("jrn,jn->rn", pr, cr) - np.einsum("jrn,jn->rn", pi, ci)
+            vi -= np.einsum("jrn,jn->rn", pr, ci) + np.einsum("jrn,jn->rn", pi, cr)
+        scale = 1.0 / np.sqrt(np.einsum("rn,rn->n", vr, vr) + np.einsum("rn,rn->n", vi, vi))
+        vr *= scale
+        vi *= scale
+    q = np.empty((n, d, d), dtype=np.complex128)
+    q.real = qr.transpose(2, 1, 0)
+    q.imag = qi.transpose(2, 1, 0)
+    return q
 
 
 def haar_unitary(cfg: SamplerConfig) -> np.ndarray:

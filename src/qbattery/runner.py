@@ -51,7 +51,7 @@ from .workstats import (
     MAX_HISTOGRAM_BINS,
     analytic_work_variance,
     conjugate,
-    histogram_bin_bound,
+    histogram_fits,
     iter_samples,
     mc_work_statistics,
     pair_kron,
@@ -277,7 +277,7 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Binned work counts plus a summary with sample mean/variance and SEs."""
     h, rho = _build_point(cfg)
     bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=_positive)
-    if histogram_bin_bound(h, bin_width) > MAX_HISTOGRAM_BINS:
+    if not histogram_fits(h, bin_width):
         raise ConfigError("parameters.bin_width", f"needs more than {MAX_HISTOGRAM_BINS} bins over the work range")
     n = cfg.n_unitaries()
     sampler = cfg.sampler(h.d)
@@ -525,15 +525,9 @@ def rows_to_csv(rows: list[dict], stream) -> None:
         writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
-def write_rows_csv(rows: list[dict], path_or_stream, schema: str) -> None:
+def write_rows_csv(rows: list[dict], stream, schema: str) -> None:
     """CSV with a versioned schema comment; '.' decimals, no locale."""
     if not rows:
         raise ValueError("no rows to write")
-    header = f"# schema=qbattery.{schema}.v{SCHEMA_VERSION}\n"
-    if isinstance(path_or_stream, str):
-        with open(path_or_stream, "w", newline="") as fh:
-            fh.write(header)
-            rows_to_csv(rows, fh)
-    else:
-        path_or_stream.write(header)
-        rows_to_csv(rows, path_or_stream)
+    stream.write(f"# schema=qbattery.{schema}.v{SCHEMA_VERSION}\n")
+    rows_to_csv(rows, stream)

@@ -217,10 +217,15 @@ def iter_work_values(
     return iter_samples(sample, h.d, n, cfg)
 
 
-def histogram_bin_bound(h: BatteryHamiltonian, bin_width: float) -> float:
-    """Most bins work values can fill: they lie in [E - max spec H, E - min spec H]."""
+def histogram_fits(h: BatteryHamiltonian, bin_width: float) -> bool:
+    """Whether work values fill at most ``MAX_HISTOGRAM_BINS`` bins of this width.
+
+    They lie in [E - max spec H, E - min spec H], so they fill at most
+    range / bin_width + 2 bins.  The range is compared with a product rather
+    than divided, since a subnormal width would overflow the quotient.
+    """
     spectrum = np.linalg.eigvalsh(h.total)
-    return (spectrum[-1] - spectrum[0]) / bin_width + 2
+    return spectrum[-1] - spectrum[0] <= (MAX_HISTOGRAM_BINS - 2) * float(bin_width)
 
 
 def work_sample_summary(
@@ -237,7 +242,7 @@ def work_sample_summary(
         return summarize(chunks), None
     if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
-    if histogram_bin_bound(h, bin_width) > MAX_HISTOGRAM_BINS:
+    if not histogram_fits(h, bin_width):
         raise ValueError(f"bin width {bin_width} needs more than {MAX_HISTOGRAM_BINS} bins")
     lo, counts = None, np.zeros(0, dtype=np.int64)  # counts[i] is bin lo + i
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -351,3 +352,47 @@ def test_cli_histogram_json(tmp_path):
     payload = json.loads(out.read_text())
     assert sum(b["count"] for b in payload["bins"]) == 1000
     assert payload["summary"]["n_samples"] == 1000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep"],
+        ["sweep", "--format", "json"],
+        ["variance", "--format", "json"],
+        ["histogram", "--seed", "1", "--n", "10"],
+        ["histogram", "--seed", "1", "--n", "10", "--format", "json"],
+        ["verify", "--d", "2", "--n", "10", "--seed", "1"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_cli_unwritable_out_is_a_one_line_error(tmp_path, capsys, args, target):
+    out = tmp_path / "missing" / "out.txt" if target == "missing_directory" else tmp_path
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: --out: cannot write {out}: ")
+
+
+def test_cli_unwritable_histogram_summary_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "hist.csv"
+    summary = tmp_path / "hist.csv.summary.json"
+    summary.mkdir()
+    assert main(["histogram", "--seed", "1", "--n", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: --out: cannot write {summary}: ")
+    assert sum(int(r["count"]) for r in _read_csv(out)) == 10
+
+
+def test_cli_unreadable_config_path_is_a_one_line_error(tmp_path, capsys):
+    assert main(["variance", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"configuration error: config: cannot read {tmp_path}: Is a directory"]
+
+
+def test_cli_subnormal_bin_width_is_refused_without_a_numpy_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["histogram", "--seed", "1", "--n", "10", "--bin-width", "5e-324"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: parameters.bin_width:")

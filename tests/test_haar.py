@@ -4,6 +4,7 @@ from scipy import stats
 
 from qbattery.haar import (
     HaarSampler,
+    _gram_schmidt,
     SamplerConfig,
     haar_unitary,
     iter_pair_unitaries,
@@ -206,3 +207,45 @@ def test_sampler_config_refuses_dimensions_above_the_limit():
     SamplerConfig(d=MAX_LOCAL_DIM, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         SamplerConfig(d=MAX_LOCAL_DIM + 1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Gram-Schmidt draws against LAPACK QR on the same normals
+# ---------------------------------------------------------------------------
+
+
+def _lapack_reference(cfg, n):
+    """The sampler's normals, drawn again, and Q of their QR with R's diagonal phases absorbed."""
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream]))
+    a = rng.standard_normal((n, cfg.d, cfg.d))
+    b = rng.standard_normal((n, cfg.d, cfg.d))
+    q, r = np.linalg.qr(a + 1j * b)
+    diag = np.einsum("nii->ni", r)
+    return a, b, q * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("d", range(2, MAX_LOCAL_DIM + 1))
+def test_draws_match_lapack_qr_on_the_same_normals(d):
+    n = 200
+    cfg = SamplerConfig(d=d, seed=20261018, stream=d)
+    a, b, ref = _lapack_reference(cfg, n)
+    q = HaarSampler(cfg).unitaries(n)
+    assert np.array_equal(q, _gram_schmidt(a, b))
+    assert np.max(np.abs(q - ref)) <= 1e-12
+    qh = q.conj().transpose(0, 2, 1)
+    assert np.max(np.linalg.norm(qh @ q - np.eye(d), axis=(1, 2))) <= 1e-13
+    r = qh @ (a + 1j * b)
+    diag = np.einsum("nii->ni", r)
+    assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+    assert np.max(np.abs(diag.imag)) <= 1e-12
+    assert diag.real.min() > 0
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_eigenphases_uniform_chi2_at_larger_d(d):
+    u = HaarSampler(SamplerConfig(d=d, seed=17)).unitaries(10_000)
+    phases = np.angle(np.linalg.eigvals(u)).ravel()
+    counts, _ = np.histogram(phases, bins=20, range=(-np.pi, np.pi))
+    expected = phases.size / 20
+    chi2 = np.sum((counts - expected) ** 2 / expected)
+    assert chi2 < stats.chi2.ppf(0.99, 19)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from qbattery.workstats import (
     analytic_work_variance,
     conjugate,
     conjugation_traces,
-    histogram_bin_bound,
+    histogram_fits,
     iter_samples,
     iter_work_values,
     mc_work_statistics,
@@ -208,14 +210,26 @@ def test_histogram_matches_direct_binning_across_chunks():
     assert hist.origin == idx.min() * 0.05
     assert hist.counts.tolist() == np.bincount(idx - idx.min()).tolist()
     assert hist.counts[0] > 0 and hist.counts[-1] > 0
-    assert len(hist.counts) <= histogram_bin_bound(h, 0.05)
+    assert len(hist.counts) <= np.ptp(np.linalg.eigvalsh(h.total)) / 0.05 + 2
+    assert histogram_fits(h, 0.05)
 
 
 def test_histogram_rejects_too_many_bins_before_sampling():
     h = _bell_battery()
-    assert histogram_bin_bound(h, 1e-12) > MAX_HISTOGRAM_BINS
+    assert np.ptp(np.linalg.eigvalsh(h.total)) / 1e-12 + 2 > MAX_HISTOGRAM_BINS
+    assert not histogram_fits(h, 1e-12)
     with pytest.raises(ValueError, match="bins"):
         work_histogram(bell_state(), h, 100, 1e-12, SamplerConfig(d=2, seed=1))
+
+
+def test_subnormal_bin_width_is_refused_without_a_numpy_warning():
+    h = _bell_battery()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not histogram_fits(h, 5e-324)
+        assert histogram_fits(h, 1e308)
+        with pytest.raises(ValueError, match="bins"):
+            work_histogram(bell_state(), h, 100, 5e-324, SamplerConfig(d=2, seed=1))
 
 
 def test_mc_estimators_need_three_samples():
