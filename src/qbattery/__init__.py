@@ -15,6 +15,7 @@ from .battery import (
     gibbs_state,
     ising_battery,
     spectral_decomposition,
+    thermal_mixture_stack,
     thermal_mixture_state,
 )
 from .bloch import BlochForm, HermitianBasis, bloch_decompose, bloch_reconstruct, gell_mann_basis
@@ -58,7 +59,9 @@ from .tpm import (
 from .witness import (
     PureStateReport,
     WitnessReport,
+    WitnessStack,
     detect_schmidt_number,
+    detect_schmidt_number_stack,
     pure_state_report,
     schmidt_t2_cap,
     work_variance_bound,

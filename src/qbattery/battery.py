@@ -31,6 +31,7 @@ __all__ = [
     "ising_battery",
     "gibbs_state",
     "thermal_mixture_state",
+    "thermal_mixture_stack",
     "spectral_decomposition",
 ]
 
@@ -163,6 +164,26 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     return u * (np.abs(lead) / lead)
 
 
+def _mixture_endpoints(tau_a: StateLike, tau_b: StateLike) -> tuple[np.ndarray, np.ndarray]:
+    """|phi><phi| and tau_A (x) tau_B: the alpha = 1 and alpha = 0 ends of ``thermal_mixture_state``."""
+    ta = _raw(tau_a)
+    tb = _raw(tau_b)
+    if ta.shape != tb.shape:
+        raise ValueError("marginals must have equal dimension")
+    wa, ua = np.linalg.eigh(ta)
+    wb, ub = np.linalg.eigh(tb)
+    wa, ua = wa[::-1], _fix_phases(ua[:, ::-1])
+    wb, ub = wb[::-1], _fix_phases(ub[:, ::-1])
+    if np.max(np.abs(wa - wb)) > 1e-9:
+        raise ValueError(
+            "incompatible marginals: tau_A and tau_B spectra differ beyond tolerance, "
+            "no correlated pure state has both as reductions"
+        )
+    p = np.clip((wa + wb) / 2, 0.0, None)
+    phi = np.einsum("i,ai,bi->ab", np.sqrt(p), ua, ub).ravel()
+    return np.outer(phi, phi.conj()), np.kron(ta, tb)
+
+
 def thermal_mixture_state(
     alpha: float,
     tau_a: StateLike,
@@ -180,23 +201,23 @@ def thermal_mixture_state(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing ratio must lie in [0, 1], got {alpha}")
-    ta = _raw(tau_a)
-    tb = _raw(tau_b)
-    if ta.shape != tb.shape:
-        raise ValueError("marginals must have equal dimension")
-    wa, ua = np.linalg.eigh(ta)
-    wb, ub = np.linalg.eigh(tb)
-    wa, ua = wa[::-1], _fix_phases(ua[:, ::-1])
-    wb, ub = wb[::-1], _fix_phases(ub[:, ::-1])
-    if np.max(np.abs(wa - wb)) > 1e-9:
-        raise ValueError(
-            "incompatible marginals: tau_A and tau_B spectra differ beyond tolerance, "
-            "no correlated pure state has both as reductions"
-        )
-    p = np.clip((wa + wb) / 2, 0.0, None)
-    phi = np.einsum("i,ai,bi->ab", np.sqrt(p), ua, ub).ravel()
-    rho = alpha * np.outer(phi, phi.conj()) + (1.0 - alpha) * np.kron(ta, tb)
-    return DensityMatrix(rho)
+    pure, product = _mixture_endpoints(tau_a, tau_b)
+    return DensityMatrix(alpha * pure + (1.0 - alpha) * product)
+
+
+def thermal_mixture_stack(alphas, tau_a: StateLike, tau_b: StateLike) -> np.ndarray:
+    """``thermal_mixture_state`` at every mixing ratio, as one (n, d^2, d^2) stack.
+
+    Row i is bitwise the data of ``thermal_mixture_state(alphas[i], tau_a,
+    tau_b)``.  The two endpoints are validated once; each row is a convex
+    mixture of them and so a density matrix without a check of its own.
+    """
+    a = np.asarray(alphas, dtype=np.float64)
+    if a.ndim != 1 or not np.all((0.0 <= a) & (a <= 1.0)):
+        raise ValueError(f"mixing ratios must form a list in [0, 1], got {alphas}")
+    pure, product = (DensityMatrix(m).data for m in _mixture_endpoints(tau_a, tau_b))
+    a = a[:, None, None]
+    return a * pure + (1.0 - a) * product
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 Subcommands: variance, witness, histogram, tpm, coincidence, sweep, verify.
 Each takes an optional JSON config (--config) plus flag overrides; results
-go to stdout or --out as CSV/JSON.  Exit codes: 0 success, 1 configuration
-error (an unreadable --config or unwritable --out path included), 2
+go to stdout or --out as CSV/JSON.  Sweeps scan ``parameters.alpha_grid``
+and ``parameters.b_grid`` and refuse the single-point --alpha and --b (a
+TPM sweep takes --b, its one field strength).  Exit codes: 0 success, 1
+configuration error (an unreadable --config or unwritable --out path
+included, checked before any computation) or a closed stdout pipe, 2
 verification failure.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .runner import (
@@ -42,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, help="symmetric detector efficiency")
         p.add_argument("--eps-a", type=float, help="detector efficiency on side A")
         p.add_argument("--eps-b", type=float, help="detector efficiency on side B")
-        p.add_argument("--alpha", type=float, help="thermal-mixture ratio override")
-        p.add_argument("--b", type=float, help="Ising field strength override")
+        p.add_argument("--alpha", type=float, help="thermal-mixture ratio override (sweeps: parameters.alpha_grid)")
+        p.add_argument("--b", type=float, help="Ising field strength override (variance sweep: parameters.b_grid)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="sweep/histogram output format")
 
@@ -83,6 +87,10 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
     cfg = ExperimentConfig.from_dict(raw)
     if args.command != "sweep":
         cfg.protocol = protocol  # the subcommand decides; config protocol drives sweeps only
+    elif args.alpha is not None:
+        raise ConfigError("--alpha", "a sweep scans its mixing ratios; set them with parameters.alpha_grid")
+    elif args.b is not None and cfg.protocol == "variance":
+        raise ConfigError("--b", "the variance sweep scans its field strengths; set them with parameters.b_grid")
     if args.seed is not None:
         cfg.sampling["seed"] = args.seed
     if args.n is not None:
@@ -119,12 +127,24 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
     return cfg
 
 
-def _open_out(path: str):
+def _open_out(path: str, mode: str = "w"):
     """Open an output file for writing; a path that cannot be written is a ConfigError naming it."""
     try:
-        return open(path, "w", newline="")
+        return open(path, mode, newline="")
     except OSError as exc:
         raise ConfigError("--out", f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_out(path: str) -> None:
+    """Fail before the run on an --out path that cannot be written.
+
+    Opens for appending, so an existing file keeps its content until the
+    result replaces it, and removes a file that the check itself created.
+    """
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
@@ -154,6 +174,20 @@ def _emit_rows(rows: list[dict], args: argparse.Namespace, schema: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`qbattery sweep | head -1`).  Python
+        # flushes stdout again at exit, so point it at devnull to end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
+    try:
+        if args.out:
+            _check_out(args.out)
         if args.command == "verify":
             cfg = _load_config(args, "verify")
             report = run_verify(cfg)

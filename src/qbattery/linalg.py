@@ -93,20 +93,30 @@ def _raw(rho: StateLike) -> np.ndarray:
     return rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
 
 
+def _bipartite(m: np.ndarray, d: int, what: str) -> np.ndarray:
+    """View of one d x d bipartite operator, or a stack (..., d^2, d^2) of them, as (..., d, d, d, d)."""
+    if m.ndim < 2 or m.shape[-2:] != (d * d, d * d):
+        raise ValueError(f"expected a {d * d} x {d * d} {what}, got shape {m.shape}")
+    return m.reshape(m.shape[:-2] + (d, d, d, d))
+
+
+def _scalar(x: np.ndarray):
+    """A 0-d result as a Python float; a stack's results stay an array."""
+    return float(x) if x.ndim == 0 else x
+
+
 def partial_trace(rho: StateLike, side: str, d: int):
     """Trace out one half of a d x d bipartite operator, keeping ``side``.
 
     ``side`` names the subsystem that is kept ('A' or 'B').  Density-matrix
-    input yields density-matrix output; raw arrays pass through as arrays.
+    input yields density-matrix output; raw arrays pass through as arrays,
+    and a stack (..., d^2, d^2) gives the stack (..., d, d) of reductions.
     """
-    m = _raw(rho)
-    if m.shape != (d * d, d * d):
-        raise ValueError(f"expected a {d * d} x {d * d} operator, got shape {m.shape}")
-    r4 = m.reshape(d, d, d, d)
+    r4 = _bipartite(_raw(rho), d, "operator")
     if side == "A":
-        out = np.einsum("abcb->ac", r4)
+        out = r4.trace(axis1=-3, axis2=-1)
     elif side == "B":
-        out = np.einsum("abae->be", r4)
+        out = r4.trace(axis1=-4, axis2=-2)
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if isinstance(rho, DensityMatrix):
@@ -115,40 +125,49 @@ def partial_trace(rho: StateLike, side: str, d: int):
 
 
 def partial_transpose(rho: StateLike, d: int) -> np.ndarray:
-    """Partial transpose on the first subsystem of a d x d bipartite operator."""
+    """Partial transpose on the first subsystem of a d x d bipartite operator (or of each in a stack)."""
     m = _raw(rho)
-    if m.shape != (d * d, d * d):
-        raise ValueError(f"expected a {d * d} x {d * d} operator, got shape {m.shape}")
-    return m.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+    return _bipartite(m, d, "operator").swapaxes(-4, -2).reshape(m.shape)
 
 
-def partial_transpose_min_eig(rho: StateLike, d: int) -> float:
-    """Minimum eigenvalue of the partial transpose; >= 0 means PPT."""
-    return float(np.linalg.eigvalsh(partial_transpose(rho, d))[0])
+def partial_transpose_min_eig(rho: StateLike, d: int):
+    """Minimum eigenvalue of the partial transpose; >= 0 means PPT.
+
+    A float for one d^2 x d^2 operator; for a stack (..., d^2, d^2) the array
+    (...) of minima, from one stacked ``eigvalsh`` that equals the
+    per-matrix calls bitwise.
+    """
+    return _scalar(np.linalg.eigvalsh(partial_transpose(rho, d))[..., 0])
 
 
-def purity(rho: StateLike) -> float:
-    """tr[rho^2], computed as the squared Frobenius norm of a Hermitian matrix."""
+def purity(rho: StateLike):
+    """tr[rho^2] as the squared Frobenius norm of a Hermitian matrix.
+
+    A float for one matrix; for a stack (..., D, D) the array (...) of
+    purities.  Each is a sum of squares over its own contiguous D^2 entries,
+    so a matrix gives the same bits alone and inside a stack.
+    """
     m = _raw(rho)
-    return float(np.vdot(m, m).real)
+    return _scalar((m.real**2 + m.imag**2).sum(axis=(-2, -1)))
 
 
-def sector_lengths(rho: StateLike, d: int) -> tuple[float, float, float]:
+def sector_lengths(rho: StateLike, d: int):
     """Sector lengths (rA^2, rB^2, t^2) of a d x d bipartite state as squared traceless norms.
 
     rA^2 = d ||rho_A - 1/d||^2, likewise rB^2, and t^2 = d^2 ||rho - rho_A (x) 1/d - 1/d (x) rho_B + 1/d^2||^2:
     sums of squares, never negative and exactly 0 for the maximally mixed state.
+    One state gives three floats; a stack (..., d^2, d^2) gives three arrays
+    (...), each entry bitwise equal to the call on that state alone.
     """
     m = _raw(rho)
-    if m.shape != (d * d, d * d):
-        raise ValueError(f"expected a {d * d} x {d * d} state, got shape {m.shape}")
-    r4 = m.reshape(d, d, d, d)
-    loc_a = r4.trace(axis1=1, axis2=3) - np.eye(d) / d
-    red_b = r4.trace(axis1=0, axis2=2)
+    r4 = _bipartite(m, d, "state")
+    eye = np.eye(d) / d
+    loc_a = r4.trace(axis1=-3, axis2=-1) - eye
+    red_b = r4.trace(axis1=-4, axis2=-2)
     corr = r4.copy()  # minus loc_a (x) 1/d and 1/d (x) rho_B, through writable diagonal views
-    np.einsum("abcb->acb", corr)[...] -= loc_a[:, :, None] / d
-    np.einsum("abae->abe", corr)[...] -= red_b / d
-    return d * purity(loc_a), d * purity(red_b - np.eye(d) / d), d * d * purity(corr)
+    np.einsum("...abcb->...acb", corr)[...] -= loc_a[..., None] / d
+    np.einsum("...abae->...abe", corr)[...] -= red_b[..., None, :, :] / d
+    return d * purity(loc_a), d * purity(red_b - eye), d * d * purity(corr.reshape(m.shape))
 
 
 def subsystem_permutation(perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_state
+from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_stack
 from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
 from .haar import SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl
@@ -40,13 +40,16 @@ from .serialization import (
 from .tpm import (
     _check_eps,
     _dephased_sectors,
+    _diagonal_weights,
+    _state_terms,
+    _tpm_report,
     mc_tpm_statistics,
     tpm_spectral_stats,
     tpm_variance_closed_form,
     tpm_weights,
     tpm_work_mean,
 )
-from .witness import detect_schmidt_number
+from .witness import detect_schmidt_number, detect_schmidt_number_stack
 from .workstats import (
     MAX_HISTOGRAM_BINS,
     analytic_work_variance,
@@ -182,6 +185,18 @@ def _thermal_sweep(cfg: ExperimentConfig, alpha_step: float) -> tuple[float, lis
     return temperature, a_grid
 
 
+def _mixture_stack(a_grid: list[float], h: BatteryHamiltonian, temperature: float) -> np.ndarray:
+    """The thermal mixtures of the battery halves' Gibbs states at every alpha of the grid.
+
+    Marginals that no correlated pure state has are a ``ConfigError`` at
+    ``state``, as in ``state_from_spec`` for one point.
+    """
+    try:
+        return thermal_mixture_stack(a_grid, gibbs_state(h.ha, temperature), gibbs_state(h.hb, temperature))
+    except ValueError as exc:
+        raise ConfigError("state", str(exc)) from None
+
+
 def _build_point(cfg: ExperimentConfig):
     h = battery_from_spec(cfg.battery)
     rho = state_from_spec(cfg.state, h)
@@ -193,7 +208,9 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
 
     The default grid spans field strengths 0..0.9 and mixing ratios 0..1 for
     the Ising family, the setting in which stronger mixing crosses the
-    detection thresholds.
+    detection thresholds.  Each b evaluates its whole alpha column as one
+    stack; every row is bitwise what ``detect_schmidt_number`` reports for
+    ``thermal_mixture_state`` at that point.
     """
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.04)
@@ -202,11 +219,15 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for b in b_grid:
         h = battery_from_spec({"ising": {**ip, "b": b}})
-        tau_a = gibbs_state(h.ha, temperature)
-        tau_b = gibbs_state(h.hb, temperature)
-        for alpha in a_grid:
-            rho = thermal_mixture_state(alpha, tau_a, tau_b)
-            rep = detect_schmidt_number(rho, h)
+        det = detect_schmidt_number_stack(_mixture_stack(a_grid, h, temperature), h)
+        columns = zip(
+            a_grid,
+            det.variance.tolist(),
+            det.detected_sn_lower_bound.tolist(),
+            det.ppt_min_eig.tolist(),
+            det.thresholds[:, :-1].tolist(),  # k = d is never violable
+        )
+        for alpha, variance, detected, ppt, bounds in columns:
             row = {
                 "J1": ip["J1"],
                 "J2": ip["J2"],
@@ -214,12 +235,11 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "T": temperature,
                 "b": b,
                 "alpha": alpha,
-                "variance": rep.variance_used,
-                "detected_sn": rep.detected_sn_lower_bound,
-                "ppt_min_eig": rep.ppt_min_eig,
+                "variance": variance,
+                "detected_sn": detected,
+                "ppt_min_eig": ppt,
             }
-            for k, bound in rep.thresholds[:-1]:  # k = d is never violable
-                row[f"bound_k{k}"] = bound
+            row.update((f"bound_k{k}", bound) for k, bound in enumerate(bounds, start=1))
             rows.append(row)
     return rows
 
@@ -227,8 +247,11 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
 def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Closed-form TPM variance and weights on an (alpha, eps) grid.
 
-    Monte-Carlo columns appear when the sampling section sets ``mc: true``;
-    a seed is then mandatory.
+    The dephased sector lengths and the mean of each alpha are taken once
+    and shared by its eps values; every row is bitwise what
+    ``tpm_variance_closed_form`` reports for ``thermal_mixture_state`` at
+    that point.  Monte-Carlo columns appear when the sampling section sets
+    ``mc: true``; a seed is then mandatory.
     """
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.05)
@@ -239,14 +262,15 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     ]
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
-    tau_a = gibbs_state(h.ha, temperature)
-    tau_b = gibbs_state(h.hb, temperature)
+    states = _mixture_stack(a_grid, h, temperature)
+    diag_weights = _diagonal_weights(spec)
+    eps_weights = [tpm_weights(eps, eps, h.d) for eps in eps_grid]
     sampler = cfg.sampler(h.d) if with_mc else None
     rows = []
-    for alpha in a_grid:
-        rho = thermal_mixture_state(alpha, tau_a, tau_b)
-        for eps in eps_grid:
-            rep = tpm_variance_closed_form(rho, spec, eps, eps)
+    for alpha, m in zip(a_grid, states):
+        state = _state_terms(m, spec, diag_weights)
+        for eps, w in zip(eps_grid, eps_weights):
+            rep = _tpm_report(state, w)
             row = {
                 "J1": ip["J1"],
                 "J2": ip["J2"],
@@ -258,12 +282,12 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "eps_b": eps,
                 "var_tpm": rep.var_tpm,
                 "var_diag": rep.var_diag,
-                "n0": rep.weights.n0,
-                "n1": rep.weights.n1,
-                "n_noisy": rep.weights.n_noisy,
+                "n0": w.n0,
+                "n1": w.n1,
+                "n_noisy": w.n_noisy,
             }
             if with_mc:
-                stats = mc_tpm_statistics(rho, spec, eps, eps, cfg.n_unitaries(), sampler)
+                stats = mc_tpm_statistics(m, spec, eps, eps, cfg.n_unitaries(), sampler)
                 row.update(
                     mc_mean=stats.mean,
                     mc_variance=stats.variance,

@@ -19,6 +19,7 @@ closed-form variance extend continuously to the eps -> 0 limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,12 +115,12 @@ def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np
     )
 
 
-def _eigenbasis_state(rho: StateLike, spec: SpectralDecomposition) -> tuple[np.ndarray, ...]:
-    """(W, r, same_a, same_b): r[a, b, c, e] = <ab| W^dag rho W |ce> in the product eigenbasis W = V_A (x) V_B.
+def _eigenbasis_state(m: np.ndarray, spec: SpectralDecomposition) -> tuple[np.ndarray, ...]:
+    """(W, r, same_a, same_b): r[a, b, c, e] = <ab| W^dag m W |ce> in the product eigenbasis W = V_A (x) V_B.
 
-    Dephasing side A (B) in its energy eigenbasis keeps the entries with a = c (b = e), the mask same_a (same_b).
+    ``m`` is the data of a validated state.  Dephasing side A (B) in its energy
+    eigenbasis keeps the entries with a = c (b = e), the mask same_a (same_b).
     """
-    m = as_density(rho).data
     d = spec.d
     basis = np.kron(spec.vecs_a, spec.vecs_b)
     r = (basis.conj().T @ m @ basis).reshape(d, d, d, d)
@@ -139,7 +140,7 @@ def instrument_average(
     product eigenbasis every dephasing is an entrywise mask, so the sum
     costs two basis rotations.
     """
-    basis, r, same_a, same_b = _eigenbasis_state(rho, spec)
+    basis, r, same_a, same_b = _eigenbasis_state(as_density(rho).data, spec)
     d = spec.d
     w = tpm_weights(eps_a, eps_b, d)
     mask = w.f_a**2 * w.f_b**2 * same_a * same_b + w.kappa_a * same_a + w.kappa_b * same_b + w.kappa_ab
@@ -183,9 +184,13 @@ def tpm_run(
     return float(first @ labels - second.sum(axis=0) @ labels)
 
 
+def _work_mean(m: np.ndarray, spec: SpectralDecomposition) -> float:
+    return expectation(m, spec.h_diag) - float(np.trace(spec.h_diag).real) / spec.d**2
+
+
 def tpm_work_mean(rho: StateLike, spec: SpectralDecomposition) -> float:
     """Haar average of the presumed TPM work: tr[rho H_D] - tr[H_D]/d^2."""
-    return expectation(as_density(rho).data, spec.h_diag) - float(np.trace(spec.h_diag).real) / spec.d**2
+    return _work_mean(as_density(rho).data, spec)
 
 
 def tpm_shot_sample(
@@ -369,27 +374,50 @@ def diagonal_work_variance(rho: StateLike, spec: SpectralDecomposition) -> float
     return sector_variance(*sector_lengths(rho, spec.d), *_diagonal_weights(spec), spec.d)
 
 
+_DEPHASINGS = ("state", "joint", "local_a", "local_b")
+
+
 def _dephased_sectors(rho: StateLike, spec: SpectralDecomposition) -> dict[str, tuple[float, float, float]]:
     """Sector lengths (rA^2, rB^2, t^2) of rho and of its dephased versions.
 
     'joint' dephases both sides in their local energy eigenbases, 'local_a'
     side A only and 'local_b' side B only; 'state' is rho itself.  Sector
     lengths are local-unitary invariants, so each is read off the masked
-    state in the product eigenbasis.
+    state in the product eigenbasis, all four in one stacked call.
     """
+    return _sectors_of(as_density(rho).data, spec)
+
+
+def _sectors_of(m: np.ndarray, spec: SpectralDecomposition) -> dict[str, tuple[float, float, float]]:
     d = spec.d
-    _, r, same_a, same_b = _eigenbasis_state(rho, spec)
-    masks = {"state": 1.0, "joint": same_a * same_b, "local_a": same_a, "local_b": same_b}
-    return {name: sector_lengths((r * mask).reshape(d * d, d * d), d) for name, mask in masks.items()}
+    _, r, same_a, same_b = _eigenbasis_state(m, spec)
+    masks = np.stack(np.broadcast_arrays(1.0, same_a * same_b, same_a, same_b))
+    lengths = np.stack(sector_lengths((r * masks).reshape(4, d * d, d * d), d), axis=-1).tolist()
+    return dict(zip(_DEPHASINGS, map(tuple, lengths)))
 
 
-def _integral_terms(rho: StateLike, spec: SpectralDecomposition, w: TpmWeights) -> tuple[dict[str, float], float]:
-    """The ten Haar integrals of ``tpm_integral_terms``, and var_diag."""
-    sectors = _dephased_sectors(rho, spec)
-    weights = _diagonal_weights(spec)
-    var = {name: sector_variance(*lengths, *weights, spec.d) for name, lengths in sectors.items()}
+class _StateTerms(NamedTuple):
+    """The eps-independent part of the TPM closed form for one state.
+
+    ``variances`` holds the work variance under H_D of each state of
+    ``_dephased_sectors``; ``diag_weights`` the traceless weights of H_D.
+    """
+
+    variances: dict[str, float]
+    mean: float
+    diag_weights: tuple[float, float, float]
+
+
+def _state_terms(m: np.ndarray, spec: SpectralDecomposition, diag_weights: tuple[float, float, float]) -> _StateTerms:
+    """``_StateTerms`` of the validated state data ``m``; ``diag_weights`` is ``_diagonal_weights(spec)``."""
+    var = {name: sector_variance(*lengths, *diag_weights, spec.d) for name, lengths in _sectors_of(m, spec).items()}
+    return _StateTerms(variances=var, mean=_work_mean(m, spec), diag_weights=diag_weights)
+
+
+def _integral_terms(var: dict[str, float], w: TpmWeights) -> dict[str, float]:
+    """The ten Haar integrals of ``tpm_integral_terms`` from the four variances of ``_StateTerms``."""
     ff = w.f_a**2 * w.f_b**2
-    terms = {
+    return {
         "joint": ff**2 * var["joint"],
         "local_a": w.kappa_a**2 * var["local_a"],
         "local_b": w.kappa_b**2 * var["local_b"],
@@ -401,7 +429,6 @@ def _integral_terms(rho: StateLike, spec: SpectralDecomposition, w: TpmWeights) 
         "cross_a_state": w.kappa_a * w.kappa_ab * var["local_a"],
         "cross_b_state": w.kappa_b * w.kappa_ab * var["local_b"],
     }
-    return terms, var["state"]
 
 
 def tpm_integral_terms(
@@ -417,7 +444,8 @@ def tpm_integral_terms(
     terms); the report's ideal/projective/noisy split is a regrouping of
     exactly these pieces.
     """
-    return _integral_terms(rho, spec, tpm_weights(eps_a, eps_b, spec.d))[0]
+    w = tpm_weights(eps_a, eps_b, spec.d)
+    return _integral_terms(_state_terms(as_density(rho).data, spec, _diagonal_weights(spec)).variances, w)
 
 
 @dataclass(frozen=True)
@@ -454,20 +482,24 @@ def tpm_variance_closed_form(
     The trace of H_D is irrelevant here (work values are label differences),
     so the formulas are evaluated for the traceless shift of H_D implicitly.
     """
-    d = spec.d
-    w = tpm_weights(eps_a, eps_b, d)
-    ha2, hb2, gv2 = _diagonal_weights(spec)
-    terms, var_diag = _integral_terms(rho, spec, w)
+    w = tpm_weights(eps_a, eps_b, spec.d)
+    return _tpm_report(_state_terms(as_density(rho).data, spec, _diagonal_weights(spec)), w)
+
+
+def _tpm_report(state: _StateTerms, w: TpmWeights) -> TpmVarianceReport:
+    """The report of ``tpm_variance_closed_form`` from a state's terms and the detector weights."""
+    terms = _integral_terms(state.variances, w)
     ideal = terms["state"]
     proj = terms["joint"] + terms["local_a"] + terms["local_b"]
     noisy = 2.0 * sum(value for key, value in terms.items() if key.startswith("cross_"))
+    ha2, hb2, gv2 = state.diag_weights
     return TpmVarianceReport(
-        d=d,
-        eps_a=eps_a,
-        eps_b=eps_b,
-        mean_tpm=tpm_work_mean(rho, spec),
+        d=w.d,
+        eps_a=w.eps_a,
+        eps_b=w.eps_b,
+        mean_tpm=state.mean,
         var_tpm=ideal + proj + noisy,
-        var_diag=var_diag,
+        var_diag=state.variances["state"],
         var_projective=proj / w.n1 if w.n1 > 0 else 0.0,
         var_noisy=noisy / w.n_noisy if w.n_noisy > 0 else 0.0,
         ideal_term=ideal,

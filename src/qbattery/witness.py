@@ -15,6 +15,7 @@ into the detected Schmidt number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,9 @@ __all__ = [
     "PureStateReport",
     "schmidt_t2_cap",
     "work_variance_bound",
+    "WitnessStack",
     "detect_schmidt_number",
+    "detect_schmidt_number_stack",
     "pure_state_report",
 ]
 
@@ -39,24 +42,36 @@ DETECTION_MARGIN = 1e-9
 _PURE_TOL = 1e-9
 
 
-def _violates(value: float, cap: float) -> bool:
-    return value - cap > DETECTION_MARGIN * max(1.0, abs(value), abs(cap))
+def _violates(value, cap):
+    """value > cap beyond the detection margin; elementwise on arrays."""
+    return value - cap > DETECTION_MARGIN * np.maximum(1.0, np.maximum(np.abs(value), np.abs(cap)))
 
 
-def schmidt_t2_cap(k: int, d: int, r_a2: float, r_b2: float) -> float:
-    """Largest t^2 compatible with Schmidt number k at given local lengths."""
-    if not 1 <= k <= d:
+def _detected_level(value, caps: np.ndarray) -> np.ndarray:
+    """1 + the largest k whose cap ``value`` violates (1 if none), with caps[..., k - 1] the cap at k.
+
+    The rule every route of the hierarchy certifies by; ``value`` has the
+    batch shape of ``caps`` without its last axis.
+    """
+    ks = np.arange(1, caps.shape[-1] + 1)
+    return 1 + np.max(np.where(_violates(np.asarray(value)[..., None], caps), ks, 0), axis=-1)
+
+
+def schmidt_t2_cap(k, d: int, r_a2, r_b2):
+    """Largest t^2 compatible with Schmidt number k at given local lengths.
+
+    Broadcasts over array-valued k and lengths.
+    """
+    if np.any((np.asarray(k) < 1) | (np.asarray(k) > d)):
         raise ValueError(f"k must lie in 1..{d}, got {k}")
-    if r_a2 < 0 or r_b2 < 0:
+    if np.any(np.asarray(r_a2) < 0) or np.any(np.asarray(r_b2) < 0):
         raise ValueError("squared sector lengths must be non-negative")
     kd = k * d
     return kd - 1 + (kd - 2) / 2 * (r_a2 + r_b2) - kd / 2 * abs(r_a2 - r_b2)
 
 
-def work_variance_bound(
-    k: int, d: int, r_a2: float, r_b2: float, ha2: float, hb2: float, g2v2: float
-) -> float:
-    """Work-variance cap for states of Schmidt number at most k."""
+def work_variance_bound(k, d: int, r_a2, r_b2, ha2: float, hb2: float, g2v2: float):
+    """Work-variance cap for states of Schmidt number at most k (broadcasts like ``schmidt_t2_cap``)."""
     return sector_variance(r_a2, r_b2, schmidt_t2_cap(k, d, r_a2, r_b2), ha2, hb2, g2v2, d)
 
 
@@ -98,6 +113,63 @@ class WitnessReport:
     pure_state_branch: PureStateReport | None = None
 
 
+class WitnessStack(NamedTuple):
+    """Both detection routes and the PPT reference for a stack of states, one entry per state.
+
+    ``thresholds[..., k - 1]`` is the variance cap at Schmidt number k.
+    """
+
+    variance: np.ndarray
+    thresholds: np.ndarray
+    detected_sn_lower_bound: np.ndarray
+    purity_route_sn: np.ndarray
+    ppt_min_eig: np.ndarray
+    purity: np.ndarray
+    r_a2: np.ndarray
+    r_b2: np.ndarray
+    t2: np.ndarray
+
+
+def detect_schmidt_number_stack(states: np.ndarray, h: BatteryHamiltonian) -> WitnessStack:
+    """``detect_schmidt_number``'s hierarchy on a stack (..., d^2, d^2) of density matrices.
+
+    The rows are taken as valid states and are not re-validated (a convex
+    mixture of validated states, as ``thermal_mixture_stack`` builds, needs
+    no check).  Every entry is bitwise what the per-state call reports, which
+    runs this on a stack of one.  Raises ``RuntimeError`` on the first state
+    whose two routes disagree where the variance route resolves a k-step.
+    """
+    d = h.d
+    r_a2, r_b2, t2 = sector_lengths(states, d)
+    var = sector_variance(r_a2, r_b2, t2, h.ha2, h.hb2, h.g2v2, d)
+    ks = np.arange(1, d + 1)
+    thresholds = work_variance_bound(ks, d, r_a2[..., None], r_b2[..., None], h.ha2, h.hb2, h.g2v2)
+    detected = _detected_level(var, thresholds)
+
+    pur = purity(states)
+    min_marginal = np.minimum(purity(partial_trace(states, "A", d)), purity(partial_trace(states, "B", d)))
+    purity_sn = _detected_level(pur, ks * min_marginal[..., None])
+
+    k_step = h.g2v2 * d / (d * d - 1) ** 2
+    disagree = (k_step > DETECTION_MARGIN * np.maximum(1.0, np.abs(var))) & (purity_sn != detected)
+    if np.any(disagree):
+        i = np.flatnonzero(disagree)[0]
+        raise RuntimeError(
+            f"witness routes disagree: variance route {detected.flat[i]}, purity route {purity_sn.flat[i]}"
+        )
+    return WitnessStack(
+        variance=var,
+        thresholds=thresholds,
+        detected_sn_lower_bound=detected,
+        purity_route_sn=purity_sn,
+        ppt_min_eig=partial_transpose_min_eig(states, d),
+        purity=pur,
+        r_a2=r_a2,
+        r_b2=r_b2,
+        t2=t2,
+    )
+
+
 def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessReport:
     """Evaluate the variance-bound hierarchy and report the certified level.
 
@@ -107,43 +179,29 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     enforced only where the variance route can resolve one k-step: the caps
     of consecutive k differ by at least g^2 v^2 d / (d^2 - 1)^2, and below the
     detection margin (in particular at g^2 v^2 = 0) only the purity route
-    can detect.
+    can detect.  The evaluation is ``detect_schmidt_number_stack`` on a
+    stack of one.
     """
     rho = as_density(rho)
     d = h.d
     if rho.dim != d * d:
         raise ValueError(f"state dimension {rho.dim} does not match battery d^2 = {d * d}")
-    r_a2, r_b2, t2 = sector_lengths(rho, d)
-    var = sector_variance(r_a2, r_b2, t2, h.ha2, h.hb2, h.g2v2, d)
-    thresholds = tuple((k, work_variance_bound(k, d, r_a2, r_b2, h.ha2, h.hb2, h.g2v2)) for k in range(1, d + 1))
-    violated = [k for k, cap in thresholds if _violates(var, cap)]
-    detected = 1 + max(violated, default=0)
-
-    pur = purity(rho)
-    min_marginal = min(purity(partial_trace(rho.data, "A", d)), purity(partial_trace(rho.data, "B", d)))
-    purity_violated = [k for k in range(1, d + 1) if _violates(pur, k * min_marginal)]
-    purity_sn = 1 + max(purity_violated, default=0)
-
-    k_step = h.g2v2 * d / (d * d - 1) ** 2
-    if k_step > DETECTION_MARGIN * max(1.0, abs(var)) and purity_sn != detected:
-        raise RuntimeError(
-            f"witness routes disagree: variance route {detected}, purity route {purity_sn}"
-        )
-
+    det = detect_schmidt_number_stack(rho.data[None], h)
+    pur = float(det.purity[0])
     branch = None
     if abs(pur - 1.0) <= _PURE_TOL and abs(h.ha2 - h.hb2) <= _PURE_TOL * max(1.0, h.ha2, h.hb2):
         branch = pure_state_report(rho, h)
 
     return WitnessReport(
         d=d,
-        variance_used=var,
-        thresholds=thresholds,
-        detected_sn_lower_bound=detected,
-        purity_route_sn=purity_sn,
-        ppt_min_eig=partial_transpose_min_eig(rho, d),
-        r_a2=r_a2,
-        r_b2=r_b2,
-        t2=t2,
+        variance_used=float(det.variance[0]),
+        thresholds=tuple(zip(range(1, d + 1), det.thresholds[0].tolist())),
+        detected_sn_lower_bound=int(det.detected_sn_lower_bound[0]),
+        purity_route_sn=int(det.purity_route_sn[0]),
+        ppt_min_eig=float(det.ppt_min_eig[0]),
+        r_a2=float(det.r_a2[0]),
+        r_b2=float(det.r_b2[0]),
+        t2=float(det.t2[0]),
         ha2=h.ha2,
         hb2=h.hb2,
         g2v2=h.g2v2,
@@ -171,7 +229,6 @@ def pure_state_report(rho: StateLike, h: BatteryHamiltonian) -> PureStateReport:
     g_term = h.g2v2 / dd - h2
     var = h2 + g_term * t2 / dd
     caps = tuple((k, d * d + 1 - 2 * d / k) for k in range(1, d + 1))
-    violated = [k for k, cap in caps if _violates(t2, cap)]
     if g_term > 0:
         direction = "upper"
     elif g_term < 0:
@@ -184,6 +241,6 @@ def pure_state_report(rho: StateLike, h: BatteryHamiltonian) -> PureStateReport:
         variance=var,
         t2=t2,
         t2_caps=caps,
-        detected_sn_lower_bound=1 + max(violated, default=0),
+        detected_sn_lower_bound=int(_detected_level(t2, np.array([cap for _, cap in caps]))),
         bound_direction=direction,
     )

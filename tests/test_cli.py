@@ -244,6 +244,9 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
             {"protocol": "tpm", "state": {"thermal_mixture": {"alpha": 0.5, "T": 1.5}, "matrix": _MIXED4}},
             "state",
         ),
+        # J1 != J3: the halves' Gibbs spectra differ, so no thermal mixture exists at any alpha
+        ("sweep", {"protocol": "variance", "battery": {"ising": {**_ISING, "J1": 0.3}}}, "state"),
+        ("sweep", {"protocol": "tpm", "battery": {"ising": {**_ISING, "J1": 0.3}}}, "state"),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):
@@ -396,3 +399,76 @@ def test_cli_subnormal_bin_width_is_refused_without_a_numpy_warning(capsys):
         warnings.simplefilter("error")
         assert main(["histogram", "--seed", "1", "--n", "10", "--bin-width", "5e-324"]) == 1
     assert capsys.readouterr().err.startswith("configuration error: parameters.bin_width:")
+
+
+@pytest.mark.parametrize(
+    "args, runner",
+    [
+        (["histogram", "--seed", "1", "--n", "1000000"], "run_histogram"),
+        (["sweep"], "run_variance_sweep"),
+        (["verify", "--d", "2"], "run_verify"),
+        (["tpm", "--seed", "1", "--n", "1000000"], "run_point"),
+    ],
+)
+def test_cli_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, args, runner):
+    def must_not_run(cfg):
+        raise AssertionError(f"{runner} ran before --out was checked")
+
+    monkeypatch.setattr(f"qbattery.cli.{runner}", must_not_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: --out: cannot write {out}: No such file or directory"
+    ]
+
+
+def test_cli_out_check_leaves_no_file_and_keeps_an_existing_one(tmp_path, capsys):
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", "--alpha", "0.3", "--out", str(fresh)]) == 1
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier result\n")
+    assert main(["sweep", "--alpha", "0.3", "--out", str(kept)]) == 1
+    assert kept.read_text() == "earlier result\n"
+
+
+@pytest.mark.parametrize(
+    "args, flag, grid",
+    [
+        (["sweep", "--alpha", "0.3"], "--alpha", "parameters.alpha_grid"),
+        (["sweep", "--alpha", "0.3", "--format", "json"], "--alpha", "parameters.alpha_grid"),
+        (["sweep", "--b", "0.3"], "--b", "parameters.b_grid"),
+    ],
+)
+def test_cli_sweep_refuses_a_point_override_it_would_ignore(capsys, args, flag, grid):
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: {flag}: ")
+    assert grid in err[0]
+
+
+def test_cli_tpm_sweep_takes_the_field_override(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"protocol": "tpm", "parameters": {"alpha_grid": [0.5], "eps_grid": [0.5]}}))
+    assert main(["sweep", "--config", str(config), "--b", "0.3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = list(csv.DictReader(lines[1:]))
+    assert [r["b"] for r in rows] == ["0.3"]
+    h = ising_battery(0.5, 1.0, 0.5, 0.3)
+    spec = qbattery.spectral_decomposition(h)
+    rho = thermal_mixture_state(0.5, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
+    assert float(rows[0]["var_tpm"]) == qbattery.tpm_variance_closed_form(rho, spec, 0.5, 0.5).var_tpm
+
+
+def test_cli_closed_stdout_pipe_ends_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(qbattery.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qbattery.cli", "sweep"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()  # the reader is gone before the first row, as after `| head -1`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

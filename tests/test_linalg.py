@@ -10,6 +10,7 @@ from qbattery.linalg import (
     random_density_matrix,
     random_hermitian,
     random_pure_state,
+    sector_lengths,
     swap_operator,
     subsystem_permutation,
 )
@@ -105,3 +106,36 @@ def test_subsystem_permutation_action():
 def test_purity_range(rng):
     assert abs(purity(np.eye(4) / 4) - 0.25) < 1e-14
     assert abs(purity(random_pure_state(rng, 5)) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 16])
+def test_stacked_kernels_equal_the_per_matrix_calls_bitwise(d):
+    rng = np.random.default_rng(1000 + d)
+    n = 3 if d == 16 else 6
+    stack = np.stack([random_density_matrix(rng, d * d).data for _ in range(n)])
+    lengths = sector_lengths(stack, d)
+    purities = purity(stack)
+    minima = partial_transpose_min_eig(stack, d)
+    assert all(x.shape == (n,) for x in (*lengths, purities, minima))
+    for i, m in enumerate(stack):
+        assert tuple(x[i] for x in lengths) == sector_lengths(m, d)
+        assert purities[i] == purity(m)
+        assert minima[i] == partial_transpose_min_eig(m, d)
+        assert np.array_equal(partial_trace(stack, "B", d)[i], partial_trace(m, "B", d))
+    nested = stack[: n // 3 * 3].reshape(n // 3, 3, d * d, d * d)
+    assert np.array_equal(sector_lengths(nested, d)[2], lengths[2][: n // 3 * 3].reshape(n // 3, 3))
+
+
+def test_single_matrix_kernels_return_floats():
+    rho = np.eye(4) / 4
+    assert type(purity(rho)) is float
+    assert type(partial_transpose_min_eig(rho, 2)) is float
+    assert all(type(x) is float for x in sector_lengths(rho, 2))
+
+
+@pytest.mark.parametrize("call", [sector_lengths, partial_transpose_min_eig, lambda m, d: partial_trace(m, "A", d)])
+def test_wrongly_shaped_stack_is_refused(call):
+    with pytest.raises(ValueError, match="expected a 9 x 9"):
+        call(np.zeros((2, 16, 16)), 3)
+    with pytest.raises(ValueError, match="expected a 9 x 9"):
+        call(np.zeros((2, 9, 8)), 3)
