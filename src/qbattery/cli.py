@@ -4,10 +4,11 @@ Subcommands: variance, witness, histogram, tpm, coincidence, sweep, verify.
 Each takes an optional JSON config (--config) plus flag overrides; results
 go to stdout or --out as CSV/JSON.  Sweeps scan ``parameters.alpha_grid``
 and ``parameters.b_grid`` and refuse the single-point --alpha and --b (a
-TPM sweep takes --b, its one field strength).  Exit codes: 0 success, 1
-configuration error (an unreadable --config or unwritable --out path
-included, checked before any computation) or a closed stdout pipe, 2
-verification failure.
+TPM sweep takes --b, its one field strength); they refuse --eps, --eps-a
+and --eps-b (``parameters.eps_grid``), and the variance sweep refuses --mc.
+Exit codes: 0 success, 1 configuration error (an unreadable --config or
+unwritable --out path included, checked before any computation) or a closed
+stdout pipe, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -85,12 +86,17 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
         raw = {}
     raw.setdefault("protocol", protocol)
     cfg = ExperimentConfig.from_dict(raw)
+    eps_flags = [f for f, v in (("--eps", args.eps), ("--eps-a", args.eps_a), ("--eps-b", args.eps_b)) if v is not None]
     if args.command != "sweep":
         cfg.protocol = protocol  # the subcommand decides; config protocol drives sweeps only
     elif args.alpha is not None:
         raise ConfigError("--alpha", "a sweep scans its mixing ratios; set them with parameters.alpha_grid")
     elif args.b is not None and cfg.protocol == "variance":
         raise ConfigError("--b", "the variance sweep scans its field strengths; set them with parameters.b_grid")
+    elif eps_flags:
+        raise ConfigError(eps_flags[0], "a sweep scans its detector efficiencies; set them with parameters.eps_grid")
+    elif args.mc and cfg.protocol == "variance":
+        raise ConfigError("--mc", "the variance sweep has no Monte-Carlo column; sampling.mc applies to the tpm sweep")
     if args.seed is not None:
         cfg.sampling["seed"] = args.seed
     if args.n is not None:

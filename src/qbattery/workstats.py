@@ -119,26 +119,47 @@ def conjugation_traces(u: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndar
     return np.einsum("nij,ji->n", conjugate(u, m), obs).real
 
 
-def apply_pair(ua: np.ndarray, ub: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batched (U_A (x) U_B) x for a fixed (d^2, c) matrix x, one side at a time.
+def _block(k: int, d: int) -> int:
+    """Pairs per block of a per-pair kernel: min(k, 2^18 / d^4), at least one.
 
-    Side A is one GEMM over the whole chunk, side B a batched matmul, so a
-    pair costs 2 d^3 c multiply-adds and U_A (x) U_B is never formed.
+    A (block, d^2, d^2) complex buffer then stays within 4 MiB, whatever the
+    chunk; the chunk alone fixes the draws.
+    """
+    return min(k, max(1, 2**18 // d**4))
+
+
+def apply_pair(ua: np.ndarray, ub: np.ndarray, x: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Batched (U_A (x) U_B) x for a fixed (d^2, c) matrix x, one side at a time, written into ``out``.
+
+    Side A is one GEMM over the whole stack, side B a batched matmul, so a
+    pair costs 2 d^3 c multiply-adds and U_A (x) U_B is never formed.  The
+    side-A product goes into ``tmp``; ``tmp`` and ``out`` are C-contiguous
+    buffers of k d^2 c complex entries, reshaped in place.
     """
     k, d = ua.shape[0], ua.shape[1]
     c = x.shape[1]
-    t = (ua.reshape(k * d, d) @ x.reshape(d, d * c)).reshape(k, d, d, c)
-    return (ub[:, None] @ t).reshape(k, d * d, c)
+    t = np.matmul(ua.reshape(k * d, d), x.reshape(d, d * c), out=tmp.reshape(k * d, d * c))
+    return np.matmul(ub[:, None], t.reshape(k, d, d, c), out=out.reshape(k, d, d, c)).reshape(k, d * d, c)
 
 
 def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Batched tr[U m U^dag obs] for U = U_A (x) U_B, as sum_xy (U m)[x, y] (U^dag obs)[y, x].
 
-    Two ``apply_pair`` calls: 4 d^5 multiply-adds per pair for any m and obs.
+    Two ``apply_pair`` calls per block of ``_block`` pairs, into buffers
+    reused for every block: 4 d^5 multiply-adds per pair for any m and obs.
     """
-    um = apply_pair(ua, ub, m)
-    uo = apply_pair(ua.conj().transpose(0, 2, 1), ub.conj().transpose(0, 2, 1), obs)
-    return np.einsum("nxy,nyx->n", um, uo).real
+    k, d = ua.shape[0], ua.shape[1]
+    b, dd = _block(k, d), d * d
+    tmp, um_buf, uo_buf = (np.empty((b, dd, dd), dtype=complex) for _ in range(3))
+    traces = np.empty(k)
+    for s in range(0, k, b):
+        e = min(s + b, k)
+        n = e - s
+        uah, ubh = ua[s:e].conj().transpose(0, 2, 1), ub[s:e].conj().transpose(0, 2, 1)
+        um = apply_pair(ua[s:e], ub[s:e], m, tmp[:n], um_buf[:n])
+        uo = apply_pair(uah, ubh, obs, tmp[:n], uo_buf[:n])
+        traces[s:e] = np.einsum("nxy,nyx->n", um, uo).real
+    return traces
 
 
 def rotated_populations(
@@ -148,15 +169,27 @@ def rotated_populations(
 
     With x = sum_r lam_r w_r w_r^dag (one ``eigh`` here, none per chunk),
     q = sum_r lam_r |(V_A^dag U_A (x) V_B^dag U_B) w_r|^2 entrywise, for
-    signed lam: 2 d^5 multiply-adds per pair.
+    signed lam: 2 d^5 multiply-adds per pair, in blocks of ``_block`` pairs
+    through buffers reused for every block.
     """
     lam, w = np.linalg.eigh(x)
     va, vb = spec.vecs_a.conj().T, spec.vecs_b.conj().T
     d = spec.d
+    dd = d * d
 
     def populations(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        y = apply_pair(va @ ua, vb @ ub, w)
-        return ((y.real**2 + y.imag**2) @ lam).reshape(-1, d, d)
+        k = ua.shape[0]
+        b = _block(k, d)
+        tmp, y_buf = (np.empty((b, dd, dd), dtype=complex) for _ in range(2))
+        re2, im2 = np.empty((b, dd, dd)), np.empty((b, dd, dd))
+        q = np.empty((k, dd))
+        for s in range(0, k, b):
+            e = min(s + b, k)
+            n = e - s
+            y = apply_pair(va @ ua[s:e], vb @ ub[s:e], w, tmp[:n], y_buf[:n])
+            sq = np.add(np.square(y.real, out=re2[:n]), np.square(y.imag, out=im2[:n]), out=re2[:n])
+            np.matmul(sq, lam, out=q[s:e])
+        return q.reshape(k, d, d)
 
     return populations
 
@@ -172,9 +205,13 @@ def iter_samples(
     """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs.
 
     Every estimator is a per-chunk sample function over local unitary
-    stacks; chunks follow the sampler's (seed, stream, chunk) order.  The
-    default chunk keeps a (chunk, d^2, d^2) stack at 2^24 entries at most:
-    ``DEFAULT_CHUNK`` for d <= 8, 256 at d = 16.
+    stacks; chunks follow the sampler's (seed, stream, chunk) order, so the
+    chunk fixes the draws and the order in which moments are folded: that
+    is the reproducibility contract.  The default chunk is ``DEFAULT_CHUNK``
+    for d <= 8 and 2^24 / d^4 above (256 at d = 16).  Memory is bounded by
+    the block, not the chunk: ``pair_traces`` and ``rotated_populations``
+    evaluate a chunk in blocks of ``_block`` pairs, whose results do not
+    depend on the block size.
     """
     if n < 3:
         raise ValueError(f"need at least three samples, got {n}")

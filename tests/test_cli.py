@@ -438,10 +438,18 @@ def test_cli_out_check_leaves_no_file_and_keeps_an_existing_one(tmp_path, capsys
         (["sweep", "--alpha", "0.3"], "--alpha", "parameters.alpha_grid"),
         (["sweep", "--alpha", "0.3", "--format", "json"], "--alpha", "parameters.alpha_grid"),
         (["sweep", "--b", "0.3"], "--b", "parameters.b_grid"),
+        (["sweep", "--eps", "0.3"], "--eps", "parameters.eps_grid"),
+        (["sweep", "--config", "{tpm}", "--eps", "0.3"], "--eps", "parameters.eps_grid"),
+        (["sweep", "--config", "{tpm}", "--eps-a", "0.3"], "--eps-a", "parameters.eps_grid"),
+        (["sweep", "--eps-b", "0.3", "--mc"], "--eps-b", "parameters.eps_grid"),
+        (["sweep", "--mc"], "--mc", "sampling.mc"),
+        (["sweep", "--mc", "--seed", "1", "--format", "json"], "--mc", "sampling.mc"),
     ],
 )
-def test_cli_sweep_refuses_a_point_override_it_would_ignore(capsys, args, flag, grid):
-    assert main(args) == 1
+def test_cli_sweep_refuses_a_point_override_it_would_ignore(tmp_path, capsys, args, flag, grid):
+    config = tmp_path / "tpm.json"
+    config.write_text(json.dumps({"protocol": "tpm"}))
+    assert main([a.format(tpm=config) for a in args]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"configuration error: {flag}: ")

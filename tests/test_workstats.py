@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermiti
 from qbattery.tpm import instrument_average, mc_tpm_statistics, tpm_variance_closed_form, tpm_work_mean
 from qbattery.workstats import (
     MAX_HISTOGRAM_BINS,
+    _block,
     analytic_work_mean,
     analytic_work_variance,
     conjugate,
@@ -283,6 +285,41 @@ def test_rotated_populations_match_the_kronecker_reference(case, d):
     rotated = basis.conj().T @ conjugate(pair_kron(ua, ub), x) @ basis
     reference = np.einsum("nxx->nx", rotated).real.reshape(5, d, d)
     assert np.max(np.abs(rotated_populations(x, spec)(ua, ub) - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("d, block", [(3, 3236), (4, 1024), (8, 64), (16, 4)])
+def test_one_side_kernels_do_not_depend_on_the_block_size(d, block):
+    assert _block(10**6, d) == block  # max(1, 2^18 / d^4): a (block, d^2, d^2) complex buffer is 4 MiB at most
+    spec, x, obs = _kernel_case("mixed", d)
+    sampler = HaarSampler(SamplerConfig(d=d, seed=33))
+    k = 2 * block + 5  # two full blocks and a ragged tail
+    ua, ub = sampler.unitaries(k), sampler.unitaries(k)
+    populations = rotated_populations(x, spec)
+    pairs = [(ua[i : i + 1], ub[i : i + 1]) for i in range(k)]
+    assert np.array_equal(pair_traces(ua, ub, x, obs), np.concatenate([pair_traces(a, b, x, obs) for a, b in pairs]))
+    assert np.array_equal(populations(ua, ub), np.concatenate([populations(a, b) for a, b in pairs]))
+
+
+@pytest.mark.parametrize("d, n", [(8, 4096), (16, 256)])
+def test_mc_estimators_peak_memory_stays_below_64_mib(d, n):
+    rng = np.random.default_rng(4100 + d)
+    h = make_random_battery(rng, d)
+    spec = spectral_decomposition(h)
+    rho = random_density_matrix(rng, d * d)
+    cfg = SamplerConfig(d=d, seed=34)
+    estimators = {
+        "work": lambda: mc_work_statistics(rho, h, n, cfg),
+        "tpm": lambda: mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg),
+        "coincidence": lambda: mc_coincidence(rho, spec, 0.7, 0.4, n, cfg),
+    }
+    for name, run in estimators.items():
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (name, peak)
 
 
 def test_default_chunk_keeps_a_pair_stack_at_2_to_the_24_entries():
