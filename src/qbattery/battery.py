@@ -164,8 +164,34 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     return u * (np.abs(lead) / lead)
 
 
-def _mixture_endpoints(tau_a: StateLike, tau_b: StateLike) -> tuple[np.ndarray, np.ndarray]:
-    """|phi><phi| and tau_A (x) tau_B: the alpha = 1 and alpha = 0 ends of ``thermal_mixture_state``."""
+def thermal_mixture_state(
+    alpha: float,
+    tau_a: StateLike,
+    tau_b: StateLike,
+) -> DensityMatrix:
+    """Mixture of a correlated pure state with the product of its marginals.
+
+    rho = alpha |phi><phi| + (1 - alpha) tau_A (x) tau_B, where
+    |phi> = sum_i sqrt(p_i) |e_i>|f_i> pairs the eigenvectors of tau_A and
+    tau_B in descending-eigenvalue order.  Both marginals of rho equal the
+    given tau's for every alpha, which requires the two spectra to agree
+    within 1e-9.  The pairing freedom (phases, degenerate
+    rotations) amounts to a local unitary and leaves all sector lengths
+    unchanged.  This is the one-row ``thermal_mixture_stack``.
+    """
+    return DensityMatrix(thermal_mixture_stack([alpha], tau_a, tau_b)[0])
+
+
+def thermal_mixture_stack(alphas, tau_a: StateLike, tau_b: StateLike) -> np.ndarray:
+    """``thermal_mixture_state`` at every mixing ratio, as one (n, d^2, d^2) stack.
+
+    The two endpoints, |phi><phi| (alpha = 1) and tau_A (x) tau_B
+    (alpha = 0), are validated once; each row is a convex mixture of them
+    and so a density matrix without a check of its own.
+    """
+    a = np.asarray(alphas, dtype=np.float64)
+    if a.ndim != 1 or not np.all((0.0 <= a) & (a <= 1.0)):
+        raise ValueError(f"mixing ratios must form a list in [0, 1], got {alphas}")
     ta = _raw(tau_a)
     tb = _raw(tau_b)
     if ta.shape != tb.shape:
@@ -181,41 +207,8 @@ def _mixture_endpoints(tau_a: StateLike, tau_b: StateLike) -> tuple[np.ndarray, 
         )
     p = np.clip((wa + wb) / 2, 0.0, None)
     phi = np.einsum("i,ai,bi->ab", np.sqrt(p), ua, ub).ravel()
-    return np.outer(phi, phi.conj()), np.kron(ta, tb)
-
-
-def thermal_mixture_state(
-    alpha: float,
-    tau_a: StateLike,
-    tau_b: StateLike,
-) -> DensityMatrix:
-    """Mixture of a correlated pure state with the product of its marginals.
-
-    rho = alpha |phi><phi| + (1 - alpha) tau_A (x) tau_B, where
-    |phi> = sum_i sqrt(p_i) |e_i>|f_i> pairs the eigenvectors of tau_A and
-    tau_B in descending-eigenvalue order.  Both marginals of rho equal the
-    given tau's for every alpha, which requires the two spectra to agree
-    within 1e-9.  The pairing freedom (phases, degenerate
-    rotations) amounts to a local unitary and leaves all sector lengths
-    unchanged.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"mixing ratio must lie in [0, 1], got {alpha}")
-    pure, product = _mixture_endpoints(tau_a, tau_b)
-    return DensityMatrix(alpha * pure + (1.0 - alpha) * product)
-
-
-def thermal_mixture_stack(alphas, tau_a: StateLike, tau_b: StateLike) -> np.ndarray:
-    """``thermal_mixture_state`` at every mixing ratio, as one (n, d^2, d^2) stack.
-
-    Row i is bitwise the data of ``thermal_mixture_state(alphas[i], tau_a,
-    tau_b)``.  The two endpoints are validated once; each row is a convex
-    mixture of them and so a density matrix without a check of its own.
-    """
-    a = np.asarray(alphas, dtype=np.float64)
-    if a.ndim != 1 or not np.all((0.0 <= a) & (a <= 1.0)):
-        raise ValueError(f"mixing ratios must form a list in [0, 1], got {alphas}")
-    pure, product = (DensityMatrix(m).data for m in _mixture_endpoints(tau_a, tau_b))
+    pure = DensityMatrix(np.outer(phi, phi.conj())).data
+    product = DensityMatrix(np.kron(ta, tb)).data
     a = a[:, None, None]
     return a * pure + (1.0 - a) * product
 

@@ -2,10 +2,11 @@
 
 Subcommands: variance, witness, histogram, tpm, coincidence, sweep, verify.
 Each takes an optional JSON config (--config) plus flag overrides; results
-go to stdout or --out as CSV/JSON.  Sweeps scan ``parameters.alpha_grid``
-and ``parameters.b_grid`` and refuse the single-point --alpha and --b (a
-TPM sweep takes --b, its one field strength); they refuse --eps, --eps-a
-and --eps-b (``parameters.eps_grid``), and the variance sweep refuses --mc.
+go to stdout or --out as CSV/JSON.  ``OVERRIDES`` maps each override flag to
+the config key it sets and the runs that read that key; a flag that the run
+does not read is a configuration error naming the key (and, for a sweep,
+the grid it scans instead: ``parameters.alpha_grid``, ``parameters.b_grid``
+or ``parameters.eps_grid``).
 Exit codes: 0 success, 1 configuration error (an unreadable --config or
 unwritable --out path included, checked before any computation) or a closed
 stdout pipe, 2 verification failure.
@@ -73,7 +74,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
+_SAMPLING_RUNS = ("variance", "histogram", "tpm", "coincidence", "verify", "tpm sweep")
+_POINT_RUNS = ("variance", "witness", "histogram", "tpm", "coincidence")
+
+#: Every override flag as (dest, config key it sets, runs that read that key,
+#: grid a sweep scans instead).  A sweep counts as "<protocol> sweep"; a run
+#: that samples only on request still reads the seed and the sample count.
+OVERRIDES = (
+    ("alpha", "state.thermal_mixture.alpha", _POINT_RUNS, "parameters.alpha_grid"),
+    ("b", "battery.ising.b", (*_POINT_RUNS, "tpm sweep"), "parameters.b_grid"),
+    ("eps", "parameters.eps", ("tpm", "coincidence"), "parameters.eps_grid"),
+    ("eps_a", "parameters.eps_a", ("tpm",), "parameters.eps_grid"),
+    ("eps_b", "parameters.eps_b", ("tpm",), "parameters.eps_grid"),
+    ("mc", "sampling.mc", ("tpm sweep",), None),
+    ("seed", "sampling.seed", _SAMPLING_RUNS, None),
+    ("n", "sampling.n_unitaries", _SAMPLING_RUNS, None),
+    ("bin_width", "parameters.bin_width", ("histogram",), None),
+    ("d", "parameters.d", ("verify",), None),
+)
+
+
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The validated config with every given flag written at its key; a flag the run ignores is a ConfigError."""
+    raw = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -82,54 +105,27 @@ def _load_config(args: argparse.Namespace, protocol: str) -> ExperimentConfig:
             raise ConfigError("config", f"cannot read {args.config}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
-    else:
-        raw = {}
-    raw.setdefault("protocol", protocol)
-    cfg = ExperimentConfig.from_dict(raw)
-    eps_flags = [f for f, v in (("--eps", args.eps), ("--eps-a", args.eps_a), ("--eps-b", args.eps_b)) if v is not None]
-    if args.command != "sweep":
-        cfg.protocol = protocol  # the subcommand decides; config protocol drives sweeps only
-    elif args.alpha is not None:
-        raise ConfigError("--alpha", "a sweep scans its mixing ratios; set them with parameters.alpha_grid")
-    elif args.b is not None and cfg.protocol == "variance":
-        raise ConfigError("--b", "the variance sweep scans its field strengths; set them with parameters.b_grid")
-    elif eps_flags:
-        raise ConfigError(eps_flags[0], "a sweep scans its detector efficiencies; set them with parameters.eps_grid")
-    elif args.mc and cfg.protocol == "variance":
-        raise ConfigError("--mc", "the variance sweep has no Monte-Carlo column; sampling.mc applies to the tpm sweep")
-    if args.seed is not None:
-        cfg.sampling["seed"] = args.seed
-    if args.n is not None:
-        cfg.sampling["n_unitaries"] = args.n
-    if args.eps is not None:
-        cfg.parameters["eps"] = args.eps
-    if getattr(args, "eps_a", None) is not None:
-        cfg.parameters["eps_a"] = args.eps_a
-    if getattr(args, "eps_b", None) is not None:
-        cfg.parameters["eps_b"] = args.eps_b
-    if getattr(args, "bin_width", None) is not None:
-        cfg.parameters["bin_width"] = args.bin_width
-    if getattr(args, "d", None) is not None:
-        cfg.parameters["d"] = args.d
-    if getattr(args, "mc", False):
-        cfg.sampling["mc"] = True
-    if args.alpha is not None:
-        family = cfg.state.get("thermal_mixture")
-        if family is None:
-            if cfg.state and "matrix" in cfg.state:
-                raise ConfigError("state", "--alpha requires the thermal_mixture state family")
-            family = {}
-        if not isinstance(family, dict):
-            raise ConfigError("state.thermal_mixture", "must be a JSON object")
-        family["alpha"] = args.alpha
-        family.setdefault("T", 1.5)
-        cfg.state["thermal_mixture"] = family  # a second family stays, for state_from_spec to refuse
-    if args.b is not None:
-        if "ising" not in cfg.battery:
-            raise ConfigError("battery", "--b needs the ising battery family")
-        if not isinstance(cfg.battery["ising"], dict):
-            raise ConfigError("battery.ising", "must be a JSON object")
-        cfg.battery["ising"]["b"] = args.b
+    sweep = args.command == "sweep"
+    cfg = ExperimentConfig.from_dict(raw, "variance" if sweep else args.command)
+    if not sweep:
+        cfg.protocol = args.command  # the subcommand decides; config protocol drives sweeps only
+    elif cfg.protocol not in ("variance", "tpm"):
+        raise ConfigError("protocol", f"sweep supports 'variance' or 'tpm', got {cfg.protocol!r}")
+    run = f"{cfg.protocol} sweep" if sweep else cfg.protocol
+    for dest, key, runs, grid in OVERRIDES:
+        value = getattr(args, dest, None)
+        if value is None or value is False:
+            continue
+        if run not in runs:
+            scans = f"; a sweep scans {grid}" if sweep and grid else ""
+            raise ConfigError("--" + dest.replace("_", "-"), f"{run} does not read {key}{scans}")
+        parts = key.split(".")
+        node = getattr(cfg, parts[0])
+        for depth in range(1, len(parts) - 1):
+            node = node.setdefault(parts[depth], {})
+            if not isinstance(node, dict):
+                raise ConfigError(".".join(parts[: depth + 1]), "must be a JSON object")
+        node[parts[-1]] = value
     return cfg
 
 
@@ -194,24 +190,16 @@ def _run(args: argparse.Namespace) -> int:
     try:
         if args.out:
             _check_out(args.out)
+        cfg = _load_config(args)
         if args.command == "verify":
-            cfg = _load_config(args, "verify")
             report = run_verify(cfg)
             _emit_json(report, args.out)
             return 0 if report["passed"] else 2
         if args.command == "sweep":
-            cfg = _load_config(args, "variance")
-            if cfg.protocol == "variance":
-                rows = run_variance_sweep(cfg)
-                _emit_rows(rows, args, "variance_sweep")
-            elif cfg.protocol == "tpm":
-                rows = run_tpm_sweep(cfg)
-                _emit_rows(rows, args, "tpm_sweep")
-            else:
-                raise ConfigError("protocol", f"sweep supports 'variance' or 'tpm', got {cfg.protocol!r}")
+            rows = run_variance_sweep(cfg) if cfg.protocol == "variance" else run_tpm_sweep(cfg)
+            _emit_rows(rows, args, f"{cfg.protocol}_sweep")
             return 0
         if args.command == "histogram":
-            cfg = _load_config(args, "histogram")
             rows, summary = run_histogram(cfg)
             if args.format == "json":
                 _emit_json({"summary": summary, "bins": rows}, args.out)
@@ -220,7 +208,6 @@ def _run(args: argparse.Namespace) -> int:
                 _emit_json(summary, args.out + ".summary.json" if args.out else None)
             return 0
         # single-point protocols
-        cfg = _load_config(args, args.command)
         _emit_json(run_point(cfg), args.out)
         return 0
     except ConfigError as exc:

@@ -33,9 +33,9 @@ __all__ = [
     "two_copy_local_twirl",
 ]
 
-#: Unitaries are drawn in chunks of this size by the Monte-Carlo drivers.
-#: The value is part of the reproducibility contract only in the sense that
-#: a fixed build draws identical streams for identical configs.
+#: The chunk ``iter_pair_unitaries`` draws by default at d <= 8 (smaller
+#: above).  The value is part of the reproducibility contract only in the
+#: sense that a fixed build draws identical streams for identical configs.
 DEFAULT_CHUNK = 4096
 
 
@@ -114,14 +114,18 @@ def haar_unitary(cfg: SamplerConfig) -> np.ndarray:
     return HaarSampler(cfg).unitary()
 
 
-def iter_pair_unitaries(cfg: SamplerConfig, n: int, *, chunk: int = DEFAULT_CHUNK):
+def iter_pair_unitaries(cfg: SamplerConfig, n: int, *, chunk: int | None = None):
     """Yield chunked batches (ua, ub) covering n independent unitary pairs.
 
     Each chunk of k pairs draws k unitaries for side A, then k for side B,
-    from the one stream addressed by ``cfg``.
+    from the one stream addressed by ``cfg``, so the chunk fixes the draws.
+    The default chunk is ``DEFAULT_CHUNK`` for d <= 8 and 2^24 / d^4 above
+    (256 at d = 16).
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
+    if chunk is None:
+        chunk = min(DEFAULT_CHUNK, 2**24 // cfg.d**4)
     sampler = HaarSampler(cfg)
     for start in range(0, n, chunk):
         k = min(chunk, n - start)

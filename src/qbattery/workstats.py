@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition
-from .haar import DEFAULT_CHUNK, SamplerConfig, iter_pair_unitaries
+from .haar import SamplerConfig, iter_pair_unitaries
 from .linalg import StateLike, as_density, sector_lengths
 from .montecarlo import MomentAccumulator
 
@@ -207,18 +207,16 @@ def iter_samples(
     Every estimator is a per-chunk sample function over local unitary
     stacks; chunks follow the sampler's (seed, stream, chunk) order, so the
     chunk fixes the draws and the order in which moments are folded: that
-    is the reproducibility contract.  The default chunk is ``DEFAULT_CHUNK``
-    for d <= 8 and 2^24 / d^4 above (256 at d = 16).  Memory is bounded by
-    the block, not the chunk: ``pair_traces`` and ``rotated_populations``
-    evaluate a chunk in blocks of ``_block`` pairs, whose results do not
-    depend on the block size.
+    is the reproducibility contract.  ``chunk=None`` takes the sampler's
+    default (``iter_pair_unitaries``).  Memory is bounded by the block, not
+    the chunk: ``pair_traces`` and ``rotated_populations`` evaluate a chunk
+    in blocks of ``_block`` pairs, whose results do not depend on the block
+    size.
     """
     if n < 3:
         raise ValueError(f"need at least three samples, got {n}")
     if cfg.d != d:
         raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
-    if chunk is None:
-        chunk = min(DEFAULT_CHUNK, 2**24 // d**4)
     for ua, ub in iter_pair_unitaries(cfg, n, chunk=chunk):
         yield sample(ua, ub)
 

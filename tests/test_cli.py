@@ -10,7 +10,7 @@ import pytest
 
 import qbattery
 from qbattery.battery import gibbs_state, ising_battery, thermal_mixture_state
-from qbattery.cli import main
+from qbattery.cli import OVERRIDES, main
 from qbattery.runner import ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
 from qbattery.witness import detect_schmidt_number
 
@@ -247,6 +247,9 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
         # J1 != J3: the halves' Gibbs spectra differ, so no thermal mixture exists at any alpha
         ("sweep", {"protocol": "variance", "battery": {"ising": {**_ISING, "J1": 0.3}}}, "state"),
         ("sweep", {"protocol": "tpm", "battery": {"ising": {**_ISING, "J1": 0.3}}}, "state"),
+        ("variance", [1, 2], "config"),
+        ("variance", "x", "config"),
+        ("variance", None, "config"),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):
@@ -444,6 +447,17 @@ def test_cli_out_check_leaves_no_file_and_keeps_an_existing_one(tmp_path, capsys
         (["sweep", "--eps-b", "0.3", "--mc"], "--eps-b", "parameters.eps_grid"),
         (["sweep", "--mc"], "--mc", "sampling.mc"),
         (["sweep", "--mc", "--seed", "1", "--format", "json"], "--mc", "sampling.mc"),
+        (["coincidence", "--eps-a", "0.3"], "--eps-a", "parameters.eps_a"),
+        (["coincidence", "--eps-b", "0.3"], "--eps-b", "parameters.eps_b"),
+        (["variance", "--eps", "0.3"], "--eps", "parameters.eps"),
+        (["histogram", "--seed", "1", "--n", "10", "--eps", "0.3"], "--eps", "parameters.eps"),
+        (["witness", "--seed", "3"], "--seed", "sampling.seed"),
+        (["witness", "--n", "50"], "--n", "sampling.n_unitaries"),
+        (["verify", "--alpha", "0.2"], "--alpha", "state.thermal_mixture.alpha"),
+        (["verify", "--b", "0.2"], "--b", "battery.ising.b"),
+        (["verify", "--eps", "0.2"], "--eps", "parameters.eps"),
+        (["sweep", "--seed", "1"], "--seed", "sampling.seed"),
+        (["sweep", "--n", "10"], "--n", "sampling.n_unitaries"),
     ],
 )
 def test_cli_sweep_refuses_a_point_override_it_would_ignore(tmp_path, capsys, args, flag, grid):
@@ -454,6 +468,30 @@ def test_cli_sweep_refuses_a_point_override_it_would_ignore(tmp_path, capsys, ar
     assert len(err) == 1
     assert err[0].startswith(f"configuration error: {flag}: ")
     assert grid in err[0]
+
+
+_READS = {dest: runs for dest, _, runs, _ in OVERRIDES}
+_FLAG_VALUES = {"alpha": "0.5", "b": "0.3", "eps": "0.5", "eps_a": "0.5", "eps_b": "0.5", "bin_width": "0.1", "d": "2"}
+
+
+@pytest.mark.parametrize("run, dest", [(run, dest) for dest, runs in _READS.items() for run in runs])
+def test_cli_every_flag_a_run_reads_is_accepted(tmp_path, capsys, run, dest):
+    protocol, _, sweep = run.partition(" ")
+    args = [protocol]
+    if sweep:
+        config = tmp_path / "cfg.json"
+        grids = {"alpha_grid": [0.5], "b_grid": [0.3], "eps_grid": [0.5]}
+        config.write_text(json.dumps({"protocol": protocol, "parameters": grids}))
+        args = ["sweep", "--config", str(config)]
+    if run in _READS["seed"]:
+        args += ["--seed", "1", "--n", "10"]
+    if dest == "mc":
+        args.append("--mc")
+    elif dest not in ("seed", "n"):
+        args += ["--" + dest.replace("_", "-"), _FLAG_VALUES[dest]]
+    code = main(args)
+    assert "configuration error" not in capsys.readouterr().err
+    assert code in (0, 2)  # verify at n = 10 may miss its 5-SE gate, which is exit code 2
 
 
 def test_cli_tpm_sweep_takes_the_field_override(tmp_path, capsys):
