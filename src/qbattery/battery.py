@@ -179,6 +179,8 @@ def thermal_mixture_state(
     rotations) amounts to a local unitary and leaves all sector lengths
     unchanged.  This is the one-row ``thermal_mixture_stack``.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"mixing ratio must lie in [0, 1], got {alpha}")
     return DensityMatrix(thermal_mixture_stack([alpha], tau_a, tau_b)[0])
 
 

@@ -106,7 +106,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
     sweep = args.command == "sweep"
-    cfg = ExperimentConfig.from_dict(raw, "variance" if sweep else args.command)
+    cfg = ExperimentConfig.from_dict(raw)
     if not sweep:
         cfg.protocol = args.command  # the subcommand decides; config protocol drives sweeps only
     elif cfg.protocol not in ("variance", "tpm"):

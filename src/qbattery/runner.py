@@ -103,12 +103,12 @@ class ExperimentConfig:
     SAMPLING_KEYS = ("seed", "stream", "n_unitaries", "mc")
 
     @classmethod
-    def from_dict(cls, obj: dict, protocol: str = "variance") -> "ExperimentConfig":
+    def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config", "top level must be a JSON object")
         _known_keys(obj, ("protocol", "battery", "state", "parameters", "sampling"))
         cfg = cls(
-            protocol=obj.get("protocol", protocol),
+            protocol=obj.get("protocol", "variance"),
             battery=obj.get("battery", json.loads(json.dumps(DEFAULT_BATTERY))),
             state=obj.get("state", json.loads(json.dumps(DEFAULT_STATE))),
             parameters=obj.get("parameters", {}),
