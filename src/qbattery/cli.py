@@ -7,6 +7,8 @@ the config key it sets and the runs that read that key; a flag that the run
 does not read is a configuration error naming the key (and, for a sweep,
 the grid it scans instead: ``parameters.alpha_grid``, ``parameters.b_grid``
 or ``parameters.eps_grid``).
+``--format`` (default CSV) applies to sweep and histogram only; the other
+runs write JSON and refuse it as a configuration error.
 Exit codes: 0 success, 1 configuration error (an unreadable --config or
 unwritable --out path included, checked before any computation) or a closed
 stdout pipe, 2 verification failure.
@@ -51,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="thermal-mixture ratio override (sweeps: parameters.alpha_grid)")
         p.add_argument("--b", type=float, help="Ising field strength override (variance sweep: parameters.b_grid)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="sweep/histogram output format")
+        p.add_argument("--format", choices=("csv", "json"), help="sweep/histogram output format (default: csv)")
 
     for name, doc in (
         ("variance", "closed-form work variance at one point (MC optional)"),
@@ -190,6 +192,8 @@ def _run(args: argparse.Namespace) -> int:
     try:
         if args.out:
             _check_out(args.out)
+        if args.format is not None and args.command not in ("sweep", "histogram"):
+            raise ConfigError("--format", f"{args.command} writes JSON only")
         cfg = _load_config(args)
         if args.command == "verify":
             report = run_verify(cfg)

@@ -17,6 +17,7 @@ with LAPACK QR plus that phase fix up to rounding.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,16 +122,31 @@ def iter_pair_unitaries(cfg: SamplerConfig, n: int, *, chunk: int | None = None)
     from the one stream addressed by ``cfg``, so the chunk fixes the draws.
     The default chunk is ``DEFAULT_CHUNK`` for d <= 8 and 2^24 / d^4 above
     (256 at d = 16).
+
+    One background thread, opened per call, draws chunk c + 1 while the
+    caller works on chunk c.  Only that thread touches the sampler, in the
+    serial order, so every draw is bitwise the one-thread draw; the cost is
+    one chunk of extra memory.  An exception in the draw reaches the caller
+    at the chunk it belongs to, and closing the generator early (a ``break``
+    or an exception in the caller's loop) joins the thread.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     if chunk is None:
         chunk = min(DEFAULT_CHUNK, 2**24 // cfg.d**4)
     sampler = HaarSampler(cfg)
-    for start in range(0, n, chunk):
-        k = min(chunk, n - start)
+
+    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
         ua = sampler.unitaries(k)
-        yield ua, sampler.unitaries(k)
+        return ua, sampler.unitaries(k)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, min(chunk, n))
+        for start in range(chunk, n, chunk):
+            ready = pending.result()
+            pending = pool.submit(draw, min(chunk, n - start))
+            yield ready
+        yield pending.result()
 
 
 def twirl1(x: np.ndarray) -> np.ndarray:

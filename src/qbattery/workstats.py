@@ -131,25 +131,32 @@ def _block(k: int, d: int) -> int:
 def apply_pair(ua: np.ndarray, ub: np.ndarray, x: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Batched (U_A (x) U_B) x for a fixed (d^2, c) matrix x, one side at a time, written into ``out``.
 
-    Side A is one GEMM over the whole stack, side B a batched matmul, so a
-    pair costs 2 d^3 c multiply-adds and U_A (x) U_B is never formed.  The
-    side-A product goes into ``tmp``; ``tmp`` and ``out`` are C-contiguous
-    buffers of k d^2 c complex entries, reshaped in place.
+    Both sides are batched matmuls, so a pair costs 2 d^3 c multiply-adds and
+    U_A (x) U_B is never formed.  Side A is one small product per pair, not
+    one GEMM over the whole stack: at d <= 8 OpenBLAS runs a product that
+    small on the calling thread, which leaves the second core to the Haar
+    draw thread of ``iter_pair_unitaries`` instead of a spinning BLAS
+    worker.  The side-A product goes into ``tmp``; ``tmp`` and ``out`` are
+    C-contiguous buffers of k d^2 c complex entries, reshaped in place.
     """
     k, d = ua.shape[0], ua.shape[1]
     c = x.shape[1]
-    t = np.matmul(ua.reshape(k * d, d), x.reshape(d, d * c), out=tmp.reshape(k * d, d * c))
+    t = np.matmul(ua, x.reshape(d, d * c), out=tmp.reshape(k, d, d * c))
     return np.matmul(ub[:, None], t.reshape(k, d, d, c), out=out.reshape(k, d, d, c)).reshape(k, d * d, c)
 
 
 def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Batched tr[U m U^dag obs] for U = U_A (x) U_B, as sum_xy (U m)[x, y] (U^dag obs)[y, x].
+    """Batched tr[U m U^dag obs] for U = U_A (x) U_B, as Re sum_xy (U m)[x, y] conj((obs U)[x, y]).
 
     Two ``apply_pair`` calls per block of ``_block`` pairs, into buffers
     reused for every block: 4 d^5 multiply-adds per pair for any m and obs.
+    obs U = (U^dag obs)^dag is copied out contiguous, and each trace is the
+    dot of the float views of the two products (Re a conj(b) = Re a Re b +
+    Im a Im b), one small product per pair.
     """
     k, d = ua.shape[0], ua.shape[1]
     b, dd = _block(k, d), d * d
+    f = 2 * dd * dd  # floats per (d^2, d^2) complex product
     tmp, um_buf, uo_buf = (np.empty((b, dd, dd), dtype=complex) for _ in range(3))
     traces = np.empty(k)
     for s in range(0, k, b):
@@ -158,7 +165,8 @@ def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) 
         uah, ubh = ua[s:e].conj().transpose(0, 2, 1), ub[s:e].conj().transpose(0, 2, 1)
         um = apply_pair(ua[s:e], ub[s:e], m, tmp[:n], um_buf[:n])
         uo = apply_pair(uah, ubh, obs, tmp[:n], uo_buf[:n])
-        traces[s:e] = np.einsum("nxy,nyx->n", um, uo).real
+        ou = np.conjugate(uo.transpose(0, 2, 1), out=tmp[:n])
+        np.matmul(um.view(float).reshape(n, 1, f), ou.view(float).reshape(n, f, 1), out=traces[s:e, None, None])
     return traces
 
 
@@ -170,9 +178,14 @@ def rotated_populations(
     With x = sum_r lam_r w_r w_r^dag (one ``eigh`` here, none per chunk),
     q = sum_r lam_r |(V_A^dag U_A (x) V_B^dag U_B) w_r|^2 entrywise, for
     signed lam: 2 d^5 multiply-adds per pair, in blocks of ``_block`` pairs
-    through buffers reused for every block.
+    through buffers reused for every block.  The rotated columns are squared
+    in place on their float view and weighted by lam, repeated for the real
+    and imaginary parts, in one matrix-vector product per pair: one product
+    over the whole block is big enough for OpenBLAS to thread, and its
+    worker then competes with the Haar draw thread.
     """
     lam, w = np.linalg.eigh(x)
+    lam2 = np.repeat(lam, 2)  # |y|^2 = y.re^2 + y.im^2 on the interleaved float view
     va, vb = spec.vecs_a.conj().T, spec.vecs_b.conj().T
     d = spec.d
     dd = d * d
@@ -181,14 +194,12 @@ def rotated_populations(
         k = ua.shape[0]
         b = _block(k, d)
         tmp, y_buf = (np.empty((b, dd, dd), dtype=complex) for _ in range(2))
-        re2, im2 = np.empty((b, dd, dd)), np.empty((b, dd, dd))
         q = np.empty((k, dd))
         for s in range(0, k, b):
             e = min(s + b, k)
             n = e - s
-            y = apply_pair(va @ ua[s:e], vb @ ub[s:e], w, tmp[:n], y_buf[:n])
-            sq = np.add(np.square(y.real, out=re2[:n]), np.square(y.imag, out=im2[:n]), out=re2[:n])
-            np.matmul(sq, lam, out=q[s:e])
+            y = apply_pair(va @ ua[s:e], vb @ ub[s:e], w, tmp[:n], y_buf[:n]).view(float)
+            np.matmul(np.square(y, out=y), lam2, out=q[s:e])
         return q.reshape(k, d, d)
 
     return populations
@@ -211,7 +222,10 @@ def iter_samples(
     default (``iter_pair_unitaries``).  Memory is bounded by the block, not
     the chunk: ``pair_traces`` and ``rotated_populations`` evaluate a chunk
     in blocks of ``_block`` pairs, whose results do not depend on the block
-    size.
+    size.  While ``sample`` runs on one chunk, ``iter_pair_unitaries`` draws
+    the next on its background thread; every BLAS call of the kernels is one
+    product per pair, at d <= 8 small enough that OpenBLAS keeps it on this
+    thread and leaves the second core to the draw.
     """
     if n < 3:
         raise ValueError(f"need at least three samples, got {n}")

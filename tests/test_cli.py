@@ -380,6 +380,15 @@ def test_cli_unwritable_out_is_a_one_line_error(tmp_path, capsys, args, target):
     assert err.startswith(f"configuration error: --out: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("run", ["variance", "witness", "tpm", "coincidence", "verify"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_format_on_a_json_only_run_is_a_one_line_error(capsys, run, fmt):
+    assert main([run, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: --format: {run} writes JSON only\n"
+
+
 def test_cli_unwritable_histogram_summary_is_a_one_line_error(tmp_path, capsys):
     out = tmp_path / "hist.csv"
     summary = tmp_path / "hist.csv.summary.json"

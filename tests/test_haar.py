@@ -86,6 +86,18 @@ def test_chunked_pairs_match_direct_draws():
     assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_prefetched_pair_chunks_are_bitwise_the_serial_draws(d):
+    cfg = SamplerConfig(d=d, seed=17)
+    serial = HaarSampler(cfg)
+    sizes = []
+    for ua, ub in iter_pair_unitaries(cfg, 200, chunk=64):
+        sizes.append(len(ua))
+        assert np.array_equal(ua, serial.unitaries(len(ua)))
+        assert np.array_equal(ub, serial.unitaries(len(ub)))
+    assert sizes == [64, 64, 64, 8]
+
+
 def test_single_copy_twirl_against_mc(rng):
     d = 2
     n = 100_000

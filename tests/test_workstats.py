@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from qbattery.workstats import (
     pair_kron,
     pair_traces,
     rotated_populations,
+    summarize,
     work,
     work_histogram,
     work_sample_summary,
@@ -328,6 +330,43 @@ def test_default_chunk_keeps_a_pair_stack_at_2_to_the_24_entries():
 
     assert sizes(8, 5000) == [4096, 904]
     assert sizes(16, 600) == [256, 256, 88]
+
+
+def test_draw_thread_ends_after_full_consumption_a_break_and_a_sample_error():
+    cfg = SamplerConfig(d=2, seed=3)
+    baseline = threading.active_count()
+    assert sum(len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 200, cfg, chunk=64)) == 200
+    assert threading.active_count() == baseline
+    for _ in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 200, cfg, chunk=64):
+        break
+    assert threading.active_count() == baseline
+
+    def failing(ua, ub):
+        raise RuntimeError("sample failed")
+
+    with pytest.raises(RuntimeError, match="sample failed"):
+        summarize(iter_samples(failing, 2, 200, cfg, chunk=64))
+    assert threading.active_count() == baseline
+
+
+def test_a_draw_error_reaches_the_caller_of_mc_work_statistics(monkeypatch):
+    draw = HaarSampler.unitaries
+    calls = []
+
+    def third_call_fails(self, n):
+        calls.append(n)
+        if len(calls) == 3:  # side A of the second chunk, drawn while the first is evaluated
+            raise RuntimeError("draw failed")
+        return draw(self, n)
+
+    monkeypatch.setattr(HaarSampler, "unitaries", third_call_fails)
+    rng = np.random.default_rng(12)
+    h, rho = make_random_battery(rng, 2), random_density_matrix(rng, 4)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        mc_work_statistics(rho, h, 5000, SamplerConfig(d=2, seed=1))
+    assert calls == [4096, 4096, 904]
+    assert threading.active_count() == baseline
 
 
 def test_mc_at_d16_matches_every_closed_form():
