@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_LOCAL_DIM, StateLike, sector_lengths, subsystem_permutation, swap_operator
+from .linalg import MAX_LOCAL_DIM, StateLike, partial_trace, purity, sector_lengths, subsystem_permutation, swap_operator
 
 __all__ = [
     "SamplerConfig",
@@ -32,11 +32,12 @@ __all__ = [
     "twirl1",
     "twirl2",
     "two_copy_local_twirl",
+    "two_copy_local_twirl_probe",
 ]
 
-#: The chunk ``iter_pair_unitaries`` draws by default at d <= 8 (smaller
-#: above).  The value is part of the reproducibility contract only in the
-#: sense that a fixed build draws identical streams for identical configs.
+#: The chunk ``iter_pair_unitaries`` draws at d <= 8 (2^24 / d^4 above).  It
+#: is the only chunk: every Monte-Carlo estimate, verify's checks included,
+#: draws through it, so (seed, stream) and n fix the draws.
 DEFAULT_CHUNK = 4096
 
 
@@ -115,13 +116,13 @@ def haar_unitary(cfg: SamplerConfig) -> np.ndarray:
     return HaarSampler(cfg).unitary()
 
 
-def iter_pair_unitaries(cfg: SamplerConfig, n: int, *, chunk: int | None = None):
+def iter_pair_unitaries(cfg: SamplerConfig, n: int):
     """Yield chunked batches (ua, ub) covering n independent unitary pairs.
 
     Each chunk of k pairs draws k unitaries for side A, then k for side B,
-    from the one stream addressed by ``cfg``, so the chunk fixes the draws.
-    The default chunk is ``DEFAULT_CHUNK`` for d <= 8 and 2^24 / d^4 above
-    (256 at d = 16).
+    from the one stream addressed by ``cfg``.  The chunk is ``DEFAULT_CHUNK``
+    for d <= 8 and 2^24 / d^4 above (256 at d = 16), so a (chunk, d^2, d^2)
+    stack never exceeds 2^24 entries; the last chunk holds the remainder.
 
     One background thread, opened per call, draws chunk c + 1 while the
     caller works on chunk c.  Only that thread touches the sampler, in the
@@ -132,8 +133,7 @@ def iter_pair_unitaries(cfg: SamplerConfig, n: int, *, chunk: int | None = None)
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    if chunk is None:
-        chunk = min(DEFAULT_CHUNK, 2**24 // cfg.d**4)
+    chunk = min(DEFAULT_CHUNK, 2**24 // cfg.d**4)
     sampler = HaarSampler(cfg)
 
     def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,3 +197,18 @@ def two_copy_local_twirl(rho: StateLike, d: int) -> np.ndarray:
     dd = d * d - 1
     out = eye + (r_a2 * ga + r_b2 * gb + t2 * (ga @ gb) / dd) / dd
     return out.astype(np.complex128) / d**4
+
+
+def two_copy_local_twirl_probe(rho: StateLike, d: int, p: np.ndarray) -> float:
+    """tr[(P (x) P) two_copy_local_twirl(rho, d)] for a Hermitian d^2 x d^2 probe P, in O(d^4).
+
+    P (x) P reads (tr P)^2, tr[(tr_B P)^2], tr[(tr_A P)^2] and tr[P^2] on the
+    span {1, S_A, S_B, S_A S_B}, so the d^4 x d^4 matrix is never formed.
+    """
+    r_a2, r_b2, t2 = sector_lengths(rho, d)
+    one = np.trace(p).real ** 2
+    s_a, s_b = purity(partial_trace(p, "A", d)), purity(partial_trace(p, "B", d))
+    ga, gb = d * s_a - one, d * s_b - one
+    gab = d * d * purity(p) - d * (s_a + s_b) + one
+    dd = d * d - 1
+    return (one + (r_a2 * ga + r_b2 * gb + t2 * gab / dd) / dd) / d**4

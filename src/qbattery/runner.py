@@ -20,8 +20,8 @@ import numpy as np
 from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_stack
 from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
-from .haar import SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl
-from .linalg import DensityMatrix, random_density_matrix, random_hermitian
+from .haar import SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl_probe
+from .linalg import MAX_LOCAL_DIM, DensityMatrix, random_density_matrix, random_hermitian, swap_operator
 from .serialization import (
     BATTERY_FAMILIES,
     ISING_KEYS,
@@ -53,11 +53,12 @@ from .witness import detect_schmidt_number, detect_schmidt_number_stack
 from .workstats import (
     MAX_HISTOGRAM_BINS,
     analytic_work_variance,
-    conjugate,
+    conjugation_traces,
     histogram_fits,
     iter_samples,
     mc_work_statistics,
-    pair_kron,
+    pair_traces,
+    summarize,
     work_sample_summary,
 )
 from . import battery as battery_mod
@@ -78,9 +79,6 @@ SCHEMA_VERSION = 1
 DEFAULT_BATTERY = {"ising": {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}}
 DEFAULT_STATE = {"thermal_mixture": {"alpha": 0.96, "T": 1.5}}
 DEFAULT_VERIFY_SEED = 20240901
-#: Largest local dimension ``verify`` accepts: ``_check_two_copy_local_twirl``
-#: holds 512 * d^8 complex entries per chunk, 0.5 GB at d = 4 and 3.2 GB at d = 5.
-MAX_VERIFY_DIM = 4
 
 
 def _min_samples(n: int) -> None:
@@ -99,7 +97,7 @@ class ExperimentConfig:
     sampling: dict = field(default_factory=dict)
 
     KNOWN_PROTOCOLS = ("variance", "witness", "histogram", "tpm", "coincidence", "verify")
-    PARAMETER_KEYS = ("eps", "eps_a", "eps_b", "eps_grid", "alpha_grid", "b_grid", "bin_width", "d", "n", "se_multiplier")
+    PARAMETER_KEYS = ("eps", "eps_a", "eps_b", "eps_grid", "alpha_grid", "b_grid", "bin_width", "d", "se_multiplier")
     SAMPLING_KEYS = ("seed", "stream", "n_unitaries", "mc")
 
     @classmethod
@@ -377,52 +375,42 @@ def run_point(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _mc_matrix_mean(sample_chunks, shape) -> tuple[np.ndarray, np.ndarray, int]:
-    """Elementwise mean and standard error (real/imag stacked) of MC matrices."""
-    n = 0
-    s = np.zeros(shape, dtype=np.complex128)
-    sq = np.zeros((2,) + shape)
-    for chunk in sample_chunks:
-        n += chunk.shape[0]
-        s += chunk.sum(axis=0)
-        sq[0] += np.sum(chunk.real**2, axis=0)
-        sq[1] += np.sum(chunk.imag**2, axis=0)
-    mean = s / n
-    var = np.empty_like(sq)
-    var[0] = np.clip(sq[0] / n - mean.real**2, 0, None)
-    var[1] = np.clip(sq[1] / n - mean.imag**2, 0, None)
-    se = np.sqrt(var * n / max(n - 1, 1) / n)
-    return mean, se, n
-
-
-def _max_se_ratio(mc_mean, se, target) -> float:
-    dev = np.stack([np.abs(mc_mean.real - target.real), np.abs(mc_mean.imag - target.imag)])
-    return float(np.max(dev / (se + 1e-12)))
+def _probe_check(sample, probes, targets, d, n, cfg) -> dict:
+    """Largest |MC mean - closed form| / SE over scalar probes P, one Monte-Carlo pass each."""
+    deviations = []
+    for p, target in zip(probes, targets):
+        stats = summarize(iter_samples(lambda ua, ub: sample(ua, ub, p), d, n, cfg))
+        deviations.append(abs(stats.mean - target) / (stats.se_mean + 1e-12))
+    return {"deviation": max(deviations)}
 
 
 def _check_single_copy_twirl(rng, d, n, cfg) -> dict:
+    """tr[P U X U^dag] against tr[P twirl1(X)]; P = 1 has no MC variance and pins the coefficient."""
     x = random_hermitian(rng, d)
-    chunks = iter_samples(lambda ua, ub: conjugate(ua, x), d, n, cfg)
-    mean, se, _ = _mc_matrix_mean(chunks, (d, d))
-    return {"deviation": _max_se_ratio(mean, se, twirl1(x))}
+    probes = [np.eye(d), random_hermitian(rng, d), random_hermitian(rng, d)]
+    targets = [np.vdot(p, twirl1(x)).real for p in probes]
+    return _probe_check(lambda ua, ub, p: conjugation_traces(ua, x, p), probes, targets, d, n, cfg)
 
 
 def _check_two_copy_twirl(rng, d, n, cfg) -> dict:
+    """tr[P (U (x) U) X (...)^dag] against tr[P twirl2(X)]; P = 1 and SWAP have no MC variance."""
     x = random_hermitian(rng, d * d)
-    chunks = iter_samples(lambda ua, ub: conjugate(pair_kron(ua, ua), x), d, n, cfg, chunk=2048)
-    mean, se, _ = _mc_matrix_mean(chunks, (d * d, d * d))
-    return {"deviation": _max_se_ratio(mean, se, twirl2(x))}
+    probes = [np.eye(d * d), swap_operator(d), random_hermitian(rng, d * d), random_hermitian(rng, d * d)]
+    targets = [np.vdot(p, twirl2(x)).real for p in probes]
+    return _probe_check(lambda ua, ub, p: pair_traces(ua, ua, x, p), probes, targets, d, n, cfg)
 
 
 def _check_two_copy_local_twirl(rng, d, n, cfg) -> dict:
+    """tr[P U rho U^dag]^2 against ``two_copy_local_twirl_probe``, one probe per term.
+
+    P = 1 has no MC variance; with P_A, P_B traceless, P_A (x) 1, 1 (x) P_B and
+    P_A (x) P_B read the rA^2, rB^2 and t^2 terms alone.
+    """
     rho = random_density_matrix(rng, d * d)
-
-    def sample(ua, ub):
-        rot = conjugate(pair_kron(ua, ub), rho.data)
-        return pair_kron(rot, rot)
-
-    mean, se, _ = _mc_matrix_mean(iter_samples(sample, d, n, cfg, chunk=512), (d**4, d**4))
-    return {"deviation": _max_se_ratio(mean, se, two_copy_local_twirl(rho, d))}
+    pa, pb = (h - np.trace(h).real / d * np.eye(d) for h in (random_hermitian(rng, d), random_hermitian(rng, d)))
+    probes = [np.eye(d * d), np.kron(pa, np.eye(d)), np.kron(np.eye(d), pb), np.kron(pa, pb)]
+    targets = [two_copy_local_twirl_probe(rho, d, p) for p in probes]
+    return _probe_check(lambda ua, ub, p: pair_traces(ua, ub, rho.data, p) ** 2, probes, targets, d, n, cfg)
 
 
 def _random_battery(rng, d) -> BatteryHamiltonian:
@@ -479,7 +467,7 @@ def _check_proof_inequalities(rng, d, n, cfg) -> dict:
         (c1, c2, c3), ca, cb = sectors["joint"], sectors["local_a"][2], sectors["local_b"][2]
         slacks = [form.r_a2 - c1, form.r_b2 - c2, form.t2 - c3, form.t2 - ca, form.t2 - cb]
         worst = min(worst, min(slacks))
-        closing = float(np.einsum("ab,cd,ac,bd->", form.t, form.t, st.zeta_a, st.zeta_b))
+        closing = float(np.sum(form.t * (st.zeta_a @ form.t @ st.zeta_b.T)))
         closing_dev = max(closing_dev, abs(closing - c3))
     # report the worst violation (positive = ok) through the same ratio slot
     return {"deviation": max(-worst, closing_dev) / 1e-10, "detail": {"min_slack": worst, "closing_dev": closing_dev}}
@@ -518,10 +506,12 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     report echoes seed and sizes so a rerun reproduces it bit for bit.
     """
     p = cfg.parameters
+    _known_keys(p, ("d", "se_multiplier"), "parameters")
+    _known_keys(cfg.sampling, ("seed", "n_unitaries"), "sampling")
     d = _number(p.get("d", 2), "parameters.d", int)
-    if not 2 <= d <= MAX_VERIFY_DIM:
-        raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_VERIFY_DIM}, got {d}")
-    n = _number(p["n"], "parameters.n", int, check=_min_samples) if "n" in p else cfg.n_unitaries(10_000)
+    if not 2 <= d <= MAX_LOCAL_DIM:
+        raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_LOCAL_DIM}, got {d}")
+    n = cfg.n_unitaries(10_000)
     seed = _number(cfg.sampling.get("seed", DEFAULT_VERIFY_SEED), "sampling.seed", int, check=_check_seed)
     multiplier = _number(p.get("se_multiplier", 5.0), "parameters.se_multiplier", check=_positive)
     checks = []

@@ -115,7 +115,7 @@ def conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def conjugation_traces(u: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Batched tr[U m U^dag obs] for a stack of unitaries (reference for the one-side kernels)."""
+    """Batched tr[U m U^dag obs] for a stack of unitaries: the one-side kernels' reference, verify's single-copy probe."""
     return np.einsum("nij,ji->n", conjugate(u, m), obs).real
 
 
@@ -206,22 +206,17 @@ def rotated_populations(
 
 
 def iter_samples(
-    sample: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    d: int,
-    n: int,
-    cfg: SamplerConfig,
-    *,
-    chunk: int | None = None,
+    sample: Callable[[np.ndarray, np.ndarray], np.ndarray], d: int, n: int, cfg: SamplerConfig
 ) -> Iterator[np.ndarray]:
     """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs.
 
-    Every estimator is a per-chunk sample function over local unitary
-    stacks; chunks follow the sampler's (seed, stream, chunk) order, so the
-    chunk fixes the draws and the order in which moments are folded: that
-    is the reproducibility contract.  ``chunk=None`` takes the sampler's
-    default (``iter_pair_unitaries``).  Memory is bounded by the block, not
-    the chunk: ``pair_traces`` and ``rotated_populations`` evaluate a chunk
-    in blocks of ``_block`` pairs, whose results do not depend on the block
+    Every estimator, verify's twirl probes included, is a per-chunk sample
+    function over local unitary stacks.  Chunks follow the sampler's order
+    under the one chunk rule of ``iter_pair_unitaries``, so (seed, stream, n)
+    fix the draws and the order in which moments are folded: that is the
+    reproducibility contract.  Memory is bounded by the block, not the
+    chunk: ``pair_traces`` and ``rotated_populations`` evaluate a chunk in
+    blocks of ``_block`` pairs, whose results do not depend on the block
     size.  While ``sample`` runs on one chunk, ``iter_pair_unitaries`` draws
     the next on its background thread; every BLAS call of the kernels is one
     product per pair, at d <= 8 small enough that OpenBLAS keeps it on this
@@ -231,7 +226,7 @@ def iter_samples(
         raise ValueError(f"need at least three samples, got {n}")
     if cfg.d != d:
         raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
-    for ua, ub in iter_pair_unitaries(cfg, n, chunk=chunk):
+    for ua, ub in iter_pair_unitaries(cfg, n):
         yield sample(ua, ub)
 
 

@@ -11,6 +11,8 @@ import pytest
 import qbattery
 from qbattery.battery import gibbs_state, ising_battery, thermal_mixture_state
 from qbattery.cli import OVERRIDES, main
+from qbattery.haar import twirl1
+from qbattery.linalg import swap_operator
 from qbattery.runner import ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
 from qbattery.witness import detect_schmidt_number
 
@@ -250,6 +252,9 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
         ("variance", [1, 2], "config"),
         ("variance", "x", "config"),
         ("variance", None, "config"),
+        ("verify", {"parameters": {"n": 200}}, "parameters.n"),
+        ("verify", {"sampling": {"stream": 5}}, "sampling.stream"),
+        ("verify", {"parameters": {"eps": 0.3}}, "parameters.eps"),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):
@@ -313,8 +318,8 @@ def test_cli_verify_corrupted_tolerance_fails(tmp_path, capsys):
         json.dumps(
             {
                 "protocol": "verify",
-                "parameters": {"n": 1500, "se_multiplier": 1e-6},
-                "sampling": {"seed": 99},
+                "parameters": {"se_multiplier": 1e-6},
+                "sampling": {"seed": 99, "n_unitaries": 1500},
             }
         )
     )
@@ -322,6 +327,32 @@ def test_cli_verify_corrupted_tolerance_fails(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     failing = [c for c in report["checks"] if not c["passed"]]
     assert failing and all(c["deviation"] > c["threshold"] for c in failing)
+
+
+def test_cli_verify_passes_at_d_8(capsys):
+    assert main(["verify", "--d", "8", "--n", "300", "--seed", "99"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["d"] == 8 and all(c["passed"] for c in report["checks"])
+
+
+def _twirl2_without_swap(x):
+    dim2 = len(x)
+    dim = int(round(np.sqrt(dim2)))
+    return (np.trace(x) - np.trace(swap_operator(dim) @ x) / dim) * np.eye(dim2) / (dim2 - 1)
+
+
+@pytest.mark.parametrize(
+    "name, wrong, check",
+    [
+        ("twirl1", lambda x: twirl1(x) / len(x) ** 2, "single_copy_twirl_vs_mc"),
+        ("twirl2", _twirl2_without_swap, "two_copy_twirl_vs_mc"),
+    ],
+)
+def test_cli_verify_catches_a_wrong_twirl(monkeypatch, capsys, name, wrong, check):
+    monkeypatch.setattr(f"qbattery.runner.{name}", wrong)
+    assert main(["verify", "--d", "2"]) == 2
+    failed = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert failed == [check]
 
 
 def test_cli_coincidence_point(capsys):

@@ -11,6 +11,7 @@ from qbattery.haar import (
     twirl1,
     twirl2,
     two_copy_local_twirl,
+    two_copy_local_twirl_probe,
 )
 from qbattery.linalg import MAX_LOCAL_DIM, random_density_matrix, random_hermitian, subsystem_permutation, swap_operator
 
@@ -76,10 +77,10 @@ def test_determinism_and_stream_separation():
 
 def test_chunked_pairs_match_direct_draws():
     cfg = SamplerConfig(d=2, seed=5)
-    chunks = list(iter_pair_unitaries(cfg, 10, chunk=3))
+    chunks = list(iter_pair_unitaries(cfg, 9000))
     direct = HaarSampler(cfg)
     again = []
-    for k in (3, 3, 3, 1):
+    for k in (4096, 4096, 808):
         again.append((direct.unitaries(k), direct.unitaries(k)))
     got = np.concatenate([ua for ua, _ in chunks])
     ref = np.concatenate([ua for ua, _ in again])
@@ -91,11 +92,11 @@ def test_prefetched_pair_chunks_are_bitwise_the_serial_draws(d):
     cfg = SamplerConfig(d=d, seed=17)
     serial = HaarSampler(cfg)
     sizes = []
-    for ua, ub in iter_pair_unitaries(cfg, 200, chunk=64):
+    for ua, ub in iter_pair_unitaries(cfg, 9000):
         sizes.append(len(ua))
         assert np.array_equal(ua, serial.unitaries(len(ua)))
         assert np.array_equal(ub, serial.unitaries(len(ub)))
-    assert sizes == [64, 64, 64, 8]
+    assert sizes == [4096, 4096, 808]
 
 
 def test_single_copy_twirl_against_mc(rng):
@@ -204,6 +205,16 @@ def test_two_copy_local_twirl_depends_only_on_sector_lengths(rng):
     np.testing.assert_allclose(
         two_copy_local_twirl(rho, d), two_copy_local_twirl(rotated, d), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_two_copy_local_twirl_probe_is_the_full_matrix_on_p_tensor_p(rng, d):
+    rho = random_density_matrix(rng, d * d)
+    eye = np.eye(d)
+    pa, pb = random_hermitian(rng, d), random_hermitian(rng, d)
+    for p in (np.eye(d * d), np.kron(pa, eye), np.kron(eye, pb), np.kron(pa, pb), random_hermitian(rng, d * d)):
+        full = np.vdot(np.kron(p, p), two_copy_local_twirl(rho, d)).real
+        assert abs(two_copy_local_twirl_probe(rho, d, p) - full) <= 1e-12 * abs(full)
 
 
 def test_sampler_config_validation():

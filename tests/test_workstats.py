@@ -335,9 +335,9 @@ def test_default_chunk_keeps_a_pair_stack_at_2_to_the_24_entries():
 def test_draw_thread_ends_after_full_consumption_a_break_and_a_sample_error():
     cfg = SamplerConfig(d=2, seed=3)
     baseline = threading.active_count()
-    assert sum(len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 200, cfg, chunk=64)) == 200
+    assert sum(len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 9000, cfg)) == 9000
     assert threading.active_count() == baseline
-    for _ in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 200, cfg, chunk=64):
+    for _ in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 9000, cfg):
         break
     assert threading.active_count() == baseline
 
@@ -345,7 +345,7 @@ def test_draw_thread_ends_after_full_consumption_a_break_and_a_sample_error():
         raise RuntimeError("sample failed")
 
     with pytest.raises(RuntimeError, match="sample failed"):
-        summarize(iter_samples(failing, 2, 200, cfg, chunk=64))
+        summarize(iter_samples(failing, 2, 9000, cfg))
     assert threading.active_count() == baseline
 
 
