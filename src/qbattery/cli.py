@@ -2,16 +2,16 @@
 
 Subcommands: variance, witness, histogram, tpm, coincidence, sweep, verify.
 Each takes an optional JSON config (--config) plus flag overrides; results
-go to stdout or --out as CSV/JSON.  ``OVERRIDES`` maps each override flag to
-the config key it sets and the runs that read that key; a flag that the run
-does not read is a configuration error naming the key (and, for a sweep,
-the grid it scans instead: ``parameters.alpha_grid``, ``parameters.b_grid``
-or ``parameters.eps_grid``).
+go to stdout or --out as CSV/JSON.  ``runner.CONFIG_KEYS`` lists the keys
+each run reads; a config key or flag that the run does not read, or a config
+``protocol`` naming another run, is a configuration error naming the key
+(for a flag given to a sweep, also the grid that the sweep scans instead).
 ``--format`` (default CSV) applies to sweep and histogram only; the other
 runs write JSON and refuse it as a configuration error.
 Exit codes: 0 success, 1 configuration error (an unreadable --config or
-unwritable --out path included, checked before any computation) or a closed
-stdout pipe, 2 verification failure.
+unwritable --out path included, and the histogram CSV's ``.summary.json``
+sidecar, all checked before any computation) or a closed stdout pipe,
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import sys
 
 from .runner import (
+    CONFIG_KEYS,
     ExperimentConfig,
     run_histogram,
     run_point,
@@ -76,28 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SAMPLING_RUNS = ("variance", "histogram", "tpm", "coincidence", "verify", "tpm sweep")
-_POINT_RUNS = ("variance", "witness", "histogram", "tpm", "coincidence")
-
-#: Every override flag as (dest, config key it sets, runs that read that key,
-#: grid a sweep scans instead).  A sweep counts as "<protocol> sweep"; a run
-#: that samples only on request still reads the seed and the sample count.
-OVERRIDES = (
-    ("alpha", "state.thermal_mixture.alpha", _POINT_RUNS, "parameters.alpha_grid"),
-    ("b", "battery.ising.b", (*_POINT_RUNS, "tpm sweep"), "parameters.b_grid"),
-    ("eps", "parameters.eps", ("tpm", "coincidence"), "parameters.eps_grid"),
-    ("eps_a", "parameters.eps_a", ("tpm",), "parameters.eps_grid"),
-    ("eps_b", "parameters.eps_b", ("tpm",), "parameters.eps_grid"),
-    ("mc", "sampling.mc", ("tpm sweep",), None),
-    ("seed", "sampling.seed", _SAMPLING_RUNS, None),
-    ("n", "sampling.n_unitaries", _SAMPLING_RUNS, None),
-    ("bin_width", "parameters.bin_width", ("histogram",), None),
-    ("d", "parameters.d", ("verify",), None),
-)
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The validated config with every given flag written at its key; a flag the run ignores is a ConfigError."""
+    """The checked config with every given flag written at its key; a key or flag the run ignores is a ConfigError."""
     raw = {}
     if args.config:
         try:
@@ -107,20 +88,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("config", f"cannot read {args.config}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
-    sweep = args.command == "sweep"
     cfg = ExperimentConfig.from_dict(raw)
-    if not sweep:
-        cfg.protocol = args.command  # the subcommand decides; config protocol drives sweeps only
-    elif cfg.protocol not in ("variance", "tpm"):
-        raise ConfigError("protocol", f"sweep supports 'variance' or 'tpm', got {cfg.protocol!r}")
-    run = f"{cfg.protocol} sweep" if sweep else cfg.protocol
-    for dest, key, runs, grid in OVERRIDES:
-        value = getattr(args, dest, None)
+    run = f"{cfg.protocol or 'variance'} sweep" if args.command == "sweep" else args.command
+    cfg.check(run)
+    for key, (runs, flag, grid) in CONFIG_KEYS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
         if value is None or value is False:
             continue
         if run not in runs:
-            scans = f"; a sweep scans {grid}" if sweep and grid else ""
-            raise ConfigError("--" + dest.replace("_", "-"), f"{run} does not read {key}{scans}")
+            scans = f"; a sweep scans {grid}" if args.command == "sweep" and grid else ""
+            raise ConfigError(flag, f"{run} does not read {key}{scans}")
         parts = key.split(".")
         node = getattr(cfg, parts[0])
         for depth in range(1, len(parts) - 1):
@@ -192,6 +169,8 @@ def _run(args: argparse.Namespace) -> int:
     try:
         if args.out:
             _check_out(args.out)
+            if args.command == "histogram" and args.format != "json":
+                _check_out(args.out + ".summary.json")  # the CSV's sidecar
         if args.format is not None and args.command not in ("sweep", "histogram"):
             raise ConfigError("--format", f"{args.command} writes JSON only")
         cfg = _load_config(args)

@@ -2,17 +2,18 @@
 
 Configs are JSON dicts with the sections ``battery``, ``state``,
 ``protocol``, ``parameters`` and ``sampling`` (see ``serialization`` for
-the battery/state formats).  Sweeps emit one CSV row per grid point with
-the swept parameters echoed, so any row can be reproduced by a direct
-library call; CSV files start with a versioned schema comment.  A seed is
-mandatory for anything that samples unitaries.
+the battery/state formats); a run refuses any key ``CONFIG_KEYS`` does not
+list for it.  Sweeps emit one CSV row per grid point with the swept
+parameters echoed, so any row can be reproduced by a direct library call;
+CSV files start with a versioned schema comment.  A seed is mandatory for
+anything that samples unitaries.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,6 @@ from .serialization import (
     ConfigError,
     _family,
     _family_name,
-    _known_keys,
     _number,
     _positive,
     _required_number,
@@ -80,6 +80,32 @@ DEFAULT_BATTERY = {"ising": {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}}
 DEFAULT_STATE = {"thermal_mixture": {"alpha": 0.96, "T": 1.5}}
 DEFAULT_VERIFY_SEED = 20240901
 
+_POINT_RUNS = ("variance", "witness", "histogram", "tpm", "coincidence")
+_SAMPLING_RUNS = ("variance", "histogram", "tpm", "coincidence", "tpm sweep")
+
+#: Every config key -> (runs that read it, CLI flag, grid a sweep scans instead); a sweep is "<protocol> sweep".
+#: ``battery`` and ``state`` are whole sections; ``battery.ising.b`` and ``state.thermal_mixture.alpha`` are flag rows.
+CONFIG_KEYS = {
+    "battery": ((*_POINT_RUNS, "variance sweep", "tpm sweep"), None, None),
+    "state": ((*_POINT_RUNS, "variance sweep", "tpm sweep"), None, None),
+    "state.thermal_mixture.alpha": (_POINT_RUNS, "--alpha", "parameters.alpha_grid"),
+    "battery.ising.b": ((*_POINT_RUNS, "tpm sweep"), "--b", "parameters.b_grid"),
+    "parameters.eps": (("tpm", "coincidence"), "--eps", "parameters.eps_grid"),
+    "parameters.eps_a": (("tpm",), "--eps-a", "parameters.eps_grid"),
+    "parameters.eps_b": (("tpm",), "--eps-b", "parameters.eps_grid"),
+    "parameters.eps_grid": (("tpm sweep",), None, None),
+    "parameters.alpha_grid": (("variance sweep", "tpm sweep"), None, None),
+    "parameters.b_grid": (("variance sweep",), None, None),
+    "parameters.bin_width": (("histogram",), "--bin-width", None),
+    "parameters.d": (("verify",), "--d", None),
+    "parameters.se_multiplier": (("verify",), None, None),
+    "sampling.mc": (("variance", "tpm", "coincidence", "tpm sweep"), "--mc", None),
+    "sampling.seed": ((*_SAMPLING_RUNS, "verify"), "--seed", None),
+    "sampling.stream": (_SAMPLING_RUNS, None, None),
+    "sampling.n_unitaries": ((*_SAMPLING_RUNS, "verify"), "--n", None),
+}
+_RUNS = tuple(dict.fromkeys(run for runs, _, _ in CONFIG_KEYS.values() for run in runs))
+
 
 def _min_samples(n: int) -> None:
     if n < 3:
@@ -88,41 +114,47 @@ def _min_samples(n: int) -> None:
 
 @dataclass
 class ExperimentConfig:
-    """Validated runner configuration; ``dataclasses.asdict`` round-trips it."""
+    """Validated runner configuration; ``asdict`` round-trips it.  ``None`` marks a section not given."""
 
-    protocol: str = "variance"
-    battery: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_BATTERY)))
-    state: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_STATE)))
+    protocol: str | None = None
+    battery: dict | None = None
+    state: dict | None = None
     parameters: dict = field(default_factory=dict)
     sampling: dict = field(default_factory=dict)
-
-    KNOWN_PROTOCOLS = ("variance", "witness", "histogram", "tpm", "coincidence", "verify")
-    PARAMETER_KEYS = ("eps", "eps_a", "eps_b", "eps_grid", "alpha_grid", "b_grid", "bin_width", "d", "se_multiplier")
-    SAMPLING_KEYS = ("seed", "stream", "n_unitaries", "mc")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        _known_keys(obj, ("protocol", "battery", "state", "parameters", "sampling"))
-        cfg = cls(
-            protocol=obj.get("protocol", "variance"),
-            battery=obj.get("battery", json.loads(json.dumps(DEFAULT_BATTERY))),
-            state=obj.get("state", json.loads(json.dumps(DEFAULT_STATE))),
-            parameters=obj.get("parameters", {}),
-            sampling=obj.get("sampling", {}),
-        )
-        if cfg.protocol not in cls.KNOWN_PROTOCOLS:
-            raise ConfigError("protocol", f"unknown protocol {cfg.protocol!r}")
+        unknown = [key for key in obj if key not in {f.name for f in fields(cls)}]
+        if unknown:
+            raise ConfigError(unknown[0], "unknown configuration key")
+        if "protocol" in obj and obj["protocol"] not in (run.split()[0] for run in _RUNS):
+            raise ConfigError("protocol", f"unknown protocol {obj['protocol']!r}")
         for key in ("parameters", "sampling", "battery", "state"):
-            if not isinstance(getattr(cfg, key), dict):
+            if key in obj and not isinstance(obj[key], dict):
                 raise ConfigError(key, "must be a JSON object")
-        _known_keys(cfg.parameters, cls.PARAMETER_KEYS, "parameters")
-        _known_keys(cfg.sampling, cls.SAMPLING_KEYS, "sampling")
+        cfg = cls(**obj)
         for k, grid in cfg.parameters.items():
             if k.endswith("_grid") and not (isinstance(grid, list) and grid):
                 raise ConfigError(f"parameters.{k}", "grid must be a non-empty list")
         return cfg
+
+    def check(self, run: str) -> None:
+        """Refuse, at its path, the first given key that ``run`` does not read; then fill in its defaults."""
+        if self.protocol not in (None, run.split()[0]) or run not in _RUNS:
+            raise ConfigError("protocol", f"no {run} run takes protocol {self.protocol!r}")
+        given = [section for section in ("battery", "state") if getattr(self, section) is not None]
+        given += [f"{section}.{key}" for section in ("parameters", "sampling") for key in getattr(self, section)]
+        for path in given:
+            if path not in CONFIG_KEYS:
+                raise ConfigError(path, "unknown configuration key")
+            if run not in CONFIG_KEYS[path][0]:
+                raise ConfigError(path, f"{run} does not read this key")
+        self.protocol = run.split()[0]
+        for section, default in (("battery", DEFAULT_BATTERY), ("state", DEFAULT_STATE)):
+            if getattr(self, section) is None and run in CONFIG_KEYS[section][0]:
+                setattr(self, section, json.loads(json.dumps(default)))
 
     def sampler(self, d: int) -> SamplerConfig:
         """Sampler config from the sampling section; seed is mandatory."""
@@ -210,6 +242,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     stack; every row is bitwise what ``detect_schmidt_number`` reports for
     ``thermal_mixture_state`` at that point.
     """
+    cfg.check("variance sweep")
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.04)
     default = np.round(np.arange(0.0, 0.901, 0.05), 10)
@@ -251,6 +284,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     that point.  Monte-Carlo columns appear when the sampling section sets
     ``mc: true``; a seed is then mandatory.
     """
+    cfg.check("tpm sweep")
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.05)
     with_mc = cfg.mc()
@@ -297,6 +331,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Binned work counts plus a summary with sample mean/variance and SEs."""
+    cfg.check("histogram")
     h, rho = _build_point(cfg)
     bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=_positive)
     if not histogram_fits(h, bin_width):
@@ -326,9 +361,12 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
 
 def run_point(cfg: ExperimentConfig) -> dict:
-    """Single-point evaluation for the variance/witness/tpm/coincidence protocols."""
+    """Single-point evaluation for the variance/witness/tpm/coincidence protocols (default variance)."""
+    protocol = cfg.protocol or "variance"
+    if protocol not in ("variance", "witness", "tpm", "coincidence"):
+        raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
+    cfg.check(protocol)
     h, rho = _build_point(cfg)
-    protocol = cfg.protocol
     want_mc = cfg.mc() or "n_unitaries" in cfg.sampling
     if protocol == "witness":
         return {"protocol": protocol, **asdict(detect_schmidt_number(rho, h))}
@@ -349,15 +387,13 @@ def run_point(cfg: ExperimentConfig) -> dict:
         out = {"protocol": protocol, "mean": stats.mean, "variance": stats.variance}
         if want_mc:
             mc = mc_work_statistics(rho, h, cfg.n_unitaries(), cfg.sampler(h.d))
-    elif protocol == "tpm":
+    else:
         spec = spectral_decomposition(h)
         eps_a = _eps_param(cfg, "eps_a", simulate=want_mc)
         eps_b = _eps_param(cfg, "eps_b", simulate=want_mc)
         out = {"protocol": protocol, **asdict(tpm_variance_closed_form(rho, spec, eps_a, eps_b))}
         if want_mc:
             mc = mc_tpm_statistics(rho, spec, eps_a, eps_b, cfg.n_unitaries(), cfg.sampler(h.d))
-    else:
-        raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
     if mc is not None:
         out["mc"] = {
             "n": mc.n_samples,
@@ -505,9 +541,8 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     standard errors (default 5); identity sweeps use fixed tolerances.  The
     report echoes seed and sizes so a rerun reproduces it bit for bit.
     """
+    cfg.check("verify")
     p = cfg.parameters
-    _known_keys(p, ("d", "se_multiplier"), "parameters")
-    _known_keys(cfg.sampling, ("seed", "n_unitaries"), "sampling")
     d = _number(p.get("d", 2), "parameters.d", int)
     if not 2 <= d <= MAX_LOCAL_DIM:
         raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_LOCAL_DIM}, got {d}")

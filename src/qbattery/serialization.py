@@ -72,11 +72,11 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
-def _known_keys(obj: dict, allowed, context: str = "") -> None:
-    """A ConfigError at the path of the first key of ``obj`` not in ``allowed``."""
+def _known_keys(obj: dict, allowed, context: str) -> None:
+    """A ConfigError at ``context.<key>`` for the first key of ``obj`` not in ``allowed``."""
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise ConfigError(f"{context}.{unknown[0]}" if context else unknown[0], "unknown configuration key")
+        raise ConfigError(f"{context}.{unknown[0]}", "unknown configuration key")
 
 
 def _family_name(spec, families, section: str) -> str:

@@ -10,10 +10,10 @@ import pytest
 
 import qbattery
 from qbattery.battery import gibbs_state, ising_battery, thermal_mixture_state
-from qbattery.cli import OVERRIDES, main
+from qbattery.cli import build_parser, main
 from qbattery.haar import twirl1
 from qbattery.linalg import swap_operator
-from qbattery.runner import ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
+from qbattery.runner import CONFIG_KEYS, ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
 from qbattery.witness import detect_schmidt_number
 
 
@@ -255,6 +255,15 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
         ("verify", {"parameters": {"n": 200}}, "parameters.n"),
         ("verify", {"sampling": {"stream": 5}}, "sampling.stream"),
         ("verify", {"parameters": {"eps": 0.3}}, "parameters.eps"),
+        # keys a run does not read
+        ("coincidence", {"parameters": {"eps_a": 0.3}}, "parameters.eps_a"),
+        ("verify", {"battery": {"ising": {"J1": "x"}}, "state": {"matrix": 5}}, "battery"),
+        ("witness", {"sampling": {"seed": 3, "n_unitaries": 50}}, "sampling.seed"),
+        ("variance", {"protocol": "tpm"}, "protocol"),
+        ("sweep", {"parameters": {"eps": 0.3}}, "parameters.eps"),
+        ("sweep", {"sampling": {"seed": 3}}, "sampling.seed"),
+        ("histogram", {"sampling": {"mc": True, "seed": 1, "n_unitaries": 10}}, "sampling.mc"),
+        ("sweep", {"protocol": "witness"}, "protocol"),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):
@@ -272,6 +281,8 @@ def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, confi
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"configuration error: {key}:")
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
 
 @pytest.mark.parametrize(
     "args, config, key",
@@ -428,7 +439,7 @@ def test_cli_unwritable_histogram_summary_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"configuration error: --out: cannot write {summary}: ")
-    assert sum(int(r["count"]) for r in _read_csv(out)) == 10
+    assert not out.exists()  # refused before the run, so no CSV either
 
 
 def test_cli_unreadable_config_path_is_a_one_line_error(tmp_path, capsys):
@@ -510,40 +521,105 @@ def test_cli_sweep_refuses_a_point_override_it_would_ignore(tmp_path, capsys, ar
     assert grid in err[0]
 
 
-_READS = {dest: runs for dest, _, runs, _ in OVERRIDES}
-_FLAG_VALUES = {"alpha": "0.5", "b": "0.3", "eps": "0.5", "eps_a": "0.5", "eps_b": "0.5", "bin_width": "0.1", "d": "2"}
+_COMMANDS = build_parser()._subparsers._group_actions[0].choices
+# A valid value for every config key, small enough that each run takes well under a second.
+_VALUES = {
+    "battery": {"ising": _ISING},
+    "state": {"thermal_mixture": {"alpha": 0.5, "T": 1.5}},
+    "state.thermal_mixture.alpha": 0.5,
+    "battery.ising.b": 0.3,
+    "parameters.eps": 0.5,
+    "parameters.eps_a": 0.5,
+    "parameters.eps_b": 0.5,
+    "parameters.eps_grid": [0.5],
+    "parameters.alpha_grid": [0.5],
+    "parameters.b_grid": [0.3],
+    "parameters.bin_width": 0.1,
+    "parameters.d": 2,
+    "parameters.se_multiplier": 5.0,
+    "sampling.seed": 1,
+    "sampling.stream": 0,
+    "sampling.n_unitaries": 10,
+    "sampling.mc": True,
+}
+# Keys a config file can hold; battery.ising.b and state.thermal_mixture.alpha sit inside their sections.
+_FILE_KEYS = [key for key in CONFIG_KEYS if key.count(".") <= 1]
 
 
-@pytest.mark.parametrize("run, dest", [(run, dest) for dest, runs in _READS.items() for run in runs])
-def test_cli_every_flag_a_run_reads_is_accepted(tmp_path, capsys, run, dest):
+def _run_args(tmp_path, run, keys=()):
+    """CLI args for ``run`` on a config that sets ``keys``, plus the small grids, seed and n the run reads."""
     protocol, _, sweep = run.partition(" ")
-    args = [protocol]
-    if sweep:
-        config = tmp_path / "cfg.json"
-        grids = {"alpha_grid": [0.5], "b_grid": [0.3], "eps_grid": [0.5]}
-        config.write_text(json.dumps({"protocol": protocol, "parameters": grids}))
-        args = ["sweep", "--config", str(config)]
-    if run in _READS["seed"]:
-        args += ["--seed", "1", "--n", "10"]
-    if dest == "mc":
-        args.append("--mc")
-    elif dest not in ("seed", "n"):
-        args += ["--" + dest.replace("_", "-"), _FLAG_VALUES[dest]]
+    small = ("parameters.alpha_grid", "parameters.b_grid", "parameters.eps_grid", "sampling.seed", "sampling.n_unitaries")
+    config = {"protocol": protocol} if sweep else {}
+    for key in [*(k for k in small if run in CONFIG_KEYS[k][0]), *keys]:
+        section, _, name = key.partition(".")
+        if name:
+            config.setdefault(section, {})[name] = _VALUES[key]
+        else:
+            config[section] = _VALUES[key]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return ["sweep" if sweep else run, "--config", str(path)]
+
+
+def _ran(code, run):
+    return code in (0, 2) if run == "verify" else code == 0  # verify at n = 10 may miss its 5-SE gate: exit 2
+
+
+_FLAG_KEYS = {flag[2:].replace("-", "_"): key for key, (_, flag, _) in CONFIG_KEYS.items() if flag}
+
+
+@pytest.mark.parametrize(
+    "run, dest",
+    [
+        (run, dest)  # only where the run's subcommand has the flag: --mc is a sweep flag
+        for dest, key in _FLAG_KEYS.items()
+        for run in CONFIG_KEYS[key][0]
+        if "--" + dest.replace("_", "-") in _COMMANDS["sweep" if run.endswith(" sweep") else run]._option_string_actions
+    ],
+)
+def test_cli_every_flag_a_run_reads_is_accepted(tmp_path, capsys, run, dest):
+    key = _FLAG_KEYS[dest]
+    flag = CONFIG_KEYS[key][1]
+    args = _run_args(tmp_path, run) + ([flag] if flag == "--mc" else [flag, str(_VALUES[key])])
     code = main(args)
     assert "configuration error" not in capsys.readouterr().err
-    assert code in (0, 2) if run == "verify" else code == 0  # verify at n = 10 may miss its 5-SE gate: exit 2
+    assert _ran(code, run)
+
+
+_RUNS = list(dict.fromkeys(run for runs, _, _ in CONFIG_KEYS.values() for run in runs))
+
+
+@pytest.mark.parametrize("run", _RUNS)
+@pytest.mark.parametrize("key", _FILE_KEYS)
+def test_cli_config_key_is_read_or_refused_by_each_run(tmp_path, capsys, key, run):
+    code = main(_run_args(tmp_path, run, [key]))
+    err = capsys.readouterr().err.splitlines()
+    if run in CONFIG_KEYS[key][0]:
+        assert err == [] and _ran(code, run)
+    else:
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"configuration error: {key}:")
 
 
 def test_readme_flag_table_is_the_override_table():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        rows = [line for line in fh.read().splitlines() if line.startswith("| `--")]
-    expected = [
-        f"| `--{dest.replace('_', '-')}` | `{key}` | {', '.join(f'`{run}`' for run in runs)} | "
-        + (f"`{grid}` |" if grid else "none |")
-        for dest, key, runs, grid in OVERRIDES
+        rows = [line for line in fh.read().splitlines() if line.startswith("| `")]
+
+    def runs_cell(runs):
+        return ", ".join(f"`{run}`" for run in runs)
+
+    flags = [
+        f"| `{flag}` | `{key}` | {runs_cell(runs)} | " + (f"`{grid}` |" if grid else "none |")
+        for key, (runs, flag, grid) in CONFIG_KEYS.items()
+        if flag
     ]
-    assert rows == expected
+    keys = [
+        f"| `{key}` | {runs_cell(runs)} | " + (f"`{flag}` |" if flag else "none |")
+        for key, (runs, flag, _) in CONFIG_KEYS.items()
+    ]
+    assert rows == flags + keys
 
 
 def test_cli_tpm_sweep_takes_the_field_override(tmp_path, capsys):
