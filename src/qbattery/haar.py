@@ -125,7 +125,8 @@ def iter_pair_unitaries(cfg: SamplerConfig, n: int):
     stack never exceeds 2^24 entries; the last chunk holds the remainder.
 
     One background thread, opened per call, draws chunk c + 1 while the
-    caller works on chunk c.  Only that thread touches the sampler, in the
+    caller works on chunk c, sharing the CPUs with the kernel threads of
+    ``workstats.iter_samples``.  Only that thread touches the sampler, in the
     serial order, so every draw is bitwise the one-thread draw; the cost is
     one chunk of extra memory.  An exception in the draw reaches the caller
     at the chunk it belongs to, and closing the generator early (a ``break``

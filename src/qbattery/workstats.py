@@ -13,6 +13,8 @@ Hamiltonian enter.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -119,54 +121,76 @@ def conjugation_traces(u: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndar
     return np.einsum("nij,ji->n", conjugate(u, m), obs).real
 
 
-def _block(k: int, d: int) -> int:
-    """Pairs per block of a per-pair kernel: min(k, 2^18 / d^4), at least one.
+def _cpus() -> int:
+    """CPUs this process may run on (``os.cpu_count`` where there is no affinity mask)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-    A (block, d^2, d^2) complex buffer then stays within 4 MiB, whatever the
-    chunk; the chunk alone fixes the draws.
+
+def _workers(d: int) -> int:
+    """Threads that share each chunk's kernels: every CPU at d <= 8, one above.
+
+    Above d = 8 the per-pair products are big enough for OpenBLAS to thread
+    each of them itself; splitting the chunk as well made d = 16 slower.
     """
-    return min(k, max(1, 2**18 // d**4))
+    return _cpus() if d <= 8 else 1
+
+
+def _block(k: int, d: int) -> int:
+    """Pairs per block of a per-pair kernel: min(k, 2^18 / d^4 / workers), at least one.
+
+    The (block, d^2, d^2) complex buffers of all ``_workers`` threads then
+    stay within 4 MiB together, whatever the chunk; the chunk alone fixes
+    the draws.
+    """
+    return min(k, max(1, 2**18 // d**4 // _workers(d)))
+
+
+def _pair_layout(x: np.ndarray, d: int) -> np.ndarray:
+    """A (d^2, c) matrix x[(a, b), column] laid out as (a, column, b), the operand of ``apply_pair``."""
+    return np.ascontiguousarray(x.reshape(d, d, -1).transpose(0, 2, 1))
 
 
 def apply_pair(ua: np.ndarray, ub: np.ndarray, x: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Batched (U_A (x) U_B) x for a fixed (d^2, c) matrix x, one side at a time, written into ``out``.
+    """Batched (U_A (x) U_B) x for a fixed x given as ``_pair_layout``, written into ``out`` in that layout.
 
-    Both sides are batched matmuls, so a pair costs 2 d^3 c multiply-adds and
-    U_A (x) U_B is never formed.  Side A is one small product per pair, not
-    one GEMM over the whole stack: at d <= 8 OpenBLAS runs a product that
-    small on the calling thread, which leaves the second core to the Haar
-    draw thread of ``iter_pair_unitaries`` instead of a spinning BLAS
-    worker.  The side-A product goes into ``tmp``; ``tmp`` and ``out`` are
-    C-contiguous buffers of k d^2 c complex entries, reshaped in place.
+    Each side is one product per pair: side A is U_A @ x on (a, column b),
+    side B a right product by U_B^T on (a' column, b).  A pair costs
+    2 d^3 c multiply-adds and U_A (x) U_B is never formed.  At d <= 8 the
+    products are small enough that OpenBLAS runs them on the calling thread,
+    so each ``iter_samples`` worker keeps to its own CPU.  Side A goes into
+    ``tmp``; both buffers hold k d^2 c complex entries.  Returns shape
+    (k, d, c, d), entry [n, a', column, b'] = ((U_A (x) U_B) x)[(a', b'), column].
     """
-    k, d = ua.shape[0], ua.shape[1]
-    c = x.shape[1]
-    t = np.matmul(ua, x.reshape(d, d * c), out=tmp.reshape(k, d, d * c))
-    return np.matmul(ub[:, None], t.reshape(k, d, d, c), out=out.reshape(k, d, d, c)).reshape(k, d * d, c)
+    k, d, c = ua.shape[0], ua.shape[1], x.shape[1]
+    t = np.matmul(ua, x.reshape(d, c * d), out=tmp.reshape(k, d, c * d))
+    out = np.matmul(t.reshape(k, d * c, d), ub.transpose(0, 2, 1), out=out.reshape(k, d * c, d))
+    return out.reshape(k, d, c, d)
 
 
 def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Batched tr[U m U^dag obs] for U = U_A (x) U_B, as Re sum_xy (U m)[x, y] conj((obs U)[x, y]).
 
-    Two ``apply_pair`` calls per block of ``_block`` pairs, into buffers
+    Two ``apply_pair`` calls per block of ``_block`` pairs, into three buffers
     reused for every block: 4 d^5 multiply-adds per pair for any m and obs.
-    obs U = (U^dag obs)^dag is copied out contiguous, and each trace is the
-    dot of the float views of the two products (Re a conj(b) = Re a Re b +
+    U m and obs U = (U^dag obs)^dag are copied out in (d^2, d^2) order, and
+    each trace is the dot of their float views (Re a conj(b) = Re a Re b +
     Im a Im b), one small product per pair.
     """
     k, d = ua.shape[0], ua.shape[1]
     b, dd = _block(k, d), d * d
     f = 2 * dd * dd  # floats per (d^2, d^2) complex product
-    tmp, um_buf, uo_buf = (np.empty((b, dd, dd), dtype=complex) for _ in range(3))
+    mx, ox = _pair_layout(m, d), _pair_layout(obs, d)
+    bufs = [np.empty((b, dd, dd), dtype=complex) for _ in range(3)]
     traces = np.empty(k)
     for s in range(0, k, b):
         e = min(s + b, k)
         n = e - s
-        uah, ubh = ua[s:e].conj().transpose(0, 2, 1), ub[s:e].conj().transpose(0, 2, 1)
-        um = apply_pair(ua[s:e], ub[s:e], m, tmp[:n], um_buf[:n])
-        uo = apply_pair(uah, ubh, obs, tmp[:n], uo_buf[:n])
-        ou = np.conjugate(uo.transpose(0, 2, 1), out=tmp[:n])
-        np.matmul(um.view(float).reshape(n, 1, f), ou.view(float).reshape(n, f, 1), out=traces[s:e, None, None])
+        p, q, r = (buf[:n] for buf in bufs)
+        um = apply_pair(ua[s:e], ub[s:e], mx, p, q)
+        np.copyto(p.reshape(n, d, d, dd), um.transpose(0, 1, 3, 2))
+        uo = apply_pair(ua[s:e].conj().transpose(0, 2, 1), ub[s:e].conj().transpose(0, 2, 1), ox, q, r)
+        np.conjugate(uo.transpose(0, 2, 1, 3), out=q.reshape(n, dd, d, d))
+        np.matmul(p.view(float).reshape(n, 1, f), q.view(float).reshape(n, f, 1), out=traces[s:e, None, None])
     return traces
 
 
@@ -178,17 +202,18 @@ def rotated_populations(
     With x = sum_r lam_r w_r w_r^dag (one ``eigh`` here, none per chunk),
     q = sum_r lam_r |(V_A^dag U_A (x) V_B^dag U_B) w_r|^2 entrywise, for
     signed lam: 2 d^5 multiply-adds per pair, in blocks of ``_block`` pairs
-    through buffers reused for every block.  The rotated columns are squared
-    in place on their float view and weighted by lam, repeated for the real
-    and imaginary parts, in one matrix-vector product per pair: one product
-    over the whole block is big enough for OpenBLAS to thread, and its
-    worker then competes with the Haar draw thread.
+    through two buffers reused for every block.  The rotated columns, back in
+    their (d^2, d^2) order, are squared in place on their float view and
+    weighted by lam, repeated for the real and imaginary parts, in one
+    matrix-vector product per pair: one product over the whole block is big
+    enough for OpenBLAS to thread, competing with the loop's threads.
     """
     lam, w = np.linalg.eigh(x)
     lam2 = np.repeat(lam, 2)  # |y|^2 = y.re^2 + y.im^2 on the interleaved float view
     va, vb = spec.vecs_a.conj().T, spec.vecs_b.conj().T
     d = spec.d
     dd = d * d
+    wx = _pair_layout(w, d)
 
     def populations(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         k = ua.shape[0]
@@ -198,7 +223,9 @@ def rotated_populations(
         for s in range(0, k, b):
             e = min(s + b, k)
             n = e - s
-            y = apply_pair(va @ ua[s:e], vb @ ub[s:e], w, tmp[:n], y_buf[:n]).view(float)
+            y = apply_pair(va @ ua[s:e], vb @ ub[s:e], wx, tmp[:n], y_buf[:n])
+            np.copyto(tmp[:n].reshape(n, d, d, dd), y.transpose(0, 1, 3, 2))
+            y = tmp[:n].view(float)
             np.matmul(np.square(y, out=y), lam2, out=q[s:e])
         return q.reshape(k, d, d)
 
@@ -211,23 +238,32 @@ def iter_samples(
     """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs.
 
     Every estimator, verify's twirl probes included, is a per-chunk sample
-    function over local unitary stacks.  Chunks follow the sampler's order
-    under the one chunk rule of ``iter_pair_unitaries``, so (seed, stream, n)
-    fix the draws and the order in which moments are folded: that is the
-    reproducibility contract.  Memory is bounded by the block, not the
-    chunk: ``pair_traces`` and ``rotated_populations`` evaluate a chunk in
-    blocks of ``_block`` pairs, whose results do not depend on the block
-    size.  While ``sample`` runs on one chunk, ``iter_pair_unitaries`` draws
-    the next on its background thread; every BLAS call of the kernels is one
-    product per pair, at d <= 8 small enough that OpenBLAS keeps it on this
-    thread and leaves the second core to the draw.
+    function over local unitary stacks whose value for a pair depends on that
+    pair alone.  Chunks follow the sampler's order under the one chunk rule
+    of ``iter_pair_unitaries``, so (seed, stream, n) fix the draws and the
+    order in which moments are folded: that is the reproducibility contract.
+    Each chunk is cut into ``_workers`` contiguous slices, at most one per
+    ``_block`` of the chunk.  One executor, opened per call, evaluates all but
+    the first slice while this thread evaluates the first, and the results
+    are joined in slice order, so every chunk is bitwise the one-thread
+    chunk; meanwhile ``iter_pair_unitaries`` draws the next chunk.  The
+    kernels walk a slice in blocks of ``_block`` pairs, so memory is bounded
+    by the block, not the chunk.  A ``break`` or an error in any slice joins
+    every thread before the error reaches the caller.
     """
     if n < 3:
         raise ValueError(f"need at least three samples, got {n}")
     if cfg.d != d:
         raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
-    for ua, ub in iter_pair_unitaries(cfg, n):
-        yield sample(ua, ub)
+    workers = _workers(d)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts a thread only at its first slice
+        for ua, ub in iter_pair_unitaries(cfg, n):
+            k = ua.shape[0]
+            parts = min(workers, -(-k // _block(k, d)))
+            cuts = [k * i // parts for i in range(parts + 1)]
+            rest = [pool.submit(sample, ua[s:e], ub[s:e]) for s, e in zip(cuts[1:-1], cuts[2:])]
+            first = sample(ua[: cuts[1]], ub[: cuts[1]])
+            yield np.concatenate([first, *(f.result() for f in rest)]) if rest else first
 
 
 def summarize(chunks: Iterable[np.ndarray]) -> WorkStatistics:

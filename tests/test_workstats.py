@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qbattery import workstats
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.coincidence import avg_coincidence_closed, mc_coincidence
 from qbattery.haar import HaarSampler, SamplerConfig
@@ -290,8 +291,11 @@ def test_rotated_populations_match_the_kronecker_reference(case, d):
 
 
 @pytest.mark.parametrize("d, block", [(3, 3236), (4, 1024), (8, 64), (16, 4)])
-def test_one_side_kernels_do_not_depend_on_the_block_size(d, block):
-    assert _block(10**6, d) == block  # max(1, 2^18 / d^4): a (block, d^2, d^2) complex buffer is 4 MiB at most
+def test_one_side_kernels_do_not_depend_on_the_block_size(d, block, monkeypatch):
+    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+    assert _block(10**6, d) == (block // 2 if d <= 8 else block)  # two workers share the budget; d = 16 runs on one
+    monkeypatch.setattr(workstats, "_cpus", lambda: 1)
+    assert _block(10**6, d) == block  # max(1, 2^18 / d^4 / workers): a (block, d^2, d^2) complex buffer is 4 MiB at most
     spec, x, obs = _kernel_case("mixed", d)
     sampler = HaarSampler(SamplerConfig(d=d, seed=33))
     k = 2 * block + 5  # two full blocks and a ragged tail
@@ -302,8 +306,8 @@ def test_one_side_kernels_do_not_depend_on_the_block_size(d, block):
     assert np.array_equal(populations(ua, ub), np.concatenate([populations(a, b) for a, b in pairs]))
 
 
-@pytest.mark.parametrize("d, n", [(8, 4096), (16, 256)])
-def test_mc_estimators_peak_memory_stays_below_64_mib(d, n):
+@pytest.mark.parametrize("d, n", [(4, 20000), (8, 4096), (16, 256)])
+def test_mc_estimators_peak_memory_stays_below_64_mib(d, n, monkeypatch):
     rng = np.random.default_rng(4100 + d)
     h = make_random_battery(rng, d)
     spec = spectral_decomposition(h)
@@ -314,14 +318,68 @@ def test_mc_estimators_peak_memory_stays_below_64_mib(d, n):
         "tpm": lambda: mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg),
         "coincidence": lambda: mc_coincidence(rho, spec, 0.7, 0.4, n, cfg),
     }
-    for name, run in estimators.items():
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20, (name, peak)
+    for cpus in (1, 2):
+        monkeypatch.setattr(workstats, "_cpus", lambda: cpus)
+        for name, run in estimators.items():
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, (name, cpus, peak)
+
+
+@pytest.mark.parametrize("d, n", [(2, 9000), (3, 9000), (4, 9000), (8, 5000)])
+def test_the_worker_count_changes_no_bit(d, n, monkeypatch):
+    rng = np.random.default_rng(4200 + d)
+    h = make_random_battery(rng, d)
+    spec = spectral_decomposition(h)
+    rho = random_density_matrix(rng, d * d)
+
+    def outputs():
+        stats, hist = work_sample_summary(rho, h, n, SamplerConfig(d=d, seed=35), bin_width=0.05)
+        tpm = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, SamplerConfig(d=d, seed=36))
+        coincidence = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(d=d, seed=37))
+        values = np.concatenate(list(iter_work_values(rho, h, n, SamplerConfig(d=d, seed=35))))
+        return stats, hist.origin, hist.counts.tolist(), tpm, coincidence, values.tolist()
+
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workstats, "_cpus", lambda: cpus)
+        runs.append(outputs())
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("d, n, slices", [(2, 5000, [4096, 904]), (4, 5000, [2048, 2048, 452, 452]), (8, 5000, [2048, 2048, 452, 452]), (16, 300, [256, 44])])
+def test_each_chunk_is_cut_into_one_slice_per_worker_and_block(d, n, slices, monkeypatch):
+    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+    seen = []
+
+    def record(ua, ub):
+        seen.append(len(ua))
+        return ua[:, 0, 0].real
+
+    assert sum(len(c) for c in iter_samples(record, d, n, SamplerConfig(d=d, seed=1))) == n
+    assert sorted(seen, reverse=True) == slices
+
+
+def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
+    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+    cfg = SamplerConfig(d=8, seed=3)
+    baseline = threading.active_count()
+
+    def failing_off_the_caller(ua, ub):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker slice failed")
+        return ua[:, 0, 0].real
+
+    with pytest.raises(RuntimeError, match="worker slice failed"):
+        summarize(iter_samples(failing_off_the_caller, 8, 5000, cfg))
+    assert threading.active_count() == baseline
+    for _ in iter_samples(lambda ua, ub: ua[:, 0, 0], 8, 5000, cfg):
+        break
+    assert threading.active_count() == baseline
 
 
 def test_default_chunk_keeps_a_pair_stack_at_2_to_the_24_entries():
