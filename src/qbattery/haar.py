@@ -2,7 +2,10 @@
 
 Sampling uses a counter-based PRNG (Philox) keyed by (seed, stream), so
 independent streams can be drawn without coordination and the sequence for a
-given ``SamplerConfig`` is bit-for-bit reproducible.
+given ``SamplerConfig`` is bit-for-bit reproducible.  Monte-Carlo pairs come
+in chunks of ``chunk_size(d)``, and chunk c starts its own sequence at
+Philox counter (0, 0, c, 0) (Salmon et al., SC'11), so any chunk is drawn
+without drawing the ones before it; chunk 0 is the unaddressed sequence.
 
 Each unitary is the Q factor of a complex Ginibre matrix Z = A + iB, whose
 real parts A are drawn for the whole batch first and the imaginary parts B
@@ -17,7 +20,6 @@ with LAPACK QR plus that phase fix up to rounding.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +30,17 @@ __all__ = [
     "SamplerConfig",
     "HaarSampler",
     "haar_unitary",
-    "iter_pair_unitaries",
+    "chunk_size",
+    "pair_chunk",
     "twirl1",
     "twirl2",
     "two_copy_local_twirl",
     "two_copy_local_twirl_probe",
 ]
 
-#: The chunk ``iter_pair_unitaries`` draws at d <= 8 (2^24 / d^4 above).  It
-#: is the only chunk: every Monte-Carlo estimate, verify's checks included,
-#: draws through it, so (seed, stream) and n fix the draws.
+#: Pairs per Monte-Carlo chunk at d <= 4 (``chunk_size`` shrinks it above).
+#: Every Monte-Carlo estimate, verify's checks included, draws through
+#: ``pair_chunk``, so (seed, stream) and n fix the draws.
 DEFAULT_CHUNK = 4096
 
 
@@ -67,11 +70,11 @@ class SamplerConfig:
 
 
 class HaarSampler:
-    """Stateful Haar sampler over U(d) for one (seed, stream) pair."""
+    """Stateful Haar sampler over U(d) for one (seed, stream) pair, from the start of chunk ``chunk``."""
 
-    def __init__(self, cfg: SamplerConfig):
+    def __init__(self, cfg: SamplerConfig, chunk: int = 0):
         self.cfg = cfg
-        self._rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream]))
+        self._rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream], counter=[0, 0, chunk, 0]))
 
     def unitaries(self, n: int) -> np.ndarray:
         """Draw a batch of n Haar-random unitaries, shape (n, d, d)."""
@@ -116,38 +119,16 @@ def haar_unitary(cfg: SamplerConfig) -> np.ndarray:
     return HaarSampler(cfg).unitary()
 
 
-def iter_pair_unitaries(cfg: SamplerConfig, n: int):
-    """Yield chunked batches (ua, ub) covering n independent unitary pairs.
+def chunk_size(d: int) -> int:
+    """Pairs per Monte-Carlo chunk, min(DEFAULT_CHUNK, 2^16 / d^2): a chunk's two unitary stacks hold 2 MiB at most."""
+    return min(DEFAULT_CHUNK, 2**16 // d**2)
 
-    Each chunk of k pairs draws k unitaries for side A, then k for side B,
-    from the one stream addressed by ``cfg``.  The chunk is ``DEFAULT_CHUNK``
-    for d <= 8 and 2^24 / d^4 above (256 at d = 16), so a (chunk, d^2, d^2)
-    stack never exceeds 2^24 entries; the last chunk holds the remainder.
 
-    One background thread, opened per call, draws chunk c + 1 while the
-    caller works on chunk c, sharing the CPUs with the kernel threads of
-    ``workstats.iter_samples``.  Only that thread touches the sampler, in the
-    serial order, so every draw is bitwise the one-thread draw; the cost is
-    one chunk of extra memory.  An exception in the draw reaches the caller
-    at the chunk it belongs to, and closing the generator early (a ``break``
-    or an exception in the caller's loop) joins the thread.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
-    chunk = min(DEFAULT_CHUNK, 2**24 // cfg.d**4)
-    sampler = HaarSampler(cfg)
-
-    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
-        ua = sampler.unitaries(k)
-        return ua, sampler.unitaries(k)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, min(chunk, n))
-        for start in range(chunk, n, chunk):
-            ready = pending.result()
-            pending = pool.submit(draw, min(chunk, n - start))
-            yield ready
-        yield pending.result()
+def pair_chunk(cfg: SamplerConfig, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk c of the pairs of ``cfg``: k side-A unitaries, then k side-B ones, from the sampler at chunk c."""
+    sampler = HaarSampler(cfg, chunk=c)
+    ua = sampler.unitaries(k)
+    return ua, sampler.unitaries(k)
 
 
 def twirl1(x: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ Hamiltonian enter.
 from __future__ import annotations
 
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition
-from .haar import SamplerConfig, iter_pair_unitaries
+from .haar import SamplerConfig, chunk_size, pair_chunk
 from .linalg import StateLike, as_density, sector_lengths
 from .montecarlo import MomentAccumulator
 
@@ -127,7 +129,7 @@ def _cpus() -> int:
 
 
 def _workers(d: int) -> int:
-    """Threads that share each chunk's kernels: every CPU at d <= 8, one above.
+    """Most threads that evaluate chunks at once: every CPU at d <= 8, one above.
 
     Above d = 8 the per-pair products are big enough for OpenBLAS to thread
     each of them itself; splitting the chunk as well made d = 16 slower.
@@ -135,14 +137,18 @@ def _workers(d: int) -> int:
     return _cpus() if d <= 8 else 1
 
 
-def _block(k: int, d: int) -> int:
-    """Pairs per block of a per-pair kernel: min(k, 2^18 / d^4 / workers), at least one.
+_pool = threading.local()  # .threads: the size of the iter_samples pool this thread belongs to
 
-    The (block, d^2, d^2) complex buffers of all ``_workers`` threads then
-    stay within 4 MiB together, whatever the chunk; the chunk alone fixes
-    the draws.
+
+def _block(k: int, d: int) -> int:
+    """Pairs per block of a per-pair kernel: min(k, 2^18 / d^4 / T), at least one.
+
+    T is the number of threads of the ``iter_samples`` pool that runs the
+    kernel, 1 on any other thread, so the (block, d^2, d^2) complex buffers
+    of all the threads actually started stay within 4 MiB together, whatever
+    the chunk; the chunk alone fixes the draws.
     """
-    return min(k, max(1, 2**18 // d**4 // _workers(d)))
+    return min(k, max(1, 2**18 // d**4 // getattr(_pool, "threads", 1)))
 
 
 def _pair_layout(x: np.ndarray, d: int) -> np.ndarray:
@@ -235,35 +241,48 @@ def rotated_populations(
 def iter_samples(
     sample: Callable[[np.ndarray, np.ndarray], np.ndarray], d: int, n: int, cfg: SamplerConfig
 ) -> Iterator[np.ndarray]:
-    """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs.
+    """The Monte-Carlo loop: yield ``sample(ua, ub)`` per chunk of n Haar pairs, in chunk order.
 
     Every estimator, verify's twirl probes included, is a per-chunk sample
     function over local unitary stacks whose value for a pair depends on that
-    pair alone.  Chunks follow the sampler's order under the one chunk rule
-    of ``iter_pair_unitaries``, so (seed, stream, n) fix the draws and the
-    order in which moments are folded: that is the reproducibility contract.
-    Each chunk is cut into ``_workers`` contiguous slices, at most one per
-    ``_block`` of the chunk.  One executor, opened per call, evaluates all but
-    the first slice while this thread evaluates the first, and the results
-    are joined in slice order, so every chunk is bitwise the one-thread
-    chunk; meanwhile ``iter_pair_unitaries`` draws the next chunk.  The
-    kernels walk a slice in blocks of ``_block`` pairs, so memory is bounded
-    by the block, not the chunk.  A ``break`` or an error in any slice joins
-    every thread before the error reaches the caller.
+    pair alone.  The pairs come in chunks of ``chunk_size(d)``, the last
+    holding the remainder, and chunk c is ``pair_chunk(cfg, c, k)``, drawn
+    from its own place in the stream: (seed, stream, n) fix the draws and
+    the order in which moments are folded, whatever the thread count.  That
+    is the reproducibility contract.
+
+    Each chunk is one task, which draws it and applies ``sample`` to it.
+    T = min(``_workers(d)``, chunks) threads run the tasks, from one executor
+    opened per call, with at most 2T chunks in flight; with T = 1 this thread
+    runs them and no thread is started.  A task holds its chunk's unitaries
+    (2 MiB) and the kernels' blocks of ``_block`` pairs, so memory is
+    bounded by T, not by n.  A ``break`` or an error in any task cancels the
+    queued chunks and joins every thread before the caller goes on.
     """
     if n < 3:
         raise ValueError(f"need at least three samples, got {n}")
     if cfg.d != d:
         raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
-    workers = _workers(d)
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts a thread only at its first slice
-        for ua, ub in iter_pair_unitaries(cfg, n):
-            k = ua.shape[0]
-            parts = min(workers, -(-k // _block(k, d)))
-            cuts = [k * i // parts for i in range(parts + 1)]
-            rest = [pool.submit(sample, ua[s:e], ub[s:e]) for s, e in zip(cuts[1:-1], cuts[2:])]
-            first = sample(ua[: cuts[1]], ub[: cuts[1]])
-            yield np.concatenate([first, *(f.result() for f in rest)]) if rest else first
+    k = chunk_size(d)
+    chunks = range(-(-n // k))
+    threads = min(_workers(d), len(chunks))
+
+    def task(c: int) -> np.ndarray:
+        return sample(*pair_chunk(cfg, c, min(k, n - c * k)))
+
+    if threads == 1:
+        yield from map(task, chunks)
+        return
+    pool = ThreadPoolExecutor(threads, initializer=setattr, initargs=(_pool, "threads", threads))
+    try:
+        pending = deque(pool.submit(task, c) for c in chunks[: 2 * threads])
+        for c in chunks[2 * threads :]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(task, c))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def summarize(chunks: Iterable[np.ndarray]) -> WorkStatistics:

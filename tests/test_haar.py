@@ -6,14 +6,16 @@ from qbattery.haar import (
     HaarSampler,
     _gram_schmidt,
     SamplerConfig,
+    chunk_size,
     haar_unitary,
-    iter_pair_unitaries,
+    pair_chunk,
     twirl1,
     twirl2,
     two_copy_local_twirl,
     two_copy_local_twirl_probe,
 )
 from qbattery.linalg import MAX_LOCAL_DIM, random_density_matrix, random_hermitian, subsystem_permutation, swap_operator
+from qbattery.workstats import iter_samples
 
 
 # ---------------------------------------------------------------------------
@@ -76,27 +78,36 @@ def test_determinism_and_stream_separation():
 
 
 def test_chunked_pairs_match_direct_draws():
+    # chunk c, the ragged last one included, is its addressed sampler drawn side A, then side B
     cfg = SamplerConfig(d=2, seed=5)
-    chunks = list(iter_pair_unitaries(cfg, 9000))
-    direct = HaarSampler(cfg)
-    again = []
-    for k in (4096, 4096, 808):
-        again.append((direct.unitaries(k), direct.unitaries(k)))
-    got = np.concatenate([ua for ua, _ in chunks])
-    ref = np.concatenate([ua for ua, _ in again])
-    assert np.array_equal(got, ref)
+    n, k = 9000, chunk_size(2)
+    chunks = list(iter_samples(lambda ua, ub: (ua, ub), 2, n, cfg))
+    assert [len(ua) for ua, _ in chunks] == [4096, 4096, 808]
+    for c, (ua, ub) in enumerate(chunks):
+        direct = HaarSampler(cfg, chunk=c)
+        assert np.array_equal(ua, direct.unitaries(min(k, n - c * k)))
+        assert np.array_equal(ub, direct.unitaries(min(k, n - c * k)))
+    serial = HaarSampler(cfg)
+    serial.unitaries(2 * k)
+    assert not np.allclose(chunks[1][0], serial.unitaries(k))  # chunk 1 is not the serial continuation of chunk 0
+
+
+def test_chunk_c_starts_at_philox_counter_word_2():
+    cfg = SamplerConfig(d=3, seed=5, stream=2)
+    rng = np.random.Generator(np.random.Philox(key=[5, 2], counter=[0, 0, 7, 0]))
+    side_a, side_b = (_gram_schmidt(rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))) for _ in "AB")
+    ua, ub = pair_chunk(cfg, 7, 2)
+    assert np.array_equal(ua, side_a) and np.array_equal(ub, side_b)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
-def test_prefetched_pair_chunks_are_bitwise_the_serial_draws(d):
+def test_chunk_zero_is_the_unaddressed_samplers_first_draws(d):
     cfg = SamplerConfig(d=d, seed=17)
     serial = HaarSampler(cfg)
-    sizes = []
-    for ua, ub in iter_pair_unitaries(cfg, 9000):
-        sizes.append(len(ua))
-        assert np.array_equal(ua, serial.unitaries(len(ua)))
-        assert np.array_equal(ub, serial.unitaries(len(ub)))
-    assert sizes == [4096, 4096, 808]
+    ua, ub = next(iter_samples(lambda ua, ub: (ua, ub), d, 9000, cfg))
+    assert len(ua) == chunk_size(d)
+    assert np.array_equal(ua, serial.unitaries(len(ua)))
+    assert np.array_equal(ub, serial.unitaries(len(ub)))
 
 
 def test_single_copy_twirl_against_mc(rng):

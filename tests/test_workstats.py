@@ -1,6 +1,8 @@
 import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from qbattery import workstats
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.coincidence import avg_coincidence_closed, mc_coincidence
-from qbattery.haar import HaarSampler, SamplerConfig
+from qbattery.haar import HaarSampler, SamplerConfig, chunk_size, pair_chunk
 from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermitian, random_pure_state
 from qbattery.tpm import instrument_average, mc_tpm_statistics, tpm_variance_closed_form, tpm_work_mean
 from qbattery.workstats import (
@@ -292,10 +294,8 @@ def test_rotated_populations_match_the_kronecker_reference(case, d):
 
 @pytest.mark.parametrize("d, block", [(3, 3236), (4, 1024), (8, 64), (16, 4)])
 def test_one_side_kernels_do_not_depend_on_the_block_size(d, block, monkeypatch):
-    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
-    assert _block(10**6, d) == (block // 2 if d <= 8 else block)  # two workers share the budget; d = 16 runs on one
-    monkeypatch.setattr(workstats, "_cpus", lambda: 1)
-    assert _block(10**6, d) == block  # max(1, 2^18 / d^4 / workers): a (block, d^2, d^2) complex buffer is 4 MiB at most
+    monkeypatch.setattr(workstats, "_cpus", lambda: 16)
+    assert _block(10**6, d) == block  # outside a pool, max(1, 2^18 / d^4) whatever the CPUs: a (block, d^2, d^2) complex buffer is 4 MiB at most
     spec, x, obs = _kernel_case("mixed", d)
     sampler = HaarSampler(SamplerConfig(d=d, seed=33))
     k = 2 * block + 5  # two full blocks and a ragged tail
@@ -345,65 +345,109 @@ def test_the_worker_count_changes_no_bit(d, n, monkeypatch):
         return stats, hist.origin, hist.counts.tolist(), tpm, coincidence, values.tolist()
 
     runs = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):  # 3 threads do not divide the chunks of d = 8, n = 5000
         monkeypatch.setattr(workstats, "_cpus", lambda: cpus)
         runs.append(outputs())
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
-@pytest.mark.parametrize("d, n, slices", [(2, 5000, [4096, 904]), (4, 5000, [2048, 2048, 452, 452]), (8, 5000, [2048, 2048, 452, 452]), (16, 300, [256, 44])])
-def test_each_chunk_is_cut_into_one_slice_per_worker_and_block(d, n, slices, monkeypatch):
-    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+def _tag_chunks(monkeypatch):
+    """Wrap the chunk draw: a sample function reads its chunk index from ``current.c``; ``drawn`` lists the chunks drawn."""
+    current, drawn = threading.local(), []
+
+    def draw(cfg, c, k):
+        current.c = c
+        drawn.append(c)
+        return pair_chunk(cfg, c, k)
+
+    monkeypatch.setattr(workstats, "pair_chunk", draw)
+    return current, drawn
+
+
+def test_the_block_budget_is_shared_by_the_threads_started(monkeypatch):
+    monkeypatch.setattr(workstats, "_cpus", lambda: 16)
+    baseline = threading.active_count()
+    together = threading.Barrier(4, timeout=30)  # each chunk waits until four run at once
     seen = []
 
     def record(ua, ub):
-        seen.append(len(ua))
+        together.wait()
+        seen.append((threading.active_count() - baseline, _block(len(ua), 8)))
         return ua[:, 0, 0].real
 
-    assert sum(len(c) for c in iter_samples(record, d, n, SamplerConfig(d=d, seed=1))) == n
-    assert sorted(seen, reverse=True) == slices
+    # d = 8, 4,096 pairs: four 1,024-pair chunks start four threads, which share 2^18 / 8^4 = 64 pairs
+    assert sum(len(c) for c in iter_samples(record, 8, 4096, SamplerConfig(d=8, seed=1))) == 4096
+    assert seen == [(4, 16)] * 4
+    assert threading.active_count() == baseline
+
+    def inline(ua, ub):
+        seen.append((threading.active_count() - baseline, _block(len(ua), ua.shape[1])))
+        return ua[:, 0, 0].real
+
+    for d, n, block in [(4, 4096, 1024), (16, 600, 4)]:  # one chunk, or d = 16: no thread, the whole budget
+        seen.clear()
+        assert sum(len(c) for c in iter_samples(inline, d, n, SamplerConfig(d=d, seed=1))) == n
+        assert set(seen) == {(0, block)}
 
 
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
-    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
-    cfg = SamplerConfig(d=8, seed=3)
+    current, _ = _tag_chunks(monkeypatch)
+    cfg = SamplerConfig(d=2, seed=3)
     baseline = threading.active_count()
 
-    def failing_off_the_caller(ua, ub):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("worker slice failed")
+    def sample(ua, ub, failing):
+        if current.c == failing:
+            raise RuntimeError(f"chunk {failing} failed")
         return ua[:, 0, 0].real
 
-    with pytest.raises(RuntimeError, match="worker slice failed"):
-        summarize(iter_samples(failing_off_the_caller, 8, 5000, cfg))
-    assert threading.active_count() == baseline
-    for _ in iter_samples(lambda ua, ub: ua[:, 0, 0], 8, 5000, cfg):
-        break
-    assert threading.active_count() == baseline
+    for cpus in (1, 2):
+        monkeypatch.setattr(workstats, "_cpus", lambda: cpus)
+        for failing in (0, 1, 4):  # the first chunk, a chunk in flight with it, the ragged last
+            with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
+                summarize(iter_samples(lambda ua, ub: sample(ua, ub, failing), 2, 4 * 4096 + 5, cfg))
+            assert threading.active_count() == baseline
 
 
-def test_default_chunk_keeps_a_pair_stack_at_2_to_the_24_entries():
+def test_chunk_sizes_keep_a_chunks_unitary_stacks_at_2_mib():
     def sizes(d, n):
         return [len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], d, n, SamplerConfig(d=d, seed=1))]
 
-    assert sizes(8, 5000) == [4096, 904]
+    assert [chunk_size(d) for d in (2, 3, 4, 8, 16)] == [4096, 4096, 4096, 1024, 256]
+    assert all(2 * chunk_size(d) * d * d * 16 <= 2**21 for d in range(2, 17))  # side A and B, complex128
+    assert sizes(2, 9000) == [4096, 4096, 808]
+    assert sizes(4, 5000) == [4096, 904]
+    assert sizes(8, 2500) == [1024, 1024, 452]
     assert sizes(16, 600) == [256, 256, 88]
 
 
-def test_draw_thread_ends_after_full_consumption_a_break_and_a_sample_error():
+def test_a_break_cancels_the_queued_chunks_and_every_thread_ends(monkeypatch):
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, c):
+            submitted.append(c)
+            return super().submit(fn, c)
+
+    monkeypatch.setattr(workstats, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+    current, drawn = _tag_chunks(monkeypatch)
     cfg = SamplerConfig(d=2, seed=3)
     baseline = threading.active_count()
     assert sum(len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 9000, cfg)) == 9000
+    assert sorted(drawn) == submitted == [0, 1, 2]
     assert threading.active_count() == baseline
-    for _ in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 9000, cfg):
+    drawn.clear()
+    submitted.clear()
+
+    def slow_after_the_first(ua, ub):
+        if current.c:
+            time.sleep(0.5)  # keeps a thread on chunk 1, and on chunk 2 if it starts, while the caller breaks
+        return ua[:, 0, 0].real
+
+    for _ in iter_samples(slow_after_the_first, 2, 10 * 4096, cfg):
         break
-    assert threading.active_count() == baseline
-
-    def failing(ua, ub):
-        raise RuntimeError("sample failed")
-
-    with pytest.raises(RuntimeError, match="sample failed"):
-        summarize(iter_samples(failing, 2, 9000, cfg))
+    assert submitted == [0, 1, 2, 3]  # at most 2T chunks in flight
+    assert set(drawn) <= {0, 1, 2}  # chunk 3 was queued and is cancelled
     assert threading.active_count() == baseline
 
 
@@ -411,19 +455,20 @@ def test_a_draw_error_reaches_the_caller_of_mc_work_statistics(monkeypatch):
     draw = HaarSampler.unitaries
     calls = []
 
-    def third_call_fails(self, n):
+    def ragged_draw_fails(self, n):
         calls.append(n)
-        if len(calls) == 3:  # side A of the second chunk, drawn while the first is evaluated
+        if n == 904:  # side A of the ragged last chunk, drawn on a worker
             raise RuntimeError("draw failed")
         return draw(self, n)
 
-    monkeypatch.setattr(HaarSampler, "unitaries", third_call_fails)
+    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+    monkeypatch.setattr(HaarSampler, "unitaries", ragged_draw_fails)
     rng = np.random.default_rng(12)
     h, rho = make_random_battery(rng, 2), random_density_matrix(rng, 4)
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="draw failed"):
-        mc_work_statistics(rho, h, 5000, SamplerConfig(d=2, seed=1))
-    assert calls == [4096, 4096, 904]
+        mc_work_statistics(rho, h, 3 * 4096 + 904, SamplerConfig(d=2, seed=1))
+    assert sorted(calls) == [904] + [4096] * 6
     assert threading.active_count() == baseline
 
 
