@@ -390,6 +390,24 @@ def test_the_block_budget_is_shared_by_the_threads_started(monkeypatch):
         assert set(seen) == {(0, block)}
 
 
+@pytest.mark.parametrize("d, n, slices", [(2, 5000, [4096, 904]), (4, 5000, [512] * 9 + [392]), (8, 5000, [32] * 156 + [8]), (16, 300, [4] * 75)])
+def test_each_chunk_is_cut_into_one_slice_per_worker_and_block(d, n, slices, monkeypatch):
+    """At two CPUs a chunk is one worker's slice, which a kernel cuts into blocks of 2^18 / d^4 / T pairs."""
+    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+    apply, seen = workstats.apply_pair, []
+
+    def record(ua, ub, x, tmp, out):
+        seen.append((len(ua), threading.current_thread() is threading.main_thread()))
+        return apply(ua, ub, x, tmp, out)
+
+    monkeypatch.setattr(workstats, "apply_pair", record)
+    spec, x, _ = _kernel_case("mixed", d)
+    chunks = [len(c) for c in iter_samples(rotated_populations(x, spec), d, n, SamplerConfig(d=d, seed=1))]
+    assert sum(chunks) == n and len(chunks) == -(-n // chunk_size(d))
+    assert sorted((b for b, _ in seen), reverse=True) == slices
+    assert {on_caller for _, on_caller in seen} == {d > 8}  # d = 16 runs on the caller, d <= 8 on the two workers
+
+
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
     current, _ = _tag_chunks(monkeypatch)
     cfg = SamplerConfig(d=2, seed=3)
