@@ -54,6 +54,7 @@ from .tpm import (
     noisy_povm,
     tpm_run,
     tpm_variance_closed_form,
+    tpm_variance_stack,
     tpm_weights,
 )
 from .witness import (

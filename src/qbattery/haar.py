@@ -74,7 +74,9 @@ class HaarSampler:
 
     def __init__(self, cfg: SamplerConfig, chunk: int = 0):
         self.cfg = cfg
-        self._rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream], counter=[0, 0, chunk, 0]))
+        # A uint64 array: numpy reads a list holding a word >= 2^63 through float64 and rounds the key.
+        key = np.array([cfg.seed, cfg.stream], dtype=np.uint64)
+        self._rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, chunk, 0]))
 
     def unitaries(self, n: int) -> np.ndarray:
         """Draw a batch of n Haar-random unitaries, shape (n, d, d)."""

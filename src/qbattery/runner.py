@@ -40,12 +40,10 @@ from .serialization import (
 from .tpm import (
     _check_eps,
     _dephased_sectors,
-    _diagonal_weights,
-    _state_terms,
-    _tpm_report,
     mc_tpm_statistics,
     tpm_spectral_stats,
     tpm_variance_closed_form,
+    tpm_variance_stack,
     tpm_weights,
     tpm_work_mean,
 )
@@ -278,11 +276,11 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
 def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Closed-form TPM variance and weights on an (alpha, eps) grid.
 
-    The dephased sector lengths and the mean of each alpha are taken once
-    and shared by its eps values; every row is bitwise what
-    ``tpm_variance_closed_form`` reports for ``thermal_mixture_state`` at
-    that point.  Monte-Carlo columns appear when the sampling section sets
-    ``mc: true``; a seed is then mandatory.
+    The alpha stack is evaluated at every eps in one ``tpm_variance_stack``
+    call, and each row reads its columns from the report of its point, which
+    is bitwise what ``tpm_variance_closed_form`` reports for
+    ``thermal_mixture_state`` there.  Monte-Carlo columns appear when the
+    sampling section sets ``mc: true``; a seed is then mandatory.
     """
     cfg.check("tpm sweep")
     ip = _ising_params(cfg)
@@ -295,14 +293,11 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
     states = _mixture_stack(a_grid, h, temperature)
-    diag_weights = _diagonal_weights(spec)
-    eps_weights = [tpm_weights(eps, eps, h.d) for eps in eps_grid]
+    reports = tpm_variance_stack(states, spec, [(eps, eps) for eps in eps_grid])
     sampler = cfg.sampler(h.d) if with_mc else None
     rows = []
-    for alpha, m in zip(a_grid, states):
-        state = _state_terms(m, spec, diag_weights)
-        for eps, w in zip(eps_grid, eps_weights):
-            rep = _tpm_report(state, w)
+    for alpha, m, state_reports in zip(a_grid, states, reports):
+        for rep in state_reports:
             row = {
                 "J1": ip["J1"],
                 "J2": ip["J2"],
@@ -310,16 +305,16 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "b": ip["b"],
                 "T": temperature,
                 "alpha": alpha,
-                "eps_a": eps,
-                "eps_b": eps,
+                "eps_a": rep.eps_a,
+                "eps_b": rep.eps_b,
                 "var_tpm": rep.var_tpm,
                 "var_diag": rep.var_diag,
-                "n0": w.n0,
-                "n1": w.n1,
-                "n_noisy": w.n_noisy,
+                "n0": rep.weights.n0,
+                "n1": rep.weights.n1,
+                "n_noisy": rep.weights.n_noisy,
             }
             if with_mc:
-                stats = mc_tpm_statistics(m, spec, eps, eps, cfg.n_unitaries(), sampler)
+                stats = mc_tpm_statistics(m, spec, rep.eps_a, rep.eps_b, cfg.n_unitaries(), sampler)
                 row.update(
                     mc_mean=stats.mean,
                     mc_variance=stats.variance,
@@ -499,7 +494,7 @@ def _check_proof_inequalities(rng, d, n, cfg) -> dict:
         _, spec, rho = _random_point(rng, d)
         form = bloch_decompose(rho, d)
         st = tpm_spectral_stats(rho, spec)
-        sectors = _dephased_sectors(rho, spec)
+        sectors = _dephased_sectors(rho.data, spec)
         (c1, c2, c3), ca, cb = sectors["joint"], sectors["local_a"][2], sectors["local_b"][2]
         slacks = [form.r_a2 - c1, form.r_b2 - c2, form.t2 - c3, form.t2 - ca, form.t2 - cb]
         worst = min(worst, min(slacks))

@@ -19,7 +19,6 @@ closed-form variance extend continuously to the eps -> 0 limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ __all__ = [
     "mc_tpm_statistics",
     "tpm_weights",
     "tpm_spectral_stats",
-    "diagonal_work_variance",
-    "tpm_integral_terms",
+    "tpm_variance_stack",
     "tpm_variance_closed_form",
 ]
 
@@ -118,12 +116,13 @@ def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np
 def _eigenbasis_state(m: np.ndarray, spec: SpectralDecomposition) -> tuple[np.ndarray, ...]:
     """(W, r, same_a, same_b): r[a, b, c, e] = <ab| W^dag m W |ce> in the product eigenbasis W = V_A (x) V_B.
 
-    ``m`` is the data of a validated state.  Dephasing side A (B) in its energy
+    ``m`` is the data of a validated state, or a stack (n, d^2, d^2) of them
+    (r then gains the leading axis).  Dephasing side A (B) in its energy
     eigenbasis keeps the entries with a = c (b = e), the mask same_a (same_b).
     """
     d = spec.d
     basis = np.kron(spec.vecs_a, spec.vecs_b)
-    r = (basis.conj().T @ m @ basis).reshape(d, d, d, d)
+    r = (basis.conj().T @ m @ basis).reshape(m.shape[:-2] + (d, d, d, d))
     same_a = np.eye(d)[:, None, :, None]  # delta_ac on r[a, b, c, e]
     same_b = np.eye(d)[None, :, None, :]  # delta_be
     return basis, r, same_a, same_b
@@ -366,86 +365,25 @@ def _diagonal_weights(spec: SpectralDecomposition) -> tuple[float, float, float]
     return ha2, hb2, spec.g**2 * float(np.sum(spec.d_mat**2)) / d**2
 
 
-def diagonal_work_variance(rho: StateLike, spec: SpectralDecomposition) -> float:
-    """Work variance of the diagonal Hamiltonian H_D (off-diagonal part off).
-
-    The ideal closed form ``sector_variance`` with the weights of H_D.
-    """
-    return sector_variance(*sector_lengths(rho, spec.d), *_diagonal_weights(spec), spec.d)
-
-
 _DEPHASINGS = ("state", "joint", "local_a", "local_b")
 
 
-def _dephased_sectors(rho: StateLike, spec: SpectralDecomposition) -> dict[str, tuple[float, float, float]]:
-    """Sector lengths (rA^2, rB^2, t^2) of rho and of its dephased versions.
+def _dephased_sectors(states: np.ndarray, spec: SpectralDecomposition) -> dict[str, tuple]:
+    """Sector lengths (rA^2, rB^2, t^2) of a state's data and of its dephased versions.
 
     'joint' dephases both sides in their local energy eigenbases, 'local_a'
-    side A only and 'local_b' side B only; 'state' is rho itself.  Sector
-    lengths are local-unitary invariants, so each is read off the masked
-    state in the product eigenbasis, all four in one stacked call.
+    side A only and 'local_b' side B only; 'state' is the state itself.
+    Sector lengths are local-unitary invariants, so each is read off the
+    masked state in the product eigenbasis, all four in one stacked call.
+    One state (d^2, d^2) gives floats; a stack (n, d^2, d^2) gives arrays
+    (n,), each entry bitwise what that state gives alone.
     """
-    return _sectors_of(as_density(rho).data, spec)
-
-
-def _sectors_of(m: np.ndarray, spec: SpectralDecomposition) -> dict[str, tuple[float, float, float]]:
     d = spec.d
-    _, r, same_a, same_b = _eigenbasis_state(m, spec)
+    _, r, same_a, same_b = _eigenbasis_state(states, spec)
     masks = np.stack(np.broadcast_arrays(1.0, same_a * same_b, same_a, same_b))
-    lengths = np.stack(sector_lengths((r * masks).reshape(4, d * d, d * d), d), axis=-1).tolist()
-    return dict(zip(_DEPHASINGS, map(tuple, lengths)))
-
-
-class _StateTerms(NamedTuple):
-    """The eps-independent part of the TPM closed form for one state.
-
-    ``variances`` holds the work variance under H_D of each state of
-    ``_dephased_sectors``; ``diag_weights`` the traceless weights of H_D.
-    """
-
-    variances: dict[str, float]
-    mean: float
-    diag_weights: tuple[float, float, float]
-
-
-def _state_terms(m: np.ndarray, spec: SpectralDecomposition, diag_weights: tuple[float, float, float]) -> _StateTerms:
-    """``_StateTerms`` of the validated state data ``m``; ``diag_weights`` is ``_diagonal_weights(spec)``."""
-    var = {name: sector_variance(*lengths, *diag_weights, spec.d) for name, lengths in _sectors_of(m, spec).items()}
-    return _StateTerms(variances=var, mean=_work_mean(m, spec), diag_weights=diag_weights)
-
-
-def _integral_terms(var: dict[str, float], w: TpmWeights) -> dict[str, float]:
-    """The ten Haar integrals of ``tpm_integral_terms`` from the four variances of ``_StateTerms``."""
-    ff = w.f_a**2 * w.f_b**2
-    return {
-        "joint": ff**2 * var["joint"],
-        "local_a": w.kappa_a**2 * var["local_a"],
-        "local_b": w.kappa_b**2 * var["local_b"],
-        "state": w.kappa_ab**2 * var["state"],
-        "cross_joint_a": ff * w.kappa_a * var["joint"],
-        "cross_joint_b": ff * w.kappa_b * var["joint"],
-        "cross_a_b": w.kappa_a * w.kappa_b * var["joint"],
-        "cross_joint_state": ff * w.kappa_ab * var["joint"],
-        "cross_a_state": w.kappa_a * w.kappa_ab * var["local_a"],
-        "cross_b_state": w.kappa_b * w.kappa_ab * var["local_b"],
-    }
-
-
-def tpm_integral_terms(
-    rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float
-) -> dict[str, float]:
-    """The ten Haar integrals whose (cross terms doubled) sum is the variance.
-
-    Keys: 'joint' / 'local_a' / 'local_b' for the dephased-state integrals,
-    'state' for the undisturbed-state one, and 'cross_*' for the six mixed
-    products.  Each is a product of kappa weights with the work variance
-    (under H_D) of one of the four states of ``_dephased_sectors``.  The
-    variance equals joint + local_a + local_b + state + 2 * sum(cross
-    terms); the report's ideal/projective/noisy split is a regrouping of
-    exactly these pieces.
-    """
-    w = tpm_weights(eps_a, eps_b, spec.d)
-    return _integral_terms(_state_terms(as_density(rho).data, spec, _diagonal_weights(spec)).variances, w)
+    dephased = (r[..., None, :, :, :, :] * masks).reshape(states.shape[:-2] + (4, d * d, d * d))
+    lengths = sector_lengths(dephased, d)
+    return {name: tuple(x[..., k] for x in lengths) for k, name in enumerate(_DEPHASINGS)}
 
 
 @dataclass(frozen=True)
@@ -455,6 +393,7 @@ class TpmVarianceReport:
     var_tpm = ideal_term + projective_term + noisy_term
             = n0 * var_diag + n1 * var_projective + n_noisy * var_noisy,
     and var_tpm <= var_diag for every error pair (saturated as eps -> 0).
+    var_diag is the ideal work variance of the diagonal Hamiltonian H_D.
     """
 
     d: int
@@ -474,39 +413,57 @@ class TpmVarianceReport:
     weights: TpmWeights
 
 
+def tpm_variance_stack(
+    states: np.ndarray, spec: SpectralDecomposition, eps_pairs: list[tuple[float, float]]
+) -> list[list[TpmVarianceReport]]:
+    """``tpm_variance_closed_form`` of every state of a stack at every detector pair.
+
+    ``states`` is a stack (n, d^2, d^2) of density matrices, taken as valid
+    and not re-validated, as in ``detect_schmidt_number_stack``; reports[i][j]
+    is bitwise what the per-state call reports for state i at the pair
+    eps_pairs[j] = (eps_a, eps_b).  The variance is a sum of ten Haar
+    integrals, each a product of kappa weights with the work variance under
+    H_D of one state of ``_dephased_sectors``: the joint, local_a, local_b
+    and state squares, and six cross terms that enter twice.  The state
+    square is the ideal term, the other squares the projective term and the
+    cross terms the noisy one.  The trace of H_D is irrelevant (work values
+    are label differences), so the traceless shift of H_D is used implicitly.
+    """
+    d = spec.d
+    if states.ndim != 3 or states.shape[1:] != (d * d, d * d):
+        raise ValueError(f"expected a stack (n, {d * d}, {d * d}) of states, got shape {states.shape}")
+    diag = _diagonal_weights(spec)
+    sectors = _dephased_sectors(states, spec)
+    var = {name: sector_variance(*lengths, *diag, d)[:, None] for name, lengths in sectors.items()}
+    ws = [tpm_weights(eps_a, eps_b, d) for eps_a, eps_b in eps_pairs]
+    coeffs = []  # Python floats: a float's x**2 is libm pow, which an array's square need not match bitwise
+    for w in ws:
+        ff, ka, kb, kab = w.f_a**2 * w.f_b**2, w.kappa_a, w.kappa_b, w.kappa_ab
+        coeffs.append((ff**2, ka**2, kb**2, kab**2, ff * ka, ff * kb, ka * kb, ff * kab, ka * kab, kb * kab))
+    c = np.reshape(coeffs, (-1, 10)).T  # one row per integral, one column per pair
+    joint, local_a, local_b = var["joint"], var["local_a"], var["local_b"]
+    ideal = c[3] * var["state"]
+    proj = c[0] * joint + c[1] * local_a + c[2] * local_b
+    noisy = 2.0 * sum(coeff * v for coeff, v in zip(c[4:], (joint, joint, joint, joint, local_a, local_b)))
+    n1, n_noisy = (np.array([getattr(w, name) for w in ws]) for name in ("n1", "n_noisy"))
+    columns = (  # the report's fields from var_tpm to noisy_term, one (state, pair) cell each
+        ideal + proj + noisy,
+        np.broadcast_to(var["state"], proj.shape),
+        np.divide(proj, n1, out=np.zeros_like(proj), where=n1 > 0),
+        np.divide(noisy, n_noisy, out=np.zeros_like(noisy), where=n_noisy > 0),
+        ideal,
+        proj,
+        noisy,
+    )
+    means = [_work_mean(m, spec) for m in states]
+    return [
+        [TpmVarianceReport(d, w.eps_a, w.eps_b, mean, *cells, *diag, w) for w, *cells in zip(ws, *state_columns)]
+        for mean, *state_columns in zip(means, *(col.tolist() for col in columns))
+    ]
+
+
 def tpm_variance_closed_form(
     rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float
 ) -> TpmVarianceReport:
-    """Closed-form variance of the presumed TPM work over Haar unitary pairs.
-
-    The trace of H_D is irrelevant here (work values are label differences),
-    so the formulas are evaluated for the traceless shift of H_D implicitly.
-    """
-    w = tpm_weights(eps_a, eps_b, spec.d)
-    return _tpm_report(_state_terms(as_density(rho).data, spec, _diagonal_weights(spec)), w)
-
-
-def _tpm_report(state: _StateTerms, w: TpmWeights) -> TpmVarianceReport:
-    """The report of ``tpm_variance_closed_form`` from a state's terms and the detector weights."""
-    terms = _integral_terms(state.variances, w)
-    ideal = terms["state"]
-    proj = terms["joint"] + terms["local_a"] + terms["local_b"]
-    noisy = 2.0 * sum(value for key, value in terms.items() if key.startswith("cross_"))
-    ha2, hb2, gv2 = state.diag_weights
-    return TpmVarianceReport(
-        d=w.d,
-        eps_a=w.eps_a,
-        eps_b=w.eps_b,
-        mean_tpm=state.mean,
-        var_tpm=ideal + proj + noisy,
-        var_diag=state.variances["state"],
-        var_projective=proj / w.n1 if w.n1 > 0 else 0.0,
-        var_noisy=noisy / w.n_noisy if w.n_noisy > 0 else 0.0,
-        ideal_term=ideal,
-        projective_term=proj,
-        noisy_term=noisy,
-        ha2=ha2,
-        hb2=hb2,
-        g2v2_diag=gv2,
-        weights=w,
-    )
+    """Closed-form variance of the presumed TPM work over Haar unitary pairs: ``tpm_variance_stack`` of one."""
+    return tpm_variance_stack(as_density(rho).data[None], spec, [(eps_a, eps_b)])[0][0]

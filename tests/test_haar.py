@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -98,6 +100,23 @@ def test_chunk_c_starts_at_philox_counter_word_2():
     side_a, side_b = (_gram_schmidt(rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))) for _ in "AB")
     ua, ub = pair_chunk(cfg, 7, 2)
     assert np.array_equal(ua, side_a) and np.array_equal(ub, side_b)
+
+
+def test_seeds_above_two_to_the_63_keep_every_bit_of_the_key():
+    # numpy reads a list key holding a word >= 2^63 through float64, which rounds both seeds to 2^63
+    a, b = (HaarSampler(SamplerConfig(d=3, seed=2**63 + k)).unitaries(4) for k in (1, 2))
+    assert not np.allclose(a, b)
+    c, e = (HaarSampler(SamplerConfig(d=3, seed=1, stream=2**63 + k)).unitaries(4) for k in (1, 2))
+    assert not np.allclose(c, e)
+
+
+@pytest.mark.parametrize("seed, stream", [(2**64 - 1, 0), (0, 2**64 - 1), (2**64 - 1, 2**64 - 1)])
+def test_the_largest_seed_and_stream_draw_without_a_warning(seed, stream):
+    # next to a small word, numpy reads a list key holding 2^64 - 1 through float64, whose cast back overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = HaarSampler(SamplerConfig(d=2, seed=seed, stream=stream), chunk=3).unitaries(5)
+    assert np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2))) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])

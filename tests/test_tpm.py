@@ -1,26 +1,29 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.bloch import bloch_decompose, gell_mann_basis
 from qbattery.haar import HaarSampler, SamplerConfig
-from qbattery.linalg import DensityMatrix, random_density_matrix
+from qbattery.linalg import DensityMatrix, random_density_matrix, sector_lengths
 from qbattery.tpm import (
     _dephased_sectors,
+    _diagonal_weights,
     _zeta,
-    diagonal_work_variance,
     energy_labels,
     instrument_average,
     mc_tpm_statistics,
     noisy_povm,
     povm_root_coeffs,
-    tpm_integral_terms,
     tpm_run,
     tpm_spectral_stats,
     tpm_variance_closed_form,
+    tpm_variance_stack,
     tpm_weights,
     tpm_work_mean,
 )
+from qbattery.workstats import sector_variance
 
 from conftest import make_random_battery
 
@@ -355,23 +358,50 @@ def test_integral_terms_regroup_to_closed_form(rng):
         spec = spectral_decomposition(make_random_battery(rng, d))
         rho = random_density_matrix(rng, d * d)
         for ea, eb in [(0.3, 0.3), (0.15, 0.95), (1.0, 1.0)]:
-            terms = tpm_integral_terms(rho, spec, ea, eb)
-            total = (
-                terms["joint"]
-                + terms["local_a"]
-                + terms["local_b"]
-                + terms["state"]
-                + 2 * sum(v for k, v in terms.items() if k.startswith("cross"))
-            )
             rep = tpm_variance_closed_form(rho, spec, ea, eb)
-            assert abs(total - rep.var_tpm) < 1e-12
-            # the weighted decomposition holds too
             recomposed = (
                 rep.weights.n0 * rep.var_diag
                 + rep.weights.n1 * rep.var_projective
                 + rep.weights.n_noisy * rep.var_noisy
             )
             assert abs(recomposed - rep.var_tpm) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_variance_is_the_ideal_form_of_h_diag_at_the_instrument_average(d):
+    # W(U) = tr[rho H_D] - tr[U Xi U^dag H_D], so var_tpm is the ideal H_D variance of Xi, not of the dephasings
+    rng = np.random.default_rng(400 + d)
+    for _ in range(5):
+        spec = spectral_decomposition(make_random_battery(rng, d))
+        rho = random_density_matrix(rng, d * d)
+        for ea, eb in [(0.6, 0.8), (0.2, 0.2), (1.0, 1.0), (0.0, 0.5), (0.0, 0.0), (1.0, 0.3)]:
+            xi = instrument_average(rho, spec, ea, eb)
+            oracle = sector_variance(*sector_lengths(xi, d), *_diagonal_weights(spec), d)
+            var_tpm = tpm_variance_closed_form(rho, spec, ea, eb).var_tpm
+            assert abs(var_tpm - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_stack_reports_are_the_per_point_reports(d):
+    rng = np.random.default_rng(500 + d)
+    spec = spectral_decomposition(make_random_battery(rng, d))
+    states = np.stack([random_density_matrix(rng, d * d).data for _ in range(4)])
+    pairs = [(0.0, 0.0), (1.0, 1.0), (0.2, 0.9), (0.7, 0.7)]
+    with np.errstate(all="raise"):
+        reports = tpm_variance_stack(states, spec, pairs)
+        assert len(reports) == len(states)
+        for m, row in zip(states, reports):
+            assert len(row) == len(pairs)
+            for (ea, eb), rep in zip(pairs, row):
+                assert asdict(rep) == asdict(tpm_variance_closed_form(m, spec, ea, eb))
+
+
+def test_stack_rejects_a_single_state_or_a_wrong_dimension():
+    spec = _ising_spec()
+    rho = _mixture(0.5).data
+    for states in (rho, np.stack([rho[:9, :9]])):
+        with pytest.raises(ValueError, match="expected a stack"):
+            tpm_variance_stack(states, spec, [(0.5, 0.5)])
 
 
 def test_variance_bounded_by_diagonal_variance(rng):
@@ -410,7 +440,8 @@ def test_diagonal_variance_matches_full_form_when_already_diagonal():
     rho = _mixture(0.6)
     from qbattery.workstats import analytic_work_variance
 
-    assert abs(diagonal_work_variance(rho, spec) - analytic_work_variance(rho, h).variance) < 1e-12
+    var_diag = tpm_variance_closed_form(rho, spec, 0.5, 0.5).var_diag
+    assert abs(var_diag - analytic_work_variance(rho, h).variance) < 1e-12
 
 
 def test_closed_form_matches_mc():
@@ -447,7 +478,6 @@ def test_report_serializes():
     spec = _ising_spec()
     rho = _mixture(0.5)
     import json
-    from dataclasses import asdict
 
     text = json.dumps(asdict(tpm_variance_closed_form(rho, spec, 0.4, 0.4)))
     assert "var_tpm" in text and "n_noisy" in text
