@@ -6,6 +6,8 @@ go to stdout or --out as CSV/JSON.  ``runner.CONFIG_KEYS`` lists the keys
 each run reads; a config key or flag that the run does not read, or a config
 ``protocol`` naming another run, is a configuration error naming the key
 (for a flag given to a sweep, also the grid that the sweep scans instead).
+variance, tpm, coincidence and the TPM sweep add Monte Carlo exactly when
+``--n`` (``sampling.n_unitaries``) is given; histogram and verify always sample.
 ``--format`` (default CSV) applies to sweep and histogram only; the other
 runs write JSON and refuse it as a configuration error.
 Exit codes: 0 success, 1 configuration error (an unreadable --config or
@@ -29,6 +31,7 @@ from .runner import (
     run_tpm_sweep,
     run_variance_sweep,
     run_verify,
+    schema_tag,
     write_rows_csv,
 )
 from .serialization import ConfigError
@@ -57,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), help="sweep/histogram output format (default: csv)")
 
     for name, doc in (
-        ("variance", "closed-form work variance at one point (MC optional)"),
+        ("variance", "closed-form work variance at one point (Monte Carlo with --n)"),
         ("witness", "Schmidt-number witness report at one point"),
         ("histogram", "Monte-Carlo work histogram at one point"),
-        ("tpm", "noisy two-point-measurement report at one point (MC optional)"),
-        ("coincidence", "two-copy coincidence report at one point (MC optional)"),
-        ("sweep", "parameter-grid sweep (protocol from config: variance or tpm)"),
+        ("tpm", "noisy two-point-measurement report at one point (Monte Carlo with --n)"),
+        ("coincidence", "two-copy coincidence report at one point (Monte Carlo with --n)"),
+        ("sweep", "parameter-grid sweep (protocol from config: variance, or tpm with Monte Carlo given --n)"),
         ("verify", "run all closed-form vs Monte-Carlo cross-checks"),
     ):
         p = sub.add_parser(name, help=doc)
@@ -71,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--bin-width", type=float, help="histogram bin width")
         if name == "verify":
             p.add_argument("--d", type=int, help="local dimension of the checks")
-        if name == "sweep":
-            p.add_argument("--mc", action="store_true", help="add Monte-Carlo columns where supported")
 
     return parser
 
@@ -93,7 +94,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg.check(run)
     for key, (runs, flag, grid) in CONFIG_KEYS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
-        if value is None or value is False:
+        if value is None:
             continue
         if run not in runs:
             scans = f"; a sweep scans {grid}" if args.command == "sweep" and grid else ""
@@ -147,7 +148,7 @@ def _emit_csv(rows: list[dict], out: str | None, schema: str) -> None:
 
 def _emit_rows(rows: list[dict], args: argparse.Namespace, schema: str) -> None:
     if args.format == "json":
-        _emit_json({"schema": f"qbattery.{schema}", "rows": rows}, args.out)
+        _emit_json({"schema": schema_tag(schema), "rows": rows}, args.out)
         return
     _emit_csv(rows, args.out, schema)
 

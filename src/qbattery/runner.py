@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_stack
 from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
-from .haar import SamplerConfig, _check_seed, _check_stream, twirl1, twirl2, two_copy_local_twirl_probe
+from .haar import SamplerConfig, _check_seed, twirl1, twirl2, two_copy_local_twirl_probe
 from .linalg import MAX_LOCAL_DIM, DensityMatrix, random_density_matrix, random_hermitian, swap_operator
 from .serialization import (
     BATTERY_FAMILIES,
@@ -68,6 +69,7 @@ __all__ = [
     "run_histogram",
     "run_point",
     "run_verify",
+    "schema_tag",
     "write_rows_csv",
     "SCHEMA_VERSION",
 ]
@@ -77,6 +79,7 @@ SCHEMA_VERSION = 1
 DEFAULT_BATTERY = {"ising": {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}}
 DEFAULT_STATE = {"thermal_mixture": {"alpha": 0.96, "T": 1.5}}
 DEFAULT_VERIFY_SEED = 20240901
+MC_GATE_SE = 5.0  # verify's Monte-Carlo checks pass within this many standard errors
 
 _POINT_RUNS = ("variance", "witness", "histogram", "tpm", "coincidence")
 _SAMPLING_RUNS = ("variance", "histogram", "tpm", "coincidence", "tpm sweep")
@@ -96,10 +99,7 @@ CONFIG_KEYS = {
     "parameters.b_grid": (("variance sweep",), None, None),
     "parameters.bin_width": (("histogram",), "--bin-width", None),
     "parameters.d": (("verify",), "--d", None),
-    "parameters.se_multiplier": (("verify",), None, None),
-    "sampling.mc": (("variance", "tpm", "coincidence", "tpm sweep"), "--mc", None),
     "sampling.seed": ((*_SAMPLING_RUNS, "verify"), "--seed", None),
-    "sampling.stream": (_SAMPLING_RUNS, None, None),
     "sampling.n_unitaries": ((*_SAMPLING_RUNS, "verify"), "--n", None),
 }
 _RUNS = tuple(dict.fromkeys(run for runs, _, _ in CONFIG_KEYS.values() for run in runs))
@@ -154,41 +154,25 @@ class ExperimentConfig:
             if getattr(self, section) is None and run in CONFIG_KEYS[section][0]:
                 setattr(self, section, json.loads(json.dumps(default)))
 
-    def sampler(self, d: int) -> SamplerConfig:
-        """Sampler config from the sampling section; seed is mandatory."""
-        if self.sampling.get("seed") is None:
+    def sampler(self, d: int, default_seed: int | None = None) -> SamplerConfig:
+        """Sampler config from the sampling section; the seed is mandatory unless a default is given."""
+        seed = self.sampling.get("seed", default_seed)
+        if seed is None:
             raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
-        seed = _number(self.sampling["seed"], "sampling.seed", int, check=_check_seed)
-        stream = _number(self.sampling.get("stream", 0), "sampling.stream", int, check=_check_stream)
-        return SamplerConfig(d=d, seed=seed, stream=stream)
+        return SamplerConfig(d=d, seed=_number(seed, "sampling.seed", int, check=_check_seed))
 
-    def mc(self) -> bool:
-        """sampling.mc, which must be a JSON boolean: the string "false" is refused, not read as true."""
-        value = self.sampling.get("mc", False)
-        if not isinstance(value, bool):
-            raise ConfigError("sampling.mc", f"must be true or false, got {value!r}")
-        return value
+    def samples(self) -> bool:
+        """Whether a variance, tpm, coincidence or TPM-sweep run adds its Monte-Carlo estimate: when n is given."""
+        return "n_unitaries" in self.sampling
 
     def n_unitaries(self, default: int = 100_000) -> int:
         return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_min_samples)
 
 
-def _checked_eps(value, path: str, *, simulate: bool = False) -> float:
-    """Detector efficiency read from the config at ``path``, validated to [0, 1].
-
-    ``simulate`` additionally rejects eps = 0, where the TPM energy labels
-    diverge and only the closed form is defined.
-    """
-    eps = _number(value, path, check=_check_eps)
-    if simulate and eps == 0.0:
-        raise ConfigError(path, "Monte-Carlo TPM needs eps > 0 (energy labels diverge at 0)")
-    return eps
-
-
 def _eps_param(cfg: ExperimentConfig, key: str, *, simulate: bool = False) -> float:
     """parameters.<key>, falling back to the symmetric parameters.eps, then 1."""
     name = key if key in cfg.parameters else "eps"
-    return _checked_eps(cfg.parameters.get(name, 1.0), f"parameters.{name}", simulate=simulate)
+    return _number(cfg.parameters.get(name, 1.0), f"parameters.{name}", check=partial(_check_eps, simulate=simulate))
 
 
 def _ising_params(cfg: ExperimentConfig) -> dict:
@@ -280,16 +264,14 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     call, and each row reads its columns from the report of its point, which
     is bitwise what ``tpm_variance_closed_form`` reports for
     ``thermal_mixture_state`` there.  Monte-Carlo columns appear when the
-    sampling section sets ``mc: true``; a seed is then mandatory.
+    sampling section gives ``n_unitaries``; a seed is then mandatory.
     """
     cfg.check("tpm sweep")
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.05)
-    with_mc = cfg.mc()
-    eps_grid = [
-        _checked_eps(x, "parameters.eps_grid", simulate=with_mc)
-        for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))
-    ]
+    with_mc = cfg.samples()
+    check = partial(_check_eps, simulate=with_mc)
+    eps_grid = [_number(x, "parameters.eps_grid", check=check) for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))]
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
     states = _mixture_stack(a_grid, h, temperature)
@@ -362,7 +344,7 @@ def run_point(cfg: ExperimentConfig) -> dict:
         raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
     cfg.check(protocol)
     h, rho = _build_point(cfg)
-    want_mc = cfg.mc() or "n_unitaries" in cfg.sampling
+    want_mc = cfg.samples()
     if protocol == "witness":
         return {"protocol": protocol, **asdict(detect_schmidt_number(rho, h))}
     if protocol == "coincidence":
@@ -532,9 +514,9 @@ CHECKS: dict[str, Callable] = {
 def run_verify(cfg: ExperimentConfig) -> dict:
     """Cross-check every closed form against its independent oracle.
 
-    MC checks pass when the measured deviation stays below ``se_multiplier``
-    standard errors (default 5); identity sweeps use fixed tolerances.  The
-    report echoes seed and sizes so a rerun reproduces it bit for bit.
+    MC checks pass when the measured deviation stays below ``MC_GATE_SE``
+    standard errors; identity sweeps use fixed tolerances.  The report
+    echoes seed and sizes so a rerun reproduces it bit for bit.
     """
     cfg.check("verify")
     p = cfg.parameters
@@ -542,8 +524,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     if not 2 <= d <= MAX_LOCAL_DIM:
         raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_LOCAL_DIM}, got {d}")
     n = cfg.n_unitaries(10_000)
-    seed = _number(cfg.sampling.get("seed", DEFAULT_VERIFY_SEED), "sampling.seed", int, check=_check_seed)
-    multiplier = _number(p.get("se_multiplier", 5.0), "parameters.se_multiplier", check=_positive)
+    seed = cfg.sampler(d, DEFAULT_VERIFY_SEED).seed
     checks = []
     all_passed = True
     for idx, (name, fn) in enumerate(CHECKS.items()):
@@ -551,27 +532,27 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         cfg_s = SamplerConfig(d=d, seed=seed, stream=idx)
         result = fn(rng, d, n, cfg_s)
         deviation = float(result["deviation"])
-        threshold = 1.0 if name in ("proof_inequalities", "weight_functions") else multiplier
+        threshold = 1.0 if name in ("proof_inequalities", "weight_functions") else MC_GATE_SE
         passed = bool(deviation <= threshold)
         all_passed &= passed
         entry = {"name": name, "passed": passed, "deviation": deviation, "threshold": threshold}
         if "detail" in result:
             entry["detail"] = result["detail"]
         checks.append(entry)
-    return {"seed": seed, "d": d, "n": n, "se_multiplier": multiplier, "passed": all_passed, "checks": checks}
+    return {"seed": seed, "d": d, "n": n, "passed": all_passed, "checks": checks}
 
 
-def rows_to_csv(rows: list[dict], stream) -> None:
-    fields = list(rows[0].keys())
-    writer = csv.DictWriter(stream, fieldnames=fields)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+def schema_tag(name: str) -> str:
+    """The versioned schema tag of an output, ``qbattery.<name>.v<SCHEMA_VERSION>``, in CSV and JSON alike."""
+    return f"qbattery.{name}.v{SCHEMA_VERSION}"
 
 
 def write_rows_csv(rows: list[dict], stream, schema: str) -> None:
     """CSV with a versioned schema comment; '.' decimals, no locale."""
     if not rows:
         raise ValueError("no rows to write")
-    stream.write(f"# schema=qbattery.{schema}.v{SCHEMA_VERSION}\n")
-    rows_to_csv(rows, stream)
+    stream.write(f"# schema={schema_tag(schema)}\n")
+    writer = csv.DictWriter(stream, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

@@ -48,10 +48,12 @@ __all__ = [
 ]
 
 
-def _check_eps(eps: float, name: str = "epsilon") -> None:
-    """Detector efficiencies (TPM and coincidence) must lie in [0, 1]."""
+def _check_eps(eps: float, name: str = "epsilon", *, simulate: bool = False) -> None:
+    """Detector efficiencies lie in [0, 1]; ``simulate`` also refuses 0, where TPM labels diverge."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {eps}")
+    if simulate and eps == 0.0:
+        raise ValueError(f"{name} must be > 0: the TPM energy labels diverge at 0, where only the closed form exists")
 
 
 def povm_root_coeffs(epsilon: float, d: int) -> tuple[float, float]:
@@ -97,10 +99,8 @@ def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np
     which is exactly the decomposition H_D = sum_ij e_ij P_i^A (x) P_j^B.
     Labels attach to outcome indices, so degenerate energies stay distinct.
     """
-    _check_eps(eps_a, "eps_a")
-    _check_eps(eps_b, "eps_b")
-    if eps_a == 0.0 or eps_b == 0.0:
-        raise ValueError("energy labels diverge at epsilon = 0 (weak-measurement limit)")
+    _check_eps(eps_a, "eps_a", simulate=True)
+    _check_eps(eps_b, "eps_b", simulate=True)
     d = spec.d
     tra = float(spec.energies_a.sum())
     trb = float(spec.energies_b.sum())
@@ -243,8 +243,8 @@ def mc_tpm_statistics(
     eigenbasis, so the trace is sum_ij e_joint[i, j] q_ij(U; Xi) over the
     rotated populations of Xi.
     """
-    if eps_a == 0.0 or eps_b == 0.0:
-        raise ValueError("simulation requires epsilon > 0; labels diverge at 0")
+    _check_eps(eps_a, "eps_a", simulate=True)
+    _check_eps(eps_b, "eps_b", simulate=True)
     m = as_density(rho).data
     populations = rotated_populations(instrument_average(m, spec, eps_a, eps_b), spec)
     base = expectation(m, spec.h_diag)

@@ -13,7 +13,7 @@ from qbattery.battery import gibbs_state, ising_battery, thermal_mixture_state
 from qbattery.cli import build_parser, main
 from qbattery.haar import twirl1
 from qbattery.linalg import swap_operator
-from qbattery.runner import CONFIG_KEYS, ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
+from qbattery.runner import CONFIG_KEYS, ExperimentConfig, run_histogram, run_point, run_tpm_sweep, run_variance_sweep
 from qbattery.witness import detect_schmidt_number
 
 
@@ -122,6 +122,31 @@ def test_cli_seeded_rerun_is_identical(tmp_path, capsys):
     assert abs(payload["mc"]["variance"] - payload["var_tpm"]) < 5 * payload["mc"]["se_variance"]
 
 
+@pytest.mark.parametrize("given_n", [False, True])
+@pytest.mark.parametrize("run", ["variance", "tpm", "coincidence", "tpm sweep"])
+def test_a_run_adds_monte_carlo_exactly_when_n_is_given(run, given_n):
+    sampling = {"seed": 3, "n_unitaries": 30} if given_n else {"seed": 3}
+    if run == "tpm sweep":
+        grids = {"alpha_grid": [0.5], "eps_grid": [0.5]}
+        cfg = ExperimentConfig.from_dict({"protocol": "tpm", "parameters": grids, "sampling": sampling})
+        out = run_tpm_sweep(cfg)[0]
+    else:
+        out = run_point(ExperimentConfig.from_dict({"protocol": run, "sampling": sampling}))
+    mc_keys = {"tpm sweep": {"mc_mean", "mc_variance", "mc_se_variance"}, "coincidence": {"cbar_mc", "cbar_mc_se"}}
+    sampled = {key for key, value in out.items() if "mc" in key and value is not None}
+    assert sampled == (mc_keys.get(run, {"mc"}) if given_n else set())
+
+
+def test_sweep_json_schema_tag_is_its_csv_tag(tmp_path):
+    config = tmp_path / "tpm.json"
+    config.write_text(json.dumps({"protocol": "tpm", "parameters": {"alpha_grid": [0.5], "eps_grid": [0.5]}}))
+    as_csv, as_json = tmp_path / "rows.csv", tmp_path / "rows.json"
+    assert main(["sweep", "--config", str(config), "--out", str(as_csv)]) == 0
+    assert main(["sweep", "--config", str(config), "--format", "json", "--out", str(as_json)]) == 0
+    tag = as_csv.read_text().splitlines()[0].removeprefix("# schema=")
+    assert json.loads(as_json.read_text())["schema"] == tag == "qbattery.tpm_sweep.v1"
+
+
 def test_cli_histogram_requires_seed(capsys):
     assert main(["histogram", "--n", "100"]) == 1
     assert "seed" in capsys.readouterr().err
@@ -215,7 +240,7 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
         ("variance", {"sampling": {"seed": 1, "stream": -2, "n_unitaries": 10}}, "sampling.stream"),
         ("tpm", {"sampling": {"seed": 1, "stream": 2**64, "n_unitaries": 10}}, "sampling.stream"),
         ("verify", {"sampling": {"seed": -1}}, "sampling.seed"),
-        ("variance", {"sampling": {"seed": 1, "stream": 2**64 - 1, "streams": 2, "n_unitaries": 10}}, "sampling.streams"),
+        ("variance", {"sampling": {"seed": 1, "streams": 2, "n_unitaries": 10}}, "sampling.streams"),
         ("tpm", {"parameters": {"epsilon": 0.3}}, "parameters.epsilon"),
         ("sweep", {"protocol": "tpm", "parameters": {"eps_grd": [0.3]}}, "parameters.eps_grd"),
         ("variance", {"sampling": {"seed": 3, "n": 50}}, "sampling.n"),
@@ -323,23 +348,6 @@ def test_cli_verify_passes_and_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_verify_corrupted_tolerance_fails(tmp_path, capsys):
-    config = tmp_path / "verify.json"
-    config.write_text(
-        json.dumps(
-            {
-                "protocol": "verify",
-                "parameters": {"se_multiplier": 1e-6},
-                "sampling": {"seed": 99, "n_unitaries": 1500},
-            }
-        )
-    )
-    assert main(["verify", "--config", str(config)]) == 2
-    report = json.loads(capsys.readouterr().out)
-    failing = [c for c in report["checks"] if not c["passed"]]
-    assert failing and all(c["deviation"] > c["threshold"] for c in failing)
-
-
 def test_cli_verify_passes_at_d_8(capsys):
     assert main(["verify", "--d", "8", "--n", "300", "--seed", "99"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -362,8 +370,11 @@ def _twirl2_without_swap(x):
 def test_cli_verify_catches_a_wrong_twirl(monkeypatch, capsys, name, wrong, check):
     monkeypatch.setattr(f"qbattery.runner.{name}", wrong)
     assert main(["verify", "--d", "2"]) == 2
-    failed = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
-    assert failed == [check]
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [check]
+    assert all(c["deviation"] > c["threshold"] == 5.0 for c in failed)
+    assert "se_multiplier" not in report
 
 
 def test_cli_coincidence_point(capsys):
@@ -495,9 +506,9 @@ def test_cli_out_check_leaves_no_file_and_keeps_an_existing_one(tmp_path, capsys
         (["sweep", "--eps", "0.3"], "--eps", "parameters.eps_grid"),
         (["sweep", "--config", "{tpm}", "--eps", "0.3"], "--eps", "parameters.eps_grid"),
         (["sweep", "--config", "{tpm}", "--eps-a", "0.3"], "--eps-a", "parameters.eps_grid"),
-        (["sweep", "--eps-b", "0.3", "--mc"], "--eps-b", "parameters.eps_grid"),
-        (["sweep", "--mc"], "--mc", "sampling.mc"),
-        (["sweep", "--mc", "--seed", "1", "--format", "json"], "--mc", "sampling.mc"),
+        (["sweep", "--eps-b", "0.3"], "--eps-b", "parameters.eps_grid"),
+        (["sweep", "--config", "{tpm}", "--alpha", "0.3"], "--alpha", "parameters.alpha_grid"),
+        (["sweep", "--n", "10", "--format", "json"], "--n", "sampling.n_unitaries"),
         (["coincidence", "--eps-a", "0.3"], "--eps-a", "parameters.eps_a"),
         (["coincidence", "--eps-b", "0.3"], "--eps-b", "parameters.eps_b"),
         (["variance", "--eps", "0.3"], "--eps", "parameters.eps"),
@@ -522,6 +533,15 @@ def test_cli_sweep_refuses_a_point_override_it_would_ignore(tmp_path, capsys, ar
 
 
 _COMMANDS = build_parser()._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_cli_every_flag_of_a_subcommand_sets_a_config_key(command):
+    """Besides -h, --config, --out and --format, a subcommand has only the flags of CONFIG_KEYS (so no --mc)."""
+    flags = {flag for _, flag, _ in CONFIG_KEYS.values() if flag}
+    assert set(_COMMANDS[command]._option_string_actions) - flags == {"-h", "--help", "--config", "--out", "--format"}
+
+
 # A valid value for every config key, small enough that each run takes well under a second.
 _VALUES = {
     "battery": {"ising": _ISING},
@@ -536,12 +556,12 @@ _VALUES = {
     "parameters.b_grid": [0.3],
     "parameters.bin_width": 0.1,
     "parameters.d": 2,
-    "parameters.se_multiplier": 5.0,
     "sampling.seed": 1,
-    "sampling.stream": 0,
     "sampling.n_unitaries": 10,
-    "sampling.mc": True,
 }
+# Keys no run reads any more, each with a value that a run once took; every run refuses them at their path.
+_REMOVED_KEYS = {"parameters.se_multiplier": 5.0, "sampling.mc": True, "sampling.stream": 0}
+_VALUES.update(_REMOVED_KEYS)
 # Keys a config file can hold; battery.ising.b and state.thermal_mixture.alpha sit inside their sections.
 _FILE_KEYS = [key for key in CONFIG_KEYS if key.count(".") <= 1]
 
@@ -569,20 +589,10 @@ def _ran(code, run):
 _FLAG_KEYS = {flag[2:].replace("-", "_"): key for key, (_, flag, _) in CONFIG_KEYS.items() if flag}
 
 
-@pytest.mark.parametrize(
-    "run, dest",
-    [
-        (run, dest)  # only where the run's subcommand has the flag: --mc is a sweep flag
-        for dest, key in _FLAG_KEYS.items()
-        for run in CONFIG_KEYS[key][0]
-        if "--" + dest.replace("_", "-") in _COMMANDS["sweep" if run.endswith(" sweep") else run]._option_string_actions
-    ],
-)
+@pytest.mark.parametrize("run, dest", [(run, dest) for dest, key in _FLAG_KEYS.items() for run in CONFIG_KEYS[key][0]])
 def test_cli_every_flag_a_run_reads_is_accepted(tmp_path, capsys, run, dest):
     key = _FLAG_KEYS[dest]
-    flag = CONFIG_KEYS[key][1]
-    args = _run_args(tmp_path, run) + ([flag] if flag == "--mc" else [flag, str(_VALUES[key])])
-    code = main(args)
+    code = main(_run_args(tmp_path, run) + [CONFIG_KEYS[key][1], str(_VALUES[key])])
     assert "configuration error" not in capsys.readouterr().err
     assert _ran(code, run)
 
@@ -591,11 +601,11 @@ _RUNS = list(dict.fromkeys(run for runs, _, _ in CONFIG_KEYS.values() for run in
 
 
 @pytest.mark.parametrize("run", _RUNS)
-@pytest.mark.parametrize("key", _FILE_KEYS)
+@pytest.mark.parametrize("key", [*_FILE_KEYS, *_REMOVED_KEYS])
 def test_cli_config_key_is_read_or_refused_by_each_run(tmp_path, capsys, key, run):
     code = main(_run_args(tmp_path, run, [key]))
     err = capsys.readouterr().err.splitlines()
-    if run in CONFIG_KEYS[key][0]:
+    if key in CONFIG_KEYS and run in CONFIG_KEYS[key][0]:
         assert err == [] and _ran(code, run)
     else:
         assert code == 1

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -109,6 +110,25 @@ def test_labels_shift_uniformly_under_energy_offset(rng):
 def test_labels_diverge_at_zero_epsilon():
     with pytest.raises(ValueError, match="diverge"):
         energy_labels(_ising_spec(), 0.0, 0.5)
+
+
+_LABELS_DIVERGE = " must be > 0: the TPM energy labels diverge at 0, where only the closed form exists"
+
+
+def test_zero_epsilon_is_one_message_from_the_labels_the_simulation_and_the_cli(capsys):
+    from qbattery.cli import main
+
+    with pytest.raises(ValueError, match=re.escape("eps_a" + _LABELS_DIVERGE)):
+        energy_labels(_ising_spec(), 0.0, 0.5)
+    with pytest.raises(ValueError, match=re.escape("eps_b" + _LABELS_DIVERGE)):
+        mc_tpm_statistics(_mixture(0.5), _ising_spec(), 0.5, 0.0, 10, SamplerConfig(d=4, seed=1))
+    assert main(["tpm", "--eps", "0", "--seed", "1", "--n", "10"]) == 1
+    assert capsys.readouterr().err == f"configuration error: parameters.eps: epsilon{_LABELS_DIVERGE}\n"
+
+
+def test_simulation_names_the_efficiency_out_of_range():
+    with pytest.raises(ValueError, match=re.escape("eps_a must lie in [0, 1], got 1.5")):
+        mc_tpm_statistics(_mixture(0.5), _ising_spec(), 1.5, 0.5, 10, SamplerConfig(d=4, seed=1))
 
 
 # --- exact per-unitary protocol --------------------------------------------
