@@ -10,10 +10,10 @@ variance, tpm, coincidence and the TPM sweep add Monte Carlo exactly when
 ``--n`` (``sampling.n_unitaries``) is given; histogram and verify always sample.
 ``--format`` (default CSV) applies to sweep and histogram only; the other
 runs write JSON and refuse it as a configuration error.
-Exit codes: 0 success, 1 configuration error (an unreadable --config or
-unwritable --out path included, and the histogram CSV's ``.summary.json``
-sidecar, all checked before any computation) or a closed stdout pipe,
-2 verification failure.
+Exit codes: 0 success, 1 configuration error (a usage error, keyed by the
+command, an unreadable --config or unwritable --out path included, and the
+histogram CSV's ``.summary.json`` sidecar, all checked before any
+computation; one stderr line) or a closed stdout pipe, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -39,8 +39,15 @@ from .serialization import ConfigError
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with each usage error a ``ConfigError`` at the command, which exits 1, not argparse's 2."""
+
+    def error(self, message: str):
+        raise ConfigError(self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbattery",
         description="Work-fluctuation statistics and entanglement-dimension witnesses "
         "for bipartite quantum batteries under random local unitaries.",
@@ -154,9 +161,8 @@ def _emit_rows(rows: list[dict], args: argparse.Namespace, schema: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -166,8 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(argv: list[str] | None) -> int:
     try:
+        args = build_parser().parse_args(argv)
         if args.out:
             _check_out(args.out)
             if args.command == "histogram" and args.format != "json":

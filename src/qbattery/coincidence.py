@@ -118,7 +118,7 @@ def mc_coincidence(
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return _coincidence_batch(populations(ua, ub), eps_a, eps_b)
 
-    stats = summarize(iter_samples(sample, spec.d, n, cfg))
+    stats = summarize(iter_samples(sample, spec.d, n, cfg))[0]
     return stats.mean, stats.se_mean
 
 

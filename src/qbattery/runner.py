@@ -41,6 +41,7 @@ from .serialization import (
 from .tpm import (
     _check_eps,
     _dephased_sectors,
+    mc_tpm_stack,
     mc_tpm_statistics,
     tpm_spectral_stats,
     tpm_variance_closed_form,
@@ -264,7 +265,9 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     call, and each row reads its columns from the report of its point, which
     is bitwise what ``tpm_variance_closed_form`` reports for
     ``thermal_mixture_state`` there.  Monte-Carlo columns appear when the
-    sampling section gives ``n_unitaries``; a seed is then mandatory.
+    sampling section gives ``n_unitaries``; a seed is then mandatory.  One
+    ``mc_tpm_stack`` pass over the same stack and grid draws the pairs once
+    for every row, and each row's are bitwise ``mc_tpm_statistics`` there.
     """
     cfg.check("tpm sweep")
     ip = _ising_params(cfg)
@@ -275,11 +278,12 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
     states = _mixture_stack(a_grid, h, temperature)
-    reports = tpm_variance_stack(states, spec, [(eps, eps) for eps in eps_grid])
-    sampler = cfg.sampler(h.d) if with_mc else None
+    eps_pairs = [(eps, eps) for eps in eps_grid]
+    reports = tpm_variance_stack(states, spec, eps_pairs)
+    mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if with_mc else None
     rows = []
-    for alpha, m, state_reports in zip(a_grid, states, reports):
-        for rep in state_reports:
+    for i, (alpha, state_reports) in enumerate(zip(a_grid, reports)):
+        for j, rep in enumerate(state_reports):
             row = {
                 "J1": ip["J1"],
                 "J2": ip["J2"],
@@ -295,13 +299,9 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
                 "n1": rep.weights.n1,
                 "n_noisy": rep.weights.n_noisy,
             }
-            if with_mc:
-                stats = mc_tpm_statistics(m, spec, rep.eps_a, rep.eps_b, cfg.n_unitaries(), sampler)
-                row.update(
-                    mc_mean=stats.mean,
-                    mc_variance=stats.variance,
-                    mc_se_variance=stats.se_variance,
-                )
+            if mc is not None:
+                stats = mc[i][j]
+                row.update(mc_mean=stats.mean, mc_variance=stats.variance, mc_se_variance=stats.se_variance)
             rows.append(row)
     return rows
 
@@ -389,12 +389,12 @@ def run_point(cfg: ExperimentConfig) -> dict:
 
 
 def _probe_check(sample, probes, targets, d, n, cfg) -> dict:
-    """Largest |MC mean - closed form| / SE over scalar probes P, one Monte-Carlo pass each."""
-    deviations = []
-    for p, target in zip(probes, targets):
-        stats = summarize(iter_samples(lambda ua, ub: sample(ua, ub, p), d, n, cfg))
-        deviations.append(abs(stats.mean - target) / (stats.se_mean + 1e-12))
-    return {"deviation": max(deviations)}
+    """Largest |MC mean - closed form| / SE over scalar probes P, each a column of one Monte-Carlo pass.
+
+    The pass draws the pairs once; each probe's moments are bitwise those of a pass of its own.
+    """
+    stats = summarize(iter_samples(lambda ua, ub: np.stack([sample(ua, ub, p) for p in probes], axis=-1), d, n, cfg))
+    return {"deviation": max(abs(s.mean - target) / (s.se_mean + 1e-12) for s, target in zip(stats, targets))}
 
 
 def _check_single_copy_twirl(rng, d, n, cfg) -> dict:

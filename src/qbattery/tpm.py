@@ -40,6 +40,7 @@ __all__ = [
     "tpm_run",
     "tpm_work_mean",
     "tpm_shot_sample",
+    "mc_tpm_stack",
     "mc_tpm_statistics",
     "tpm_weights",
     "tpm_spectral_stats",
@@ -111,6 +112,12 @@ def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np
         - (1.0 - eps_a) / (d * eps_a) * tra
         - (1.0 - eps_b) / (d * eps_b) * trb
     )
+
+
+def _check_stack(states: np.ndarray, d: int) -> None:
+    """Refuse anything but a stack (n, d^2, d^2) of states."""
+    if states.ndim != 3 or states.shape[1:] != (d * d, d * d):
+        raise ValueError(f"expected a stack (n, {d * d}, {d * d}) of states, got shape {states.shape}")
 
 
 def _eigenbasis_state(m: np.ndarray, spec: SpectralDecomposition) -> tuple[np.ndarray, ...]:
@@ -227,6 +234,42 @@ def tpm_shot_sample(
     return total / shots
 
 
+def mc_tpm_stack(
+    states: np.ndarray,
+    spec: SpectralDecomposition,
+    eps_pairs: list[tuple[float, float]],
+    n: int,
+    cfg: SamplerConfig,
+) -> list[list[WorkStatistics]]:
+    """Monte-Carlo moments of the presumed TPM work over n unitary pairs, stats[i][j] for state i at eps_pairs[j].
+
+    Uses the exact per-unitary identity W(U) = tr[rho H_D] - tr[U Xi U^dag H_D]
+    with Xi the outcome-summed instrument output, so each sample costs one
+    rotation instead of a branch enumeration.  H_D is diagonal in the product
+    eigenbasis, so the trace is sum_ij e_joint[i, j] q_ij(U; Xi) over the
+    rotated populations of Xi.  Like ``tpm_variance_stack`` it takes a stack
+    (n, d^2, d^2): one pass draws the pairs once and evaluates every (state,
+    pair) column on each chunk, each bitwise what a stack of one gives.
+    """
+    _check_stack(states, spec.d)
+    for eps_a, eps_b in eps_pairs:
+        _check_eps(eps_a, "eps_a", simulate=True)
+        _check_eps(eps_b, "eps_b", simulate=True)
+    columns = [
+        (expectation(m, spec.h_diag), rotated_populations(instrument_average(m, spec, eps_a, eps_b), spec))
+        for m in states
+        for eps_a, eps_b in eps_pairs
+    ]
+
+    def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [base - np.einsum("nij,ij->n", populations(ua, ub), spec.e_joint) for base, populations in columns], axis=-1
+        )
+
+    stats, g = summarize(iter_samples(sample, spec.d, n, cfg)), len(eps_pairs)
+    return [stats[i * g : (i + 1) * g] for i in range(len(states))]
+
+
 def mc_tpm_statistics(
     rho: StateLike,
     spec: SpectralDecomposition,
@@ -235,24 +278,8 @@ def mc_tpm_statistics(
     n: int,
     cfg: SamplerConfig,
 ) -> WorkStatistics:
-    """Monte-Carlo moments of the presumed TPM work over n unitary pairs.
-
-    Uses the exact per-unitary identity W(U) = tr[rho H_D] - tr[U Xi U^dag H_D]
-    with Xi the outcome-summed instrument output, so each sample costs one
-    rotation instead of a branch enumeration.  H_D is diagonal in the product
-    eigenbasis, so the trace is sum_ij e_joint[i, j] q_ij(U; Xi) over the
-    rotated populations of Xi.
-    """
-    _check_eps(eps_a, "eps_a", simulate=True)
-    _check_eps(eps_b, "eps_b", simulate=True)
-    m = as_density(rho).data
-    populations = rotated_populations(instrument_average(m, spec, eps_a, eps_b), spec)
-    base = expectation(m, spec.h_diag)
-
-    def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        return base - np.einsum("nij,ij->n", populations(ua, ub), spec.e_joint)
-
-    return summarize(iter_samples(sample, spec.d, n, cfg))
+    """Monte-Carlo moments of the presumed TPM work over n unitary pairs: ``mc_tpm_stack`` of one."""
+    return mc_tpm_stack(as_density(rho).data[None], spec, [(eps_a, eps_b)], n, cfg)[0][0]
 
 
 @dataclass(frozen=True)
@@ -430,8 +457,7 @@ def tpm_variance_stack(
     are label differences), so the traceless shift of H_D is used implicitly.
     """
     d = spec.d
-    if states.ndim != 3 or states.shape[1:] != (d * d, d * d):
-        raise ValueError(f"expected a stack (n, {d * d}, {d * d}) of states, got shape {states.shape}")
+    _check_stack(states, d)
     diag = _diagonal_weights(spec)
     sectors = _dephased_sectors(states, spec)
     var = {name: sector_variance(*lengths, *diag, d)[:, None] for name, lengths in sectors.items()}

@@ -285,18 +285,21 @@ def iter_samples(
         pool.shutdown(cancel_futures=True)
 
 
-def summarize(chunks: Iterable[np.ndarray]) -> WorkStatistics:
-    """Fold chunks of sample values into moments with standard errors."""
-    acc = MomentAccumulator()
+def summarize(chunks: Iterable[np.ndarray]) -> list[WorkStatistics]:
+    """Fold chunks of sample columns into moments with standard errors, one ``WorkStatistics`` per column.
+
+    A chunk is (k, G): k samples of G columns, read from the same pairs; a
+    1-D chunk is one column.  Column g of every chunk is folded, as a
+    contiguous copy and in chunk order, into its own accumulator, so its
+    moments are bitwise what a run of that column alone gives.
+    """
+    accs: list[MomentAccumulator] = []
     for values in chunks:
-        acc.add_chunk(values)
-    return WorkStatistics(
-        mean=acc.mean,
-        variance=acc.variance,
-        n_samples=acc.n,
-        se_mean=acc.se_mean,
-        se_variance=acc.se_variance,
-    )
+        columns = np.ascontiguousarray(np.reshape(values, (len(values), -1)).T)
+        accs = accs or [MomentAccumulator() for _ in columns]
+        for acc, column in zip(accs, columns):
+            acc.add_chunk(column)
+    return [WorkStatistics(acc.mean, acc.variance, acc.n, acc.se_mean, acc.se_variance) for acc in accs]
 
 
 def iter_work_values(
@@ -338,7 +341,7 @@ def work_sample_summary(
     """One pass over n work samples: moments plus an optional histogram."""
     chunks = iter_work_values(rho, h, n, cfg)
     if bin_width is None:
-        return summarize(chunks), None
+        return summarize(chunks)[0], None
     if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     if not histogram_fits(h, bin_width):
@@ -355,7 +358,7 @@ def work_sample_summary(
         lo, counts = base, merged
         return values
 
-    stats = summarize(map(counted, chunks))
+    stats = summarize(map(counted, chunks))[0]
     return stats, WorkHistogram(bin_width=bin_width, origin=lo * bin_width, counts=counts, n_samples=n)
 
 

@@ -1,9 +1,12 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from qbattery import workstats
 from qbattery.battery import battery_hamiltonian
+from qbattery.haar import pair_chunk
 from qbattery.linalg import DensityMatrix, random_hermitian
 
 
@@ -17,6 +20,19 @@ def make_random_battery(rng, d, g=1.0):
             random_hermitian(rng, d * d),
             g=g,
         )
+
+
+def tag_chunks(monkeypatch):
+    """Wrap the chunk draw: a sample function reads its chunk index from ``current.c``; ``drawn`` lists the chunks drawn."""
+    current, drawn = threading.local(), []
+
+    def draw(cfg, c, k):
+        current.c = c
+        drawn.append(c)
+        return pair_chunk(cfg, c, k)
+
+    monkeypatch.setattr(workstats, "pair_chunk", draw)
+    return current, drawn
 
 
 def bell_state():

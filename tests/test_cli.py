@@ -459,6 +459,30 @@ def test_cli_unreadable_config_path_is_a_one_line_error(tmp_path, capsys):
     assert err.splitlines() == [f"configuration error: config: cannot read {tmp_path}: Is a directory"]
 
 
+@pytest.mark.parametrize(
+    "args, command, detail",
+    [
+        (["variance", "--foo"], "qbattery", "unrecognized arguments: --foo"),
+        (["sweep", "--mc"], "qbattery", "unrecognized arguments: --mc"),
+        (["histogram", "--n", "abc"], "qbattery histogram", "argument --n: invalid int value: 'abc'"),
+        ([], "qbattery", "the following arguments are required: command"),
+    ],
+)
+def test_cli_usage_error_is_a_one_line_configuration_error(capsys, args, command, detail):
+    assert main(args) == 1  # not argparse's 2, the code of a failed verification
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {command}: {detail}"]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["sweep", "--help"]])
+def test_cli_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qbattery")
+
+
 def test_cli_subnormal_bin_width_is_refused_without_a_numpy_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

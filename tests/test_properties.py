@@ -63,3 +63,27 @@ def test_witness_never_certifies_a_separable_state(d, seed, terms):
     products = [np.kron(random_pure_state(rng, d).data, random_pure_state(rng, d).data) for _ in range(terms)]
     rho = DensityMatrix(sum(p * m for p, m in zip(weights, products)))
     assert detect_schmidt_number(rho, h).detected_sn_lower_bound == 1
+
+
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@PROPERTY
+@given(dk=st.integers(2, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))), seed=seeds, terms=st.integers(1, 3))
+def test_witness_never_certifies_above_the_schmidt_number(dk, seed, terms):
+    """Mixtures of (U_A (x) U_B) sum_{i<k} s_i |ii> have Schmidt number at most k; neither route may certify more."""
+    d, k = dk
+    rng = np.random.default_rng(seed)
+    h = make_random_battery(rng, d)
+    weights = rng.dirichlet(np.ones(terms))
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for p in weights:
+        psi = np.zeros(d * d, dtype=complex)
+        psi[: k * (d + 1) : d + 1] = np.sqrt(rng.dirichlet(np.ones(k)))
+        psi = np.kron(_haar(rng, d), _haar(rng, d)) @ psi
+        m += p * np.outer(psi, psi.conj())
+    rep = detect_schmidt_number(DensityMatrix(m), h)
+    assert rep.detected_sn_lower_bound <= k
+    assert rep.purity_route_sn <= k

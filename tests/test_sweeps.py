@@ -1,12 +1,17 @@
-"""The stacked sweeps against their per-point oracles, row by row and bit for bit."""
+"""The stacked sweeps and Monte-Carlo passes against their per-point oracles, row by row and bit for bit."""
 
 import numpy as np
 import pytest
 
+import qbattery.runner as runner
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
+from qbattery.haar import SamplerConfig, chunk_size
 from qbattery.runner import ExperimentConfig, run_tpm_sweep, run_variance_sweep
-from qbattery.tpm import tpm_variance_closed_form
+from qbattery.tpm import mc_tpm_statistics, tpm_variance_closed_form
 from qbattery.witness import detect_schmidt_number, detect_schmidt_number_stack
+from qbattery.workstats import iter_samples, summarize
+
+from conftest import tag_chunks
 
 
 def _taus(h, temperature=1.5):
@@ -84,3 +89,60 @@ def test_witness_stack_raises_when_the_routes_disagree(monkeypatch):
     monkeypatch.setattr(witness, "purity", lambda m: real(m) * (0.5 if m.shape[-1] == 16 else 1.0))
     with pytest.raises(RuntimeError, match="variance route 4, purity route 2"):
         detect_schmidt_number_stack(stack, h)
+
+
+# 2 alpha x 2 eps at n = 4,101: two chunks of the d = 4 stream, the second holding 5 pairs
+_MC_SWEEP = {
+    "protocol": "tpm",
+    "parameters": {"alpha_grid": [0.0, 0.96], "eps_grid": [0.5, 1.0]},
+    "sampling": {"seed": 3, "n_unitaries": 4101},
+}
+_TWIRL_CHECKS = ["single_copy_twirl_vs_mc", "two_copy_twirl_vs_mc", "two_copy_local_twirl_vs_mc"]
+
+
+def _per_probe_check(sample, probes, targets, d, n, cfg):
+    """Verify's probe check with one Monte-Carlo pass per probe."""
+    deviations = []
+    for p, target in zip(probes, targets):
+        [stats] = summarize(iter_samples(lambda ua, ub: sample(ua, ub, p), d, n, cfg))
+        deviations.append(abs(stats.mean - target) / (stats.se_mean + 1e-12))
+    return {"deviation": max(deviations)}
+
+
+def _run_check(name, d, n):
+    idx = list(runner.CHECKS).index(name)
+    return runner.CHECKS[name](np.random.default_rng(99 + idx), d, n, SamplerConfig(d=d, seed=99, stream=idx))
+
+
+def test_every_monte_carlo_tpm_sweep_row_is_the_point_estimator():
+    rows = run_tpm_sweep(ExperimentConfig.from_dict(_MC_SWEEP))
+    assert len(rows) == 4
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    spec = spectral_decomposition(h)
+    taus = _taus(h)
+    for row in rows:
+        rho = thermal_mixture_state(row["alpha"], *taus)
+        stats = mc_tpm_statistics(rho, spec, row["eps_a"], row["eps_b"], 4101, SamplerConfig(d=4, seed=3))
+        assert stats.n_samples == 4101
+        assert (row["mc_mean"], row["mc_variance"], row["mc_se_variance"]) == (stats.mean, stats.variance, stats.se_variance)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("name", _TWIRL_CHECKS)
+def test_each_twirl_check_deviation_is_its_per_probe_reference(monkeypatch, name, d):
+    stacked = _run_check(name, d, 4101)
+    monkeypatch.setattr(runner, "_probe_check", _per_probe_check)
+    assert stacked == _run_check(name, d, 4101)
+
+
+def test_a_monte_carlo_tpm_sweep_draws_each_chunk_once(monkeypatch):
+    _, drawn = tag_chunks(monkeypatch)
+    run_tpm_sweep(ExperimentConfig.from_dict(_MC_SWEEP))
+    assert sorted(drawn) == [0, 1]
+
+
+@pytest.mark.parametrize("d, n", [(2, 4101), (4, 9000), (8, 2500)])
+def test_a_twirl_check_draws_each_chunk_once(monkeypatch, d, n):
+    _, drawn = tag_chunks(monkeypatch)
+    _run_check("two_copy_twirl_vs_mc", d, n)
+    assert sorted(drawn) == list(range(-(-n // chunk_size(d))))

@@ -6,7 +6,7 @@ import pytest
 
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.bloch import bloch_decompose, gell_mann_basis
-from qbattery.haar import HaarSampler, SamplerConfig
+from qbattery.haar import HaarSampler, SamplerConfig, chunk_size
 from qbattery.linalg import DensityMatrix, random_density_matrix, sector_lengths
 from qbattery.tpm import (
     _dephased_sectors,
@@ -14,6 +14,7 @@ from qbattery.tpm import (
     _zeta,
     energy_labels,
     instrument_average,
+    mc_tpm_stack,
     mc_tpm_statistics,
     noisy_povm,
     povm_root_coeffs,
@@ -416,12 +417,25 @@ def test_stack_reports_are_the_per_point_reports(d):
                 assert asdict(rep) == asdict(tpm_variance_closed_form(m, spec, ea, eb))
 
 
+@pytest.mark.parametrize("d", [3, 8])
+def test_monte_carlo_stack_columns_are_the_per_point_estimates(d):
+    rng = np.random.default_rng(600 + d)
+    spec = spectral_decomposition(make_random_battery(rng, d))
+    states = np.stack([random_density_matrix(rng, d * d).data for _ in range(3)])
+    pairs = [(1.0, 1.0), (0.2, 0.9), (0.7, 0.4)]
+    n, cfg = chunk_size(d) + 7, SamplerConfig(d=d, seed=74)  # the last chunk holds 7 pairs
+    stats = mc_tpm_stack(states, spec, pairs, n, cfg)
+    assert stats == [[mc_tpm_statistics(m, spec, ea, eb, n, cfg) for ea, eb in pairs] for m in states]
+
+
 def test_stack_rejects_a_single_state_or_a_wrong_dimension():
     spec = _ising_spec()
     rho = _mixture(0.5).data
     for states in (rho, np.stack([rho[:9, :9]])):
         with pytest.raises(ValueError, match="expected a stack"):
             tpm_variance_stack(states, spec, [(0.5, 0.5)])
+        with pytest.raises(ValueError, match="expected a stack"):
+            mc_tpm_stack(states, spec, [(0.5, 0.5)], 10, SamplerConfig(d=4, seed=1))
 
 
 def test_variance_bounded_by_diagonal_variance(rng):

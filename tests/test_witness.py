@@ -180,6 +180,16 @@ def test_isotropic_detection_threshold_small_grid():
         assert rep.detected_sn_lower_bound == expected
 
 
+@pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 4, 8, 16) for k in sorted({1, 2, d // 2, d - 1, d})])
+def test_a_state_maximally_entangled_on_k_levels_is_certified_at_exactly_k(d, k):
+    h = make_random_battery(np.random.default_rng(1000 + d), d)
+    assert h.g2v2 > 0
+    psi = np.zeros(d * d, dtype=complex)
+    psi[: k * (d + 1) : d + 1] = 1 / np.sqrt(k)
+    rep = detect_schmidt_number(DensityMatrix(np.outer(psi, psi.conj())), h)
+    assert rep.detected_sn_lower_bound == rep.purity_route_sn == k
+
+
 def test_pure_state_report_maximally_entangled():
     d = 4
     h = _ising()

@@ -10,7 +10,7 @@ import pytest
 from qbattery import workstats
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.coincidence import avg_coincidence_closed, mc_coincidence
-from qbattery.haar import HaarSampler, SamplerConfig, chunk_size, pair_chunk
+from qbattery.haar import HaarSampler, SamplerConfig, chunk_size
 from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermitian, random_pure_state
 from qbattery.tpm import instrument_average, mc_tpm_statistics, tpm_variance_closed_form, tpm_work_mean
 from qbattery.workstats import (
@@ -33,7 +33,7 @@ from qbattery.workstats import (
     work_sample_summary,
 )
 
-from conftest import bell_state, make_random_battery
+from conftest import bell_state, make_random_battery, tag_chunks
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -351,19 +351,6 @@ def test_the_worker_count_changes_no_bit(d, n, monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
-def _tag_chunks(monkeypatch):
-    """Wrap the chunk draw: a sample function reads its chunk index from ``current.c``; ``drawn`` lists the chunks drawn."""
-    current, drawn = threading.local(), []
-
-    def draw(cfg, c, k):
-        current.c = c
-        drawn.append(c)
-        return pair_chunk(cfg, c, k)
-
-    monkeypatch.setattr(workstats, "pair_chunk", draw)
-    return current, drawn
-
-
 def test_the_block_budget_is_shared_by_the_threads_started(monkeypatch):
     monkeypatch.setattr(workstats, "_cpus", lambda: 16)
     baseline = threading.active_count()
@@ -409,7 +396,7 @@ def test_each_chunk_is_cut_into_one_slice_per_worker_and_block(d, n, slices, mon
 
 
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
-    current, _ = _tag_chunks(monkeypatch)
+    current, _ = tag_chunks(monkeypatch)
     cfg = SamplerConfig(d=2, seed=3)
     baseline = threading.active_count()
 
@@ -448,7 +435,7 @@ def test_a_break_cancels_the_queued_chunks_and_every_thread_ends(monkeypatch):
 
     monkeypatch.setattr(workstats, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(workstats, "_cpus", lambda: 2)
-    current, drawn = _tag_chunks(monkeypatch)
+    current, drawn = tag_chunks(monkeypatch)
     cfg = SamplerConfig(d=2, seed=3)
     baseline = threading.active_count()
     assert sum(len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 9000, cfg)) == 9000
