@@ -26,7 +26,7 @@ from .battery import SpectralDecomposition
 from .bloch import gell_mann_basis
 from .haar import SamplerConfig
 from .linalg import StateLike, as_density, sector_lengths
-from .workstats import WorkStatistics, expectation, iter_samples, rotated_populations, sector_variance, summarize
+from .workstats import WorkStatistics, expectation, iter_samples, rotated_energies, sector_variance, summarize
 
 __all__ = [
     "NoisyPovm",
@@ -247,24 +247,22 @@ def mc_tpm_stack(
     with Xi the outcome-summed instrument output, so each sample costs one
     rotation instead of a branch enumeration.  H_D is diagonal in the product
     eigenbasis, so the trace is sum_ij e_joint[i, j] q_ij(U; Xi) over the
-    rotated populations of Xi.  Like ``tpm_variance_stack`` it takes a stack
-    (n, d^2, d^2): one pass draws the pairs once and evaluates every (state,
-    pair) column on each chunk, each bitwise what a stack of one gives.
+    rotated populations of Xi (``rotated_energies``).  Like
+    ``tpm_variance_stack`` it takes a stack (n, d^2, d^2): one pass draws the
+    pairs once, and per pair one d^5 product serves every (state, pair)
+    column, which then costs a d^4 dot product and is bitwise what a stack of
+    one gives.
     """
     _check_stack(states, spec.d)
     for eps_a, eps_b in eps_pairs:
         _check_eps(eps_a, "eps_a", simulate=True)
         _check_eps(eps_b, "eps_b", simulate=True)
-    columns = [
-        (expectation(m, spec.h_diag), rotated_populations(instrument_average(m, spec, eps_a, eps_b), spec))
-        for m in states
-        for eps_a, eps_b in eps_pairs
-    ]
+    xis = np.stack([instrument_average(m, spec, eps_a, eps_b) for m in states for eps_a, eps_b in eps_pairs])
+    bases = np.array([expectation(m, spec.h_diag) for m in states for _ in eps_pairs])
+    energies = rotated_energies(xis, spec)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [base - np.einsum("nij,ij->n", populations(ua, ub), spec.e_joint) for base, populations in columns], axis=-1
-        )
+        return bases - energies(ua, ub)
 
     stats, g = summarize(iter_samples(sample, spec.d, n, cfg)), len(eps_pairs)
     return [stats[i * g : (i + 1) * g] for i in range(len(states))]

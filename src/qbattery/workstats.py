@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .battery import BatteryHamiltonian, SpectralDecomposition
+from .battery import BatteryHamiltonian, SpectralDecomposition, spectral_decomposition
 from .haar import SamplerConfig, chunk_size, pair_chunk
 from .linalg import StateLike, as_density, sector_lengths
 from .montecarlo import MomentAccumulator
@@ -152,7 +152,7 @@ def _block(k: int, d: int) -> int:
 
 
 def _pair_layout(x: np.ndarray, d: int) -> np.ndarray:
-    """A (d^2, c) matrix x[(a, b), column] laid out as (a, column, b), the operand of ``apply_pair``."""
+    """A (d^2, c) matrix x[(a, b), column] laid out as (a, column, b), the operand of ``apply_pair`` in ``pair_traces``."""
     return np.ascontiguousarray(x.reshape(d, d, -1).transpose(0, 2, 1))
 
 
@@ -166,6 +166,8 @@ def apply_pair(ua: np.ndarray, ub: np.ndarray, x: np.ndarray, tmp: np.ndarray, o
     so each ``iter_samples`` worker keeps to its own CPU.  Side A goes into
     ``tmp``; both buffers hold k d^2 c complex entries.  Returns shape
     (k, d, c, d), entry [n, a', column, b'] = ((U_A (x) U_B) x)[(a', b'), column].
+    Only ``pair_traces`` calls it: the populations kernels
+    (``rotated_populations``, ``rotated_energies``) work in real coordinates.
     """
     k, d, c = ua.shape[0], ua.shape[1], x.shape[1]
     t = np.matmul(ua, x.reshape(d, c * d), out=tmp.reshape(k, d, c * d))
@@ -180,7 +182,9 @@ def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) 
     reused for every block: 4 d^5 multiply-adds per pair for any m and obs.
     U m and obs U = (U^dag obs)^dag are copied out in (d^2, d^2) order, and
     each trace is the dot of their float views (Re a conj(b) = Re a Re b +
-    Im a Im b), one small product per pair.
+    Im a Im b), one small product per pair.  It takes the work of a battery
+    whose interaction leaves the local energy eigenbases (``iter_work_values``)
+    and verify's twirl probes.
     """
     k, d = ua.shape[0], ua.shape[1]
     b, dd = _block(k, d), d * d
@@ -200,42 +204,134 @@ def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) 
     return traces
 
 
+def _pair_coordinates(x0: np.ndarray, d: int) -> np.ndarray:
+    """X[mu, nu] = tr[x0 (G_mu (x) G_nu)] of a Hermitian (d^2, d^2) x0 in an orthogonal Hermitian basis G_mu.
+
+    G_mu is E_aa for mu = a < d, then E_ab + E_ba and i (E_ab - E_ba) for each
+    a < b in ``np.triu_indices`` order, so a Hermitian R = sum_mu p_mu G_mu
+    has the coordinates p = (R_aa, Re R_ab, Im R_ab).  Since
+    tr[x0 (A (x) B)] = sum x0[(a, b), (a', b')] A[a', a] B[b', b] and each
+    G_mu has two nonzero entries G_mu[row[s], col[s]] = coef[s] (a diagonal
+    unit's second coefficient is 0), X is four gathers of x0: O(d^4).
+    """
+    a, b = np.triu_indices(d, 1)
+    diag, one, off = np.arange(d), np.ones(d), np.ones(len(a))
+    row = [np.concatenate([diag, a, a]), np.concatenate([diag, b, b])]
+    col = [np.concatenate([diag, b, b]), np.concatenate([diag, a, a])]
+    coef = [np.concatenate([one, off, 1j * off]), np.concatenate([0 * one, off, -1j * off])]
+    x4 = x0.reshape(d, d, d, d)
+    terms = (
+        np.outer(coef[s], coef[t]) * x4[col[s][:, None], col[t][None, :], row[s][:, None], row[t][None, :]]
+        for s in (0, 1)
+        for t in (0, 1)
+    )
+    return np.ascontiguousarray(sum(terms).real)
+
+
+def _projector_coordinates(m: np.ndarray, upper: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Coordinates in the basis of ``_pair_coordinates`` of the rank-1 projectors R_i = r_i r_i^dag, r_i = (row i of m)^dag.
+
+    For rows m of V^dag U, R_i = U^dag |v_i><v_i| U.  With R_ab = conj(m_ia) m_ib
+    the coordinates are |m_ia|^2, then Re m_ia Re m_ib + Im m_ia Im m_ib and
+    Re m_ia Im m_ib - Im m_ia Re m_ib for (a, b) in ``upper``, the
+    ``np.triu_indices`` of offset 1: O(d^3) per pair, written into
+    ``out`` of shape (k, d, d^2).  The complex products are spelled out in
+    real ufuncs, since numpy's complex multiply fuses multiply-adds in its
+    vector loop but not in its tail, which would make a pair's bits depend on
+    its place in the stack.
+    """
+    a, b = upper
+    re, im = m.real, m.imag
+    ra, rb, ia, ib = re[..., a], re[..., b], im[..., a], im[..., b]
+    real = ra * rb
+    real += ia * ib
+    ra *= ib
+    ia *= rb
+    ra -= ia
+    return np.concatenate([np.square(re) + np.square(im), real, ra], axis=-1, out=out)
+
+
+def _split_identity(xs: np.ndarray, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per Hermitian x of a stack (G, d^2, d^2): s = tr(x)/d^2 and the ``_pair_coordinates`` X of x - s 1.
+
+    s is the diagonal's first entry plus the mean of its differences from it,
+    so x = c 1 gives s = c and X = 0 exactly.
+    """
+    diag = np.diagonal(xs, axis1=1, axis2=2).real
+    shifts = diag[:, 0] + np.mean(diag - diag[:, :1], axis=1)
+    eye = np.eye(d * d)
+    return shifts, [_pair_coordinates(x - s * eye, d) for x, s in zip(xs, shifts)]
+
+
+def _projector_blocks(
+    ua: np.ndarray, ub: np.ndarray, spec: SpectralDecomposition
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (s, e, p^A, p^B) per block of ``_block`` pairs: the projector coordinates of pairs s..e.
+
+    p^A[n, i] are the coordinates of U_A^dag |v_i^A><v_i^A| U_A, read from row i
+    of V_A^dag U_A, and likewise p^B, both (n, d, d^2), in two buffers
+    allocated once per chunk.
+    """
+    k, d = ua.shape[0], spec.d
+    b = _block(k, d)
+    upper = np.triu_indices(d, 1)
+    va, vb = spec.vecs_a.conj().T, spec.vecs_b.conj().T
+    pa, pb = (np.empty((b, d, d * d)) for _ in range(2))
+    for s in range(0, k, b):
+        e = min(s + b, k)
+        coords_a = _projector_coordinates(va @ ua[s:e], upper, pa[: e - s])
+        yield s, e, coords_a, _projector_coordinates(vb @ ub[s:e], upper, pb[: e - s])
+
+
 def rotated_populations(
     x: np.ndarray, spec: SpectralDecomposition
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Per-chunk populations q[n, i, j] = <v_i^A v_j^B| U x U^dag |v_i^A v_j^B> of a Hermitian x.
 
-    With x = sum_r lam_r w_r w_r^dag (one ``eigh`` here, none per chunk),
-    q = sum_r lam_r |(V_A^dag U_A (x) V_B^dag U_B) w_r|^2 entrywise, for
-    signed lam: 2 d^5 multiply-adds per pair, in blocks of ``_block`` pairs
-    through two buffers reused for every block.  The rotated columns, back in
-    their (d^2, d^2) order, are squared in place on their float view and
-    weighted by lam, repeated for the real and imaginary parts, in one
-    matrix-vector product per pair: one product over the whole block is big
-    enough for OpenBLAS to thread, competing with the loop's threads.
+    q_ij = tr[x (R_i^A (x) R_j^B)] with R_i^A = U_A^dag |v_i^A><v_i^A| U_A.  In
+    the real coordinates of an orthogonal Hermitian basis this is
+    q_ij = s + p_i^A . X . p_j^B (``_split_identity``, ``_projector_blocks``):
+    O(d^3) per pair for the coordinates, then two products per pair,
+    (d, d^2) @ (d^2, d^2) and @ (d^2, d), for d^5 + d^4 real multiply-adds,
+    the same at every rank of x.  Every BLAS call is one product per pair, so
+    a pair's value does not depend on the block.  x = c 1 gives q = c exactly.
     """
-    lam, w = np.linalg.eigh(x)
-    lam2 = np.repeat(lam, 2)  # |y|^2 = y.re^2 + y.im^2 on the interleaved float view
-    va, vb = spec.vecs_a.conj().T, spec.vecs_b.conj().T
-    d = spec.d
-    dd = d * d
-    wx = _pair_layout(w, d)
+    (shift,), (xr,) = _split_identity(x[None], spec.d)
 
     def populations(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        k = ua.shape[0]
-        b = _block(k, d)
-        tmp, y_buf = (np.empty((b, dd, dd), dtype=complex) for _ in range(2))
-        q = np.empty((k, dd))
-        for s in range(0, k, b):
-            e = min(s + b, k)
-            n = e - s
-            y = apply_pair(va @ ua[s:e], vb @ ub[s:e], wx, tmp[:n], y_buf[:n])
-            np.copyto(tmp[:n].reshape(n, d, d, dd), y.transpose(0, 1, 3, 2))
-            y = tmp[:n].view(float)
-            np.matmul(np.square(y, out=y), lam2, out=q[s:e])
-        return q.reshape(k, d, d)
+        q = np.empty((ua.shape[0], spec.d, spec.d))
+        for s, e, pa, pb in _projector_blocks(ua, ub, spec):
+            np.matmul(pa @ xr, pb.transpose(0, 2, 1), out=q[s:e])
+        q += shift
+        return q
 
     return populations
+
+
+def rotated_energies(
+    xs: np.ndarray, spec: SpectralDecomposition
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Per-chunk tr[U x_g U^dag H_D] = sum_ij e_joint[i, j] q_ij(U; x_g) for a stack of Hermitian x_g, shape (k, G).
+
+    H_D is ``spec.h_diag``.  With q_ij = s + p_i^A . X . p_j^B as in
+    ``rotated_populations``, the sum is s sum(e_joint) + <X, W>, where
+    W = p^A^T e_joint p^B is formed once per pair (two products,
+    d^4 + d^5 real multiply-adds) and shared by every column, which then
+    costs one d^4 dot product per pair.  Every column is its own product, so
+    it is bitwise what a stack of that x alone gives.
+    """
+    shifts, coords = _split_identity(xs, spec.d)
+    e_sum = float(spec.e_joint.sum())
+
+    def energies(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        out = np.empty((ua.shape[0], len(coords)))
+        for s, e, pa, pb in _projector_blocks(ua, ub, spec):
+            w = (pa.transpose(0, 2, 1) @ spec.e_joint @ pb).reshape(e - s, 1, -1)
+            for g, (shift, xr) in enumerate(zip(shifts, coords)):
+                out[s:e, g] = shift * e_sum + np.matmul(w, xr.reshape(-1, 1))[:, 0, 0]
+        return out
+
+    return energies
 
 
 def iter_samples(
@@ -308,13 +404,29 @@ def iter_work_values(
     n: int,
     cfg: SamplerConfig,
 ) -> Iterator[np.ndarray]:
-    """Yield chunks of exact work values for n Haar-random unitary pairs."""
+    """Yield chunks of exact work values for n Haar-random unitary pairs.
+
+    A work value is tr[rho H] - tr[U rho U^dag H].  Where the interaction has
+    no part off the local energy eigenbases (``v_od`` exactly zero, as for
+    the Ising family), H = sum_ij e_joint[i, j] P_i^A (x) P_j^B and the trace
+    is read from the rotated populations of rho (``rotated_energies``) at
+    d^5 + 2 d^4 real multiply-adds per pair; otherwise ``pair_traces`` takes
+    it at 4 d^5 complex ones.
+    """
     m = as_density(rho).data
     total = h.total
     energy = expectation(m, total)
+    spec = spectral_decomposition(h)
+    if spec.v_od.any():
 
-    def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        return energy - pair_traces(ua, ub, m, total)
+        def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+            return energy - pair_traces(ua, ub, m, total)
+
+    else:
+        energies = rotated_energies(m[None], spec)
+
+        def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+            return energy - energies(ua, ub)[:, 0]
 
     return iter_samples(sample, h.d, n, cfg)
 

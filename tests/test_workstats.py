@@ -10,12 +10,14 @@ import pytest
 from qbattery import workstats
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.coincidence import avg_coincidence_closed, mc_coincidence
-from qbattery.haar import HaarSampler, SamplerConfig, chunk_size
+from qbattery.haar import HaarSampler, SamplerConfig, chunk_size, pair_chunk
 from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermitian, random_pure_state
 from qbattery.tpm import instrument_average, mc_tpm_statistics, tpm_variance_closed_form, tpm_work_mean
 from qbattery.workstats import (
     MAX_HISTOGRAM_BINS,
     _block,
+    _pair_coordinates,
+    _projector_coordinates,
     analytic_work_mean,
     analytic_work_variance,
     conjugate,
@@ -26,6 +28,7 @@ from qbattery.workstats import (
     mc_work_statistics,
     pair_kron,
     pair_traces,
+    rotated_energies,
     rotated_populations,
     summarize,
     work,
@@ -306,6 +309,93 @@ def test_one_side_kernels_do_not_depend_on_the_block_size(d, block, monkeypatch)
     assert np.array_equal(populations(ua, ub), np.concatenate([populations(a, b) for a, b in pairs]))
 
 
+@pytest.mark.parametrize("case, d", _KERNEL_CASES)
+def test_rotated_energies_match_the_kronecker_reference(case, d):
+    spec, x, _ = _kernel_case(case, d)
+    sampler = HaarSampler(SamplerConfig(d=d, seed=39))
+    ua, ub = sampler.unitaries(5), sampler.unitaries(5)
+    reference = conjugation_traces(pair_kron(ua, ub), x, spec.h_diag)
+    stacked = rotated_energies(np.stack([x, 2 * x]), spec)(ua, ub)
+    assert np.max(np.abs(stacked - reference[:, None] * [1, 2])) < 1e-12
+    assert np.array_equal(stacked[:, :1], rotated_energies(x[None], spec)(ua, ub))  # a column is bitwise its stack of one
+
+
+@pytest.mark.parametrize("d, block", [(3, 3236), (4, 1024), (8, 64), (16, 4)])
+def test_rotated_energies_do_not_depend_on_the_block_size(d, block):
+    assert _block(10**6, d) == block
+    spec, x, _ = _kernel_case("mixed", d)
+    sampler = HaarSampler(SamplerConfig(d=d, seed=33))
+    k = 2 * block + 5  # two full blocks and a ragged tail
+    ua, ub = sampler.unitaries(k), sampler.unitaries(k)
+    energies = rotated_energies(np.stack([x, spec.h_diag]), spec)
+    assert np.array_equal(energies(ua, ub), np.concatenate([energies(ua[i : i + 1], ub[i : i + 1]) for i in range(k)]))
+
+
+def _dense_hermitian_basis(d):
+    """The basis G_mu of ``_pair_coordinates``, entry by entry: E_aa, then E_ab + E_ba and i (E_ab - E_ba) for a < b."""
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    for a in range(d):
+        basis[a, a, a] = 1
+    for mu, (a, b) in enumerate(pairs):
+        basis[d + mu, a, b] = basis[d + mu, b, a] = 1
+        basis[d + len(pairs) + mu, a, b], basis[d + len(pairs) + mu, b, a] = 1j, -1j
+    return basis
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_pair_coordinates_are_the_traces_against_the_product_basis(d):
+    rng = np.random.default_rng(950 + d)
+    x = random_hermitian(rng, d * d)
+    g = _dense_hermitian_basis(d)
+    dense = np.einsum("abce,mca,neb->mn", x.reshape(d, d, d, d), g, g, optimize=True).real  # tr[x (G_mu (x) G_nu)]
+    assert np.max(np.abs(_pair_coordinates(x, d) - dense)) < 1e-13
+    # the projector coordinates are those of the same basis: R_i = sum_mu p[i, mu] G_mu
+    m = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    p = _projector_coordinates(m, np.triu_indices(d, 1), np.empty((3, d, d * d)))
+    projectors = np.einsum("nia,nib->niab", m.conj(), m)  # r_i r_i^dag with r_i = (row i of m)^dag
+    assert np.max(np.abs(np.einsum("nim,mab->niab", p, g) - projectors)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_a_multiple_of_the_identity_gives_constant_populations_exactly(d):
+    spec, _, _ = _kernel_case("mixed", d)
+    sampler = HaarSampler(SamplerConfig(d=d, seed=40))
+    ua, ub = sampler.unitaries(7), sampler.unitaries(7)
+    for c in (1.0, 0.3, -2.7):
+        x = c / d**2 * np.eye(d * d)  # c times the maximally mixed state: tr(x)/d^2 = c/d^2
+        assert np.all(rotated_populations(x, spec)(ua, ub) == c / d**2)
+        assert np.all(rotated_energies(x[None], spec)(ua, ub) == c / d**2 * float(spec.e_joint.sum()))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.8, 1.0])
+def test_the_ising_work_read_from_the_populations_is_the_pair_traces_work(alpha):
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    m = thermal_mixture_state(alpha, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5)).data
+    cfg, n = SamplerConfig(d=4, seed=41), chunk_size(4) + 100  # a full chunk and a ragged one
+    values = np.concatenate(list(iter_work_values(m, h, n, cfg)))
+    energy = float(np.vdot(h.total, m).real)
+    reference = np.concatenate([energy - pair_traces(*pair_chunk(cfg, c, k), m, h.total) for c, k in [(0, n - 100), (1, 100)]])
+    assert np.max(np.abs(values - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["ising", "random"])
+def test_the_work_calls_pair_traces_exactly_when_the_interaction_leaves_the_local_eigenbases(family, monkeypatch):
+    rng = np.random.default_rng(4300)
+    h = ising_battery(0.5, 1.0, 0.5, 0.45) if family == "ising" else make_random_battery(rng, 4)
+    rho = random_density_matrix(rng, 16)
+    traces, calls = workstats.pair_traces, []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return traces(*args)
+
+    monkeypatch.setattr(workstats, "pair_traces", counted)
+    mc_work_statistics(rho, h, 5000, SamplerConfig(d=4, seed=42))
+    assert spectral_decomposition(h).v_od.any() == (family == "random")
+    assert sorted(calls) == ([904, 4096] if family == "random" else [])  # one call per chunk
+
+
 @pytest.mark.parametrize("d, n", [(4, 20000), (8, 4096), (16, 256)])
 def test_mc_estimators_peak_memory_stays_below_64_mib(d, n, monkeypatch):
     rng = np.random.default_rng(4100 + d)
@@ -388,10 +478,10 @@ def test_each_chunk_is_cut_into_one_slice_per_worker_and_block(d, n, slices, mon
         return apply(ua, ub, x, tmp, out)
 
     monkeypatch.setattr(workstats, "apply_pair", record)
-    spec, x, _ = _kernel_case("mixed", d)
-    chunks = [len(c) for c in iter_samples(rotated_populations(x, spec), d, n, SamplerConfig(d=d, seed=1))]
+    _, x, obs = _kernel_case("mixed", d)
+    chunks = [len(c) for c in iter_samples(lambda ua, ub: pair_traces(ua, ub, x, obs), d, n, SamplerConfig(d=d, seed=1))]
     assert sum(chunks) == n and len(chunks) == -(-n // chunk_size(d))
-    assert sorted((b for b, _ in seen), reverse=True) == slices
+    assert sorted((b for b, _ in seen), reverse=True) == sorted(slices * 2, reverse=True)  # two apply_pair calls per block
     assert {on_caller for _, on_caller in seen} == {d > 8}  # d = 16 runs on the caller, d <= 8 on the two workers
 
 
