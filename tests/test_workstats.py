@@ -282,6 +282,14 @@ def test_pair_traces_match_the_kronecker_reference(case, d):
     ua, ub = sampler.unitaries(5), sampler.unitaries(5)
     reference = conjugation_traces(pair_kron(ua, ub), x, obs)
     assert np.max(np.abs(pair_traces(ua, ub, x, obs) - reference)) < 1e-12
+    # a stack of observables: each column is the reference and bitwise its own single-observable call
+    stack = np.stack([obs, spec.h_diag, x])
+    stacked, references = pair_traces(ua, ub, x, stack), conjugation_traces(pair_kron(ua, ub), x, stack)
+    assert stacked.shape == references.shape == (5, 3)
+    for g, o in enumerate(stack):
+        assert np.max(np.abs(stacked[:, g] - references[:, g])) < 1e-12
+        assert np.array_equal(stacked[:, g], pair_traces(ua, ub, x, o))
+        assert np.array_equal(references[:, g], conjugation_traces(pair_kron(ua, ub), x, o))
 
 
 @pytest.mark.parametrize("case, d", _KERNEL_CASES)
@@ -307,6 +315,8 @@ def test_one_side_kernels_do_not_depend_on_the_block_size(d, block, monkeypatch)
     pairs = [(ua[i : i + 1], ub[i : i + 1]) for i in range(k)]
     assert np.array_equal(pair_traces(ua, ub, x, obs), np.concatenate([pair_traces(a, b, x, obs) for a, b in pairs]))
     assert np.array_equal(populations(ua, ub), np.concatenate([populations(a, b) for a, b in pairs]))
+    stack = np.stack([obs, x])
+    assert np.array_equal(pair_traces(ua, ub, x, stack), np.concatenate([pair_traces(a, b, x, stack) for a, b in pairs]))
 
 
 @pytest.mark.parametrize("case, d", _KERNEL_CASES)
