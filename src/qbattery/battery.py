@@ -18,9 +18,12 @@ from .linalg import (
     MAX_LOCAL_DIM,
     DensityMatrix,
     StateLike,
+    check_density,
     dagger,
     is_hermitian,
+    kron,
     partial_trace,
+    _first_invalid_density,
     _raw,
 )
 
@@ -32,6 +35,7 @@ __all__ = [
     "gibbs_state",
     "thermal_mixture_state",
     "thermal_mixture_stack",
+    "joint_populations",
     "spectral_decomposition",
 ]
 
@@ -64,7 +68,7 @@ class BatteryHamiltonian:
     def total(self) -> np.ndarray:
         """Full d^2 x d^2 Hamiltonian matrix."""
         eye = np.eye(self.d)
-        return np.kron(self.ha, eye) + np.kron(eye, self.hb) + self.g * self.v
+        return kron(self.ha, eye) + kron(eye, self.hb) + self.g * self.v
 
 
 def _sq_norm(m: np.ndarray) -> float:
@@ -101,7 +105,7 @@ def battery_hamiltonian(
     eye = np.eye(d)
     local_a = partial_trace(v, "A", d) / d - offset * eye
     local_b = partial_trace(v, "B", d) / d - offset * eye
-    v_corr = v - offset * np.eye(d * d) - np.kron(local_a, eye) - np.kron(eye, local_b)
+    v_corr = v - offset * np.eye(d * d) - kron(local_a, eye) - kron(eye, local_b)
     moved = max(abs(offset), np.max(np.abs(local_a)), np.max(np.abs(local_b)))
     if moved > 1e-12:
         warnings.warn(
@@ -126,6 +130,11 @@ def battery_hamiltonian(
 
 
 _PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
+_EYE2 = np.eye(2)
+# The constant two-qubit terms of ``ising_battery``: ZZ, the field Z1 + Z2, and the middle bond Z2 (x) Z3.
+_ISING_ZZ = np.kron(_PAULI_Z, _PAULI_Z)
+_ISING_FIELD = np.kron(_PAULI_Z, _EYE2) + np.kron(_EYE2, _PAULI_Z)
+_ISING_BOND = np.kron(np.kron(_EYE2, _PAULI_Z), np.kron(_PAULI_Z, _EYE2))
 
 
 def ising_battery(j1: float, j2: float, j3: float, b: float) -> BatteryHamiltonian:
@@ -136,32 +145,37 @@ def ising_battery(j1: float, j2: float, j3: float, b: float) -> BatteryHamiltoni
     strength j2, i.e. Z on qubit 2 with Z on qubit 3.  The derived scalars
     satisfy ha2 = j1^2 + 2 b^2, hb2 = j3^2 + 2 b^2 and g2v2 = j2^2.
     """
-    eye2 = np.eye(2)
-    zz = np.kron(_PAULI_Z, _PAULI_Z)
-    field = np.kron(_PAULI_Z, eye2) + np.kron(eye2, _PAULI_Z)
-    ha = j1 * zz + b * field
-    hb = j3 * zz + b * field
-    v = np.kron(np.kron(eye2, _PAULI_Z), np.kron(_PAULI_Z, eye2))
-    return battery_hamiltonian(ha, hb, v, g=j2)
+    ha = j1 * _ISING_ZZ + b * _ISING_FIELD
+    hb = j3 * _ISING_ZZ + b * _ISING_FIELD
+    return battery_hamiltonian(ha, hb, _ISING_BOND, g=j2)
 
 
-def gibbs_state(h: np.ndarray, temperature: float) -> DensityMatrix:
-    """Thermal state exp(-H/T)/Z via eigendecomposition (shift-stabilized)."""
+def gibbs_state(h: np.ndarray, temperature: float) -> DensityMatrix | np.ndarray:
+    """Thermal state exp(-H/T)/Z via eigendecomposition (shift-stabilized).
+
+    One Hamiltonian gives a ``DensityMatrix``.  A stack (..., d, d) gives the
+    array of states from one stacked ``eigh``, validated by one
+    ``check_density``; each is bitwise its call alone.
+    """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     h = np.asarray(h, dtype=np.complex128)
     w, u = np.linalg.eigh(h)
-    x = np.exp(-(w - w.min()) / temperature)
-    rho = (u * x) @ dagger(u)
-    return DensityMatrix(rho / np.trace(rho).real)
+    x = np.exp(-(w - w.min(axis=-1, keepdims=True)) / temperature)
+    rho = (u * x[..., None, :]) @ dagger(u)
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    if rho.ndim == 2:
+        return DensityMatrix(rho)
+    check_density(rho)
+    return rho
 
 
 def _fix_phases(u: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry real positive."""
-    idx = np.argmax(np.abs(u), axis=0)
-    lead = u[idx, np.arange(u.shape[1])]
+    """Make each column's largest-magnitude entry real positive, in each matrix of a stack."""
+    idx = np.argmax(np.abs(u), axis=-2)
+    lead = np.take_along_axis(u, idx[..., None, :], axis=-2)[..., 0, :]
     lead = np.where(np.abs(lead) > 0, lead, 1.0)
-    return u * (np.abs(lead) / lead)
+    return u * (np.abs(lead) / lead)[..., None, :]
 
 
 def thermal_mixture_state(
@@ -184,12 +198,22 @@ def thermal_mixture_state(
     return DensityMatrix(thermal_mixture_stack([alpha], tau_a, tau_b)[0])
 
 
-def thermal_mixture_stack(alphas, tau_a: StateLike, tau_b: StateLike) -> np.ndarray:
-    """``thermal_mixture_state`` at every mixing ratio, as one (n, d^2, d^2) stack.
+_INCOMPATIBLE = (
+    "incompatible marginals: tau_A and tau_B spectra differ beyond tolerance, "
+    "no correlated pure state has both as reductions"
+)
 
-    The two endpoints, |phi><phi| (alpha = 1) and tau_A (x) tau_B
-    (alpha = 0), are validated once; each row is a convex mixture of them
-    and so a density matrix without a check of its own.
+
+def thermal_mixture_stack(alphas, tau_a: StateLike, tau_b: StateLike) -> np.ndarray:
+    """``thermal_mixture_state`` at every mixing ratio, as one (A, d^2, d^2) stack.
+
+    Stacks of marginal pairs (..., d, d) give (..., A, d^2, d^2), one row of
+    A mixtures per pair, from one stacked ``eigh`` per side; each row is
+    bitwise the call on its pair alone.  The two endpoints of each pair,
+    |phi><phi| (alpha = 1) and tau_A (x) tau_B (alpha = 0), are validated
+    once, together with the equal spectra; each mixture is a convex
+    combination of them and so a density matrix without a check of its own.
+    The ``ValueError`` is the one the first failing pair alone raises.
     """
     a = np.asarray(alphas, dtype=np.float64)
     if a.ndim != 1 or not np.all((0.0 <= a) & (a <= 1.0)):
@@ -200,19 +224,26 @@ def thermal_mixture_stack(alphas, tau_a: StateLike, tau_b: StateLike) -> np.ndar
         raise ValueError("marginals must have equal dimension")
     wa, ua = np.linalg.eigh(ta)
     wb, ub = np.linalg.eigh(tb)
-    wa, ua = wa[::-1], _fix_phases(ua[:, ::-1])
-    wb, ub = wb[::-1], _fix_phases(ub[:, ::-1])
-    if np.max(np.abs(wa - wb)) > 1e-9:
-        raise ValueError(
-            "incompatible marginals: tau_A and tau_B spectra differ beyond tolerance, "
-            "no correlated pure state has both as reductions"
-        )
+    wa, ua = wa[..., ::-1], _fix_phases(ua[..., ::-1])
+    wb, ub = wb[..., ::-1], _fix_phases(ub[..., ::-1])
     p = np.clip((wa + wb) / 2, 0.0, None)
-    phi = np.einsum("i,ai,bi->ab", np.sqrt(p), ua, ub).ravel()
-    pure = DensityMatrix(np.outer(phi, phi.conj())).data
-    product = DensityMatrix(np.kron(ta, tb)).data
-    a = a[:, None, None]
-    return a * pure + (1.0 - a) * product
+    phi = np.einsum("...i,...ai,...bi->...ab", np.sqrt(p), ua, ub).reshape(p.shape[:-1] + (-1,))
+    pure = phi[..., :, None] * phi.conj()[..., None, :]
+    product = kron(ta, tb)
+    # The first pair that fails any check, by its first failed check: equal spectra, then the two endpoints.
+    unequal = np.flatnonzero(np.max(np.abs(wa - wb), axis=-1) > 1e-9)
+    failures = [(i, 0, _INCOMPATIBLE) for i in unequal[:1]]
+    for check, endpoint in enumerate((pure, product), start=1):
+        failure = _first_invalid_density(endpoint)
+        if failure is not None:
+            failures.append((failure[0], check, failure[1]))
+    if failures:
+        raise ValueError(min(failures)[2])
+    out = a[:, None, None] * pure[..., None, :, :]
+    # one alpha at a time, so no second array of the stack's size is made
+    for row, weight in zip(np.moveaxis(out, -3, 0), 1.0 - a):
+        row += weight * product
+    return out
 
 
 @dataclass(frozen=True)
@@ -257,6 +288,17 @@ def _local_eigenbasis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], u[:, order]
 
 
+def joint_populations(m: np.ndarray, vecs_a: np.ndarray, vecs_b: np.ndarray) -> np.ndarray:
+    """tr[(P_i^A (x) P_j^B) m] as a real (d, d) array: the diagonal of B^dag m B with B = V_A (x) V_B.
+
+    The columns of ``vecs_a``/``vecs_b`` are the projector vectors; m is a
+    d^2 x d^2 operator (a state's joint populations, or the interaction's
+    level shifts ``d_mat``).  Costs two d^2-sized products, d^6 in all.
+    """
+    basis = kron(vecs_a, vecs_b)
+    return np.sum(basis.conj() * (m @ basis), axis=0).real.reshape(len(vecs_a), len(vecs_b))
+
+
 def spectral_decomposition(h: BatteryHamiltonian) -> SpectralDecomposition:
     """Split the interaction into level shifts and eigenbasis changes.
 
@@ -267,8 +309,8 @@ def spectral_decomposition(h: BatteryHamiltonian) -> SpectralDecomposition:
     eb, ub = _local_eigenbasis(h.hb)
     proj_a = np.einsum("ai,bi->iab", ua, ua.conj())
     proj_b = np.einsum("ai,bi->iab", ub, ub.conj())
-    basis = np.kron(ua, ub)
-    d_mat = np.sum(basis.conj() * (h.v @ basis), axis=0).real.reshape(d, d)
+    basis = kron(ua, ub)
+    d_mat = joint_populations(h.v, ua, ub)
     v_od = h.v - (basis * d_mat.ravel()) @ basis.conj().T
     e_joint = ea[:, None] + eb[None, :] + h.g * d_mat
     h_diag = h.total - h.g * v_od

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import BatteryHamiltonian, SpectralDecomposition
+from .battery import BatteryHamiltonian, SpectralDecomposition, joint_populations
 from .haar import SamplerConfig
 from .linalg import StateLike, as_density, sector_lengths
 from .tpm import _check_eps
@@ -78,8 +78,7 @@ def coincidence_probability(
     Equal to tr[(P_AA' (x) P_BB') rho (x) rho] = sum_ij m_ij^2 with
     m_ij = tr[(P_i^A (x) P_j^B) rho].
     """
-    d = spec.d
-    q = np.einsum("abce,ica,jeb->ij", rho.reshape(d, d, d, d), spec.proj_a, spec.proj_b).real
+    q = joint_populations(rho, spec.vecs_a, spec.vecs_b)
     return float(_coincidence_batch(q[None], eps_a, eps_b)[0])
 
 

@@ -18,8 +18,10 @@ __all__ = [
     "MAX_LOCAL_DIM",
     "DensityMatrix",
     "as_density",
+    "check_density",
     "dagger",
     "is_hermitian",
+    "kron",
     "partial_trace",
     "partial_transpose",
     "partial_transpose_min_eig",
@@ -40,8 +42,17 @@ MAX_LOCAL_DIM = 16
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose, of each matrix in a stack (..., n, n)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for two matrices, or for each pair of two stacks (..., m, m) and (..., n, n).
+
+    The products np.kron forms, without its per-call overhead.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -61,16 +72,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.data, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2:
             raise ValueError(f"density matrix must be square, got shape {a.shape}")
-        if not is_hermitian(a):
-            raise ValueError("density matrix must be Hermitian")
-        tr = np.trace(a).real
-        if abs(tr - 1.0) > HERMITICITY_TOL:
-            raise ValueError(f"density matrix must have unit trace, got {tr}")
-        lo = np.linalg.eigvalsh(a)[0]
-        if lo < PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo}")
+        check_density(a)
         a.flags.writeable = False
         object.__setattr__(self, "data", a)
 
@@ -80,6 +84,42 @@ class DensityMatrix:
 
 
 StateLike = Union[DensityMatrix, np.ndarray]
+
+
+def _first_invalid_density(a: np.ndarray) -> tuple[int, str] | None:
+    """The flat index and error of the first matrix of a stack (..., D, D) that is no density matrix, or None.
+
+    The checks run in order: Hermiticity and unit trace within
+    ``HERMITICITY_TOL``, then the least eigenvalue down to ``PSD_TOL``, from
+    one stacked ``eigvalsh`` over the matrices that passed the first two.
+    The error names the first failed check of that matrix, so a stack
+    reports what the matrices one by one would.
+    """
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {a.shape}")
+    m = a.reshape((-1,) + a.shape[-2:])
+    herm = np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= HERMITICITY_TOL
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    unit = ~(np.abs(tr - 1.0) > HERMITICITY_TOL)
+    valid = herm & unit
+    lo = np.full(len(m), np.inf)
+    lo[valid] = np.linalg.eigvalsh(m if valid.all() else m[valid])[:, 0]
+    bad = ~valid | (lo < PSD_TOL)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if not herm[i]:
+        return i, "density matrix must be Hermitian"
+    if not unit[i]:
+        return i, f"density matrix must have unit trace, got {tr[i]}"
+    return i, f"density matrix has negative eigenvalue {lo[i]}"
+
+
+def check_density(a: np.ndarray) -> None:
+    """Validate a density matrix, or each of a stack (..., D, D): the ``ValueError`` of ``_first_invalid_density``."""
+    failure = _first_invalid_density(a)
+    if failure is not None:
+        raise ValueError(failure[1])
 
 
 def as_density(rho: StateLike) -> DensityMatrix:
@@ -140,15 +180,26 @@ def partial_transpose_min_eig(rho: StateLike, d: int):
     return _scalar(np.linalg.eigvalsh(partial_transpose(rho, d))[..., 0])
 
 
+def _sum_squares(c: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes of |c_ij|^2 = re^2 + im^2 for a complex array, overwriting it.
+
+    Each matrix is summed pairwise over its own D^2 entries, in its memory
+    order, so it gives the same bits alone and inside a stack; working in
+    place leaves no temporary the size of the stack.
+    """
+    re, im = c.real, c.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    return np.add(re, im, out=re).sum(axis=(-2, -1))
+
+
 def purity(rho: StateLike):
     """tr[rho^2] as the squared Frobenius norm of a Hermitian matrix.
 
     A float for one matrix; for a stack (..., D, D) the array (...) of
-    purities.  Each is a sum of squares over its own contiguous D^2 entries,
-    so a matrix gives the same bits alone and inside a stack.
+    purities, each bitwise its matrix alone.
     """
-    m = _raw(rho)
-    return _scalar((m.real**2 + m.imag**2).sum(axis=(-2, -1)))
+    return _scalar(_sum_squares(np.array(_raw(rho), order="K")))
 
 
 def sector_lengths(rho: StateLike, d: int):
@@ -157,7 +208,9 @@ def sector_lengths(rho: StateLike, d: int):
     rA^2 = d ||rho_A - 1/d||^2, likewise rB^2, and t^2 = d^2 ||rho - rho_A (x) 1/d - 1/d (x) rho_B + 1/d^2||^2:
     sums of squares, never negative and exactly 0 for the maximally mixed state.
     One state gives three floats; a stack (..., d^2, d^2) gives three arrays
-    (...), each entry bitwise equal to the call on that state alone.
+    (...), each entry bitwise equal to the call on that state alone.  Each
+    part is squared in place: the correlation part in the one copy of the
+    stack it is formed in.
     """
     m = _raw(rho)
     r4 = _bipartite(m, d, "state")
@@ -167,7 +220,8 @@ def sector_lengths(rho: StateLike, d: int):
     corr = r4.copy()  # minus loc_a (x) 1/d and 1/d (x) rho_B, through writable diagonal views
     np.einsum("...abcb->...acb", corr)[...] -= loc_a[..., None] / d
     np.einsum("...abae->...abe", corr)[...] -= red_b[..., None, :, :] / d
-    return d * purity(loc_a), d * purity(red_b - eye), d * d * purity(corr.reshape(m.shape))
+    parts = ((d, loc_a), (d, red_b - eye), (d * d, corr.reshape(m.shape)))
+    return tuple(k * _scalar(_sum_squares(x)) for k, x in parts)
 
 
 def subsystem_permutation(perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:

@@ -194,14 +194,15 @@ def _thermal_sweep(cfg: ExperimentConfig, alpha_step: float) -> tuple[float, lis
     return temperature, a_grid
 
 
-def _mixture_stack(a_grid: list[float], h: BatteryHamiltonian, temperature: float) -> np.ndarray:
-    """The thermal mixtures of the battery halves' Gibbs states at every alpha of the grid.
+def _mixture_stack(a_grid: list[float], hs: list[BatteryHamiltonian], temperature: float) -> np.ndarray:
+    """The thermal mixtures of each battery's halves' Gibbs states at every alpha of the grid, (len(hs), A, d^2, d^2).
 
     Marginals that no correlated pure state has are a ``ConfigError`` at
     ``state``, as in ``state_from_spec`` for one point.
     """
     try:
-        return thermal_mixture_stack(a_grid, gibbs_state(h.ha, temperature), gibbs_state(h.hb, temperature))
+        taus = gibbs_state(np.stack([(h.ha, h.hb) for h in hs]), temperature)
+        return thermal_mixture_stack(a_grid, taus[:, 0], taus[:, 1])
     except ValueError as exc:
         raise ConfigError("state", str(exc)) from None
 
@@ -212,45 +213,47 @@ def _build_point(cfg: ExperimentConfig):
     return h, rho
 
 
+#: Bytes of mixture states in one block of the variance sweep; a block holds whole b rows, at least one.
+_SWEEP_BLOCK_BYTES = 4 * 2**20
+
+
 def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Closed-form variance, per-k bounds, detected level, and PPT on a (b, alpha) grid.
 
     The default grid spans field strengths 0..0.9 and mixing ratios 0..1 for
     the Ising family, the setting in which stronger mixing crosses the
-    detection thresholds.  Each b evaluates its whole alpha column as one
-    stack; every row is bitwise what ``detect_schmidt_number`` reports for
-    ``thermal_mixture_state`` at that point.
+    detection thresholds.  The grid is built and evaluated as one stack per
+    block of whole b rows, ``_SWEEP_BLOCK_BYTES`` of states at most (the
+    default grid is one block), with one witness call per block that reads
+    each b's weights; every row is bitwise what ``detect_schmidt_number``
+    reports for ``thermal_mixture_state`` at that point.
     """
     cfg.check("variance sweep")
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.04)
     default = np.round(np.arange(0.0, 0.901, 0.05), 10)
     b_grid = [_number(x, "parameters.b_grid") for x in cfg.parameters.get("b_grid", default)]
+    batteries = [battery_from_spec({"ising": {**ip, "b": b}}) for b in b_grid]
+    d = batteries[0].d
+    row_bytes = len(a_grid) * d**4 * 16  # one b row of complex (d^2, d^2) states
+    per_block = max(1, _SWEEP_BLOCK_BYTES // row_bytes)
+    keys = ("J1", "J2", "J3", "T", "b", "alpha", "variance", "detected_sn", "ppt_min_eig")
+    keys += tuple(f"bound_k{k}" for k in range(1, d))  # k = d is never violable
     rows = []
-    for b in b_grid:
-        h = battery_from_spec({"ising": {**ip, "b": b}})
-        det = detect_schmidt_number_stack(_mixture_stack(a_grid, h, temperature), h)
+    for start in range(0, len(b_grid), per_block):
+        hs = batteries[start : start + per_block]
+        weights = (np.array([[getattr(h, w)] for h in hs]) for w in ("ha2", "hb2", "g2v2"))
+        det = detect_schmidt_number_stack(_mixture_stack(a_grid, hs, temperature), d, *weights)
         columns = zip(
-            a_grid,
             det.variance.tolist(),
             det.detected_sn_lower_bound.tolist(),
             det.ppt_min_eig.tolist(),
-            det.thresholds[:, :-1].tolist(),  # k = d is never violable
+            det.thresholds[..., :-1].tolist(),
         )
-        for alpha, variance, detected, ppt, bounds in columns:
-            row = {
-                "J1": ip["J1"],
-                "J2": ip["J2"],
-                "J3": ip["J3"],
-                "T": temperature,
-                "b": b,
-                "alpha": alpha,
-                "variance": variance,
-                "detected_sn": detected,
-                "ppt_min_eig": ppt,
-            }
-            row.update((f"bound_k{k}", bound) for k, bound in enumerate(bounds, start=1))
-            rows.append(row)
+        for b, b_columns in zip(b_grid[start : start + per_block], columns):
+            head = (ip["J1"], ip["J2"], ip["J3"], temperature, b)
+            for alpha, *point, bounds in zip(a_grid, *b_columns):
+                rows.append(dict(zip(keys, (*head, alpha, *point, *bounds))))
     return rows
 
 
@@ -273,7 +276,7 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     eps_grid = [_number(x, "parameters.eps_grid", check=check) for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))]
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
-    states = _mixture_stack(a_grid, h, temperature)
+    [states] = _mixture_stack(a_grid, [h], temperature)
     eps_pairs = [(eps, eps) for eps in eps_grid]
     reports = tpm_variance_stack(states, spec, eps_pairs)
     mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if with_mc else None

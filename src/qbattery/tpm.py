@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import SpectralDecomposition
+from .battery import SpectralDecomposition, joint_populations
 from .bloch import gell_mann_basis
 from .haar import SamplerConfig
 from .linalg import StateLike, as_density, sector_lengths
@@ -362,10 +362,8 @@ def _zeta(proj: np.ndarray, lam: np.ndarray, d: int) -> np.ndarray:
 
 def tpm_spectral_stats(rho: StateLike, spec: SpectralDecomposition) -> TpmSpectralStats:
     """Joint-population matrix, its and its marginals' purities, and the dephasing overlaps."""
-    m = as_density(rho).data
     d = spec.d
-    m4 = m.reshape(d, d, d, d)
-    p_joint = np.einsum("abce,ica,jeb->ij", m4, spec.proj_a, spec.proj_b).real
+    p_joint = joint_populations(as_density(rho).data, spec.vecs_a, spec.vecs_b)
     lam = gell_mann_basis(d).matrices
     return TpmSpectralStats(
         p_joint=p_joint,

@@ -130,27 +130,30 @@ class WitnessStack(NamedTuple):
     t2: np.ndarray
 
 
-def detect_schmidt_number_stack(states: np.ndarray, h: BatteryHamiltonian) -> WitnessStack:
+def detect_schmidt_number_stack(states: np.ndarray, d: int, ha2, hb2, g2v2) -> WitnessStack:
     """``detect_schmidt_number``'s hierarchy on a stack (..., d^2, d^2) of density matrices.
 
+    ``ha2``, ``hb2`` and ``g2v2`` are the battery's weights (the
+    ``BatteryHamiltonian`` fields), scalars or arrays that broadcast over the
+    stack's leading axes, so one call serves states of several batteries.
     The rows are taken as valid states and are not re-validated (a convex
     mixture of validated states, as ``thermal_mixture_stack`` builds, needs
     no check).  Every entry is bitwise what the per-state call reports, which
     runs this on a stack of one.  Raises ``RuntimeError`` on the first state
     whose two routes disagree where the variance route resolves a k-step.
     """
-    d = h.d
     r_a2, r_b2, t2 = sector_lengths(states, d)
-    var = sector_variance(r_a2, r_b2, t2, h.ha2, h.hb2, h.g2v2, d)
+    var = sector_variance(r_a2, r_b2, t2, ha2, hb2, g2v2, d)
     ks = np.arange(1, d + 1)
-    thresholds = work_variance_bound(ks, d, r_a2[..., None], r_b2[..., None], h.ha2, h.hb2, h.g2v2)
+    weights = (np.asarray(w)[..., None] for w in (ha2, hb2, g2v2))
+    thresholds = work_variance_bound(ks, d, r_a2[..., None], r_b2[..., None], *weights)
     detected = _detected_level(var, thresholds)
 
     pur = purity(states)
     min_marginal = np.minimum(purity(partial_trace(states, "A", d)), purity(partial_trace(states, "B", d)))
     purity_sn = _detected_level(pur, ks * min_marginal[..., None])
 
-    k_step = h.g2v2 * d / (d * d - 1) ** 2
+    k_step = g2v2 * d / (d * d - 1) ** 2
     disagree = (k_step > DETECTION_MARGIN * np.maximum(1.0, np.abs(var))) & (purity_sn != detected)
     if np.any(disagree):
         i = np.flatnonzero(disagree)[0]
@@ -186,7 +189,7 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     d = h.d
     if rho.dim != d * d:
         raise ValueError(f"state dimension {rho.dim} does not match battery d^2 = {d * d}")
-    det = detect_schmidt_number_stack(rho.data[None], h)
+    det = detect_schmidt_number_stack(rho.data[None], d, h.ha2, h.hb2, h.g2v2)
     pur = float(det.purity[0])
     branch = None
     if abs(pur - 1.0) <= _PURE_TOL and abs(h.ha2 - h.hb2) <= _PURE_TOL * max(1.0, h.ha2, h.hb2):

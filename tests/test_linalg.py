@@ -4,6 +4,7 @@ import pytest
 from qbattery.bloch import gell_mann_basis
 from qbattery.linalg import (
     DensityMatrix,
+    check_density,
     partial_trace,
     partial_transpose_min_eig,
     purity,
@@ -139,3 +140,50 @@ def test_wrongly_shaped_stack_is_refused(call):
         call(np.zeros((2, 16, 16)), 3)
     with pytest.raises(ValueError, match="expected a 9 x 9"):
         call(np.zeros((2, 9, 8)), 3)
+
+
+def _out_of_place_lengths(m, d):
+    """sector_lengths and purity as written with a temporary per step, the reference for the in-place sums."""
+    squares = lambda x: (x.real**2 + x.imag**2).sum(axis=(-2, -1))
+    r4 = m.reshape(m.shape[:-2] + (d, d, d, d))
+    eye = np.eye(d) / d
+    loc_a = r4.trace(axis1=-3, axis2=-1) - eye
+    red_b = r4.trace(axis1=-4, axis2=-2)
+    corr = r4.copy()
+    np.einsum("...abcb->...acb", corr)[...] -= loc_a[..., None] / d
+    np.einsum("...abae->...abe", corr)[...] -= red_b[..., None, :, :] / d
+    return (d * squares(loc_a), d * squares(red_b - eye), d * d * squares(corr.reshape(m.shape))), squares(m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_in_place_sums_of_squares_are_the_out_of_place_formula_bitwise(d):
+    rng = np.random.default_rng(1100 + d)
+    stack = np.stack([random_density_matrix(rng, d * d).data for _ in range(2 if d == 16 else 5)])
+    lengths, purities = _out_of_place_lengths(stack, d)
+    assert all(np.array_equal(x, y) for x, y in zip(sector_lengths(stack, d), lengths))
+    assert np.array_equal(purity(stack), purities)
+    # a transposed (non-contiguous) view and the input itself are left as they were
+    view = stack.swapaxes(-1, -2)
+    before = view.copy()
+    assert np.array_equal(purity(view), _out_of_place_lengths(view, d)[1])
+    assert np.array_equal(view, before)
+
+
+def test_a_stack_is_refused_for_its_first_invalid_matrix_by_its_first_failed_check():
+    good = np.eye(4) / 4
+    negative = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+    non_hermitian = good + np.triu(np.full((4, 4), 0.1), 1)
+    for rows, match in (
+        ([good, negative, non_hermitian], "negative eigenvalue -0.1"),
+        ([good, non_hermitian, negative], "must be Hermitian"),
+        ([good, good * 2, negative], "unit trace, got 2.0"),
+        ([good, np.full((4, 4), np.nan), negative], "must be Hermitian"),
+    ):
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(next(m for m in rows if m is not good))
+        with pytest.raises(ValueError, match=match) as stacked:
+            check_density(np.stack(rows))
+        assert str(stacked.value) == str(alone.value)
+    check_density(np.stack([good, good]))
+    with pytest.raises(ValueError, match="square"):
+        check_density(np.zeros((2, 4, 3)))

@@ -6,6 +6,7 @@ import pytest
 import qbattery.runner as runner
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
 from qbattery.haar import SamplerConfig, chunk_size
+from qbattery.linalg import random_hermitian
 from qbattery.runner import ExperimentConfig, run_tpm_sweep, run_variance_sweep
 from qbattery.tpm import mc_tpm_statistics, tpm_variance_closed_form
 from qbattery.witness import detect_schmidt_number, detect_schmidt_number_stack
@@ -73,10 +74,102 @@ def test_mixture_stack_validates_its_endpoints():
         thermal_mixture_stack([0.5], tau_a.data * 2, tau_b.data * 2)
 
 
+_B_GRID = [0.0, 0.05, 0.45, 0.9]  # b = 0 leaves each half's Gibbs spectrum degenerate
+
+
+def _marginal_pairs(temperature=1.5):
+    """Marginal pairs of Ising batteries over ``_B_GRID`` and of two random batteries with equal spectra, stacked (B, 2, d, d)."""
+    hs = [np.stack([h.ha, h.hb]) for h in (ising_battery(0.5, 1.0, 0.5, b) for b in _B_GRID)]
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        ha = random_hermitian(rng, 4)
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        hs.append(np.stack([ha, u @ ha @ u.conj().T]))
+    return np.stack(hs), temperature
+
+
+def test_stacked_gibbs_states_are_the_per_hamiltonian_calls_bitwise():
+    hamiltonians, temperature = _marginal_pairs()
+    taus = gibbs_state(hamiltonians, temperature)
+    assert taus.shape == hamiltonians.shape
+    for tau_pair, h_pair in zip(taus, hamiltonians):
+        for tau, h in zip(tau_pair, h_pair):
+            assert np.array_equal(tau, gibbs_state(h, temperature).data)
+
+
+def test_mixture_stack_of_marginal_pairs_is_the_per_pair_calls_bitwise():
+    taus = gibbs_state(*_marginal_pairs())
+    alphas = [0.0, 0.3, 0.96, 1.0]
+    stack = thermal_mixture_stack(alphas, taus[:, 0], taus[:, 1])
+    assert stack.shape == (len(taus), 4, 16, 16)
+    for row, (tau_a, tau_b) in zip(stack, taus):
+        assert np.array_equal(row, thermal_mixture_stack(alphas, tau_a, tau_b))
+    nested = thermal_mixture_stack(alphas, taus[None, :, 0], taus[None, :, 1])
+    assert np.array_equal(nested[0], stack)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("defect", ["spectra", "trace"])
+def test_mixture_stack_raises_what_the_first_failing_pair_raises(k, defect):
+    taus = gibbs_state(*_marginal_pairs())
+    tau_a, tau_b = taus[:, 0].copy(), taus[:, 1].copy()
+    if defect == "spectra":
+        tau_b[k] = gibbs_state(ising_battery(0.5, 1.0, 0.9, 0.45).hb, 1.5).data
+    else:
+        tau_a[k] *= 2
+        tau_b[k] *= 2
+    # a later pair with the other defect must not be the one reported
+    tau_b[-1] = tau_b[-1] * 2 if defect == "spectra" else gibbs_state(ising_battery(0.5, 1.0, 0.9, 0.45).hb, 1.5).data
+    with pytest.raises(ValueError) as alone:
+        thermal_mixture_stack([0.5], tau_a[k], tau_b[k])
+    with pytest.raises(ValueError) as stacked:
+        thermal_mixture_stack([0.5], tau_a, tau_b)
+    assert str(stacked.value) == str(alone.value)
+    assert ("incompatible marginals" if defect == "spectra" else "unit trace") in str(stacked.value)
+
+
+def test_witness_stack_with_per_battery_weights_is_the_per_battery_calls_bitwise():
+    batteries = [ising_battery(0.5, 1.0, 0.5, b) for b in _B_GRID]
+    alphas = [0.0, 0.5, 0.96, 1.0]
+    states = np.stack([thermal_mixture_stack(alphas, *_taus(h)) for h in batteries])
+    weights = (np.array([[getattr(h, w)] for h in batteries]) for w in ("ha2", "hb2", "g2v2"))
+    stacked = detect_schmidt_number_stack(states, 4, *weights)
+    for i, h in enumerate(batteries):
+        alone = detect_schmidt_number_stack(states[i], 4, h.ha2, h.hb2, h.g2v2)
+        for name, column in stacked._asdict().items():
+            assert np.array_equal(column[i], getattr(alone, name)), name
+
+
+def _block_rows(monkeypatch, budget, parameters=None):
+    monkeypatch.setattr(runner, "_SWEEP_BLOCK_BYTES", budget)
+    return run_variance_sweep(ExperimentConfig.from_dict({"parameters": parameters or {}}))
+
+
+@pytest.mark.parametrize("states", [1 / 4096, 7, 60])
+def test_the_variance_sweep_block_walk_moves_no_bits(monkeypatch, states):
+    """A byte budget of one byte, of 7 states (one b row per block) or of 60 (two rows) gives the one-block rows."""
+    rows = run_variance_sweep(ExperimentConfig())
+    walked = _block_rows(monkeypatch, int(states * 16**2 * 16))
+    assert walked == rows
+    assert all(type(x) is type(y) for a, b in zip(walked, rows) for x, y in zip(a.values(), b.values()))
+
+
+def test_every_non_default_variance_sweep_row_is_the_per_point_witness(monkeypatch):
+    grid = {"b_grid": [0.0, 0.9], "alpha_grid": [0.0, 0.5, 1.0]}
+    for budget in (runner._SWEEP_BLOCK_BYTES, 1):
+        rows = _block_rows(monkeypatch, budget, grid)
+        assert [(row["b"], row["alpha"]) for row in rows] == [(b, a) for b in grid["b_grid"] for a in grid["alpha_grid"]]
+        for row in rows:
+            h = ising_battery(row["J1"], row["J2"], row["J3"], row["b"])
+            rep = detect_schmidt_number(thermal_mixture_state(row["alpha"], *_taus(h, row["T"])), h)
+            assert (row["variance"], row["detected_sn"], row["ppt_min_eig"]) == (rep.variance_used, rep.detected_sn_lower_bound, rep.ppt_min_eig)
+            assert [row[f"bound_k{k}"] for k in range(1, 4)] == [bound for _, bound in rep.thresholds[:-1]]
+
+
 def test_witness_stack_rejects_a_wrongly_shaped_stack():
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     with pytest.raises(ValueError, match="expected a 16 x 16 state"):
-        detect_schmidt_number_stack(np.zeros((3, 9, 9)), h)
+        detect_schmidt_number_stack(np.zeros((3, 9, 9)), h.d, h.ha2, h.hb2, h.g2v2)
 
 
 def test_witness_stack_raises_when_the_routes_disagree(monkeypatch):
@@ -88,7 +181,7 @@ def test_witness_stack_raises_when_the_routes_disagree(monkeypatch):
     # halve tr[rho^2] but not the marginal purities: the purity route then certifies less
     monkeypatch.setattr(witness, "purity", lambda m: real(m) * (0.5 if m.shape[-1] == 16 else 1.0))
     with pytest.raises(RuntimeError, match="variance route 4, purity route 2"):
-        detect_schmidt_number_stack(stack, h)
+        detect_schmidt_number_stack(stack, h.d, h.ha2, h.hb2, h.g2v2)
 
 
 # 2 alpha x 2 eps at n = 4,101: two chunks of the d = 4 stream, the second holding 5 pairs

@@ -4,8 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
+from qbattery.battery import gibbs_state, ising_battery, joint_populations, spectral_decomposition, thermal_mixture_state
 from qbattery.bloch import bloch_decompose, gell_mann_basis
+from qbattery.coincidence import _coincidence_batch, coincidence_probability
 from qbattery.haar import HaarSampler, SamplerConfig, chunk_size
 from qbattery.linalg import DensityMatrix, random_density_matrix, sector_lengths
 from qbattery.tpm import (
@@ -534,3 +535,16 @@ def test_shot_sampling_converges_to_exact(rng):
     a = tpm_shot_sample(rho, spec, 0.7, 0.7, ua, ub, 500, np.random.default_rng(1))
     b = tpm_shot_sample(rho, spec, 0.7, 0.7, ua, ub, 500, np.random.default_rng(1))
     assert a == b
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_joint_populations_match_the_projector_einsum(d):
+    """The populations of tpm_spectral_stats and the coincidence oracle against the six-index einsum over the projectors."""
+    rng = np.random.default_rng(800 + d)
+    spec = spectral_decomposition(make_random_battery(rng, d))
+    rho = random_density_matrix(rng, d * d)
+    p_joint = np.einsum("abce,ica,jeb->ij", rho.data.reshape(d, d, d, d), spec.proj_a, spec.proj_b).real
+    assert np.max(np.abs(joint_populations(rho.data, spec.vecs_a, spec.vecs_b) - p_joint)) < 1e-12
+    assert np.max(np.abs(tpm_spectral_stats(rho, spec).p_joint - p_joint)) < 1e-12
+    literal = float(_coincidence_batch(p_joint[None], 0.7, 0.4)[0])
+    assert abs(coincidence_probability(rho.data, spec, 0.7, 0.4) - literal) < 1e-12
