@@ -9,6 +9,7 @@ warning, since it cannot affect any work value.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,11 +45,10 @@ __all__ = [
 class BatteryHamiltonian:
     """H = ha (x) 1 + 1 (x) hb + g * v with a canonical (no local parts) v.
 
-    ha2, hb2 and v2 are the squared norms of the traceless parts of ha, hb
-    and v in the generalized basis (``bloch.operator_coeffs`` and
-    ``bloch.interaction_coeffs``): ha2 = ||ha - tr(ha)/d 1||^2 / d and
-    v2 = ||v||^2 / d^2.  They deliberately exclude identity components,
-    which is forced by the shift invariance of extracted work.
+    ha2, hb2 and v2 are normalized squared norms of the traceless parts:
+    ha2 = ||ha - tr(ha)/d 1||^2 / d, likewise hb2, and v2 = ||v||^2 / d^2.
+    They deliberately exclude identity components, which is forced by the
+    shift invariance of extracted work; they and g^2 v2 are finite.
     """
 
     d: int
@@ -85,6 +85,7 @@ def battery_hamiltonian(
 
     ``ha``/``hb`` are Hermitian d x d local terms with 2 <= d <= MAX_LOCAL_DIM;
     ``v`` is a Hermitian d^2 x d^2 interaction; ``g`` its coupling strength.
+    A non-finite entry or weight (ha2, hb2, g^2 v2) is a ValueError naming it.
     """
     ha = np.asarray(ha, dtype=np.complex128)
     d = ha.shape[0]
@@ -97,6 +98,8 @@ def battery_hamiltonian(
     if v.shape != (d * d, d * d):
         raise ValueError(f"interaction must be {d * d} x {d * d}, got {v.shape}")
     for name, m in (("ha", ha), ("hb", hb), ("v", v)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} has a non-finite entry")
         if not is_hermitian(m, tol=1e-10):
             raise ValueError(f"{name} must be Hermitian")
 
@@ -117,7 +120,7 @@ def battery_hamiltonian(
         hb = hb + g * local_b
         v = v_corr
 
-    return BatteryHamiltonian(
+    h = BatteryHamiltonian(
         d=d,
         ha=ha,
         hb=hb,
@@ -127,6 +130,11 @@ def battery_hamiltonian(
         hb2=_sq_norm(hb - np.trace(hb) / d * eye) / d,
         v2=_sq_norm(v_corr) / d**2,
     )
+    # g * g, not the property's g**2: a float's ** raises OverflowError where * gives inf
+    for name, weight in (("ha2", h.ha2), ("hb2", h.hb2), ("g^2 v2", h.g * h.g * h.v2)):
+        if not math.isfinite(weight):
+            raise ValueError(f"the weight {name} = {weight} is not finite")
+    return h
 
 
 _PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -145,8 +153,9 @@ def ising_battery(j1: float, j2: float, j3: float, b: float) -> BatteryHamiltoni
     strength j2, i.e. Z on qubit 2 with Z on qubit 3.  The derived scalars
     satisfy ha2 = j1^2 + 2 b^2, hb2 = j3^2 + 2 b^2 and g2v2 = j2^2.
     """
-    ha = j1 * _ISING_ZZ + b * _ISING_FIELD
-    hb = j3 * _ISING_ZZ + b * _ISING_FIELD
+    with np.errstate(over="ignore"):  # an overflowing entry is inf, which battery_hamiltonian refuses by name
+        ha = j1 * _ISING_ZZ + b * _ISING_FIELD
+        hb = j3 * _ISING_ZZ + b * _ISING_FIELD
     return battery_hamiltonian(ha, hb, _ISING_BOND, g=j2)
 
 

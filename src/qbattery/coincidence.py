@@ -22,9 +22,9 @@ import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition, joint_populations
 from .haar import SamplerConfig
-from .linalg import StateLike, as_density, sector_lengths
+from .linalg import StateLike, sector_lengths
 from .tpm import _check_eps
-from .workstats import iter_samples, rotated_populations, sector_variance, summarize
+from .workstats import _state_data, iter_samples, rotated_populations, sector_variance, summarize
 
 __all__ = [
     "CoincidenceReport",
@@ -112,7 +112,7 @@ def mc_coincidence(
     """
     _check_eps(eps_a, "eps_a")
     _check_eps(eps_b, "eps_b")
-    populations = rotated_populations(as_density(rho).data, spec)
+    populations = rotated_populations(_state_data(rho, spec.d), spec)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return _coincidence_batch(populations(ua, ub), eps_a, eps_b)

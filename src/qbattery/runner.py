@@ -166,10 +166,10 @@ class ExperimentConfig:
         return _number(self.sampling.get("n_unitaries", default), "sampling.n_unitaries", int, check=_check_samples)
 
 
-def _eps_param(cfg: ExperimentConfig, key: str, *, simulate: bool = False) -> float:
+def _eps_param(cfg: ExperimentConfig, key: str) -> float:
     """parameters.<key>, falling back to the symmetric parameters.eps, then 1."""
     name = key if key in cfg.parameters else "eps"
-    return _number(cfg.parameters.get(name, 1.0), f"parameters.{name}", check=partial(_check_eps, simulate=simulate))
+    return _number(cfg.parameters.get(name, 1.0), f"parameters.{name}", check=_check_eps)
 
 
 def _ising_params(cfg: ExperimentConfig) -> dict:
@@ -207,6 +207,15 @@ def _mixture_stack(a_grid: list[float], hs: list[BatteryHamiltonian], temperatur
         raise ConfigError("state", str(exc)) from None
 
 
+def _field_battery(ip: dict, b: float) -> BatteryHamiltonian:
+    """The Ising battery of a variance sweep at field b; a field whose build fails is a ConfigError at its grid."""
+    try:
+        return battery_from_spec({"ising": {**ip, "b": b}})
+    except ConfigError as exc:
+        battery_from_spec({"ising": {**ip, "b": 0.0}})  # couplings that fail at any field are reported as theirs
+        raise ConfigError("parameters.b_grid", f"b = {b}: {str(exc).removeprefix('battery.ising: ')}") from None
+
+
 def _build_point(cfg: ExperimentConfig):
     h = battery_from_spec(cfg.battery)
     rho = state_from_spec(cfg.state, h)
@@ -233,7 +242,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     temperature, a_grid = _thermal_sweep(cfg, 0.04)
     default = np.round(np.arange(0.0, 0.901, 0.05), 10)
     b_grid = [_number(x, "parameters.b_grid") for x in cfg.parameters.get("b_grid", default)]
-    batteries = [battery_from_spec({"ising": {**ip, "b": b}}) for b in b_grid]
+    batteries = [_field_battery(ip, b) for b in b_grid]
     d = batteries[0].d
     row_bytes = len(a_grid) * d**4 * 16  # one b row of complex (d^2, d^2) states
     per_block = max(1, _SWEEP_BLOCK_BYTES // row_bytes)
@@ -263,44 +272,31 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     The alpha stack is evaluated at every eps in one ``tpm_variance_stack``
     call, and each row reads its columns from the report of its point, which
     is bitwise what ``tpm_variance_closed_form`` reports for
-    ``thermal_mixture_state`` there.  Monte-Carlo columns appear when the
-    sampling section gives ``n_unitaries``; a seed is then mandatory.  One
+    ``thermal_mixture_state`` there.  The Monte-Carlo columns, ``mc_<field>``
+    for each ``WorkStatistics`` field, appear when the sampling section gives
+    ``n_unitaries``; a seed is then mandatory.  One
     ``mc_tpm_stack`` pass over the same stack and grid draws the pairs once
     for every row, and each row's are bitwise ``mc_tpm_statistics`` there.
     """
     cfg.check("tpm sweep")
     ip = _ising_params(cfg)
     temperature, a_grid = _thermal_sweep(cfg, 0.05)
-    with_mc = cfg.samples()
-    check = partial(_check_eps, simulate=with_mc)
-    eps_grid = [_number(x, "parameters.eps_grid", check=check) for x in cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))]
+    eps_values = cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))
+    eps_grid = [_number(x, "parameters.eps_grid", check=_check_eps) for x in eps_values]
     h = battery_from_spec({"ising": ip})
     spec = spectral_decomposition(h)
     [states] = _mixture_stack(a_grid, [h], temperature)
     eps_pairs = [(eps, eps) for eps in eps_grid]
     reports = tpm_variance_stack(states, spec, eps_pairs)
-    mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if with_mc else None
+    mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if cfg.samples() else None
+    head = {"J1": ip["J1"], "J2": ip["J2"], "J3": ip["J3"], "b": ip["b"], "T": temperature}
     rows = []
     for i, (alpha, state_reports) in enumerate(zip(a_grid, reports)):
         for j, rep in enumerate(state_reports):
-            row = {
-                "J1": ip["J1"],
-                "J2": ip["J2"],
-                "J3": ip["J3"],
-                "b": ip["b"],
-                "T": temperature,
-                "alpha": alpha,
-                "eps_a": rep.eps_a,
-                "eps_b": rep.eps_b,
-                "var_tpm": rep.var_tpm,
-                "var_diag": rep.var_diag,
-                "n0": rep.weights.n0,
-                "n1": rep.weights.n1,
-                "n_noisy": rep.weights.n_noisy,
-            }
+            row = {**head, "alpha": alpha, "eps_a": rep.eps_a, "eps_b": rep.eps_b, "var_tpm": rep.var_tpm}
+            row.update(var_diag=rep.var_diag, n0=rep.weights.n0, n1=rep.weights.n1, n_noisy=rep.weights.n_noisy)
             if mc is not None:
-                stats = mc[i][j]
-                row.update(mc_mean=stats.mean, mc_variance=stats.variance, mc_se_variance=stats.se_variance)
+                row.update({f"mc_{key}": value for key, value in asdict(mc[i][j]).items()})
             rows.append(row)
     return rows
 
@@ -312,9 +308,7 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=_positive)
     if not histogram_fits(h, bin_width):
         raise ConfigError("parameters.bin_width", f"needs more than {MAX_HISTOGRAM_BINS} bins over the work range")
-    n = cfg.n_unitaries()
-    sampler = cfg.sampler(h.d)
-    stats, hist = work_sample_summary(rho, h, n, sampler, bin_width=bin_width)
+    stats, hist = work_sample_summary(rho, h, cfg.n_unitaries(), cfg.sampler(h.d), bin_width=bin_width)
     assert hist is not None
     edges = hist.edges().tolist()  # Python floats, so CSV cells repr as 0.1
     rows = [
@@ -323,11 +317,7 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     ]
     closed = analytic_work_variance(rho, h)
     summary = {
-        "n_samples": stats.n_samples,
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "se_mean": stats.se_mean,
-        "se_variance": stats.se_variance,
+        **asdict(stats),
         "closed_form_mean": closed.mean,
         "closed_form_variance": closed.variance,
         "bin_width": bin_width,
@@ -343,7 +333,6 @@ def run_point(cfg: ExperimentConfig) -> dict:
         raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
     cfg.check(protocol)
     h, rho = _build_point(cfg)
-    want_mc = cfg.samples()
     if protocol == "witness":
         return {"protocol": protocol, **asdict(detect_schmidt_number(rho, h))}
     if protocol == "coincidence":
@@ -352,32 +341,20 @@ def run_point(cfg: ExperimentConfig) -> dict:
         if min(h.ha2, h.hb2) <= 0:
             raise ConfigError("battery", "the coincidence bound needs non-zero local Hamiltonians (h^2 = 0)")
         out = {"protocol": protocol, **asdict(coincidence_bound(rho, h, spec, eps))}
-        if want_mc:
-            mean, se = mc_coincidence(rho, spec, eps, eps, cfg.n_unitaries(), cfg.sampler(h.d))
-            out["cbar_mc"] = mean
-            out["cbar_mc_se"] = se
+        if cfg.samples():
+            out["cbar_mc"], out["cbar_mc_se"] = mc_coincidence(rho, spec, eps, eps, cfg.n_unitaries(), cfg.sampler(h.d))
         return out
-    mc = None
     if protocol == "variance":
         stats = analytic_work_variance(rho, h)
         out = {"protocol": protocol, "mean": stats.mean, "variance": stats.variance}
-        if want_mc:
-            mc = mc_work_statistics(rho, h, cfg.n_unitaries(), cfg.sampler(h.d))
+        sample = partial(mc_work_statistics, rho, h)
     else:
         spec = spectral_decomposition(h)
-        eps_a = _eps_param(cfg, "eps_a", simulate=want_mc)
-        eps_b = _eps_param(cfg, "eps_b", simulate=want_mc)
+        eps_a, eps_b = _eps_param(cfg, "eps_a"), _eps_param(cfg, "eps_b")
         out = {"protocol": protocol, **asdict(tpm_variance_closed_form(rho, spec, eps_a, eps_b))}
-        if want_mc:
-            mc = mc_tpm_statistics(rho, spec, eps_a, eps_b, cfg.n_unitaries(), cfg.sampler(h.d))
-    if mc is not None:
-        out["mc"] = {
-            "n": mc.n_samples,
-            "mean": mc.mean,
-            "se_mean": mc.se_mean,
-            "variance": mc.variance,
-            "se_variance": mc.se_variance,
-        }
+        sample = partial(mc_tpm_statistics, rho, spec, eps_a, eps_b)
+    if cfg.samples():
+        out["mc"] = asdict(sample(cfg.n_unitaries(), cfg.sampler(h.d)))
     return out
 
 

@@ -17,6 +17,7 @@ shown, and every number must be finite.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -124,26 +125,24 @@ def _positive(x: float) -> None:
 
 
 def battery_from_spec(spec: dict) -> BatteryHamiltonian:
-    _family_name(spec, BATTERY_FAMILIES, "battery")
-    if "ising" in spec:
+    """The battery of a spec; one the build refuses (say, an overflowing weight) is a ConfigError at its family."""
+    name = _family_name(spec, BATTERY_FAMILIES, "battery")
+    if name == "ising":
         p = _family(spec, "ising", ISING_KEYS, "battery")
-        return ising_battery(
-            j1=_required_number(p, "J1", "battery.ising"),
-            j2=_required_number(p, "J2", "battery.ising"),
-            j3=_required_number(p, "J3", "battery.ising"),
-            b=_required_number(p, "b", "battery.ising"),
-        )
-    if "explicit" in spec:
+        j1, j2, j3, b = (_required_number(p, key, "battery.ising") for key in ISING_KEYS)
+        build = partial(ising_battery, j1, j2, j3, b)
+    elif name == "explicit":
         p = _family(spec, "explicit", ("HA", "HB", "V", "g"), "battery")
         ha, hb, v = (
             matrix_from_json(_require(p, key, "battery.explicit"), f"battery.explicit.{key}") for key in ("HA", "HB", "V")
         )
-        g = _required_number(p, "g", "battery.explicit")
-        try:
-            return battery_hamiltonian(ha, hb, v, g=g)
-        except ValueError as exc:
-            raise ConfigError("battery.explicit", str(exc)) from None
-    raise ConfigError("battery", f"unknown battery family {list(spec)!r}")
+        build = partial(battery_hamiltonian, ha, hb, v, g=_required_number(p, "g", "battery.explicit"))
+    else:
+        raise ConfigError("battery", f"unknown battery family {list(spec)!r}")
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"battery.{name}", str(exc)) from None
 
 
 def battery_to_spec(h: BatteryHamiltonian) -> dict:
@@ -173,6 +172,9 @@ def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
             raise ConfigError("state", str(exc)) from None
     if "matrix" in spec:
         m = matrix_from_json(spec["matrix"], "state.matrix")
+        dim = battery.d**2
+        if m.shape != (dim, dim):
+            raise ConfigError("state.matrix", f"expected a {dim} x {dim} state for this battery, got {m.shape}")
         try:
             return DensityMatrix(m)
         except ValueError as exc:

@@ -12,8 +12,9 @@ probabilities stay unbiased for the diagonal Hamiltonian
 The presumed per-unitary work is W = sum m_ij m_kl|ij (e_ij - e_kl), and its
 Haar variance decomposes exactly into ideal / projective / noise-induced
 contributions with weights n0 + n1 + n_noisy = 1.  Labels diverge at
-eps = 0, so simulation requires eps > 0 while the weights and the
-closed-form variance extend continuously to the eps -> 0 limit.
+eps = 0, so only the calls that form them refuse it; the Monte-Carlo
+estimator, like the weights and the closed-form variance, extends to that
+weak-measurement limit, where the instrument average is the state itself.
 """
 
 from __future__ import annotations
@@ -49,12 +50,10 @@ __all__ = [
 ]
 
 
-def _check_eps(eps: float, name: str = "epsilon", *, simulate: bool = False) -> None:
-    """Detector efficiencies lie in [0, 1]; ``simulate`` also refuses 0, where TPM labels diverge."""
+def _check_eps(eps: float, name: str = "epsilon") -> None:
+    """Detector efficiencies lie in [0, 1]."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {eps}")
-    if simulate and eps == 0.0:
-        raise ValueError(f"{name} must be > 0: the TPM energy labels diverge at 0, where only the closed form exists")
 
 
 def povm_root_coeffs(epsilon: float, d: int) -> tuple[float, float]:
@@ -100,8 +99,10 @@ def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np
     which is exactly the decomposition H_D = sum_ij e_ij P_i^A (x) P_j^B.
     Labels attach to outcome indices, so degenerate energies stay distinct.
     """
-    _check_eps(eps_a, "eps_a", simulate=True)
-    _check_eps(eps_b, "eps_b", simulate=True)
+    for name, eps in (("eps_a", eps_a), ("eps_b", eps_b)):
+        _check_eps(eps, name)
+        if eps == 0.0:
+            raise ValueError(f"{name} must be > 0: the TPM energy labels diverge at 0, where only the closed form exists")
     d = spec.d
     tra = float(spec.energies_a.sum())
     trb = float(spec.energies_b.sum())
@@ -251,12 +252,13 @@ def mc_tpm_stack(
     ``tpm_variance_stack`` it takes a stack (n, d^2, d^2): one pass draws the
     pairs once, and per pair one d^5 product serves every (state, pair)
     column, which then costs a d^4 dot product and is bitwise what a stack of
-    one gives.
+    one gives.  No labels are formed, so eps = 0 is sampled: there Xi = rho,
+    and the estimate converges to the closed form's var_tpm = var_diag.
     """
     _check_stack(states, spec.d)
     for eps_a, eps_b in eps_pairs:
-        _check_eps(eps_a, "eps_a", simulate=True)
-        _check_eps(eps_b, "eps_b", simulate=True)
+        _check_eps(eps_a, "eps_a")
+        _check_eps(eps_b, "eps_b")
     xis = np.stack([instrument_average(m, spec, eps_a, eps_b) for m in states for eps_a, eps_b in eps_pairs])
     bases = np.array([expectation(m, spec.h_diag) for m in states for _ in eps_pairs])
     energies = rotated_energies(xis, spec)

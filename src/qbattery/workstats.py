@@ -69,11 +69,17 @@ class WorkHistogram:
         return self.origin + self.bin_width * np.arange(len(self.counts) + 1)
 
 
+def _state_data(rho: StateLike, d: int) -> np.ndarray:
+    """The validated data of a state of a battery of local dimension d, refused unless it is d^2 x d^2."""
+    m = as_density(rho).data
+    if m.shape[0] != d**2:
+        raise ValueError(f"state dimension {m.shape[0]} does not match battery d^2 = {d ** 2}")
+    return m
+
+
 def work(rho: StateLike, h: BatteryHamiltonian, ua: np.ndarray, ub: np.ndarray) -> float:
     """Exact work extracted by one local unitary pair."""
-    m = as_density(rho).data
-    if m.shape[0] != h.d**2:
-        raise ValueError(f"state dimension {m.shape[0]} does not match battery d^2 = {h.d ** 2}")
+    m = _state_data(rho, h.d)
     u = np.kron(ua, ub)
     total = h.total
     return float(np.trace((m - u @ m @ u.conj().T) @ total).real)
@@ -423,7 +429,7 @@ def iter_work_values(
     d^5 + 2 d^4 real multiply-adds per pair; otherwise ``pair_traces`` takes
     it at 4 d^5 complex ones.
     """
-    m = as_density(rho).data
+    m = _state_data(rho, h.d)
     total = h.total
     energy = expectation(m, total)
     spec = spectral_decomposition(h)

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,20 @@ def test_spectral_decomposition_matches_the_projector_einsums(d):
 def test_battery_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         battery_hamiltonian(np.array([[0, 1], [0, 0]]), np.eye(2), np.eye(4), 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ising_battery(0.5, 1.0, 0.5, 1e308), "ha has a non-finite entry"),
+        (lambda: battery_hamiltonian(np.eye(2), np.diag([0.0, np.nan]), np.zeros((4, 4)), 1.0), "hb has a non-finite"),
+        (lambda: ising_battery(0.5, 1.0, 0.5, 1e200), "the weight ha2 = inf is not finite"),
+        (lambda: ising_battery(0.5, 1.0, 1e200, 0.45), "the weight hb2 = inf is not finite"),
+        (lambda: ising_battery(0.5, 1e200, 0.5, 0.45), "the weight g^2 v2 = inf is not finite"),
+    ],
+)
+def test_battery_refuses_a_non_finite_entry_or_weight_by_name(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any overflow warning
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()

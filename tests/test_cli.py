@@ -4,17 +4,20 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import qbattery
-from qbattery.battery import gibbs_state, ising_battery, thermal_mixture_state
+from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.cli import build_parser, main
-from qbattery.haar import twirl1
+from qbattery.haar import SamplerConfig, twirl1
 from qbattery.linalg import swap_operator
 from qbattery.runner import CONFIG_KEYS, ExperimentConfig, run_histogram, run_point, run_tpm_sweep, run_variance_sweep
+from qbattery.tpm import mc_tpm_statistics
 from qbattery.witness import detect_schmidt_number
+from qbattery.workstats import WorkStatistics, mc_work_statistics
 
 
 def _read_csv(path):
@@ -132,7 +135,8 @@ def test_a_run_adds_monte_carlo_exactly_when_n_is_given(run, given_n):
         out = run_tpm_sweep(cfg)[0]
     else:
         out = run_point(ExperimentConfig.from_dict({"protocol": run, "sampling": sampling}))
-    mc_keys = {"tpm sweep": {"mc_mean", "mc_variance", "mc_se_variance"}, "coincidence": {"cbar_mc", "cbar_mc_se"}}
+    sweep_keys = {f"mc_{field.name}" for field in fields(WorkStatistics)}
+    mc_keys = {"tpm sweep": sweep_keys, "coincidence": {"cbar_mc", "cbar_mc_se"}}
     sampled = {key for key, value in out.items() if "mc" in key and value is not None}
     assert sampled == (mc_keys.get(run, {"mc"}) if given_n else set())
 
@@ -167,7 +171,7 @@ def test_cli_bad_config_key(tmp_path, capsys):
     "args, key",
     [
         (["tpm", "--eps", "1.5"], "parameters.eps"),
-        (["tpm", "--eps", "0", "--seed", "1", "--n", "100"], "parameters.eps"),
+        (["tpm", "--eps", "-0.5", "--seed", "1", "--n", "100"], "parameters.eps"),
         (["histogram", "--seed", "1", "--n", "100", "--bin-width", "inf"], "parameters.bin_width"),
         (["witness", "--alpha", "1.2"], "state.thermal_mixture.alpha"),
         (["coincidence", "--eps", "-0.1"], "parameters.eps"),
@@ -336,6 +340,56 @@ def test_cli_flag_override_of_a_malformed_family_is_a_config_error(tmp_path, arg
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"configuration error: {key}:")
     assert "Traceback" not in proc.stderr
+
+
+_STATE9 = [[[1.0 / 9 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]
+
+
+@pytest.mark.parametrize(
+    "args, config, key",
+    [
+        # b * (Z1 + Z2) overflows to inf at b = 1e308, the weight ha2 at b = 1e200, g^2 v2 at J2 = 1e200
+        (["variance", "--b", "1e308"], {}, "battery.ising"),
+        (["variance", "--b", "1e200"], {}, "battery.ising"),
+        (["variance"], {"battery": {"ising": {**_ISING, "J2": 1e200}}}, "battery.ising"),
+        (["tpm"], {"battery": {"ising": {**_ISING, "J2": 1e200}}}, "battery.ising"),
+        (["sweep"], {"parameters": {"b_grid": [0.0, 1e308]}}, "parameters.b_grid"),
+        (["sweep"], {"battery": {"ising": {"J1": 0.5, "J2": 1e200, "J3": 0.5}}}, "battery.ising"),
+        # a 9 x 9 state on the d = 4 default battery
+        (["variance", "--seed", "1", "--n", "10"], {"state": {"matrix": _STATE9}}, "state.matrix"),
+        (["witness"], {"state": {"matrix": _STATE9}}, "state.matrix"),
+        (["coincidence", "--seed", "1", "--n", "10"], {"state": {"matrix": _STATE9}}, "state.matrix"),
+        (["histogram", "--seed", "1", "--n", "10"], {"state": {"matrix": _STATE9}}, "state.matrix"),
+    ],
+)
+def test_an_overflowing_battery_or_a_wrong_sized_state_is_a_one_line_config_error(tmp_path, args, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(qbattery.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbattery.cli", *args, "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"configuration error: {key}:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("run", ["variance", "tpm"])
+def test_a_point_runs_monte_carlo_report_is_its_work_statistics(run):
+    out = run_point(ExperimentConfig.from_dict({"protocol": run, "sampling": {"seed": 3, "n_unitaries": 300}}))
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    rho = thermal_mixture_state(0.96, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
+    sampler = SamplerConfig(d=4, seed=3)
+    if run == "variance":
+        stats = mc_work_statistics(rho, h, 300, sampler)
+    else:
+        stats = mc_tpm_statistics(rho, spectral_decomposition(h), 1.0, 1.0, 300, sampler)
+    assert out["mc"] == asdict(stats)
 
 
 def test_cli_verify_passes_and_is_deterministic(capsys):

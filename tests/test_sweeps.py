@@ -1,5 +1,7 @@
 """The stacked sweeps and Monte-Carlo passes against their per-point oracles, row by row and bit for bit."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,7 @@ def test_witness_stack_raises_when_the_routes_disagree(monkeypatch):
 # 2 alpha x 2 eps at n = 4,101: two chunks of the d = 4 stream, the second holding 5 pairs
 _MC_SWEEP = {
     "protocol": "tpm",
-    "parameters": {"alpha_grid": [0.0, 0.96], "eps_grid": [0.5, 1.0]},
+    "parameters": {"alpha_grid": [0.0, 0.96], "eps_grid": [0.0, 0.5, 1.0]},
     "sampling": {"seed": 3, "n_unitaries": 4101},
 }
 _TWIRL_CHECKS = ["single_copy_twirl_vs_mc", "two_copy_twirl_vs_mc", "two_copy_local_twirl_vs_mc"]
@@ -209,7 +211,7 @@ def _run_check(name, d, n):
 
 def test_every_monte_carlo_tpm_sweep_row_is_the_point_estimator():
     rows = run_tpm_sweep(ExperimentConfig.from_dict(_MC_SWEEP))
-    assert len(rows) == 4
+    assert len(rows) == 6
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     spec = spectral_decomposition(h)
     taus = _taus(h)
@@ -217,7 +219,7 @@ def test_every_monte_carlo_tpm_sweep_row_is_the_point_estimator():
         rho = thermal_mixture_state(row["alpha"], *taus)
         stats = mc_tpm_statistics(rho, spec, row["eps_a"], row["eps_b"], 4101, SamplerConfig(d=4, seed=3))
         assert stats.n_samples == 4101
-        assert (row["mc_mean"], row["mc_variance"], row["mc_se_variance"]) == (stats.mean, stats.variance, stats.se_variance)
+        assert {key: row[f"mc_{key}"] for key in asdict(stats)} == asdict(stats)
 
 
 @pytest.mark.parametrize("d", [2, 4])

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import asdict
 
@@ -118,14 +119,18 @@ _LABELS_DIVERGE = " must be > 0: the TPM energy labels diverge at 0, where only 
 
 
 def test_zero_epsilon_is_one_message_from_the_labels_the_simulation_and_the_cli(capsys):
+    """Only the labels refuse eps = 0; the simulation forms none, so it and the CLI sample there."""
     from qbattery.cli import main
 
     with pytest.raises(ValueError, match=re.escape("eps_a" + _LABELS_DIVERGE)):
         energy_labels(_ising_spec(), 0.0, 0.5)
     with pytest.raises(ValueError, match=re.escape("eps_b" + _LABELS_DIVERGE)):
-        mc_tpm_statistics(_mixture(0.5), _ising_spec(), 0.5, 0.0, 10, SamplerConfig(d=4, seed=1))
-    assert main(["tpm", "--eps", "0", "--seed", "1", "--n", "10"]) == 1
-    assert capsys.readouterr().err == f"configuration error: parameters.eps: epsilon{_LABELS_DIVERGE}\n"
+        energy_labels(_ising_spec(), 0.5, 0.0)
+    stats = mc_tpm_statistics(_mixture(0.5), _ising_spec(), 0.5, 0.0, 10, SamplerConfig(d=4, seed=1))
+    assert stats.n_samples == 10 and np.isfinite([stats.mean, stats.variance]).all()
+    assert main(["tpm", "--eps", "0", "--seed", "1", "--n", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["mc"]["n_samples"] == 10
 
 
 def test_simulation_names_the_efficiency_out_of_range():
@@ -490,6 +495,17 @@ def test_closed_form_matches_mc():
         assert abs(stats.mean - rep.mean_tpm) < 5 * stats.se_mean
 
 
+@pytest.mark.parametrize("eps_a, eps_b", [(0.0, 0.0), (0.0, 0.7)])
+def test_closed_form_matches_mc_at_zero_efficiency(eps_a, eps_b):
+    """At eps = 0 the estimator samples the instrument average Xi (rho when both are 0), as the closed form does."""
+    spec = _ising_spec()
+    rho = _mixture(0.96)
+    rep = tpm_variance_closed_form(rho, spec, eps_a, eps_b)
+    stats = mc_tpm_statistics(rho, spec, eps_a, eps_b, 8000, SamplerConfig(d=4, seed=76))
+    assert abs(stats.variance - rep.var_tpm) < 5 * stats.se_variance
+    assert abs(stats.mean - rep.mean_tpm) < 5 * stats.se_mean
+
+
 def test_mean_closed_form(rng):
     d = 3
     spec = spectral_decomposition(make_random_battery(rng, d))
@@ -506,7 +522,7 @@ def test_mc_determinism_and_guards():
     b = mc_tpm_statistics(rho, spec, 0.5, 0.5, 2000, cfg)
     assert a == b
     with pytest.raises(ValueError):
-        mc_tpm_statistics(rho, spec, 0.0, 0.5, 100, cfg)
+        mc_tpm_statistics(rho, spec, 1.5, 0.5, 100, cfg)
 
 
 def test_report_serializes():

@@ -1,3 +1,4 @@
+import re
 import threading
 import time
 import tracemalloc
@@ -167,6 +168,20 @@ def test_mc_maximally_mixed_variance_near_zero():
 def test_mc_rejects_tiny_n():
     with pytest.raises(ValueError):
         mc_work_statistics(bell_state(), _bell_battery(), 1, SamplerConfig(d=2, seed=1))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rho, h, cfg: mc_work_statistics(rho, h, 10, cfg),
+        lambda rho, h, cfg: work_histogram(rho, h, 10, 0.1, cfg),
+        lambda rho, h, cfg: mc_coincidence(rho, spectral_decomposition(h), 0.5, 0.5, 10, cfg),
+    ],
+)
+def test_a_monte_carlo_run_refuses_a_state_of_the_wrong_size_as_work_does(run):
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    with pytest.raises(ValueError, match=re.escape("state dimension 9 does not match battery d^2 = 16")):
+        run(np.eye(9) / 9, h, SamplerConfig(d=4, seed=1))
 
 
 def test_histogram_counts_sum():
