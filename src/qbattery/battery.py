@@ -159,6 +159,18 @@ def ising_battery(j1: float, j2: float, j3: float, b: float) -> BatteryHamiltoni
     return battery_hamiltonian(ha, hb, _ISING_BOND, g=j2)
 
 
+def _check_temperature(temperature: float) -> None:
+    """The temperature rule of ``gibbs_state`` and of a ``thermal_mixture`` config: T > 0."""
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The mixing-ratio rule of ``thermal_mixture_stack`` and of every config alpha: it lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"mixing ratios must lie in [0, 1], got {alpha}")
+
+
 def gibbs_state(h: np.ndarray, temperature: float) -> DensityMatrix | np.ndarray:
     """Thermal state exp(-H/T)/Z via eigendecomposition (shift-stabilized).
 
@@ -166,8 +178,7 @@ def gibbs_state(h: np.ndarray, temperature: float) -> DensityMatrix | np.ndarray
     array of states from one stacked ``eigh``, validated by one
     ``check_density``; each is bitwise its call alone.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     h = np.asarray(h, dtype=np.complex128)
     w, u = np.linalg.eigh(h)
     x = np.exp(-(w - w.min(axis=-1, keepdims=True)) / temperature)
@@ -202,8 +213,6 @@ def thermal_mixture_state(
     rotations) amounts to a local unitary and leaves all sector lengths
     unchanged.  This is the one-row ``thermal_mixture_stack``.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"mixing ratio must lie in [0, 1], got {alpha}")
     return DensityMatrix(thermal_mixture_stack([alpha], tau_a, tau_b)[0])
 
 
@@ -225,8 +234,10 @@ def thermal_mixture_stack(alphas, tau_a: StateLike, tau_b: StateLike) -> np.ndar
     The ``ValueError`` is the one the first failing pair alone raises.
     """
     a = np.asarray(alphas, dtype=np.float64)
-    if a.ndim != 1 or not np.all((0.0 <= a) & (a <= 1.0)):
-        raise ValueError(f"mixing ratios must form a list in [0, 1], got {alphas}")
+    if a.ndim != 1:
+        raise ValueError(f"mixing ratios must form a list, got {alphas}")
+    for alpha in a.tolist():
+        _check_alpha(alpha)
     ta = _raw(tau_a)
     tb = _raw(tau_b)
     if ta.shape != tb.shape:

@@ -13,13 +13,16 @@ runs write JSON and refuse it as a configuration error.
 Exit codes: 0 success, 1 configuration error (a usage error, keyed by the
 command, an unreadable --config or unwritable --out path included, and the
 histogram CSV's ``.summary.json`` sidecar, all checked before any
-computation; one stderr line) or a closed stdout pipe, 2 verification failure.
+computation; a result that is not finite, checked before any byte is
+written; one stderr line) or a closed stdout pipe, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 
@@ -136,28 +139,36 @@ def _check_out(path: str) -> None:
         os.remove(path)
 
 
+_NOT_FINITE = "a result is not finite: it overflows the float range at this energy scale"
+
+
+def _check_finite(rows: list[dict]) -> None:
+    """Refuse a float cell that is not finite, as a ConfigError at ``battery``."""
+    if not all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float)):
+        raise ConfigError("battery", _NOT_FINITE)
+
+
+def _output(out: str | None):
+    """The --out file to write, or stdout, which stays open."""
+    return _open_out(out) if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if out:
-        with _open_out(out) as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_csv(rows: list[dict], out: str | None, schema: str) -> None:
-    if out:
-        with _open_out(out) as fh:
-            write_rows_csv(rows, fh, schema)
-    else:
-        write_rows_csv(rows, sys.stdout, schema)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ConfigError("battery", _NOT_FINITE) from None
+    with _output(out) as fh:
+        fh.write(text + "\n")
 
 
 def _emit_rows(rows: list[dict], args: argparse.Namespace, schema: str) -> None:
     if args.format == "json":
         _emit_json({"schema": schema_tag(schema), "rows": rows}, args.out)
         return
-    _emit_csv(rows, args.out, schema)
+    _check_finite(rows)
+    with _output(args.out) as fh:
+        write_rows_csv(rows, fh, schema)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -195,7 +206,8 @@ def _run(argv: list[str] | None) -> int:
             if args.format == "json":
                 _emit_json({"summary": summary, "bins": rows}, args.out)
             else:
-                _emit_csv(rows, args.out, "histogram")
+                _check_finite([summary])  # before the CSV is written
+                _emit_rows(rows, args, "histogram")
                 _emit_json(summary, args.out + ".summary.json" if args.out else None)
             return 0
         # single-point protocols

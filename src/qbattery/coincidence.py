@@ -144,6 +144,12 @@ class CoincidenceReport:
     cbar_mc_se: float | None = None
 
 
+def _check_h2(h2: float) -> None:
+    """The rule of the coincidence bound: the lesser local weight h^2 = min(ha2, hb2) is positive."""
+    if not h2 > 0:
+        raise ValueError(f"the coincidence bound needs non-zero local Hamiltonians, got h^2 = {h2}")
+
+
 def coincidence_bound(
     rho: StateLike,
     h: BatteryHamiltonian,
@@ -161,8 +167,7 @@ def coincidence_bound(
     _check_eps(epsilon)
     d = h.d
     h2 = min(h.ha2, h.hb2)
-    if h2 <= 0:
-        raise ValueError("the bound is undefined for vanishing local weight h^2 = 0")
+    _check_h2(h2)
     r_a2, r_b2, t2 = sector_lengths(rho, d)
     var = sector_variance(r_a2, r_b2, t2, h.ha2, h.hb2, h.g2v2, d)
     c = h.g2v2 / (d - 1) - h2 * epsilon**2

@@ -1,12 +1,14 @@
 """Configuration-driven experiment runner: sweeps, histograms, verification.
 
 Configs are JSON dicts with the sections ``battery``, ``state``,
-``protocol``, ``parameters`` and ``sampling`` (see ``serialization`` for
-the battery/state formats); a run refuses any key ``CONFIG_KEYS`` does not
-list for it.  Sweeps emit one CSV row per grid point with the swept
-parameters echoed, so any row can be reproduced by a direct library call;
-CSV files start with a versioned schema comment.  A seed is mandatory for
-anything that samples unitaries.
+``protocol``, ``parameters`` and ``sampling``; a run refuses any key
+``CONFIG_KEYS`` does not list for it.  Only ``serialization`` reads the
+battery and state formats, and ``thermal_mixtures`` builds the states of a
+point run and of both sweeps.  Each input rule is one ``_check_*`` function
+that the runner passes to ``_number`` for the key path.  Sweeps emit one
+CSV row per grid point with the swept parameters echoed, so any row can be
+reproduced by a direct library call; CSV files start with a versioned
+schema comment.  A seed is mandatory for anything that samples unitaries.
 """
 
 from __future__ import annotations
@@ -19,25 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .battery import BatteryHamiltonian, SpectralDecomposition, gibbs_state, spectral_decomposition, thermal_mixture_stack
+from .battery import BatteryHamiltonian, SpectralDecomposition, _check_alpha, spectral_decomposition
 from .bloch import bloch_decompose
-from .coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
+from .coincidence import _check_h2, avg_coincidence_closed, coincidence_bound, mc_coincidence
 from .haar import SamplerConfig, _check_u64, twirl1, twirl2, two_copy_local_twirl_probe
 from .linalg import MAX_LOCAL_DIM, DensityMatrix, random_density_matrix, random_hermitian, swap_operator
-from .serialization import (
-    BATTERY_FAMILIES,
-    ISING_KEYS,
-    STATE_FAMILIES,
-    THERMAL_MIXTURE_KEYS,
-    ConfigError,
-    _family,
-    _family_name,
-    _number,
-    _positive,
-    _required_number,
-    battery_from_spec,
-    state_from_spec,
-)
+from .serialization import ConfigError, _number, battery_from_spec, ising_params, state_from_spec, thermal_mixtures
 from .tpm import (
     _check_eps,
     _dephased_sectors,
@@ -51,11 +40,10 @@ from .tpm import (
 )
 from .witness import detect_schmidt_number, detect_schmidt_number_stack
 from .workstats import (
-    MAX_HISTOGRAM_BINS,
+    _check_bin_width,
     _check_samples,
     analytic_work_variance,
     conjugation_traces,
-    histogram_fits,
     iter_samples,
     mc_work_statistics,
     pair_traces,
@@ -172,39 +160,10 @@ def _eps_param(cfg: ExperimentConfig, key: str) -> float:
     return _number(cfg.parameters.get(name, 1.0), f"parameters.{name}", check=_check_eps)
 
 
-def _ising_params(cfg: ExperimentConfig) -> dict:
-    """The ising parameters as numbers; ``battery_from_spec`` reports missing ones."""
-    if _family_name(cfg.battery, BATTERY_FAMILIES, "battery") != "ising":
-        raise ConfigError("battery", "this sweep requires the 'ising' battery family")
-    ip = _family(cfg.battery, "ising", ISING_KEYS, "battery")
-    return {key: _number(ip[key], f"battery.ising.{key}") for key in ISING_KEYS if key in ip}
-
-
-def _thermal_sweep(cfg: ExperimentConfig, alpha_step: float) -> tuple[float, list[float]]:
-    """Temperature and mixing-ratio grid of a thermal-mixture sweep, range-checked."""
-    if _family_name(cfg.state, STATE_FAMILIES, "state") != "thermal_mixture":
-        raise ConfigError("state", "this sweep requires the 'thermal_mixture' state family")
-    family = _family(cfg.state, "thermal_mixture", THERMAL_MIXTURE_KEYS, "state")
-    temperature = _required_number(family, "T", "state.thermal_mixture", check=_positive)
-    default = np.round(np.arange(0.0, 1.001, alpha_step), 10)
-    a_grid = [_number(x, "parameters.alpha_grid") for x in cfg.parameters.get("alpha_grid", default)]
-    for alpha in a_grid:
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError("parameters.alpha_grid", f"mixing ratios must lie in [0, 1], got {alpha}")
-    return temperature, a_grid
-
-
-def _mixture_stack(a_grid: list[float], hs: list[BatteryHamiltonian], temperature: float) -> np.ndarray:
-    """The thermal mixtures of each battery's halves' Gibbs states at every alpha of the grid, (len(hs), A, d^2, d^2).
-
-    Marginals that no correlated pure state has are a ``ConfigError`` at
-    ``state``, as in ``state_from_spec`` for one point.
-    """
-    try:
-        taus = gibbs_state(np.stack([(h.ha, h.hb) for h in hs]), temperature)
-        return thermal_mixture_stack(a_grid, taus[:, 0], taus[:, 1])
-    except ValueError as exc:
-        raise ConfigError("state", str(exc)) from None
+def _alpha_grid(cfg: ExperimentConfig, step: float) -> list[float]:
+    """The mixing ratios of a sweep: parameters.alpha_grid, by default 0..1 in steps of ``step``."""
+    default = np.round(np.arange(0.0, 1.001, step), 10)
+    return [_number(x, "parameters.alpha_grid", check=_check_alpha) for x in cfg.parameters.get("alpha_grid", default)]
 
 
 def _field_battery(ip: dict, b: float) -> BatteryHamiltonian:
@@ -214,12 +173,6 @@ def _field_battery(ip: dict, b: float) -> BatteryHamiltonian:
     except ConfigError as exc:
         battery_from_spec({"ising": {**ip, "b": 0.0}})  # couplings that fail at any field are reported as theirs
         raise ConfigError("parameters.b_grid", f"b = {b}: {str(exc).removeprefix('battery.ising: ')}") from None
-
-
-def _build_point(cfg: ExperimentConfig):
-    h = battery_from_spec(cfg.battery)
-    rho = state_from_spec(cfg.state, h)
-    return h, rho
 
 
 #: Bytes of mixture states in one block of the variance sweep; a block holds whole b rows, at least one.
@@ -238,8 +191,8 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     reports for ``thermal_mixture_state`` at that point.
     """
     cfg.check("variance sweep")
-    ip = _ising_params(cfg)
-    temperature, a_grid = _thermal_sweep(cfg, 0.04)
+    ip = ising_params(cfg.battery)
+    a_grid = _alpha_grid(cfg, 0.04)
     default = np.round(np.arange(0.0, 0.901, 0.05), 10)
     b_grid = [_number(x, "parameters.b_grid") for x in cfg.parameters.get("b_grid", default)]
     batteries = [_field_battery(ip, b) for b in b_grid]
@@ -252,7 +205,8 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     for start in range(0, len(b_grid), per_block):
         hs = batteries[start : start + per_block]
         weights = (np.array([[getattr(h, w)] for h in hs]) for w in ("ha2", "hb2", "g2v2"))
-        det = detect_schmidt_number_stack(_mixture_stack(a_grid, hs, temperature), d, *weights)
+        temperature, states = thermal_mixtures(cfg.state, hs, a_grid)
+        det = detect_schmidt_number_stack(states, d, *weights)
         columns = zip(
             det.variance.tolist(),
             det.detected_sn_lower_bound.tolist(),
@@ -279,13 +233,13 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     for every row, and each row's are bitwise ``mc_tpm_statistics`` there.
     """
     cfg.check("tpm sweep")
-    ip = _ising_params(cfg)
-    temperature, a_grid = _thermal_sweep(cfg, 0.05)
+    ip = ising_params(cfg.battery)
+    a_grid = _alpha_grid(cfg, 0.05)
     eps_values = cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))
     eps_grid = [_number(x, "parameters.eps_grid", check=_check_eps) for x in eps_values]
-    h = battery_from_spec({"ising": ip})
+    h = battery_from_spec(cfg.battery)
     spec = spectral_decomposition(h)
-    [states] = _mixture_stack(a_grid, [h], temperature)
+    temperature, [states] = thermal_mixtures(cfg.state, [h], a_grid)
     eps_pairs = [(eps, eps) for eps in eps_grid]
     reports = tpm_variance_stack(states, spec, eps_pairs)
     mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if cfg.samples() else None
@@ -304,10 +258,9 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
 def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     """Binned work counts plus a summary with sample mean/variance and SEs."""
     cfg.check("histogram")
-    h, rho = _build_point(cfg)
-    bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=_positive)
-    if not histogram_fits(h, bin_width):
-        raise ConfigError("parameters.bin_width", f"needs more than {MAX_HISTOGRAM_BINS} bins over the work range")
+    h = battery_from_spec(cfg.battery)
+    rho = state_from_spec(cfg.state, h)
+    bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=partial(_check_bin_width, h=h))
     stats, hist = work_sample_summary(rho, h, cfg.n_unitaries(), cfg.sampler(h.d), bin_width=bin_width)
     assert hist is not None
     edges = hist.edges().tolist()  # Python floats, so CSV cells repr as 0.1
@@ -332,14 +285,14 @@ def run_point(cfg: ExperimentConfig) -> dict:
     if protocol not in ("variance", "witness", "tpm", "coincidence"):
         raise ConfigError("protocol", f"{protocol!r} is not a single-point protocol")
     cfg.check(protocol)
-    h, rho = _build_point(cfg)
+    h = battery_from_spec(cfg.battery)
+    rho = state_from_spec(cfg.state, h)
     if protocol == "witness":
         return {"protocol": protocol, **asdict(detect_schmidt_number(rho, h))}
     if protocol == "coincidence":
         spec = spectral_decomposition(h)
         eps = _eps_param(cfg, "eps")
-        if min(h.ha2, h.hb2) <= 0:
-            raise ConfigError("battery", "the coincidence bound needs non-zero local Hamiltonians (h^2 = 0)")
+        _number(min(h.ha2, h.hb2), "battery", check=_check_h2)
         out = {"protocol": protocol, **asdict(coincidence_bound(rho, h, spec, eps))}
         if cfg.samples():
             out["cbar_mc"], out["cbar_mc_se"] = mc_coincidence(rho, spec, eps, eps, cfg.n_unitaries(), cfg.sampler(h.d))

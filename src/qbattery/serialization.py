@@ -11,7 +11,8 @@ Battery and state specs are either named families or explicit matrices:
 
 The thermal-mixture state derives its marginals from the battery's local
 Hamiltonians at the given temperature.  A family object holds only the keys
-shown, and every number must be finite.
+shown, and every number must be finite.  This is the one module that reads
+these formats; ``thermal_mixtures`` builds a point run's state and a sweep's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from functools import partial
 
 import numpy as np
 
-from .battery import BatteryHamiltonian, battery_hamiltonian, gibbs_state, ising_battery, thermal_mixture_state
+from .battery import (
+    BatteryHamiltonian,
+    _check_alpha,
+    _check_temperature,
+    battery_hamiltonian,
+    gibbs_state,
+    ising_battery,
+    thermal_mixture_stack,
+)
 from .linalg import DensityMatrix
 
 __all__ = [
@@ -30,14 +39,18 @@ __all__ = [
     "matrix_from_json",
     "battery_from_spec",
     "battery_to_spec",
+    "ising_params",
     "state_from_spec",
+    "thermal_mixtures",
 ]
 
 
 ISING_KEYS = ("J1", "J2", "J3", "b")
-THERMAL_MIXTURE_KEYS = ("alpha", "T")
-BATTERY_FAMILIES = ("ising", "explicit")
-STATE_FAMILIES = ("thermal_mixture", "matrix")
+#: The keys of each family's object, per section; a ``matrix`` state is a matrix, not an object.
+FAMILIES = {
+    "battery": {"ising": ISING_KEYS, "explicit": ("HA", "HB", "V", "g")},
+    "state": {"thermal_mixture": ("alpha", "T"), "matrix": None},
+}
 
 
 class ConfigError(ValueError):
@@ -66,34 +79,26 @@ def matrix_from_json(obj, key: str = "matrix") -> np.ndarray:
 
 
 def _require(obj: dict, key: str, context: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(context, "must be a JSON object")
     if key not in obj:
         raise ConfigError(f"{context}.{key}", "missing required key")
     return obj[key]
 
 
-def _known_keys(obj: dict, allowed, context: str) -> None:
-    """A ConfigError at ``context.<key>`` for the first key of ``obj`` not in ``allowed``."""
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{context}.{unknown[0]}", "unknown configuration key")
-
-
-def _family_name(spec, families, section: str) -> str:
-    """The one family key of a battery or state spec; anything else is a ConfigError at ``section``."""
+def _family(spec, section: str) -> tuple[str, object]:
+    """The one family of a battery or state spec and its value; a family object holds only its family's keys."""
+    families = FAMILIES[section]
     if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(section, f"expected exactly one of {families[0]!r} or {families[1]!r}")
-    return next(iter(spec))
-
-
-def _family(spec: dict, name: str, keys, section: str) -> dict:
-    """The ``name`` family object of a battery or state spec, holding only ``keys``."""
-    p = spec[name]
-    if not isinstance(p, dict):
-        raise ConfigError(f"{section}.{name}", "must be a JSON object")
-    _known_keys(p, keys, f"{section}.{name}")
-    return p
+        raise ConfigError(section, f"expected exactly one of {' or '.join(map(repr, families))}")
+    [(name, p)] = spec.items()
+    if name not in families:
+        raise ConfigError(section, f"unknown {section} family {[name]!r}")
+    if families[name] is not None:
+        if not isinstance(p, dict):
+            raise ConfigError(f"{section}.{name}", "must be a JSON object")
+        unknown = sorted(set(p) - set(families[name]))
+        if unknown:
+            raise ConfigError(f"{section}.{name}.{unknown[0]}", "unknown configuration key")
+    return name, p
 
 
 def _number(value, key: str, kind: type = float, check=None):
@@ -119,30 +124,28 @@ def _required_number(obj: dict, key: str, context: str, check=None) -> float:
     return _number(_require(obj, key, context), f"{context}.{key}", check=check)
 
 
-def _positive(x: float) -> None:
-    if not x > 0:
-        raise ValueError(f"must be positive, got {x}")
-
-
 def battery_from_spec(spec: dict) -> BatteryHamiltonian:
     """The battery of a spec; one the build refuses (say, an overflowing weight) is a ConfigError at its family."""
-    name = _family_name(spec, BATTERY_FAMILIES, "battery")
+    name, p = _family(spec, "battery")
     if name == "ising":
-        p = _family(spec, "ising", ISING_KEYS, "battery")
-        j1, j2, j3, b = (_required_number(p, key, "battery.ising") for key in ISING_KEYS)
-        build = partial(ising_battery, j1, j2, j3, b)
-    elif name == "explicit":
-        p = _family(spec, "explicit", ("HA", "HB", "V", "g"), "battery")
+        build = partial(ising_battery, *(_required_number(p, key, "battery.ising") for key in ISING_KEYS))
+    else:
         ha, hb, v = (
             matrix_from_json(_require(p, key, "battery.explicit"), f"battery.explicit.{key}") for key in ("HA", "HB", "V")
         )
         build = partial(battery_hamiltonian, ha, hb, v, g=_required_number(p, "g", "battery.explicit"))
-    else:
-        raise ConfigError("battery", f"unknown battery family {list(spec)!r}")
     try:
         return build()
     except ValueError as exc:
         raise ConfigError(f"battery.{name}", str(exc)) from None
+
+
+def ising_params(spec: dict) -> dict:
+    """The numbers given in a sweep's ``ising`` battery spec; ``battery_from_spec`` reports missing ones."""
+    name, p = _family(spec, "battery")
+    if name != "ising":
+        raise ConfigError("battery", "this sweep requires the 'ising' battery family")
+    return {key: _number(p[key], f"battery.ising.{key}") for key in ISING_KEYS if key in p}
 
 
 def battery_to_spec(h: BatteryHamiltonian) -> dict:
@@ -156,27 +159,36 @@ def battery_to_spec(h: BatteryHamiltonian) -> dict:
     }
 
 
+def thermal_mixtures(spec: dict, batteries: list[BatteryHamiltonian], alphas: list[float]) -> tuple[float, np.ndarray]:
+    """The temperature of a ``thermal_mixture`` state spec and its states on each battery, (B, A, d^2, d^2).
+
+    Row b holds the mixtures of battery b's halves' Gibbs states at every
+    ratio of ``alphas``, built from one stacked ``gibbs_state`` and one
+    ``thermal_mixture_stack``.  Another state family, and marginals that no
+    correlated pure state has, are a ConfigError at ``state``.
+    """
+    name, p = _family(spec, "state")
+    if name != "thermal_mixture":
+        raise ConfigError("state", "this sweep requires the 'thermal_mixture' state family")
+    temperature = _required_number(p, "T", "state.thermal_mixture", check=_check_temperature)
+    try:
+        taus = gibbs_state(np.stack([(h.ha, h.hb) for h in batteries]), temperature)
+        return temperature, thermal_mixture_stack(alphas, taus[:, 0], taus[:, 1])
+    except ValueError as exc:
+        raise ConfigError("state", str(exc)) from None
+
+
 def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
-    _family_name(spec, STATE_FAMILIES, "state")
-    if "thermal_mixture" in spec:
-        p = _family(spec, "thermal_mixture", THERMAL_MIXTURE_KEYS, "state")
-        alpha = _required_number(p, "alpha", "state.thermal_mixture")
-        temperature = _required_number(p, "T", "state.thermal_mixture", check=_positive)
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError("state.thermal_mixture.alpha", f"mixing ratio must lie in [0, 1], got {alpha}")
-        tau_a = gibbs_state(battery.ha, temperature)
-        tau_b = gibbs_state(battery.hb, temperature)
-        try:
-            return thermal_mixture_state(alpha, tau_a, tau_b)
-        except ValueError as exc:
-            raise ConfigError("state", str(exc)) from None
-    if "matrix" in spec:
-        m = matrix_from_json(spec["matrix"], "state.matrix")
-        dim = battery.d**2
-        if m.shape != (dim, dim):
-            raise ConfigError("state.matrix", f"expected a {dim} x {dim} state for this battery, got {m.shape}")
-        try:
-            return DensityMatrix(m)
-        except ValueError as exc:
-            raise ConfigError("state.matrix", str(exc)) from None
-    raise ConfigError("state", f"unknown state family {list(spec)!r}")
+    """The state of a spec on this battery; a thermal mixture is the stack of one of ``thermal_mixtures``."""
+    name, p = _family(spec, "state")
+    if name == "thermal_mixture":
+        alpha = _required_number(p, "alpha", "state.thermal_mixture", check=_check_alpha)
+        return DensityMatrix(thermal_mixtures(spec, [battery], [alpha])[1][0, 0])
+    m = matrix_from_json(p, "state.matrix")
+    dim = battery.d**2
+    if m.shape != (dim, dim):
+        raise ConfigError("state.matrix", f"expected a {dim} x {dim} state for this battery, got {m.shape}")
+    try:
+        return DensityMatrix(m)
+    except ValueError as exc:
+        raise ConfigError("state.matrix", str(exc)) from None

@@ -21,7 +21,7 @@ import numpy as np
 
 from .battery import BatteryHamiltonian
 from .linalg import StateLike, as_density, partial_trace, partial_transpose_min_eig, purity, sector_lengths
-from .workstats import sector_variance
+from .workstats import _state_data, sector_variance
 
 __all__ = [
     "DETECTION_MARGIN",
@@ -187,9 +187,7 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     """
     rho = as_density(rho)
     d = h.d
-    if rho.dim != d * d:
-        raise ValueError(f"state dimension {rho.dim} does not match battery d^2 = {d * d}")
-    det = detect_schmidt_number_stack(rho.data[None], d, h.ha2, h.hb2, h.g2v2)
+    det = detect_schmidt_number_stack(_state_data(rho, d)[None], d, h.ha2, h.hb2, h.g2v2)
     pur = float(det.purity[0])
     branch = None
     if abs(pur - 1.0) <= _PURE_TOL and abs(h.ha2 - h.hb2) <= _PURE_TOL * max(1.0, h.ha2, h.hb2):

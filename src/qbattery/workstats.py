@@ -458,6 +458,14 @@ def histogram_fits(h: BatteryHamiltonian, bin_width: float) -> bool:
     return spectrum[-1] - spectrum[0] <= (MAX_HISTOGRAM_BINS - 2) * float(bin_width)
 
 
+def _check_bin_width(bin_width: float, h: BatteryHamiltonian) -> None:
+    """The bin-width rule of a work histogram of battery h: positive, and ``histogram_fits``."""
+    if not bin_width > 0:
+        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not histogram_fits(h, bin_width):
+        raise ValueError(f"bin width {bin_width} needs more than {MAX_HISTOGRAM_BINS} bins over the work range")
+
+
 def work_sample_summary(
     rho: StateLike,
     h: BatteryHamiltonian,
@@ -470,10 +478,7 @@ def work_sample_summary(
     chunks = iter_work_values(rho, h, n, cfg)
     if bin_width is None:
         return summarize(chunks)[0], None
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
-    if not histogram_fits(h, bin_width):
-        raise ValueError(f"bin width {bin_width} needs more than {MAX_HISTOGRAM_BINS} bins")
+    _check_bin_width(bin_width, h)
     lo, counts = None, np.zeros(0, dtype=np.int64)  # counts[i] is bin lo + i
 
     def counted(values: np.ndarray) -> np.ndarray:

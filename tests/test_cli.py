@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qbattery
-from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
+from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
 from qbattery.cli import build_parser, main
 from qbattery.haar import SamplerConfig, twirl1
 from qbattery.linalg import swap_operator
@@ -377,6 +377,72 @@ def test_an_overflowing_battery_or_a_wrong_sized_state_is_a_one_line_config_erro
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"configuration error: {key}:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def _thermal(alpha, temperature):
+    return {"state": {"thermal_mixture": {"alpha": alpha, "T": temperature}}}
+
+
+def _default_taus():
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    return gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5)
+
+
+@pytest.mark.parametrize(
+    "inputs, library_call",
+    [
+        (
+            [
+                (["witness", "--alpha", "1.2"], {}, "state.thermal_mixture.alpha"),
+                (["variance"], _thermal(1.2, 1.5), "state.thermal_mixture.alpha"),
+                (["sweep"], {"parameters": {"alpha_grid": [0.5, 1.2]}}, "parameters.alpha_grid"),
+                (["sweep"], {"protocol": "tpm", "parameters": {"alpha_grid": [1.2]}}, "parameters.alpha_grid"),
+            ],
+            lambda: thermal_mixture_stack([1.2], *_default_taus()),
+        ),
+        (
+            [
+                (["tpm"], _thermal(0.5, 0.0), "state.thermal_mixture.T"),
+                (["sweep"], _thermal(0.5, 0.0), "state.thermal_mixture.T"),
+                (["sweep"], {"protocol": "tpm", **_thermal(0.5, 0.0)}, "state.thermal_mixture.T"),
+            ],
+            lambda: gibbs_state(np.eye(4), 0.0),
+        ),
+    ],
+    ids=["alpha", "T"],
+)
+def test_an_input_rule_gives_one_message_through_every_key(tmp_path, capsys, inputs, library_call):
+    """A point run, both sweeps and the library refuse an out-of-range alpha (or T) alike; only the key path differs."""
+    messages = set()
+    path = tmp_path / "cfg.json"
+    for args, config, key in inputs:
+        path.write_text(json.dumps(config))
+        assert main([*args, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ") and err.count("\n") == 1
+        messages.add(err.removeprefix(f"configuration error: {key}: ").rstrip("\n"))
+    with pytest.raises(ValueError) as info:
+        library_call()
+    messages.add(str(info.value))
+    assert len(messages) == 1, messages
+
+
+def test_a_non_finite_result_is_refused_before_any_byte_is_written(tmp_path, capsys):
+    """ha2 = hb2 ~ 3.2e307 are finite weights, but the variance at b = 4e153 overflows; at 3e153 it is 7.2e306."""
+    out = tmp_path / "out"
+    assert main(["variance", "--b", "4e153", "--alpha", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: battery: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert main(["variance", "--b", "3e153", "--alpha", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["variance"] == pytest.approx(7.2e306, rel=1e-12)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"parameters": {"b_grid": [0.45, 4e153], "alpha_grid": [1.0]}}))
+    for fmt in ("csv", "json"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow itself still warns (no rescaling yet)
+            assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: battery: ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("run", ["variance", "tpm"])

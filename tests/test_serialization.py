@@ -4,7 +4,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from qbattery.battery import ising_battery
+from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, thermal_mixture_state
+from qbattery.linalg import random_hermitian
 from qbattery.runner import ExperimentConfig
 from qbattery.serialization import (
     ConfigError,
@@ -66,6 +67,30 @@ def test_state_spec_thermal_and_explicit():
     np.testing.assert_allclose(again.data, rho.data, atol=1e-14)
     with pytest.raises(ConfigError, match="state.matrix"):
         state_from_spec({"matrix": matrix_to_json(np.eye(4))}, h)
+
+
+def _equal_halves_battery(d: int) -> dict:
+    """An explicit battery spec whose halves are one random Hamiltonian, so both Gibbs spectra agree.
+
+    The interaction X (x) Y of traceless X, Y has no local part to fold into either half.
+    """
+    rng = np.random.default_rng(d)
+    h, x, y = (random_hermitian(rng, d) for _ in range(3))
+    x, y = (m - np.trace(m).real / d * np.eye(d) for m in (x, y))
+    return battery_to_spec(battery_hamiltonian(h, h, np.kron(x, y), g=0.7))
+
+
+@pytest.mark.parametrize(
+    "battery",
+    [{"ising": {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}}, *(_equal_halves_battery(d) for d in (2, 3, 8))],
+)
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.96, 1.0])
+def test_a_point_runs_thermal_state_is_the_per_point_build_bitwise(battery, alpha):
+    h = battery_from_spec(battery)
+    rho = state_from_spec({"thermal_mixture": {"alpha": alpha, "T": 1.5}}, h)
+    expected = thermal_mixture_state(alpha, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
+    assert rho.data.shape == (h.d**2, h.d**2)
+    assert np.array_equal(rho.data, expected.data)
 
 
 @pytest.mark.parametrize("alpha, temperature, key", [(1.2, 1.5, "alpha"), (-0.1, 1.5, "alpha"), (0.5, 0.0, "T")])
