@@ -32,6 +32,7 @@ from .battery import (
     thermal_mixture_stack,
 )
 from .linalg import DensityMatrix
+from .workstats import _check_state_dimension
 
 __all__ = [
     "ConfigError",
@@ -185,10 +186,9 @@ def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
         alpha = _required_number(p, "alpha", "state.thermal_mixture", check=_check_alpha)
         return DensityMatrix(thermal_mixtures(spec, [battery], [alpha])[1][0, 0])
     m = matrix_from_json(p, "state.matrix")
-    dim = battery.d**2
-    if m.shape != (dim, dim):
-        raise ConfigError("state.matrix", f"expected a {dim} x {dim} state for this battery, got {m.shape}")
     try:
-        return DensityMatrix(m)
+        rho = DensityMatrix(m)
+        _check_state_dimension(rho.dim, battery.d)
     except ValueError as exc:
         raise ConfigError("state.matrix", str(exc)) from None
+    return rho

@@ -69,11 +69,16 @@ class WorkHistogram:
         return self.origin + self.bin_width * np.arange(len(self.counts) + 1)
 
 
+def _check_state_dimension(dim: int, d: int) -> None:
+    """The state-size rule of a battery of local dimension d: a density matrix of dimension ``dim`` = d^2."""
+    if dim != d**2:
+        raise ValueError(f"state dimension {dim} does not match battery d^2 = {d ** 2}")
+
+
 def _state_data(rho: StateLike, d: int) -> np.ndarray:
-    """The validated data of a state of a battery of local dimension d, refused unless it is d^2 x d^2."""
+    """The validated data of a state of a battery of local dimension d (``_check_state_dimension``)."""
     m = as_density(rho).data
-    if m.shape[0] != d**2:
-        raise ValueError(f"state dimension {m.shape[0]} does not match battery d^2 = {d ** 2}")
+    _check_state_dimension(len(m), d)
     return m
 
 
@@ -239,20 +244,22 @@ def _pair_coordinates(x0: np.ndarray, d: int) -> np.ndarray:
     return np.ascontiguousarray(sum(terms).real)
 
 
-def _projector_coordinates(m: np.ndarray, upper: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+def _projector_coordinates(
+    re: np.ndarray, im: np.ndarray, upper: tuple[np.ndarray, np.ndarray], out: np.ndarray
+) -> np.ndarray:
     """Coordinates in the basis of ``_pair_coordinates`` of the rank-1 projectors R_i = r_i r_i^dag, r_i = (row i of m)^dag.
 
-    For rows m of V^dag U, R_i = U^dag |v_i><v_i| U.  With R_ab = conj(m_ia) m_ib
-    the coordinates are |m_ia|^2, then Re m_ia Re m_ib + Im m_ia Im m_ib and
-    Re m_ia Im m_ib - Im m_ia Re m_ib for (a, b) in ``upper``, the
-    ``np.triu_indices`` of offset 1: O(d^3) per pair, written into
-    ``out`` of shape (k, d, d^2).  The complex products are spelled out in
-    real ufuncs, since numpy's complex multiply fuses multiply-adds in its
-    vector loop but not in its tail, which would make a pair's bits depend on
-    its place in the stack.
+    m is given by its real and imaginary planes ``re`` and ``im``, and is read
+    only.  For rows m of V^dag U, R_i = U^dag |v_i><v_i| U.  With
+    R_ab = conj(m_ia) m_ib the coordinates are |m_ia|^2, then
+    Re m_ia Re m_ib + Im m_ia Im m_ib and Re m_ia Im m_ib - Im m_ia Re m_ib
+    for (a, b) in ``upper``, the ``np.triu_indices`` of offset 1: O(d^3) per
+    pair, written into ``out`` of shape (k, d, d^2).  The complex products
+    are spelled out in real ufuncs, since numpy's complex multiply fuses
+    multiply-adds in its vector loop but not in its tail, which would make a
+    pair's bits depend on its place in the stack.
     """
     a, b = upper
-    re, im = m.real, m.imag
     ra, rb, ia, ib = re[..., a], re[..., b], im[..., a], im[..., b]
     real = ra * rb
     real += ia * ib
@@ -260,6 +267,41 @@ def _projector_coordinates(m: np.ndarray, upper: tuple[np.ndarray, np.ndarray], 
     ia *= rb
     ra -= ia
     return np.concatenate([np.square(re) + np.square(im), real, ra], axis=-1, out=out)
+
+
+def _real_adjoint(vecs: np.ndarray) -> np.ndarray | None:
+    """V^dag in real form for the eigenvector columns V of one half, or None where V is exactly the identity.
+
+    The real form of a complex (d, d) m is [[Re m, -Im m], [Im m, Re m]],
+    which maps [Re x; Im x] to [Re mx; Im mx].
+    """
+    if np.array_equal(vecs, np.eye(len(vecs))):
+        return None
+    m = vecs.conj().T
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+def _rotated_planes(
+    w: np.ndarray | None, u: np.ndarray, planes: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of V^dag U per pair of a block u (n, d, d), for w = ``_real_adjoint(V)``.
+
+    With P + iQ = V^dag, Re = P Re U - Q Im U and Im = Q Re U + P Im U: one
+    real (2d, 2d) @ (2d, d) product per pair, w @ [Re U; Im U], the planes
+    stacked into ``planes`` and the product written into ``out``, both
+    (n, 2d, d).  That is the 4 d^3 real multiply-adds of the complex
+    product, but numpy hands a complex d x d product to zgemm, which took
+    about three times as long at d = 4, and 2.5-3.5x longer again when two
+    threads called it at once.  With w None (V = 1, as for every diagonal
+    local Hamiltonian) V^dag U is U, and its planes are read as they are.
+    """
+    if w is None:
+        return u.real, u.imag
+    d = u.shape[1]
+    planes[:, :d] = u.real
+    planes[:, d:] = u.imag
+    np.matmul(w, planes, out=out)
+    return out[:, :d], out[:, d:]
 
 
 def _split_identity(xs: np.ndarray, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -280,18 +322,23 @@ def _projector_blocks(
     """Yield (s, e, p^A, p^B) per block of ``_block`` pairs: the projector coordinates of pairs s..e.
 
     p^A[n, i] are the coordinates of U_A^dag |v_i^A><v_i^A| U_A, read from row i
-    of V_A^dag U_A, and likewise p^B, both (n, d, d^2), in two buffers
-    allocated once per chunk.
+    of V_A^dag U_A, and likewise p^B, both (n, d, d^2).  V^dag U comes from
+    ``_rotated_planes``: one real product per pair, none where V is the
+    identity.  All buffers are allocated once per chunk; the two halves take
+    turns in the planes and product buffers.
     """
     k, d = ua.shape[0], spec.d
     b = _block(k, d)
     upper = np.triu_indices(d, 1)
-    va, vb = spec.vecs_a.conj().T, spec.vecs_b.conj().T
+    wa, wb = _real_adjoint(spec.vecs_a), _real_adjoint(spec.vecs_b)
     pa, pb = (np.empty((b, d, d * d)) for _ in range(2))
+    planes, prod = (np.empty((b, 2 * d, d)) for _ in range(2))
     for s in range(0, k, b):
         e = min(s + b, k)
-        coords_a = _projector_coordinates(va @ ua[s:e], upper, pa[: e - s])
-        yield s, e, coords_a, _projector_coordinates(vb @ ub[s:e], upper, pb[: e - s])
+        n = e - s
+        coords_a = _projector_coordinates(*_rotated_planes(wa, ua[s:e], planes[:n], prod[:n]), upper, pa[:n])
+        coords_b = _projector_coordinates(*_rotated_planes(wb, ub[s:e], planes[:n], prod[:n]), upper, pb[:n])
+        yield s, e, coords_a, coords_b
 
 
 def rotated_populations(

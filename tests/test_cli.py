@@ -408,11 +408,19 @@ def _default_taus():
             ],
             lambda: gibbs_state(np.eye(4), 0.0),
         ),
+        (
+            [
+                (["variance", "--seed", "1", "--n", "10"], {"state": {"matrix": _STATE9}}, "state.matrix"),
+                (["witness"], {"state": {"matrix": _STATE9}}, "state.matrix"),
+                (["coincidence", "--seed", "1", "--n", "10"], {"state": {"matrix": _STATE9}}, "state.matrix"),
+            ],
+            lambda: mc_work_statistics(np.eye(9) / 9, ising_battery(0.5, 1.0, 0.5, 0.45), 10, SamplerConfig(d=4, seed=1)),
+        ),
     ],
-    ids=["alpha", "T"],
+    ids=["alpha", "T", "state_dimension"],
 )
 def test_an_input_rule_gives_one_message_through_every_key(tmp_path, capsys, inputs, library_call):
-    """A point run, both sweeps and the library refuse an out-of-range alpha (or T) alike; only the key path differs."""
+    """A point run, both sweeps and the library refuse an out-of-range alpha (or T, or a wrongly sized state) alike; only the key path differs."""
     messages = set()
     path = tmp_path / "cfg.json"
     for args, config, key in inputs:

@@ -19,6 +19,8 @@ from qbattery.workstats import (
     _block,
     _pair_coordinates,
     _projector_coordinates,
+    _real_adjoint,
+    _rotated_planes,
     analytic_work_mean,
     analytic_work_variance,
     conjugate,
@@ -377,9 +379,49 @@ def test_pair_coordinates_are_the_traces_against_the_product_basis(d):
     assert np.max(np.abs(_pair_coordinates(x, d) - dense)) < 1e-13
     # the projector coordinates are those of the same basis: R_i = sum_mu p[i, mu] G_mu
     m = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-    p = _projector_coordinates(m, np.triu_indices(d, 1), np.empty((3, d, d * d)))
+    p = _projector_coordinates(m.real, m.imag, np.triu_indices(d, 1), np.empty((3, d, d * d)))
     projectors = np.einsum("nia,nib->niab", m.conj(), m)  # r_i r_i^dag with r_i = (row i of m)^dag
     assert np.max(np.abs(np.einsum("nim,mab->niab", p, g) - projectors)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_the_real_product_rotation_is_the_complex_product(d):
+    spec, _, _ = _kernel_case("mixed", d)
+    u = HaarSampler(SamplerConfig(d=d, seed=42)).unitaries(7)
+    for vecs in (spec.vecs_a, spec.vecs_b):
+        assert np.any(vecs.imag) and _real_adjoint(vecs) is not None  # a complex eigenbasis, not the identity
+        re, im = _rotated_planes(_real_adjoint(vecs), u, np.empty((7, 2 * d, d)), np.empty((7, 2 * d, d)))
+        assert np.max(np.abs(re + 1j * im - vecs.conj().T @ u)) < 1e-14
+
+
+def test_the_default_battery_keeps_the_identity_eigenbases_of_the_no_product_route():
+    spec = spectral_decomposition(ising_battery(0.5, 1.0, 0.5, 0.45))
+    for vecs in (spec.vecs_a, spec.vecs_b):
+        assert np.array_equal(vecs, np.eye(4)) and _real_adjoint(vecs) is None
+    u = HaarSampler(SamplerConfig(d=4, seed=43)).unitaries(3)
+    re, im = _rotated_planes(None, u, np.empty((3, 8, 4)), np.empty((3, 8, 4)))
+    assert np.shares_memory(re, u) and np.shares_memory(im, u)  # U's own planes, no product
+
+
+def test_the_no_product_route_gives_the_bits_of_the_real_products_on_an_ising_battery(monkeypatch):
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    spec = spectral_decomposition(h)
+    rho = thermal_mixture_state(0.96, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
+    cfg, n = SamplerConfig(d=4, seed=44), chunk_size(4) + 100  # a full chunk and a ragged one
+    ua, ub = pair_chunk(cfg, 0, 600)
+
+    def outputs():
+        return (
+            rotated_populations(rho.data, spec)(ua, ub),
+            rotated_energies(np.stack([rho.data, spec.h_diag]), spec)(ua, ub),
+            np.array([mc_work_statistics(rho, h, n, cfg), mc_tpm_statistics(rho, spec, 0.5, 0.3, n, cfg)]),
+            np.array(mc_coincidence(rho, spec, 0.7, 0.6, n, cfg)),
+        )
+
+    fast = outputs()
+    monkeypatch.setattr(workstats, "_real_adjoint", lambda vecs: np.eye(2 * len(vecs)))  # V = 1 through the real product
+    for a, b in zip(fast, outputs()):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
