@@ -37,7 +37,6 @@ from .haar import (
 from .linalg import (
     DensityMatrix,
     partial_trace,
-    partial_transpose,
     partial_transpose_min_eig,
     purity,
     sector_lengths,

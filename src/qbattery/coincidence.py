@@ -23,7 +23,7 @@ import numpy as np
 from .battery import BatteryHamiltonian, SpectralDecomposition, joint_populations
 from .haar import SamplerConfig
 from .linalg import StateLike, sector_lengths
-from .tpm import _check_eps
+from .tpm import _check_detectors, _check_eps
 from .workstats import _state_data, iter_samples, rotated_populations, sector_variance, summarize
 
 __all__ = [
@@ -48,6 +48,15 @@ def coincidence_povm(proj: np.ndarray, epsilon: float) -> np.ndarray:
     return epsilon**2 * pair + (1.0 - epsilon**2) / d * np.eye(d * d)
 
 
+def _sector_coincidence(r_a2: float, r_b2: float, t2: float, eps_a: float, eps_b: float, d: int) -> float:
+    """The closed-form coincidence average of the module docstring from sector lengths."""
+    return (
+        1.0
+        + (r_a2 * eps_a**2 + r_b2 * eps_b**2) / (d + 1)
+        + t2 * eps_a**2 * eps_b**2 / (d + 1) ** 2
+    ) / d**2
+
+
 def avg_coincidence_closed(
     rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float
 ) -> float:
@@ -56,15 +65,8 @@ def avg_coincidence_closed(
     Depends on the state only through its sector lengths; the choice of
     rank-1 eigenprojectors drops out of the average.
     """
-    _check_eps(eps_a, "eps_a")
-    _check_eps(eps_b, "eps_b")
-    d = spec.d
-    r_a2, r_b2, t2 = sector_lengths(rho, d)
-    return (
-        1.0
-        + (r_a2 * eps_a**2 + r_b2 * eps_b**2) / (d + 1)
-        + t2 * eps_a**2 * eps_b**2 / (d + 1) ** 2
-    ) / d**2
+    _check_detectors(eps_a, eps_b)
+    return _sector_coincidence(*sector_lengths(_state_data(rho, spec.d), spec.d), eps_a, eps_b, spec.d)
 
 
 def coincidence_probability(
@@ -110,8 +112,7 @@ def mc_coincidence(
     independent-rotations mode because the closed form requires identical
     rotations on the copies.
     """
-    _check_eps(eps_a, "eps_a")
-    _check_eps(eps_b, "eps_b")
+    _check_detectors(eps_a, eps_b)
     populations = rotated_populations(_state_data(rho, spec.d), spec)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -123,7 +124,7 @@ def mc_coincidence(
 
 @dataclass(frozen=True)
 class CoincidenceReport:
-    """Closed-form coincidence, optional MC estimate, and the variance bound.
+    """Closed-form coincidence and the variance bound.
 
     ``c_excess`` is the part of the interaction weight beyond h^2 eps^2 in
     g^2 v^2 = (d-1)(h^2 eps^2 + c); only its negative part enters the bound.
@@ -140,8 +141,6 @@ class CoincidenceReport:
     h2_min: float
     variance: float
     t2: float
-    cbar_mc: float | None = None
-    cbar_mc_se: float | None = None
 
 
 def _check_h2(h2: float) -> None:
@@ -168,7 +167,7 @@ def coincidence_bound(
     d = h.d
     h2 = min(h.ha2, h.hb2)
     _check_h2(h2)
-    r_a2, r_b2, t2 = sector_lengths(rho, d)
+    r_a2, r_b2, t2 = sector_lengths(_state_data(rho, d), d)
     var = sector_variance(r_a2, r_b2, t2, h.ha2, h.hb2, h.g2v2, d)
     c = h.g2v2 / (d - 1) - h2 * epsilon**2
     rhs = (
@@ -176,7 +175,7 @@ def coincidence_bound(
         + (d - 1) * epsilon**2 * var / h2
         + t2 * epsilon**2 * (abs(c) - c) / (2 * (d + 1) ** 2 * h2)
     ) / d**2
-    lhs = avg_coincidence_closed(rho, spec, epsilon, epsilon)
+    lhs = _sector_coincidence(r_a2, r_b2, t2, epsilon, epsilon, d)
     return CoincidenceReport(
         d=d,
         eps_a=epsilon,

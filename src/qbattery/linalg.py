@@ -17,13 +17,11 @@ __all__ = [
     "PSD_TOL",
     "MAX_LOCAL_DIM",
     "DensityMatrix",
-    "as_density",
     "check_density",
     "dagger",
     "is_hermitian",
     "kron",
     "partial_trace",
-    "partial_transpose",
     "partial_transpose_min_eig",
     "purity",
     "sector_lengths",
@@ -122,13 +120,6 @@ def check_density(a: np.ndarray) -> None:
         raise ValueError(failure[1])
 
 
-def as_density(rho: StateLike) -> DensityMatrix:
-    """Coerce an array (or pass through a ``DensityMatrix``) with validation."""
-    if isinstance(rho, DensityMatrix):
-        return rho
-    return DensityMatrix(np.asarray(rho))
-
-
 def _raw(rho: StateLike) -> np.ndarray:
     return rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
 
@@ -164,20 +155,15 @@ def partial_trace(rho: StateLike, side: str, d: int):
     return out
 
 
-def partial_transpose(rho: StateLike, d: int) -> np.ndarray:
-    """Partial transpose on the first subsystem of a d x d bipartite operator (or of each in a stack)."""
-    m = _raw(rho)
-    return _bipartite(m, d, "operator").swapaxes(-4, -2).reshape(m.shape)
-
-
 def partial_transpose_min_eig(rho: StateLike, d: int):
-    """Minimum eigenvalue of the partial transpose; >= 0 means PPT.
+    """Minimum eigenvalue of the partial transpose on the first subsystem; >= 0 means PPT.
 
     A float for one d^2 x d^2 operator; for a stack (..., d^2, d^2) the array
     (...) of minima, from one stacked ``eigvalsh`` that equals the
     per-matrix calls bitwise.
     """
-    return _scalar(np.linalg.eigvalsh(partial_transpose(rho, d))[..., 0])
+    m = _raw(rho)
+    return _scalar(np.linalg.eigvalsh(_bipartite(m, d, "operator").swapaxes(-4, -2).reshape(m.shape))[..., 0])
 
 
 def _sum_squares(c: np.ndarray) -> np.ndarray:

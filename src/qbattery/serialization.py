@@ -32,7 +32,7 @@ from .battery import (
     thermal_mixture_stack,
 )
 from .linalg import DensityMatrix
-from .workstats import _check_state_dimension
+from .workstats import _state_data
 
 __all__ = [
     "ConfigError",
@@ -188,7 +188,7 @@ def state_from_spec(spec: dict, battery: BatteryHamiltonian) -> DensityMatrix:
     m = matrix_from_json(p, "state.matrix")
     try:
         rho = DensityMatrix(m)
-        _check_state_dimension(rho.dim, battery.d)
+        _state_data(rho, battery.d)
     except ValueError as exc:
         raise ConfigError("state.matrix", str(exc)) from None
     return rho

@@ -26,8 +26,17 @@ import numpy as np
 from .battery import SpectralDecomposition, joint_populations
 from .bloch import gell_mann_basis
 from .haar import SamplerConfig
-from .linalg import StateLike, as_density, sector_lengths
-from .workstats import WorkStatistics, expectation, iter_samples, rotated_energies, sector_variance, summarize
+from .linalg import StateLike, sector_lengths
+from .workstats import (
+    WorkStatistics,
+    _state_data,
+    expectation,
+    iter_samples,
+    mean_work,
+    rotated_energies,
+    sector_variance,
+    summarize,
+)
 
 __all__ = [
     "NoisyPovm",
@@ -54,6 +63,12 @@ def _check_eps(eps: float, name: str = "epsilon") -> None:
     """Detector efficiencies lie in [0, 1]."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {eps}")
+
+
+def _check_detectors(eps_a: float, eps_b: float) -> None:
+    """The rule of a detector pair: each efficiency lies in [0, 1], a failure named by its side."""
+    _check_eps(eps_a, "eps_a")
+    _check_eps(eps_b, "eps_b")
 
 
 def povm_root_coeffs(epsilon: float, d: int) -> tuple[float, float]:
@@ -99,8 +114,8 @@ def energy_labels(spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np
     which is exactly the decomposition H_D = sum_ij e_ij P_i^A (x) P_j^B.
     Labels attach to outcome indices, so degenerate energies stay distinct.
     """
+    _check_detectors(eps_a, eps_b)
     for name, eps in (("eps_a", eps_a), ("eps_b", eps_b)):
-        _check_eps(eps, name)
         if eps == 0.0:
             raise ValueError(f"{name} must be > 0: the TPM energy labels diverge at 0, where only the closed form exists")
     d = spec.d
@@ -147,8 +162,8 @@ def instrument_average(
     product eigenbasis every dephasing is an entrywise mask, so the sum
     costs two basis rotations.
     """
-    basis, r, same_a, same_b = _eigenbasis_state(as_density(rho).data, spec)
     d = spec.d
+    basis, r, same_a, same_b = _eigenbasis_state(_state_data(rho, d), spec)
     w = tpm_weights(eps_a, eps_b, d)
     mask = w.f_a**2 * w.f_b**2 * same_a * same_b + w.kappa_a * same_a + w.kappa_b * same_b + w.kappa_ab
     return basis @ (r * mask).reshape(d * d, d * d) @ basis.conj().T
@@ -181,7 +196,7 @@ def tpm_run(
     first-outcome probability has a vanishing update operator and simply
     contributes zero weight.
     """
-    m = as_density(rho).data
+    m = _state_data(rho, spec.d)
     labels, povm, kr = _joint_instrument(spec, eps_a, eps_b)
     first = np.einsum("mab,ba->m", povm, m).real
     joint = np.einsum("mab,bc,mdc->mad", kr, m, kr.conj())
@@ -191,13 +206,9 @@ def tpm_run(
     return float(first @ labels - second.sum(axis=0) @ labels)
 
 
-def _work_mean(m: np.ndarray, spec: SpectralDecomposition) -> float:
-    return expectation(m, spec.h_diag) - float(np.trace(spec.h_diag).real) / spec.d**2
-
-
 def tpm_work_mean(rho: StateLike, spec: SpectralDecomposition) -> float:
     """Haar average of the presumed TPM work: tr[rho H_D] - tr[H_D]/d^2."""
-    return _work_mean(as_density(rho).data, spec)
+    return mean_work(_state_data(rho, spec.d), spec.h_diag)
 
 
 def tpm_shot_sample(
@@ -219,7 +230,7 @@ def tpm_shot_sample(
     """
     if shots < 1:
         raise ValueError(f"need at least one shot, got {shots}")
-    m = as_density(rho).data
+    m = _state_data(rho, spec.d)
     labels, povm, kr = _joint_instrument(spec, eps_a, eps_b)
     first_probs = np.clip(np.einsum("mab,ba->m", povm, m).real, 0.0, None)
     first_probs /= first_probs.sum()
@@ -256,9 +267,6 @@ def mc_tpm_stack(
     and the estimate converges to the closed form's var_tpm = var_diag.
     """
     _check_stack(states, spec.d)
-    for eps_a, eps_b in eps_pairs:
-        _check_eps(eps_a, "eps_a")
-        _check_eps(eps_b, "eps_b")
     xis = np.stack([instrument_average(m, spec, eps_a, eps_b) for m in states for eps_a, eps_b in eps_pairs])
     bases = np.array([expectation(m, spec.h_diag) for m in states for _ in eps_pairs])
     energies = rotated_energies(xis, spec)
@@ -279,7 +287,7 @@ def mc_tpm_statistics(
     cfg: SamplerConfig,
 ) -> WorkStatistics:
     """Monte-Carlo moments of the presumed TPM work over n unitary pairs: ``mc_tpm_stack`` of one."""
-    return mc_tpm_stack(as_density(rho).data[None], spec, [(eps_a, eps_b)], n, cfg)[0][0]
+    return mc_tpm_stack(_state_data(rho, spec.d)[None], spec, [(eps_a, eps_b)], n, cfg)[0][0]
 
 
 @dataclass(frozen=True)
@@ -313,6 +321,7 @@ def tpm_weights(eps_a: float, eps_b: float, d: int) -> TpmWeights:
     equal to kappa_A kappa_B / (f_A^2 f_B^2) wherever the latter is defined
     and regular at eps = 0.
     """
+    _check_detectors(eps_a, eps_b)
     fa, ga = povm_root_coeffs(eps_a, d)
     fb, gb = povm_root_coeffs(eps_b, d)
     kappa_a = fa**2 * gb * (2 * fb + d * gb)
@@ -365,7 +374,7 @@ def _zeta(proj: np.ndarray, lam: np.ndarray, d: int) -> np.ndarray:
 def tpm_spectral_stats(rho: StateLike, spec: SpectralDecomposition) -> TpmSpectralStats:
     """Joint-population matrix, its and its marginals' purities, and the dephasing overlaps."""
     d = spec.d
-    p_joint = joint_populations(as_density(rho).data, spec.vecs_a, spec.vecs_b)
+    p_joint = joint_populations(_state_data(rho, d), spec.vecs_a, spec.vecs_b)
     lam = gell_mann_basis(d).matrices
     return TpmSpectralStats(
         p_joint=p_joint,
@@ -479,7 +488,7 @@ def tpm_variance_stack(
         proj,
         noisy,
     )
-    means = [_work_mean(m, spec) for m in states]
+    means = [mean_work(m, spec.h_diag) for m in states]
     return [
         [TpmVarianceReport(d, w.eps_a, w.eps_b, mean, *cells, *diag, w) for w, *cells in zip(ws, *state_columns)]
         for mean, *state_columns in zip(means, *(col.tolist() for col in columns))
@@ -490,4 +499,4 @@ def tpm_variance_closed_form(
     rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float
 ) -> TpmVarianceReport:
     """Closed-form variance of the presumed TPM work over Haar unitary pairs: ``tpm_variance_stack`` of one."""
-    return tpm_variance_stack(as_density(rho).data[None], spec, [(eps_a, eps_b)])[0][0]
+    return tpm_variance_stack(_state_data(rho, spec.d)[None], spec, [(eps_a, eps_b)])[0][0]

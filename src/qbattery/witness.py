@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .battery import BatteryHamiltonian
-from .linalg import StateLike, as_density, partial_trace, partial_transpose_min_eig, purity, sector_lengths
+from .linalg import StateLike, partial_trace, partial_transpose_min_eig, purity, sector_lengths
 from .workstats import _state_data, sector_variance
 
 __all__ = [
@@ -185,13 +185,12 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     can detect.  The evaluation is ``detect_schmidt_number_stack`` on a
     stack of one.
     """
-    rho = as_density(rho)
     d = h.d
     det = detect_schmidt_number_stack(_state_data(rho, d)[None], d, h.ha2, h.hb2, h.g2v2)
     pur = float(det.purity[0])
     branch = None
     if abs(pur - 1.0) <= _PURE_TOL and abs(h.ha2 - h.hb2) <= _PURE_TOL * max(1.0, h.ha2, h.hb2):
-        branch = pure_state_report(rho, h)
+        branch = _pure_state_form(float(det.t2[0]), h)
 
     return WitnessReport(
         d=d,
@@ -217,15 +216,19 @@ def pure_state_report(rho: StateLike, h: BatteryHamiltonian) -> PureStateReport:
     ``_PURE_TOL``); then the variance collapses to h2 + g_term * t^2 / (d^2 - 1)
     with g_term = g^2 v^2/(d^2-1) - h2.
     """
-    rho = as_density(rho)
-    d = h.d
-    pur = purity(rho)
+    m = _state_data(rho, h.d)
+    pur = purity(m)
     if abs(pur - 1.0) > _PURE_TOL:
         raise ValueError(f"state must be pure within {_PURE_TOL}, got purity {pur}")
     if abs(h.ha2 - h.hb2) > _PURE_TOL * max(1.0, h.ha2, h.hb2):
         raise ValueError("local weights must be symmetric (ha2 = hb2) for the pure-state form")
+    return _pure_state_form(sector_lengths(m, h.d)[2], h)
+
+
+def _pure_state_form(t2: float, h: BatteryHamiltonian) -> PureStateReport:
+    """``pure_state_report`` of a pure state of correlation length ``t2``, its conditions checked by the caller."""
+    d = h.d
     h2 = (h.ha2 + h.hb2) / 2
-    t2 = sector_lengths(rho, d)[2]
     dd = d * d - 1
     g_term = h.g2v2 / dd - h2
     var = h2 + g_term * t2 / dd

@@ -24,7 +24,7 @@ import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition, spectral_decomposition
 from .haar import SamplerConfig, chunk_size, pair_chunk
-from .linalg import StateLike, as_density, sector_lengths
+from .linalg import DensityMatrix, StateLike, sector_lengths
 from .montecarlo import MomentAccumulator
 
 __all__ = [
@@ -69,16 +69,11 @@ class WorkHistogram:
         return self.origin + self.bin_width * np.arange(len(self.counts) + 1)
 
 
-def _check_state_dimension(dim: int, d: int) -> None:
-    """The state-size rule of a battery of local dimension d: a density matrix of dimension ``dim`` = d^2."""
-    if dim != d**2:
-        raise ValueError(f"state dimension {dim} does not match battery d^2 = {d ** 2}")
-
-
 def _state_data(rho: StateLike, d: int) -> np.ndarray:
-    """The validated data of a state of a battery of local dimension d (``_check_state_dimension``)."""
-    m = as_density(rho).data
-    _check_state_dimension(len(m), d)
+    """The validated data of a state of a battery of local dimension d, of dimension d^2: the one intake of a state."""
+    m = rho.data if isinstance(rho, DensityMatrix) else DensityMatrix(np.asarray(rho)).data
+    if len(m) != d**2:
+        raise ValueError(f"state dimension {len(m)} does not match battery d^2 = {d ** 2}")
     return m
 
 
@@ -95,10 +90,14 @@ def expectation(m: np.ndarray, obs: np.ndarray) -> float:
     return float(np.vdot(obs, m).real)
 
 
+def mean_work(m: np.ndarray, obs: np.ndarray) -> float:
+    """tr[m obs] - tr[obs]/D: the Haar-averaged work under a (D, D) obs of validated state data m."""
+    return expectation(m, obs) - float(np.trace(obs).real) / len(obs)
+
+
 def analytic_work_mean(rho: StateLike, h: BatteryHamiltonian) -> float:
     """Haar-averaged work E - tr[H]/d^2."""
-    total = h.total
-    return expectation(as_density(rho).data, total) - float(np.trace(total).real) / h.d**2
+    return mean_work(_state_data(rho, h.d), h.total)
 
 
 def sector_variance(
@@ -114,8 +113,9 @@ def sector_variance(
 
 def analytic_work_variance(rho: StateLike, h: BatteryHamiltonian) -> WorkStatistics:
     """Closed-form work variance over Haar-random local unitary pairs."""
-    var = sector_variance(*sector_lengths(rho, h.d), h.ha2, h.hb2, h.g2v2, h.d)
-    return WorkStatistics(mean=analytic_work_mean(rho, h), variance=var)
+    m = _state_data(rho, h.d)
+    var = sector_variance(*sector_lengths(m, h.d), h.ha2, h.hb2, h.g2v2, h.d)
+    return WorkStatistics(mean=mean_work(m, h.total), variance=var)
 
 
 def pair_kron(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:

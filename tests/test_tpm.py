@@ -7,7 +7,7 @@ import pytest
 
 from qbattery.battery import gibbs_state, ising_battery, joint_populations, spectral_decomposition, thermal_mixture_state
 from qbattery.bloch import bloch_decompose, gell_mann_basis
-from qbattery.coincidence import _coincidence_batch, coincidence_probability
+from qbattery.coincidence import _coincidence_batch, avg_coincidence_closed, coincidence_probability, mc_coincidence
 from qbattery.haar import HaarSampler, SamplerConfig, chunk_size
 from qbattery.linalg import DensityMatrix, random_density_matrix, sector_lengths
 from qbattery.tpm import (
@@ -136,6 +136,16 @@ def test_zero_epsilon_is_one_message_from_the_labels_the_simulation_and_the_cli(
 def test_simulation_names_the_efficiency_out_of_range():
     with pytest.raises(ValueError, match=re.escape("eps_a must lie in [0, 1], got 1.5")):
         mc_tpm_statistics(_mixture(0.5), _ising_spec(), 1.5, 0.5, 10, SamplerConfig(d=4, seed=1))
+    # the closed forms and the coincidence protocol name the failing side the same way
+    for run in (
+        lambda: tpm_variance_closed_form(_mixture(0.5), _ising_spec(), 0.5, 1.5),
+        lambda: instrument_average(_mixture(0.5), _ising_spec(), 0.5, 1.5),
+        lambda: tpm_weights(0.5, 1.5, 4),
+        lambda: avg_coincidence_closed(_mixture(0.5), _ising_spec(), 0.5, 1.5),
+        lambda: mc_coincidence(_mixture(0.5), _ising_spec(), 0.5, 1.5, 10, SamplerConfig(d=4, seed=1)),
+    ):
+        with pytest.raises(ValueError, match=re.escape("eps_b must lie in [0, 1], got 1.5")):
+            run()
 
 
 # --- exact per-unitary protocol --------------------------------------------

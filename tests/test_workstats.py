@@ -10,10 +10,19 @@ import pytest
 
 from qbattery import workstats
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
-from qbattery.coincidence import avg_coincidence_closed, mc_coincidence
+from qbattery.coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
 from qbattery.haar import HaarSampler, SamplerConfig, chunk_size, pair_chunk
 from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermitian, random_pure_state
-from qbattery.tpm import instrument_average, mc_tpm_statistics, tpm_variance_closed_form, tpm_work_mean
+from qbattery.tpm import (
+    instrument_average,
+    mc_tpm_statistics,
+    tpm_run,
+    tpm_shot_sample,
+    tpm_spectral_stats,
+    tpm_variance_closed_form,
+    tpm_work_mean,
+)
+from qbattery.witness import detect_schmidt_number, pure_state_report
 from qbattery.workstats import (
     MAX_HISTOGRAM_BINS,
     _block,
@@ -178,12 +187,31 @@ def test_mc_rejects_tiny_n():
         lambda rho, h, cfg: mc_work_statistics(rho, h, 10, cfg),
         lambda rho, h, cfg: work_histogram(rho, h, 10, 0.1, cfg),
         lambda rho, h, cfg: mc_coincidence(rho, spectral_decomposition(h), 0.5, 0.5, 10, cfg),
+        # every other entry point that takes a state for a battery reads it through the same intake
+        lambda rho, h, cfg: work(rho, h, np.eye(4), np.eye(4)),
+        lambda rho, h, cfg: analytic_work_mean(rho, h),
+        lambda rho, h, cfg: analytic_work_variance(rho, h),
+        lambda rho, h, cfg: tpm_work_mean(rho, spectral_decomposition(h)),
+        lambda rho, h, cfg: instrument_average(rho, spectral_decomposition(h), 0.5, 0.5),
+        lambda rho, h, cfg: tpm_run(rho, spectral_decomposition(h), 0.5, 0.5, np.eye(4), np.eye(4)),
+        lambda rho, h, cfg: tpm_shot_sample(
+            rho, spectral_decomposition(h), 0.5, 0.5, np.eye(4), np.eye(4), 10, np.random.default_rng(1)
+        ),
+        lambda rho, h, cfg: mc_tpm_statistics(rho, spectral_decomposition(h), 0.5, 0.5, 10, cfg),
+        lambda rho, h, cfg: tpm_variance_closed_form(rho, spectral_decomposition(h), 0.5, 0.5),
+        lambda rho, h, cfg: tpm_spectral_stats(rho, spectral_decomposition(h)),
+        lambda rho, h, cfg: avg_coincidence_closed(rho, spectral_decomposition(h), 0.5, 0.5),
+        lambda rho, h, cfg: coincidence_bound(rho, h, spectral_decomposition(h), 0.5),
+        lambda rho, h, cfg: detect_schmidt_number(rho, h),
+        lambda rho, h, cfg: pure_state_report(rho, h),
     ],
 )
 def test_a_monte_carlo_run_refuses_a_state_of_the_wrong_size_as_work_does(run):
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     with pytest.raises(ValueError, match=re.escape("state dimension 9 does not match battery d^2 = 16")):
         run(np.eye(9) / 9, h, SamplerConfig(d=4, seed=1))
+    with pytest.raises(ValueError, match=re.escape("density matrix must have unit trace, got 16.0")):
+        run(np.eye(16), h, SamplerConfig(d=4, seed=1))
 
 
 def test_histogram_counts_sum():
