@@ -24,7 +24,7 @@ from .battery import BatteryHamiltonian, SpectralDecomposition, joint_population
 from .haar import SamplerConfig
 from .linalg import StateLike, sector_lengths
 from .tpm import _check_detectors, _check_eps
-from .workstats import _state_data, iter_samples, rotated_populations, sector_variance, summarize
+from .workstats import WorkStatistics, _state_data, iter_samples, rotated_populations, sector_variance, summarize
 
 __all__ = [
     "CoincidenceReport",
@@ -105,8 +105,8 @@ def mc_coincidence(
     eps_b: float,
     n: int,
     cfg: SamplerConfig,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of the coincidence average.
+) -> WorkStatistics:
+    """Monte-Carlo moments of the coincidence probability over n unitary pairs.
 
     Both copies share one unitary pair per sample; the protocol has no
     independent-rotations mode because the closed form requires identical
@@ -118,8 +118,7 @@ def mc_coincidence(
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
         return _coincidence_batch(populations(ua, ub), eps_a, eps_b)
 
-    stats = summarize(iter_samples(sample, spec.d, n, cfg))[0]
-    return stats.mean, stats.se_mean
+    return summarize(iter_samples(sample, spec.d, n, cfg))[0]
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ def _check_h2(h2: float) -> None:
 def coincidence_bound(
     rho: StateLike,
     h: BatteryHamiltonian,
-    spec: SpectralDecomposition,
     epsilon: float,
 ) -> CoincidenceReport:
     """Upper bound on the averaged coincidence from the work variance.

@@ -36,7 +36,6 @@ from .tpm import (
     tpm_variance_closed_form,
     tpm_variance_stack,
     tpm_weights,
-    tpm_work_mean,
 )
 from .witness import detect_schmidt_number, detect_schmidt_number_stack
 from .workstats import (
@@ -289,25 +288,27 @@ def run_point(cfg: ExperimentConfig) -> dict:
     rho = state_from_spec(cfg.state, h)
     if protocol == "witness":
         return {"protocol": protocol, **asdict(detect_schmidt_number(rho, h))}
-    if protocol == "coincidence":
-        spec = spectral_decomposition(h)
-        eps = _eps_param(cfg, "eps")
-        _number(min(h.ha2, h.hb2), "battery", check=_check_h2)
-        out = {"protocol": protocol, **asdict(coincidence_bound(rho, h, spec, eps))}
-        if cfg.samples():
-            out["cbar_mc"], out["cbar_mc_se"] = mc_coincidence(rho, spec, eps, eps, cfg.n_unitaries(), cfg.sampler(h.d))
-        return out
     if protocol == "variance":
         stats = analytic_work_variance(rho, h)
-        out = {"protocol": protocol, "mean": stats.mean, "variance": stats.variance}
+        closed = {"mean": stats.mean, "variance": stats.variance}
         sample = partial(mc_work_statistics, rho, h)
-    else:
+    elif protocol == "tpm":
         spec = spectral_decomposition(h)
         eps_a, eps_b = _eps_param(cfg, "eps_a"), _eps_param(cfg, "eps_b")
-        out = {"protocol": protocol, **asdict(tpm_variance_closed_form(rho, spec, eps_a, eps_b))}
+        closed = asdict(tpm_variance_closed_form(rho, spec, eps_a, eps_b))
         sample = partial(mc_tpm_statistics, rho, spec, eps_a, eps_b)
+    else:
+        eps = _eps_param(cfg, "eps")
+        _number(min(h.ha2, h.hb2), "battery", check=_check_h2)
+        closed = asdict(coincidence_bound(rho, h, eps))
+        sample = lambda n, sampler: mc_coincidence(rho, spectral_decomposition(h), eps, eps, n, sampler)
+    out = {"protocol": protocol, **closed}
     if cfg.samples():
-        out["mc"] = asdict(sample(cfg.n_unitaries(), cfg.sampler(h.d)))
+        stats = sample(cfg.n_unitaries(), cfg.sampler(h.d))
+        if protocol == "coincidence":
+            out.update(cbar_mc=stats.mean, cbar_mc_se=stats.se_mean)
+        else:
+            out["mc"] = asdict(stats)
     return out
 
 
@@ -382,8 +383,9 @@ def _check_work_variance(rng, d, n, cfg) -> dict:
 
 def _check_tpm_mean(rng, d, n, cfg) -> dict:
     _, spec, rho = _random_point(rng, d)
+    mean = tpm_variance_closed_form(rho, spec, 0.6, 0.8).mean_tpm
     mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg)
-    return {"deviation": abs(mc.mean - tpm_work_mean(rho, spec)) / (mc.se_mean + 1e-12)}
+    return {"deviation": abs(mc.mean - mean) / (mc.se_mean + 1e-12)}
 
 
 def _check_tpm_variance(rng, d, n, cfg) -> dict:
@@ -396,8 +398,8 @@ def _check_tpm_variance(rng, d, n, cfg) -> dict:
 def _check_coincidence(rng, d, n, cfg) -> dict:
     _, spec, rho = _random_point(rng, d)
     closed = avg_coincidence_closed(rho, spec, 0.7, 0.4)
-    mean, se = mc_coincidence(rho, spec, 0.7, 0.4, n, cfg)
-    return {"deviation": abs(mean - closed) / (se + 1e-12)}
+    mc = mc_coincidence(rho, spec, 0.7, 0.4, n, cfg)
+    return {"deviation": abs(mc.mean - closed) / (mc.se_mean + 1e-12)}
 
 
 def _check_proof_inequalities(rng, d, n, cfg) -> dict:

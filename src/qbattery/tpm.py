@@ -48,7 +48,6 @@ __all__ = [
     "energy_labels",
     "instrument_average",
     "tpm_run",
-    "tpm_work_mean",
     "tpm_shot_sample",
     "mc_tpm_stack",
     "mc_tpm_statistics",
@@ -151,22 +150,22 @@ def _eigenbasis_state(m: np.ndarray, spec: SpectralDecomposition) -> tuple[np.nd
     return basis, r, same_a, same_b
 
 
-def instrument_average(
-    rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float
-) -> np.ndarray:
-    """Outcome-summed post-measurement state sum_ij sqrt(P) rho sqrt(P).
+def _instrument_stack(states: np.ndarray, spec: SpectralDecomposition, weights: list[TpmWeights]) -> np.ndarray:
+    """(n, G, d^2, d^2): the outcome-summed instrument output of each state of a stack at each pair's weights.
 
-    Expands to f_A^2 f_B^2 * (jointly dephased rho) + kappa_A * (A-dephased)
-    + kappa_B * (B-dephased) + kappa_AB * rho; the per-unitary presumed work
-    is tr[rho H_D] minus this operator's rotated overlap with H_D.  In the
-    product eigenbasis every dephasing is an entrywise mask, so the sum
-    costs two basis rotations.
+    ``states`` is a stack (n, d^2, d^2), taken as valid.  The output is f_A^2 f_B^2 * (jointly dephased rho)
+    + kappa_A * (A-dephased) + kappa_B * (B-dephased) + kappa_AB * rho.  In the product eigenbasis every
+    dephasing is an entrywise mask, one per pair, so the stack costs one rotation into that basis and one back.
     """
     d = spec.d
-    basis, r, same_a, same_b = _eigenbasis_state(_state_data(rho, d), spec)
-    w = tpm_weights(eps_a, eps_b, d)
-    mask = w.f_a**2 * w.f_b**2 * same_a * same_b + w.kappa_a * same_a + w.kappa_b * same_b + w.kappa_ab
-    return basis @ (r * mask).reshape(d * d, d * d) @ basis.conj().T
+    basis, r, same_a, same_b = _eigenbasis_state(states, spec)
+    masks = [w.f_a**2 * w.f_b**2 * same_a * same_b + w.kappa_a * same_a + w.kappa_b * same_b + w.kappa_ab for w in weights]
+    return basis @ (r[:, None] * np.stack(masks)).reshape(len(states), len(weights), d * d, d * d) @ basis.conj().T
+
+
+def instrument_average(rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np.ndarray:
+    """Outcome-summed post-measurement state sum_ij sqrt(P) rho sqrt(P): ``_instrument_stack`` of one."""
+    return _instrument_stack(_state_data(rho, spec.d)[None], spec, [tpm_weights(eps_a, eps_b, spec.d)])[0, 0]
 
 
 def _joint_instrument(
@@ -204,11 +203,6 @@ def tpm_run(
     rotated = np.einsum("ab,mbc,dc->mad", u, joint, u.conj())
     second = np.einsum("oab,mba->mo", povm, rotated).real
     return float(first @ labels - second.sum(axis=0) @ labels)
-
-
-def tpm_work_mean(rho: StateLike, spec: SpectralDecomposition) -> float:
-    """Haar average of the presumed TPM work: tr[rho H_D] - tr[H_D]/d^2."""
-    return mean_work(_state_data(rho, spec.d), spec.h_diag)
 
 
 def tpm_shot_sample(
@@ -260,15 +254,17 @@ def mc_tpm_stack(
     rotation instead of a branch enumeration.  H_D is diagonal in the product
     eigenbasis, so the trace is sum_ij e_joint[i, j] q_ij(U; Xi) over the
     rotated populations of Xi (``rotated_energies``).  Like
-    ``tpm_variance_stack`` it takes a stack (n, d^2, d^2): one pass draws the
-    pairs once, and per pair one d^5 product serves every (state, pair)
-    column, which then costs a d^4 dot product and is bitwise what a stack of
-    one gives.  No labels are formed, so eps = 0 is sampled: there Xi = rho,
+    ``tpm_variance_stack`` it takes a stack (n, d^2, d^2) as valid, and one
+    ``_instrument_stack`` call forms every Xi.  One pass draws the pairs
+    once, and per pair one d^5 product serves every (state, pair) column,
+    which then costs a d^4 dot product and is bitwise what a stack of one
+    gives.  No labels are formed, so eps = 0 is sampled: there Xi = rho,
     and the estimate converges to the closed form's var_tpm = var_diag.
     """
     _check_stack(states, spec.d)
-    xis = np.stack([instrument_average(m, spec, eps_a, eps_b) for m in states for eps_a, eps_b in eps_pairs])
-    bases = np.array([expectation(m, spec.h_diag) for m in states for _ in eps_pairs])
+    weights = [tpm_weights(eps_a, eps_b, spec.d) for eps_a, eps_b in eps_pairs]
+    xis = _instrument_stack(states, spec, weights).reshape((-1, *states.shape[1:]))
+    bases = np.repeat([expectation(m, spec.h_diag) for m in states], len(eps_pairs))
     energies = rotated_energies(xis, spec)
 
     def sample(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:

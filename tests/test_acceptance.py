@@ -220,16 +220,15 @@ def test_criterion_07_coincidence_closed_form_and_bound():
             for eps in (0.3, 0.7, 1.0):
                 closed = avg_coincidence_closed(rho, spec, eps, eps)
                 seed += 1
-                mean, se = mc_coincidence(rho, spec, eps, eps, n, SamplerConfig(d=dim, seed=seed))
-                worst = max(worst, abs(mean - closed) / (se + 1e-15))
+                mc = mc_coincidence(rho, spec, eps, eps, n, SamplerConfig(d=dim, seed=seed))
+                worst = max(worst, abs(mc.mean - closed) / (mc.se_mean + 1e-15))
     min_slack = np.inf
     h = _ising()
-    spec4 = spectral_decomposition(h)
     rng = np.random.default_rng(7777)
     for _ in range(100):
         rho = random_density_matrix(rng, 16)
         eps = float(rng.uniform(0, 1))
-        min_slack = min(min_slack, coincidence_bound(rho, h, spec4, eps).slack)
+        min_slack = min(min_slack, coincidence_bound(rho, h, eps).slack)
     passed = worst < 5 and min_slack >= -1e-12 and time.time() - t0 < 600
     _report(
         "C7 two-copy coincidence vs MC (10 states x 3 eps, n=1e5) and bound sweep",

@@ -60,7 +60,7 @@ def test_d16_boundary(case):
         spec = spectral_decomposition(h)
         report = detect_schmidt_number(rho, h)
         tpm = tpm_variance_closed_form(rho, spec, eps, eps)
-        bound = coincidence_bound(rho, h, spec, eps)
+        bound = coincidence_bound(rho, h, eps)
         mc = mc_work_statistics(rho, h, 64, SamplerConfig(d=D, seed=5))
     closed = analytic_work_variance(rho, h)
 

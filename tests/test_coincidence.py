@@ -90,14 +90,15 @@ def test_mc_matches_closed_form():
     rho = _mixture(0.7)
     cfg = SamplerConfig(d=4, seed=85)
     closed = avg_coincidence_closed(rho, spec, 0.6, 0.35)
-    mean, se = mc_coincidence(rho, spec, 0.6, 0.35, 15_000, cfg)
-    assert abs(mean - closed) < 5 * se
+    mc = mc_coincidence(rho, spec, 0.6, 0.35, 15_000, cfg)
+    assert mc.n_samples == 15_000
+    assert abs(mc.mean - closed) < 5 * mc.se_mean
 
 
 def test_mc_maximally_mixed():
     _, spec = _ising_spec()
-    mean, se = mc_coincidence(np.eye(16) / 16, spec, 0.5, 0.5, 2000, SamplerConfig(d=4, seed=86))
-    assert abs(mean - 1 / 16) < max(5 * se, 1e-12)
+    mc = mc_coincidence(np.eye(16) / 16, spec, 0.5, 0.5, 2000, SamplerConfig(d=4, seed=86))
+    assert abs(mc.mean - 1 / 16) < max(5 * mc.se_mean, 1e-12)
 
 
 def test_mc_determinism_and_convergence():
@@ -107,8 +108,8 @@ def test_mc_determinism_and_convergence():
     a = mc_coincidence(rho, spec, 0.8, 0.8, 4000, cfg)
     b = mc_coincidence(rho, spec, 0.8, 0.8, 4000, cfg)
     assert a == b
-    _, se_small = mc_coincidence(rho, spec, 0.8, 0.8, 1000, cfg)
-    _, se_large = mc_coincidence(rho, spec, 0.8, 0.8, 10_000, cfg)
+    se_small = mc_coincidence(rho, spec, 0.8, 0.8, 1000, cfg).se_mean
+    se_large = mc_coincidence(rho, spec, 0.8, 0.8, 10_000, cfg).se_mean
     assert 2.0 < se_small / se_large < 5.0  # ~sqrt(10)
 
 
@@ -127,8 +128,8 @@ def test_closed_form_monotonicity():
 
 
 def test_bound_equality_for_maximally_mixed():
-    h, spec = _ising_spec()
-    rep = coincidence_bound(np.eye(16) / 16, h, spec, 0.5)
+    h, _ = _ising_spec()
+    rep = coincidence_bound(np.eye(16) / 16, h, 0.5)
     assert abs(rep.cbar_closed - 1 / 16) < 1e-14
     assert abs(rep.bound_rhs - 1 / 16) < 1e-14
     assert abs(rep.slack) < 1e-14
@@ -136,21 +137,21 @@ def test_bound_equality_for_maximally_mixed():
 
 def test_bound_nonnegative_excess_branch():
     # strong coupling: c >= 0, so the |c| - c correction vanishes
-    h, spec = _ising_spec()
+    h, _ = _ising_spec()
     rho = _mixture(0.9)
     eps = 0.4
-    rep = coincidence_bound(rho, h, spec, eps)
+    rep = coincidence_bound(rho, h, eps)
     assert rep.c_excess > 0
     expected_rhs = (1 + (h.d - 1) * eps**2 * rep.variance / rep.h2_min) / h.d**2
     assert abs(rep.bound_rhs - expected_rhs) < 1e-14
 
 
 def test_bound_holds_on_random_sweep(rng):
-    h, spec = _ising_spec()
+    h, _ = _ising_spec()
     for _ in range(50):
         rho = random_density_matrix(rng, 16)
         eps = float(rng.uniform(0, 1))
-        rep = coincidence_bound(rho, h, spec, eps)
+        rep = coincidence_bound(rho, h, eps)
         assert rep.slack >= -1e-12
         assert 0 <= rep.cbar_closed <= 1
 
@@ -164,10 +165,9 @@ def test_bound_exact_zero_slack_on_tuned_isotropic():
     h2 = 1.0  # ha2 = hb2 = 1 for Z
     g = np.sqrt((d - 1) * h2 * eps**2)  # makes c exactly 0
     h = battery_hamiltonian(z, z, np.kron(x, x), g=g)
-    spec = spectral_decomposition(h)
     v = np.array([1, 0, 0, 1]) / np.sqrt(2)
     iso = DensityMatrix(0.5 * np.outer(v, v.conj()) + 0.5 * np.eye(4) / 4)
-    rep = coincidence_bound(iso, h, spec, eps)
+    rep = coincidence_bound(iso, h, eps)
     assert abs(rep.c_excess) < 1e-12
     assert abs(rep.slack) < 1e-12
 
@@ -175,15 +175,14 @@ def test_bound_exact_zero_slack_on_tuned_isotropic():
 def test_bound_rejects_flat_local_hamiltonian():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     h = battery_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)), np.kron(x, x), g=1.0)
-    spec = spectral_decomposition(h)
     with pytest.raises(ValueError, match="h\\^2"):
-        coincidence_bound(np.eye(4) / 4, h, spec, 0.5)
+        coincidence_bound(np.eye(4) / 4, h, 0.5)
 
 
 def test_report_serializes():
     import json
     from dataclasses import asdict
 
-    h, spec = _ising_spec()
-    text = json.dumps(asdict(coincidence_bound(_mixture(0.5), h, spec, 0.7)))
+    h, _ = _ising_spec()
+    text = json.dumps(asdict(coincidence_bound(_mixture(0.5), h, 0.7)))
     assert "cbar_closed" in text

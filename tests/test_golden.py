@@ -50,6 +50,7 @@ MC_TPM_MEAN_N1000_SEED7_STREAM1 = -0.8381196677560298  # eps_a = 0.6, eps_b = 0.
 MC_TPM_SE_MEAN_N1000_SEED7_STREAM1 = 0.005619528907309764
 MC_COINCIDENCE_MEAN_N1000_SEED7_STREAM1 = 0.066361779489197  # eps_a = 0.7, eps_b = 0.4
 MC_COINCIDENCE_SE_N1000_SEED7_STREAM1 = 4.4030963317066995e-05
+MC_COINCIDENCE_VARIANCE_N1000_SEED7_STREAM1 = 1.9387257306289005e-06
 HISTOGRAM_ORIGIN_N1000_SEED7_STREAM1 = -1.75  # bin width 0.05
 HISTOGRAM_COUNTS_N1000_SEED7_STREAM1 = [
     1, 1, 1, 1, 6, 6, 7, 4, 14, 18, 29, 33, 39, 46, 75, 64, 59, 77, 69,
@@ -93,9 +94,10 @@ def test_mc_tpm_statistics_is_pinned():
 
 def test_mc_coincidence_is_pinned():
     h, rho, cfg = _default_point()
-    mean, se = mc_coincidence(rho, spectral_decomposition(h), 0.7, 0.4, 1000, cfg)
-    assert abs(mean - MC_COINCIDENCE_MEAN_N1000_SEED7_STREAM1) < 1e-12
-    assert abs(se - MC_COINCIDENCE_SE_N1000_SEED7_STREAM1) < 1e-12
+    stats = mc_coincidence(rho, spectral_decomposition(h), 0.7, 0.4, 1000, cfg)
+    assert abs(stats.mean - MC_COINCIDENCE_MEAN_N1000_SEED7_STREAM1) < 1e-12
+    assert abs(stats.se_mean - MC_COINCIDENCE_SE_N1000_SEED7_STREAM1) < 1e-12
+    assert abs(stats.variance - MC_COINCIDENCE_VARIANCE_N1000_SEED7_STREAM1) < 1e-12
 
 
 # Closed forms, pinned to 1e-12 relative.  TPM rows: (eps_a, eps_b) ->

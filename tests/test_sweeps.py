@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import qbattery.linalg as linalg
 import qbattery.runner as runner
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
 from qbattery.haar import SamplerConfig, chunk_size
@@ -234,6 +235,24 @@ def test_a_monte_carlo_tpm_sweep_draws_each_chunk_once(monkeypatch):
     _, drawn = tag_chunks(monkeypatch)
     run_tpm_sweep(ExperimentConfig.from_dict(_MC_SWEEP))
     assert sorted(drawn) == [0, 1]
+
+
+def test_the_tpm_monte_carlo_validates_no_state_again(monkeypatch):
+    """A sweep's stack is validated once, when it is built, and a raw state once, by the intake."""
+    validate, calls = linalg._first_invalid_density, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return validate(a)
+
+    monkeypatch.setattr(linalg, "_first_invalid_density", counted)
+    rows = run_tpm_sweep(ExperimentConfig.from_dict({"protocol": "tpm", "sampling": {"seed": 3, "n_unitaries": 30}}))
+    assert len(rows) == 63 and len(calls) == 1
+    h = ising_battery(0.5, 1.0, 0.5, 0.45)
+    rho = thermal_mixture_state(0.5, *_taus(h)).data
+    calls.clear()
+    mc_tpm_statistics(rho, spectral_decomposition(h), 0.5, 0.5, 30, SamplerConfig(d=4, seed=3))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name, kernel", zip(_TWIRL_CHECKS, ["conjugation_traces", "pair_traces", "pair_traces"]))

@@ -13,6 +13,7 @@ from qbattery.linalg import DensityMatrix, random_density_matrix, sector_lengths
 from qbattery.tpm import (
     _dephased_sectors,
     _diagonal_weights,
+    _instrument_stack,
     _zeta,
     energy_labels,
     instrument_average,
@@ -25,7 +26,6 @@ from qbattery.tpm import (
     tpm_variance_closed_form,
     tpm_variance_stack,
     tpm_weights,
-    tpm_work_mean,
 )
 from qbattery.workstats import sector_variance
 
@@ -241,6 +241,22 @@ def test_instrument_average_matches_kraus_sum(rng, d):
         np.testing.assert_allclose(
             instrument_average(rho, spec, ea, eb), _instrument_average_reference(rho, spec, ea, eb), atol=1e-12
         )
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 16])
+def test_instrument_stack_cells_are_the_per_state_averages(d):
+    """Each (state, pair) cell of a stack is bitwise ``instrument_average`` there, as is a stack of one."""
+    rng = np.random.default_rng(1900 + d)
+    spec = spectral_decomposition(make_random_battery(rng, d))
+    states = np.stack([random_density_matrix(rng, d * d).data for _ in range(2)])
+    pairs = [(0.3, 0.9), (1.0, 0.0), (0.5, 0.5), (0.0, 0.0), (1.0, 1.0)]
+    stack = _instrument_stack(states, spec, [tpm_weights(ea, eb, d) for ea, eb in pairs])
+    assert stack.shape == (2, len(pairs), d * d, d * d)
+    for m, row in zip(states, stack):
+        for (ea, eb), cell in zip(pairs, row):
+            one = _instrument_stack(m[None], spec, [tpm_weights(ea, eb, d)])[0, 0]
+            average = instrument_average(m, spec, ea, eb)
+            assert np.array_equal(average, one) and np.array_equal(average, cell)
 
 
 def test_zeta_matches_explicit_trace_loop(rng):
@@ -521,7 +537,7 @@ def test_mean_closed_form(rng):
     spec = spectral_decomposition(make_random_battery(rng, d))
     rho = random_density_matrix(rng, d * d)
     stats = mc_tpm_statistics(rho, spec, 0.5, 0.75, 8000, SamplerConfig(d=d, seed=72))
-    assert abs(stats.mean - tpm_work_mean(rho, spec)) < 5 * stats.se_mean
+    assert abs(stats.mean - tpm_variance_closed_form(rho, spec, 0.5, 0.75).mean_tpm) < 5 * stats.se_mean
 
 
 def test_mc_determinism_and_guards():

@@ -20,7 +20,6 @@ from qbattery.tpm import (
     tpm_shot_sample,
     tpm_spectral_stats,
     tpm_variance_closed_form,
-    tpm_work_mean,
 )
 from qbattery.witness import detect_schmidt_number, pure_state_report
 from qbattery.workstats import (
@@ -191,7 +190,6 @@ def test_mc_rejects_tiny_n():
         lambda rho, h, cfg: work(rho, h, np.eye(4), np.eye(4)),
         lambda rho, h, cfg: analytic_work_mean(rho, h),
         lambda rho, h, cfg: analytic_work_variance(rho, h),
-        lambda rho, h, cfg: tpm_work_mean(rho, spectral_decomposition(h)),
         lambda rho, h, cfg: instrument_average(rho, spectral_decomposition(h), 0.5, 0.5),
         lambda rho, h, cfg: tpm_run(rho, spectral_decomposition(h), 0.5, 0.5, np.eye(4), np.eye(4)),
         lambda rho, h, cfg: tpm_shot_sample(
@@ -201,7 +199,7 @@ def test_mc_rejects_tiny_n():
         lambda rho, h, cfg: tpm_variance_closed_form(rho, spectral_decomposition(h), 0.5, 0.5),
         lambda rho, h, cfg: tpm_spectral_stats(rho, spectral_decomposition(h)),
         lambda rho, h, cfg: avg_coincidence_closed(rho, spectral_decomposition(h), 0.5, 0.5),
-        lambda rho, h, cfg: coincidence_bound(rho, h, spectral_decomposition(h), 0.5),
+        lambda rho, h, cfg: coincidence_bound(rho, h, 0.5),
         lambda rho, h, cfg: detect_schmidt_number(rho, h),
         lambda rho, h, cfg: pure_state_report(rho, h),
     ],
@@ -297,7 +295,7 @@ def test_mc_estimators_need_three_samples():
         mc_tpm_statistics(bell_state(), spec, 0.5, 0.5, 2, cfg)
     with pytest.raises(ValueError, match="three"):
         mc_coincidence(bell_state(), spec, 0.5, 0.5, 2, cfg)
-    assert mc_coincidence(bell_state(), spec, 0.5, 0.5, 3, cfg)[1] >= 0
+    assert mc_coincidence(bell_state(), spec, 0.5, 0.5, 3, cfg).se_mean >= 0
 
 
 def _kernel_case(case: str, d: int):
@@ -673,7 +671,8 @@ def test_mc_at_d16_matches_every_closed_form():
     assert abs(work_mc.mean - closed.mean) < 5 * work_mc.se_mean
     assert abs(work_mc.variance - closed.variance) < 5 * work_mc.se_variance
     tpm_mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, SamplerConfig(d=16, seed=72))
-    assert abs(tpm_mc.mean - tpm_work_mean(rho, spec)) < 5 * tpm_mc.se_mean
-    assert abs(tpm_mc.variance - tpm_variance_closed_form(rho, spec, 0.6, 0.8).var_tpm) < 5 * tpm_mc.se_variance
-    mean, se = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(d=16, seed=73))
-    assert abs(mean - avg_coincidence_closed(rho, spec, 0.7, 0.4)) < 5 * se
+    tpm_closed = tpm_variance_closed_form(rho, spec, 0.6, 0.8)
+    assert abs(tpm_mc.mean - tpm_closed.mean_tpm) < 5 * tpm_mc.se_mean
+    assert abs(tpm_mc.variance - tpm_closed.var_tpm) < 5 * tpm_mc.se_variance
+    coincidence = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(d=16, seed=73))
+    assert abs(coincidence.mean - avg_coincidence_closed(rho, spec, 0.7, 0.4)) < 5 * coincidence.se_mean
