@@ -24,6 +24,7 @@ from .linalg import (
     is_hermitian,
     kron,
     partial_trace,
+    product_basis_rotation,
     _first_invalid_density,
     _raw,
 )
@@ -313,25 +314,31 @@ def joint_populations(m: np.ndarray, vecs_a: np.ndarray, vecs_b: np.ndarray) -> 
 
     The columns of ``vecs_a``/``vecs_b`` are the projector vectors; m is a
     d^2 x d^2 operator (a state's joint populations, or the interaction's
-    level shifts ``d_mat``).  Costs two d^2-sized products, d^6 in all.
+    level shifts ``d_mat``).  B^dag m B comes from ``product_basis_rotation``,
+    4 d^5 multiply-adds in d x d products, with B never formed.
     """
-    basis = kron(vecs_a, vecs_b)
-    return np.sum(basis.conj() * (m @ basis), axis=0).real.reshape(len(vecs_a), len(vecs_b))
+    d = len(vecs_a)
+    rotated = product_basis_rotation(m, vecs_a, vecs_b).reshape(d, d, d, d)
+    return np.einsum("ijij->ij", rotated).real.copy()
 
 
 def spectral_decomposition(h: BatteryHamiltonian) -> SpectralDecomposition:
     """Split the interaction into level shifts and eigenbasis changes.
 
-    With B = V_A (x) V_B, d_mat is the diagonal of B^dag V B and V - v_od = B diag(d_mat) B^dag.
+    With B = V_A (x) V_B, d_mat is the diagonal of B^dag V B and
+    V - v_od = B diag(d_mat) B^dag, both through ``product_basis_rotation``
+    (no d^2-sized product, and B is never formed).  Where both local
+    eigenbases are the identity (every diagonal local Hamiltonian, so the
+    Ising family) the rotations take no product, d_mat is exactly V's
+    diagonal and v_od exactly V minus it.
     """
     d = h.d
     ea, ua = _local_eigenbasis(h.ha)
     eb, ub = _local_eigenbasis(h.hb)
     proj_a = np.einsum("ai,bi->iab", ua, ua.conj())
     proj_b = np.einsum("ai,bi->iab", ub, ub.conj())
-    basis = kron(ua, ub)
     d_mat = joint_populations(h.v, ua, ub)
-    v_od = h.v - (basis * d_mat.ravel()) @ basis.conj().T
+    v_od = h.v - product_basis_rotation(np.diag(d_mat.ravel()), ua, ub, inverse=True)
     e_joint = ea[:, None] + eb[None, :] + h.g * d_mat
     h_diag = h.total - h.g * v_od
     return SpectralDecomposition(

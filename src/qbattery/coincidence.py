@@ -127,7 +127,9 @@ class CoincidenceReport:
 
     ``c_excess`` is the part of the interaction weight beyond h^2 eps^2 in
     g^2 v^2 = (d-1)(h^2 eps^2 + c); only its negative part enters the bound.
-    ``slack`` = bound_rhs - cbar_closed is non-negative whenever h^2 > 0.
+    ``slack`` = bound_rhs - cbar_closed, evaluated in its closed form: a sum
+    of non-negative terms, so non-negative whenever h^2 > 0, even where the
+    bound and the closed form agree to rounding.
     """
 
     d: int
@@ -160,6 +162,13 @@ def coincidence_bound(
 
         C <= (1/d^2) [ 1 + (d-1) eps^2 Var/h^2
                          + t^2 eps^2 (|c| - c) / (2 (d+1)^2 h^2) ].
+
+    Subtracting C leaves the slack
+
+        (eps^2/d^2) [ (rA^2 (ha^2 - h^2) + rB^2 (hb^2 - h^2)) / ((d+1) h^2)
+                      + t^2 (|c| + c) / (2 (d+1)^2 h^2) ],
+
+    which is what ``slack`` reports, rather than the rounded difference.
     """
     _check_eps(epsilon)
     d = h.d
@@ -174,13 +183,18 @@ def coincidence_bound(
         + t2 * epsilon**2 * (abs(c) - c) / (2 * (d + 1) ** 2 * h2)
     ) / d**2
     lhs = _sector_coincidence(r_a2, r_b2, t2, epsilon, epsilon, d)
+    slack = (
+        epsilon**2
+        / d**2
+        * ((r_a2 * (h.ha2 - h2) + r_b2 * (h.hb2 - h2)) / ((d + 1) * h2) + t2 * (abs(c) + c) / (2 * (d + 1) ** 2 * h2))
+    )
     return CoincidenceReport(
         d=d,
         eps_a=epsilon,
         eps_b=epsilon,
         cbar_closed=lhs,
         bound_rhs=rhs,
-        slack=rhs - lhs,
+        slack=slack,
         c_excess=c,
         h2_min=h2,
         variance=var,

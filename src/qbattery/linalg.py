@@ -23,6 +23,7 @@ __all__ = [
     "kron",
     "partial_trace",
     "partial_transpose_min_eig",
+    "product_basis_rotation",
     "purity",
     "sector_lengths",
     "subsystem_permutation",
@@ -37,6 +38,14 @@ __all__ = [
 HERMITICITY_TOL = 1e-9
 PSD_TOL = -1e-9
 MAX_LOCAL_DIM = 16
+#: Margin, in units of the shift c = ||m||_F, within which ``_shifted_spectrum``'s
+#: eigenvalue bounds leave a decision to ``eigvalsh``: about 1e3 times the
+#: rounding bound n eps ||m + c 1|| <= 2 n eps c of either route at n = 256.
+SPECTRUM_MARGIN = 1e-10
+#: The least n at which OpenBLAS threads a Hermitian eigensolve of an n x n
+#: matrix (at 63 it does not).  Below it ``eigvalsh`` is also about twice as
+#: fast as an SVD, so ``_shifted_spectrum`` bounds only matrices this large.
+POOL_DIM = 64
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -84,14 +93,51 @@ class DensityMatrix:
 StateLike = Union[DensityMatrix, np.ndarray]
 
 
+def _shifted_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Least and greatest eigenvalues (lo, hi) of each Hermitian matrix of a stack (k, n, n), and the shift c.
+
+    Each matrix m is taken as ``eigvalsh`` reads it: the lower triangle, with
+    the diagonal's real part.  With c = ||m||_F >= ||m||_2, m + c 1 is positive
+    semidefinite, so its singular values are the eigenvalues of m shifted by
+    c: lo = s_min - c and hi = s_max - c, each within rounding of order
+    n eps c.  The singular values come from one stacked ``svd`` without
+    vectors, which, unlike a Hermitian eigensolve or a BLAS-3 product, does
+    not start OpenBLAS's worker threads at n = 64 (a d = 8 state).  Below
+    ``POOL_DIM`` there are no bounds (None); where c is not finite they are
+    NaN, which every comparison fails.  Either way the callers leave the
+    decision to ``eigvalsh``.
+    """
+    if m.shape[-1] < POOL_DIM:
+        return None
+    lo, hi = np.full((2, len(m)), np.nan)
+    h = np.where(np.tri(m.shape[-1], dtype=bool), m, dagger(m))
+    diagonal = np.einsum("...ii->...i", h)
+    if np.iscomplexobj(h):
+        diagonal.imag = 0.0
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below, not warned about
+        c = np.linalg.norm(h, axis=(-2, -1))
+    finite = np.isfinite(c)
+    if finite.any():
+        diagonal.real += np.where(finite, c, 0.0)[:, None]
+        s = np.linalg.svd(h if finite.all() else h[finite], compute_uv=False)
+        lo[finite] = s[:, -1] - c[finite]
+        hi[finite] = s[:, 0] - c[finite]
+    return lo, hi, c
+
+
 def _first_invalid_density(a: np.ndarray) -> tuple[int, str] | None:
     """The flat index and error of the first matrix of a stack (..., D, D) that is no density matrix, or None.
 
     The checks run in order: Hermiticity and unit trace within
-    ``HERMITICITY_TOL``, then the least eigenvalue down to ``PSD_TOL``, from
-    one stacked ``eigvalsh`` over the matrices that passed the first two.
-    The error names the first failed check of that matrix, so a stack
-    reports what the matrices one by one would.
+    ``HERMITICITY_TOL``, then the least eigenvalue down to ``PSD_TOL``.  The
+    stack is bounded by one ``_shifted_spectrum`` call; a matrix that passed
+    the first two checks and that the bound places at least
+    ``SPECTRUM_MARGIN`` c above ``PSD_TOL`` passes, and only the rest of
+    those go to one stacked ``eigvalsh``, which decides and whose value
+    fills the message.  So every decision and message is the eigensolver's,
+    while a valid state of dimension ``POOL_DIM`` or more passes with no
+    Hermitian eigensolve.  The error names the first failed check of that
+    matrix, so a stack reports what the matrices one by one would.
     """
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {a.shape}")
@@ -100,8 +146,12 @@ def _first_invalid_density(a: np.ndarray) -> tuple[int, str] | None:
     tr = np.trace(m, axis1=-2, axis2=-1).real
     unit = ~(np.abs(tr - 1.0) > HERMITICITY_TOL)
     valid = herm & unit
-    lo = np.full(len(m), np.inf)
-    lo[valid] = np.linalg.eigvalsh(m if valid.all() else m[valid])[:, 0]
+    lo, near = np.full(len(m), np.inf), valid
+    bounds = _shifted_spectrum(m)
+    if bounds is not None:
+        lo, _, c = bounds
+        near = valid & ~(lo >= PSD_TOL + SPECTRUM_MARGIN * c)
+    lo[near] = np.linalg.eigvalsh(m if near.all() else m[near])[:, 0]
     bad = ~valid | (lo < PSD_TOL)
     if not bad.any():
         return None
@@ -164,6 +214,30 @@ def partial_transpose_min_eig(rho: StateLike, d: int):
     """
     m = _raw(rho)
     return _scalar(np.linalg.eigvalsh(_bipartite(m, d, "operator").swapaxes(-4, -2).reshape(m.shape))[..., 0])
+
+
+def product_basis_rotation(x: np.ndarray, va: np.ndarray, vb: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """B^dag x B with B = V_A (x) V_B, or B x B^dag if ``inverse``, for x of shape (..., d^2, d^2).
+
+    Each factor acts on its own index of the (..., d, d, d, d) layout as d x d
+    products: 4 d^5 multiply-adds per matrix, against 2 d^6 through B, and no
+    product with a side of d^2, so none that starts OpenBLAS's worker
+    threads at d = 8.  A side whose V is exactly the identity (every
+    diagonal local Hamiltonian, so the Ising family) takes no product, so
+    there the output is x bit for bit.
+    """
+    d = len(va)
+    lead = x.shape[:-2]
+    y = x
+    if not np.array_equal(va, np.eye(d)):
+        left = va if inverse else dagger(va)
+        y = np.matmul(left, y.reshape(lead + (d, d**3)))
+        y = np.matmul(left.conj(), y.reshape(lead + (d * d, d, d)))
+    if not np.array_equal(vb, np.eye(d)):
+        left = vb if inverse else dagger(vb)
+        y = np.matmul(left, y.reshape(lead + (d, d, d * d)))
+        y = np.matmul(y.reshape(lead + (d**3, d)), dagger(left))
+    return x.astype(np.complex128) if y is x else y.reshape(x.shape)
 
 
 def _sum_squares(c: np.ndarray) -> np.ndarray:

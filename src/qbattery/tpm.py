@@ -26,7 +26,7 @@ import numpy as np
 from .battery import SpectralDecomposition, joint_populations
 from .bloch import gell_mann_basis
 from .haar import SamplerConfig
-from .linalg import StateLike, sector_lengths
+from .linalg import StateLike, product_basis_rotation, sector_lengths
 from .workstats import (
     WorkStatistics,
     _state_data,
@@ -136,18 +136,18 @@ def _check_stack(states: np.ndarray, d: int) -> None:
 
 
 def _eigenbasis_state(m: np.ndarray, spec: SpectralDecomposition) -> tuple[np.ndarray, ...]:
-    """(W, r, same_a, same_b): r[a, b, c, e] = <ab| W^dag m W |ce> in the product eigenbasis W = V_A (x) V_B.
+    """(r, same_a, same_b): r[a, b, c, e] = <ab| B^dag m B |ce> in the product eigenbasis B = V_A (x) V_B.
 
     ``m`` is the data of a validated state, or a stack (n, d^2, d^2) of them
-    (r then gains the leading axis).  Dephasing side A (B) in its energy
-    eigenbasis keeps the entries with a = c (b = e), the mask same_a (same_b).
+    (r then gains the leading axis), rotated by ``product_basis_rotation``.
+    Dephasing side A (B) in its energy eigenbasis keeps the entries with
+    a = c (b = e), the mask same_a (same_b).
     """
     d = spec.d
-    basis = np.kron(spec.vecs_a, spec.vecs_b)
-    r = (basis.conj().T @ m @ basis).reshape(m.shape[:-2] + (d, d, d, d))
+    r = product_basis_rotation(m, spec.vecs_a, spec.vecs_b).reshape(m.shape[:-2] + (d, d, d, d))
     same_a = np.eye(d)[:, None, :, None]  # delta_ac on r[a, b, c, e]
     same_b = np.eye(d)[None, :, None, :]  # delta_be
-    return basis, r, same_a, same_b
+    return r, same_a, same_b
 
 
 def _instrument_stack(states: np.ndarray, spec: SpectralDecomposition, weights: list[TpmWeights]) -> np.ndarray:
@@ -158,9 +158,10 @@ def _instrument_stack(states: np.ndarray, spec: SpectralDecomposition, weights: 
     dephasing is an entrywise mask, one per pair, so the stack costs one rotation into that basis and one back.
     """
     d = spec.d
-    basis, r, same_a, same_b = _eigenbasis_state(states, spec)
+    r, same_a, same_b = _eigenbasis_state(states, spec)
     masks = [w.f_a**2 * w.f_b**2 * same_a * same_b + w.kappa_a * same_a + w.kappa_b * same_b + w.kappa_ab for w in weights]
-    return basis @ (r[:, None] * np.stack(masks)).reshape(len(states), len(weights), d * d, d * d) @ basis.conj().T
+    masked = (r[:, None] * np.stack(masks)).reshape(len(states), len(weights), d * d, d * d)
+    return product_basis_rotation(masked, spec.vecs_a, spec.vecs_b, inverse=True)
 
 
 def instrument_average(rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float) -> np.ndarray:
@@ -409,7 +410,7 @@ def _dephased_sectors(states: np.ndarray, spec: SpectralDecomposition) -> dict[s
     (n,), each entry bitwise what that state gives alone.
     """
     d = spec.d
-    _, r, same_a, same_b = _eigenbasis_state(states, spec)
+    r, same_a, same_b = _eigenbasis_state(states, spec)
     masks = np.stack(np.broadcast_arrays(1.0, same_a * same_b, same_a, same_b))
     dephased = (r[..., None, :, :, :, :] * masks).reshape(states.shape[:-2] + (4, d * d, d * d))
     lengths = sector_lengths(dephased, d)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition, spectral_decomposition
 from .haar import SamplerConfig, chunk_size, pair_chunk
-from .linalg import DensityMatrix, StateLike, sector_lengths
+from .linalg import SPECTRUM_MARGIN, DensityMatrix, StateLike, _shifted_spectrum, sector_lengths
 from .montecarlo import MomentAccumulator
 
 __all__ = [
@@ -499,10 +499,21 @@ def histogram_fits(h: BatteryHamiltonian, bin_width: float) -> bool:
 
     They lie in [E - max spec H, E - min spec H], so they fill at most
     range / bin_width + 2 bins.  The range is compared with a product rather
-    than divided, since a subnormal width would overflow the quotient.
+    than divided, since a subnormal width would overflow the quotient.  From
+    d = 8 up the range is read from ``linalg._shifted_spectrum``, so no
+    Hermitian eigensolve runs ahead of the histogram's Monte Carlo; a range
+    within ``SPECTRUM_MARGIN`` c of the limit, and a smaller H, go to
+    ``eigvalsh``, which decides.
     """
+    limit = (MAX_HISTOGRAM_BINS - 2) * float(bin_width)
+    bounds = _shifted_spectrum(h.total[None])
+    if bounds is not None:
+        (lo,), (hi,), (c,) = bounds
+        width, margin = hi - lo, SPECTRUM_MARGIN * c
+        if width + margin <= limit or width - margin > limit:
+            return bool(width <= limit)
     spectrum = np.linalg.eigvalsh(h.total)
-    return spectrum[-1] - spectrum[0] <= (MAX_HISTOGRAM_BINS - 2) * float(bin_width)
+    return bool(spectrum[-1] - spectrum[0] <= limit)
 
 
 def _check_bin_width(bin_width: float, h: BatteryHamiltonian) -> None:

@@ -179,6 +179,17 @@ def test_spectral_decomposition_ising_is_computational():
     np.testing.assert_allclose(spec.energies_a, np.diagonal(h.ha).real, atol=1e-14)
 
 
+@pytest.mark.parametrize("b", [0.0, 0.45, 0.9])
+@pytest.mark.parametrize("j", [0.3, 0.5])
+def test_ising_eigenbases_are_identities_and_v_od_is_exactly_zero(b, j):
+    h = ising_battery(j, 1.0, j, b)
+    spec = spectral_decomposition(h)
+    assert np.array_equal(spec.vecs_a, np.eye(4)) and np.array_equal(spec.vecs_b, np.eye(4))
+    assert not spec.v_od.any()
+    assert np.array_equal(spec.d_mat.ravel(), np.diagonal(h.v).real)
+    assert np.array_equal(spec.h_diag, h.total)
+
+
 def test_spectral_decomposition_random_battery(rng):
     for d in (2, 3):
         h = make_random_battery(rng, d)

@@ -172,6 +172,19 @@ def test_bound_exact_zero_slack_on_tuned_isotropic():
     assert abs(rep.slack) < 1e-12
 
 
+def test_slack_is_exactly_zero_where_the_bound_is_tight_at_d8():
+    """The d = 8 nearest-neighbour battery (X (x) X, ha2 = hb2, c < 0): the bound minus C rounds to -3.5e-18."""
+    d, eps = 8, 0.6
+    hop = np.array([[float(abs(a - c) == 1) for c in range(d)] for a in range(d)])
+    local = np.diag((d - 1) / 2 - np.arange(d)).astype(complex)
+    h = battery_hamiltonian(local, local, np.kron(hop, hop), g=0.5)
+    rho = thermal_mixture_state(0.7, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
+    rep = coincidence_bound(rho, h, eps)
+    assert rep.c_excess < 0 and h.ha2 == h.hb2
+    assert rep.bound_rhs - rep.cbar_closed < 0  # the rounded difference the slack no longer reports
+    assert rep.slack == 0.0
+
+
 def test_bound_rejects_flat_local_hamiltonian():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     h = battery_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2)), np.kron(x, x), g=1.0)

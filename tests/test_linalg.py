@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qbattery.bloch import gell_mann_basis
+from qbattery.haar import SamplerConfig, haar_unitary
 from qbattery.linalg import (
+    POOL_DIM,
+    PSD_TOL,
     DensityMatrix,
     check_density,
     partial_trace,
     partial_transpose_min_eig,
+    product_basis_rotation,
     purity,
     random_density_matrix,
     random_hermitian,
@@ -187,3 +193,111 @@ def test_a_stack_is_refused_for_its_first_invalid_matrix_by_its_first_failed_che
     check_density(np.stack([good, good]))
     with pytest.raises(ValueError, match="square"):
         check_density(np.zeros((2, 4, 3)))
+
+
+def _unitary_pair(d):
+    return haar_unitary(SamplerConfig(d, 40 + d, 0)), haar_unitary(SamplerConfig(d, 40 + d, 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_product_basis_rotation_equals_the_kron_basis_formula(d, lead):
+    rng = np.random.default_rng(900 + d)
+    va, vb = _unitary_pair(d)
+    basis = np.kron(va, vb)
+    x = rng.standard_normal(lead + (d * d, d * d)) + 1j * rng.standard_normal(lead + (d * d, d * d))
+    forward = product_basis_rotation(x, va, vb)
+    inverse = product_basis_rotation(x, va, vb, inverse=True)
+    assert forward.shape == inverse.shape == x.shape
+    assert np.max(np.abs(forward - basis.conj().T @ x @ basis)) < 1e-12
+    assert np.max(np.abs(inverse - basis @ x @ basis.conj().T)) < 1e-12
+    assert np.max(np.abs(product_basis_rotation(forward, va, vb, inverse=True) - x)) < 1e-12
+
+
+def test_product_basis_rotation_by_identities_is_exact():
+    rng = np.random.default_rng(5)
+    eye = np.eye(4, dtype=np.complex128)
+    x = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
+    assert np.array_equal(product_basis_rotation(x, eye, eye), x)
+    assert np.array_equal(product_basis_rotation(x, eye, eye, inverse=True), x)
+
+
+def _state_with_least_eigenvalue(lowest, dim, seed, rank=None):
+    """A unit-trace Hermitian matrix U diag(w) U^dag with least eigenvalue ``lowest``; ``rank`` < dim keeps that many others."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u, _ = np.linalg.qr(g)
+    w = np.zeros(dim)
+    rest = rng.uniform(0.5, 1.0, min(rank or dim, dim - 1))
+    w[: len(rest)] = rest / rest.sum() * (1.0 - lowest)
+    w[-1] = lowest
+    m = (u * w) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def _eigvalsh_verdict(m):
+    lowest = np.linalg.eigvalsh(m)[0]
+    return None if lowest >= PSD_TOL else f"density matrix has negative eigenvalue {lowest}"
+
+
+def _check_verdict(m):
+    try:
+        check_density(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_the_state_check_decides_as_eigvalsh_at_its_threshold(d):
+    """At and around PSD_TOL, and at 0, every accept/refuse decision and message is eigvalsh's."""
+    cases = [_state_with_least_eigenvalue(PSD_TOL + s * 1e-11, d * d, 10 * d + k) for k, s in enumerate((-1, 1, -0.1, 0.1))]
+    cases += [_state_with_least_eigenvalue(0.0, d * d, 20 * d), _state_with_least_eigenvalue(PSD_TOL, d * d, 30 * d)]
+    # Hermitian to within HERMITICITY_TOL only: eigvalsh reads the lower triangle, and so does the bound.  The
+    # second one's upper triangle alone adds 1e-10 v v^dag along its least eigenvector v, which lifts the least
+    # eigenvalue of its Hermitian part above PSD_TOL while eigvalsh's stays below.
+    skewed = _state_with_least_eigenvalue(PSD_TOL + 1e-11, d * d, 40 * d)
+    skewed[np.triu_indices(d * d, 1)] += 5e-10
+    lifted = _state_with_least_eigenvalue(PSD_TOL - 1e-11, d * d, 50 * d)
+    v = np.linalg.eigh(lifted)[1][:, 0]
+    lifted += 2e-10 * np.triu(np.outer(v, v.conj()), 1)
+    verdicts = []
+    for m in cases + [skewed, lifted]:
+        verdicts.append(_check_verdict(m))
+        assert verdicts[-1] == _eigvalsh_verdict(m)
+    assert verdicts[0] is not None and verdicts[1] is None and verdicts[-1] is not None
+    # a stack reports its first refused matrix with the same message
+    assert _check_verdict(np.stack(cases)) == next(v for v in verdicts if v is not None)
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_a_valid_state_of_dimension_pool_dim_or_more_passes_with_no_hermitian_eigensolve(d, monkeypatch):
+    assert d * d >= POOL_DIM
+    eigvalsh = np.linalg.eigvalsh
+
+    def refused(a, *args, **kwargs):
+        if np.size(a):
+            raise AssertionError("eigvalsh called")
+        return eigvalsh(a, *args, **kwargs)  # an empty stack solves nothing
+
+    rank_one = _state_with_least_eigenvalue(0.0, d * d, d, rank=1)
+    mixed = _state_with_least_eigenvalue(1e-4, d * d, d + 1)
+    assert np.linalg.matrix_rank(rank_one, tol=1e-10) == 1
+    expected = [_eigvalsh_verdict(m) for m in (rank_one, mixed)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert [_check_verdict(m) for m in (rank_one, mixed)] == expected == [None, None]
+    DensityMatrix(rank_one)
+    check_density(np.stack([rank_one, mixed]))
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        check_density(_state_with_least_eigenvalue(-1e-3, d * d, d + 2))
+
+
+def test_a_state_whose_norm_overflows_is_refused_by_eigvalsh():
+    """Entries of 1e200 give an infinite ||m||_F, so the SVD bound leaves the matrix to eigvalsh."""
+    m = np.eye(64, dtype=np.complex128) / 64
+    m[0, 1] = m[1, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            DensityMatrix(m)
+    assert str(refused.value) == _eigvalsh_verdict(m)

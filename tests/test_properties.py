@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_random_battery
 from qbattery.battery import spectral_decomposition
-from qbattery.coincidence import avg_coincidence_closed
+from qbattery.coincidence import avg_coincidence_closed, coincidence_bound
 from qbattery.haar import SamplerConfig, haar_unitary
 from qbattery.linalg import DensityMatrix, random_density_matrix, random_pure_state
 from qbattery.tpm import tpm_variance_closed_form
@@ -39,6 +39,17 @@ def test_variance_and_coincidence_are_local_unitary_invariant(d, seed, eps_a, ep
     np.testing.assert_allclose(
         avg_coincidence_closed(rotated, spec, eps_a, eps_b), avg_coincidence_closed(rho, spec, eps_a, eps_b), rtol=1e-10
     )
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, eps=efficiencies, g=st.floats(0.0, 3.0), mixing=st.floats(0.0, 1.0))
+def test_coincidence_slack_is_non_negative_and_the_bound_minus_the_closed_form(d, seed, eps, g, mixing):
+    rng = np.random.default_rng(seed)
+    h = make_random_battery(rng, d, g=g)
+    rho = DensityMatrix(mixing * random_pure_state(rng, d * d).data + (1.0 - mixing) * np.eye(d * d) / d**2)
+    rep = coincidence_bound(rho, h, eps)
+    assert rep.slack >= 0.0
+    assert abs(rep.slack - (rep.bound_rhs - rep.cbar_closed)) <= 1e-14 * rep.bound_rhs
 
 
 @PROPERTY

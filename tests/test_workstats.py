@@ -285,6 +285,32 @@ def test_subnormal_bin_width_is_refused_without_a_numpy_warning():
             work_histogram(bell_state(), h, 100, 5e-324, SamplerConfig(d=2, seed=1))
 
 
+@pytest.mark.parametrize("d", [2, 8, 16])
+def test_the_bin_width_is_decided_as_eigvalsh_decides(d):
+    """Widths at and around the limit: the SVD bound leaves these to eigvalsh (and d = 2 never takes it)."""
+    h = make_random_battery(np.random.default_rng(60 + d), d)
+    spectrum = np.linalg.eigvalsh(h.total)
+    width = spectrum[-1] - spectrum[0]
+    for factor in (1.0, 1 - 1e-13, 1 + 1e-13, 1 - 1e-9, 1 + 1e-9, 0.5, 2.0):
+        bin_width = width * factor / (MAX_HISTOGRAM_BINS - 2)
+        assert histogram_fits(h, bin_width) == (width <= (MAX_HISTOGRAM_BINS - 2) * bin_width)
+
+
+def test_a_d8_bin_width_far_from_the_limit_is_decided_with_no_hermitian_eigensolve(monkeypatch):
+    h = make_random_battery(np.random.default_rng(68), 8)
+    spectrum = np.linalg.eigvalsh(h.total)
+    width = spectrum[-1] - spectrum[0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    assert histogram_fits(h, 2 * width / (MAX_HISTOGRAM_BINS - 2))
+    assert not histogram_fits(h, width / 2 / (MAX_HISTOGRAM_BINS - 2))
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        histogram_fits(h, width / (MAX_HISTOGRAM_BINS - 2))
+
+
 def test_mc_estimators_need_three_samples():
     h = _bell_battery()
     spec = spectral_decomposition(h)
