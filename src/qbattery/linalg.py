@@ -39,12 +39,15 @@ HERMITICITY_TOL = 1e-9
 PSD_TOL = -1e-9
 MAX_LOCAL_DIM = 16
 #: Margin, in units of the shift c = ||m||_F, within which ``_shifted_spectrum``'s
-#: eigenvalue bounds leave a decision to ``eigvalsh``: about 1e3 times the
-#: rounding bound n eps ||m + c 1|| <= 2 n eps c of either route at n = 256.
+#: eigenvalue bounds leave a decision to ``eigvalsh``: over 1e3 times the
+#: rounding bound n eps ||m + c 1|| <= 2 n eps c of either route at n = 64.
 SPECTRUM_MARGIN = 1e-10
 #: The least n at which OpenBLAS threads a Hermitian eigensolve of an n x n
-#: matrix (at 63 it does not).  Below it ``eigvalsh`` is also about twice as
-#: fast as an SVD, so ``_shifted_spectrum`` bounds only matrices this large.
+#: matrix (at 63 it does not): a d = 8 state, the largest whose Monte Carlo
+#: runs on every CPU (``workstats._workers``).  Below it ``eigvalsh`` wakes
+#: nothing and is about twice as fast as an SVD; above it the Monte Carlo
+#: runs on one thread, which OpenBLAS's worker does not slow, so the SVD
+#: would only cost time.  ``_shifted_spectrum`` bounds only this size.
 POOL_DIM = 64
 
 
@@ -102,12 +105,12 @@ def _shifted_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     c: lo = s_min - c and hi = s_max - c, each within rounding of order
     n eps c.  The singular values come from one stacked ``svd`` without
     vectors, which, unlike a Hermitian eigensolve or a BLAS-3 product, does
-    not start OpenBLAS's worker threads at n = 64 (a d = 8 state).  Below
-    ``POOL_DIM`` there are no bounds (None); where c is not finite they are
-    NaN, which every comparison fails.  Either way the callers leave the
-    decision to ``eigvalsh``.
+    not start OpenBLAS's worker threads at n = 64 (a d = 8 state).  At any
+    n other than ``POOL_DIM`` there are no bounds (None); where c is not
+    finite they are NaN, which every comparison fails.  Either way the
+    callers leave the decision to ``eigvalsh``.
     """
-    if m.shape[-1] < POOL_DIM:
+    if m.shape[-1] != POOL_DIM:
         return None
     lo, hi = np.full((2, len(m)), np.nan)
     h = np.where(np.tri(m.shape[-1], dtype=bool), m, dagger(m))
@@ -135,8 +138,8 @@ def _first_invalid_density(a: np.ndarray) -> tuple[int, str] | None:
     ``SPECTRUM_MARGIN`` c above ``PSD_TOL`` passes, and only the rest of
     those go to one stacked ``eigvalsh``, which decides and whose value
     fills the message.  So every decision and message is the eigensolver's,
-    while a valid state of dimension ``POOL_DIM`` or more passes with no
-    Hermitian eigensolve.  The error names the first failed check of that
+    while a valid state of dimension ``POOL_DIM`` passes with no Hermitian
+    eigensolve.  The error names the first failed check of that
     matrix, so a stack reports what the matrices one by one would.
     """
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

@@ -499,11 +499,11 @@ def histogram_fits(h: BatteryHamiltonian, bin_width: float) -> bool:
 
     They lie in [E - max spec H, E - min spec H], so they fill at most
     range / bin_width + 2 bins.  The range is compared with a product rather
-    than divided, since a subnormal width would overflow the quotient.  From
-    d = 8 up the range is read from ``linalg._shifted_spectrum``, so no
-    Hermitian eigensolve runs ahead of the histogram's Monte Carlo; a range
-    within ``SPECTRUM_MARGIN`` c of the limit, and a smaller H, go to
-    ``eigvalsh``, which decides.
+    than divided, since a subnormal width would overflow the quotient.  At
+    d = 8 the range is read from ``linalg._shifted_spectrum``, so no
+    Hermitian eigensolve wakes OpenBLAS's pool ahead of the histogram's
+    threaded Monte Carlo; a range within ``SPECTRUM_MARGIN`` c of the limit,
+    and an H of any other size, go to ``eigvalsh``, which decides.
     """
     limit = (MAX_HISTOGRAM_BINS - 2) * float(bin_width)
     bounds = _shifted_spectrum(h.total[None])

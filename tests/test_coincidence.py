@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
+import qbattery.coincidence as coincidence_module
 from qbattery.coincidence import (
+    SLACK_ROUNDING,
     avg_coincidence_closed,
     coincidence_bound,
     coincidence_povm,
@@ -172,16 +174,44 @@ def test_bound_exact_zero_slack_on_tuned_isotropic():
     assert abs(rep.slack) < 1e-12
 
 
-def test_slack_is_exactly_zero_where_the_bound_is_tight_at_d8():
-    """The d = 8 nearest-neighbour battery (X (x) X, ha2 = hb2, c < 0): the bound minus C rounds to -3.5e-18."""
-    d, eps = 8, 0.6
+def _tight_d8():
+    """The d = 8 nearest-neighbour battery (X (x) X, ha2 = hb2, c < 0) and a thermal mixture, where the bound is tight."""
+    d = 8
     hop = np.array([[float(abs(a - c) == 1) for c in range(d)] for a in range(d)])
     local = np.diag((d - 1) / 2 - np.arange(d)).astype(complex)
     h = battery_hamiltonian(local, local, np.kron(hop, hop), g=0.5)
-    rho = thermal_mixture_state(0.7, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
-    rep = coincidence_bound(rho, h, eps)
+    return thermal_mixture_state(0.7, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5)), h
+
+
+def test_slack_is_exactly_zero_where_the_bound_is_tight_at_d8():
+    """There the bound minus C rounds to -3.5e-18."""
+    rho, h = _tight_d8()
+    rep = coincidence_bound(rho, h, 0.6)
     assert rep.c_excess < 0 and h.ha2 == h.hb2
     assert rep.bound_rhs - rep.cbar_closed < 0  # the rounded difference the slack no longer reports
+    assert rep.slack == 0.0
+
+
+@pytest.mark.parametrize("excess", [1e-9, 1e-3])
+def test_a_closed_form_above_the_bound_is_reported_as_a_negative_slack(excess, monkeypatch):
+    """A C beyond rounding above the bound (here a perturbed closed form) is a violation and shows, not the closed slack."""
+    rho, h = _tight_d8()
+    exact = coincidence_bound(rho, h, 0.6)
+    sector_coincidence = coincidence_module._sector_coincidence
+    monkeypatch.setattr(
+        coincidence_module, "_sector_coincidence", lambda *args: sector_coincidence(*args) * (1.0 + excess)
+    )
+    rep = coincidence_bound(rho, h, 0.6)
+    assert rep.slack == rep.bound_rhs - rep.cbar_closed < 0.0
+    assert rep.slack == pytest.approx(-excess * exact.cbar_closed, rel=1e-4)
+
+
+def test_a_closed_form_above_the_bound_by_rounding_keeps_the_closed_slack(monkeypatch):
+    rho, h = _tight_d8()
+    sector_coincidence = coincidence_module._sector_coincidence
+    monkeypatch.setattr(coincidence_module, "_sector_coincidence", lambda *args: sector_coincidence(*args) * (1.0 + 1e-14))
+    rep = coincidence_bound(rho, h, 0.6)
+    assert -SLACK_ROUNDING * rep.bound_rhs < rep.bound_rhs - rep.cbar_closed < 0.0
     assert rep.slack == 0.0
 
 

@@ -250,9 +250,10 @@ def _check_verdict(m):
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_the_state_check_decides_as_eigvalsh_at_its_threshold(d):
-    """At and around PSD_TOL, and at 0, every accept/refuse decision and message is eigvalsh's."""
+    """At and around PSD_TOL, at 0 and on a rank-1 state, every accept/refuse decision and message is eigvalsh's."""
     cases = [_state_with_least_eigenvalue(PSD_TOL + s * 1e-11, d * d, 10 * d + k) for k, s in enumerate((-1, 1, -0.1, 0.1))]
     cases += [_state_with_least_eigenvalue(0.0, d * d, 20 * d), _state_with_least_eigenvalue(PSD_TOL, d * d, 30 * d)]
+    cases += [_state_with_least_eigenvalue(0.0, d * d, 60 * d, rank=1)]
     # Hermitian to within HERMITICITY_TOL only: eigvalsh reads the lower triangle, and so does the bound.  The
     # second one's upper triangle alone adds 1e-10 v v^dag along its least eigenvector v, which lifts the least
     # eigenvalue of its Hermitian part above PSD_TOL while eigvalsh's stays below.
@@ -270,9 +271,9 @@ def test_the_state_check_decides_as_eigvalsh_at_its_threshold(d):
     assert _check_verdict(np.stack(cases)) == next(v for v in verdicts if v is not None)
 
 
-@pytest.mark.parametrize("d", [8, 16])
-def test_a_valid_state_of_dimension_pool_dim_or_more_passes_with_no_hermitian_eigensolve(d, monkeypatch):
-    assert d * d >= POOL_DIM
+def test_a_valid_d8_state_passes_with_no_hermitian_eigensolve(monkeypatch):
+    d = 8
+    assert d * d == POOL_DIM
     eigvalsh = np.linalg.eigvalsh
 
     def refused(a, *args, **kwargs):
@@ -290,6 +291,21 @@ def test_a_valid_state_of_dimension_pool_dim_or_more_passes_with_no_hermitian_ei
     check_density(np.stack([rank_one, mixed]))
     with pytest.raises(AssertionError, match="eigvalsh called"):
         check_density(_state_with_least_eigenvalue(-1e-3, d * d, d + 2))
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_a_state_of_any_other_size_is_decided_by_eigvalsh(d, monkeypatch):
+    """Below d = 8 eigvalsh wakes no OpenBLAS worker; above it the Monte Carlo runs on one thread."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    DensityMatrix(_state_with_least_eigenvalue(1e-4, d * d, d))
+    assert calls == [(1, d * d, d * d)]
 
 
 def test_a_state_whose_norm_overflows_is_refused_by_eigvalsh():

@@ -287,7 +287,7 @@ def test_subnormal_bin_width_is_refused_without_a_numpy_warning():
 
 @pytest.mark.parametrize("d", [2, 8, 16])
 def test_the_bin_width_is_decided_as_eigvalsh_decides(d):
-    """Widths at and around the limit: the SVD bound leaves these to eigvalsh (and d = 2 never takes it)."""
+    """Widths at and around the limit: the SVD bound leaves these to eigvalsh (d = 2 and d = 16 never take it)."""
     h = make_random_battery(np.random.default_rng(60 + d), d)
     spectrum = np.linalg.eigvalsh(h.total)
     width = spectrum[-1] - spectrum[0]
