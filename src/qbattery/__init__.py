@@ -18,7 +18,6 @@ from .battery import (
     thermal_mixture_stack,
     thermal_mixture_state,
 )
-from .bloch import BlochForm, HermitianBasis, bloch_decompose, bloch_reconstruct, gell_mann_basis
 from .coincidence import (
     CoincidenceReport,
     avg_coincidence_closed,
@@ -26,14 +25,7 @@ from .coincidence import (
     coincidence_povm,
     mc_coincidence,
 )
-from .haar import (
-    HaarSampler,
-    SamplerConfig,
-    haar_unitary,
-    twirl1,
-    twirl2,
-    two_copy_local_twirl,
-)
+from .haar import HaarSampler, SamplerConfig, twirl1, twirl2
 from .linalg import (
     DensityMatrix,
     partial_trace,
@@ -45,7 +37,6 @@ from .linalg import (
 from .montecarlo import MomentAccumulator
 from .tpm import (
     NoisyPovm,
-    TpmSpectralStats,
     TpmVarianceReport,
     TpmWeights,
     energy_labels,
@@ -66,14 +57,6 @@ from .witness import (
     schmidt_t2_cap,
     work_variance_bound,
 )
-from .workstats import (
-    WorkHistogram,
-    WorkStatistics,
-    analytic_work_mean,
-    analytic_work_variance,
-    mc_work_statistics,
-    work,
-    work_histogram,
-)
+from .workstats import WorkHistogram, WorkStatistics, analytic_work_variance, mc_work_statistics, work
 
 __version__ = "0.1.0"

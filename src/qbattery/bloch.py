@@ -8,7 +8,8 @@ A d x d bipartite state decomposes as
                       + sum_ij t_ij lam_i (x) lam_j ),
 
 and the squared coefficient norms rA^2, rB^2, t^2 ("sector lengths") are
-invariant under local unitaries.
+invariant under local unitaries.  No closed form reads this basis: verify's
+``proof_inequalities`` check uses it as an independent reference.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ import numpy as np
 
 from .linalg import MAX_LOCAL_DIM, StateLike, _raw
 
-__all__ = [
-    "HermitianBasis",
-    "BlochForm",
-    "gell_mann_basis",
-    "bloch_decompose",
-    "bloch_reconstruct",
-    "operator_coeffs",
-    "interaction_coeffs",
-]
+__all__ = ["interaction_coeffs"]
 
 
 @dataclass(frozen=True)
@@ -123,24 +116,6 @@ def bloch_decompose(rho: StateLike, d: int) -> BlochForm:
     r_a = np.einsum("iab,ba->i", lam, red_a).real
     r_b = np.einsum("iab,ba->i", lam, red_b).real
     return BlochForm(d=d, r_a=r_a, r_b=r_b, t=_correlation_matrix(r4, lam))
-
-
-def bloch_reconstruct(form: BlochForm) -> np.ndarray:
-    """Rebuild the state matrix from its Bloch coefficients."""
-    d = form.d
-    lam = gell_mann_basis(d).matrices
-    eye = np.eye(d)
-    total = np.eye(d * d, dtype=np.complex128)
-    total += np.einsum("i,iab,cd->acbd", form.r_a, lam, eye).reshape(d * d, d * d)
-    total += np.einsum("i,ab,icd->acbd", form.r_b, eye, lam).reshape(d * d, d * d)
-    total += np.einsum("ij,iab,jcd->acbd", form.t, lam, lam).reshape(d * d, d * d)
-    return total / d**2
-
-
-def operator_coeffs(op: np.ndarray, d: int) -> np.ndarray:
-    """Traceless-basis coefficients h_i = tr[op lam_i] / d of a local operator."""
-    lam = gell_mann_basis(d).matrices
-    return np.einsum("iab,ba->i", lam, op).real / d
 
 
 def interaction_coeffs(op: np.ndarray, d: int) -> np.ndarray:

@@ -24,17 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_LOCAL_DIM, StateLike, partial_trace, purity, sector_lengths, subsystem_permutation, swap_operator
+from .linalg import MAX_LOCAL_DIM, StateLike, partial_trace, purity, sector_lengths, swap_operator
 
 __all__ = [
     "SamplerConfig",
     "HaarSampler",
-    "haar_unitary",
     "chunk_size",
     "pair_chunk",
     "twirl1",
     "twirl2",
-    "two_copy_local_twirl",
     "two_copy_local_twirl_probe",
 ]
 
@@ -81,9 +79,6 @@ class HaarSampler:
         b = self._rng.standard_normal((n, d, d))
         return _gram_schmidt(a, b)
 
-    def unitary(self) -> np.ndarray:
-        return self.unitaries(1)[0]
-
 
 def _gram_schmidt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Q of Z = a + ib, batch of shape (n, d, d), with R = Q^dag Z positive on its diagonal.
@@ -110,11 +105,6 @@ def _gram_schmidt(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     q.real = qr.transpose(2, 1, 0)
     q.imag = qi.transpose(2, 1, 0)
     return q
-
-
-def haar_unitary(cfg: SamplerConfig) -> np.ndarray:
-    """First Haar-random unitary of the stream addressed by ``cfg``."""
-    return HaarSampler(cfg).unitary()
 
 
 def chunk_size(d: int) -> int:
@@ -159,31 +149,14 @@ def twirl2(x: np.ndarray) -> np.ndarray:
     return (coeff_id * np.eye(dim2, dtype=np.complex128) + coeff_s * s) / (dim2 - 1)
 
 
-def two_copy_local_twirl(rho: StateLike, d: int) -> np.ndarray:
-    """Closed form of rho^(x)2 averaged over independent local unitary pairs.
-
-    The average of (U_A (x) U_B)^(x)2 rho^(x)2 (...)^dag depends on rho only
-    through the sector lengths rA^2, rB^2, t^2 and is built from the local
-    two-copy SWAPs.  Subsystem ordering of the returned d^4 x d^4 matrix is
-    (A, B, A', B'), matching ``np.kron(rho, rho)``.
-    """
-    r_a2, r_b2, t2 = sector_lengths(rho, d)
-    dims = (d, d, d, d)
-    swap_a = subsystem_permutation((2, 1, 0, 3), dims)
-    swap_b = subsystem_permutation((0, 3, 2, 1), dims)
-    eye = np.eye(d**4)
-    ga = d * swap_a - eye
-    gb = d * swap_b - eye
-    dd = d * d - 1
-    out = eye + (r_a2 * ga + r_b2 * gb + t2 * (ga @ gb) / dd) / dd
-    return out.astype(np.complex128) / d**4
-
-
 def two_copy_local_twirl_probe(rho: StateLike, d: int, p: np.ndarray) -> float:
-    """tr[(P (x) P) two_copy_local_twirl(rho, d)] for a Hermitian d^2 x d^2 probe P, in O(d^4).
+    """tr[(P (x) P) T] for a Hermitian d^2 x d^2 probe P, in O(d^4), T the two-copy local twirl of rho.
 
-    P (x) P reads (tr P)^2, tr[(tr_B P)^2], tr[(tr_A P)^2] and tr[P^2] on the
-    span {1, S_A, S_B, S_A S_B}, so the d^4 x d^4 matrix is never formed.
+    T, rho^(x)2 averaged over local unitary pairs on (A, B, A', B'), is
+    (1 + (rA^2 G_A + rB^2 G_B + t^2 G_A G_B / D) / D) / d^4 with G = d S - 1
+    for each side's two-copy SWAP S and D = d^2 - 1.  P (x) P reads
+    (tr P)^2, tr[(tr_B P)^2], tr[(tr_A P)^2] and tr[P^2] on the span
+    {1, S_A, S_B, S_A S_B}, so the d^4 x d^4 matrix is never formed.
     """
     r_a2, r_b2, t2 = sector_lengths(rho, d)
     one = np.trace(p).real ** 2

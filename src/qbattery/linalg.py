@@ -8,7 +8,7 @@ which dense eigensolvers are fast and well conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,11 +26,9 @@ __all__ = [
     "product_basis_rotation",
     "purity",
     "sector_lengths",
-    "subsystem_permutation",
     "swap_operator",
     "random_hermitian",
     "random_density_matrix",
-    "random_pure_state",
 ]
 
 # Construction of thermal / mixture states incurs rounding at the 1e-12
@@ -287,34 +285,17 @@ def sector_lengths(rho: StateLike, d: int):
     return tuple(k * _scalar(_sum_squares(x)) for k, x in parts)
 
 
-def subsystem_permutation(perm: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Operator P with (P psi)(i_0, ..) = psi(i_perm[0], ..) on product indices."""
-    dims = tuple(dims)
-    total = int(np.prod(dims))
-    src = np.arange(total).reshape(dims).transpose(perm).ravel()
-    p = np.zeros((total, total))
-    p[np.arange(total), src] = 1.0
-    return p
-
-
 def swap_operator(d: int) -> np.ndarray:
     """SWAP on two d-dimensional factors: S|a>|b> = |b>|a>."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    return subsystem_permutation((1, 0), (d, d))
+    return np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries (GUE-like, unnormalized)."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + dagger(g)) / 2
-
-
-def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Haar-random pure state as a rank-1 density matrix."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:

@@ -39,7 +39,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "battery_from_spec",
-    "battery_to_spec",
     "ising_params",
     "state_from_spec",
     "thermal_mixtures",
@@ -105,10 +104,13 @@ def _family(spec, section: str) -> tuple[str, object]:
 def _number(value, key: str, kind: type = float, check=None):
     """``kind(value)`` for a finite config value; a failed conversion or ``check`` is a ConfigError at ``key``.
 
-    A float with a fractional part is refused where an ``int`` is expected
+    Only a JSON number is one: a bool or a numeric string is refused.  A
+    float with a fractional part is refused where an ``int`` is expected
     (tested on the float itself: 64-bit seeds do not survive a float round trip).
     """
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"must be a number, got {value!r}")
         x = kind(value)
         if isinstance(x, float) and not math.isfinite(x):
             raise ValueError(f"must be finite, got {x}")
@@ -147,17 +149,6 @@ def ising_params(spec: dict) -> dict:
     if name != "ising":
         raise ConfigError("battery", "this sweep requires the 'ising' battery family")
     return {key: _number(p[key], f"battery.ising.{key}") for key in ISING_KEYS if key in p}
-
-
-def battery_to_spec(h: BatteryHamiltonian) -> dict:
-    return {
-        "explicit": {
-            "HA": matrix_to_json(h.ha),
-            "HB": matrix_to_json(h.hb),
-            "V": matrix_to_json(h.v),
-            "g": h.g,
-        }
-    }
 
 
 def thermal_mixtures(spec: dict, batteries: list[BatteryHamiltonian], alphas: list[float]) -> tuple[float, np.ndarray]:

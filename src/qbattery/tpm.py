@@ -41,7 +41,6 @@ from .workstats import (
 __all__ = [
     "NoisyPovm",
     "TpmWeights",
-    "TpmSpectralStats",
     "TpmVarianceReport",
     "povm_root_coeffs",
     "noisy_povm",

@@ -31,11 +31,9 @@ __all__ = [
     "WorkStatistics",
     "WorkHistogram",
     "work",
-    "analytic_work_mean",
     "sector_variance",
     "analytic_work_variance",
     "mc_work_statistics",
-    "work_histogram",
     "work_sample_summary",
     "MAX_HISTOGRAM_BINS",
 ]
@@ -95,11 +93,6 @@ def mean_work(m: np.ndarray, obs: np.ndarray) -> float:
     return expectation(m, obs) - float(np.trace(obs).real) / len(obs)
 
 
-def analytic_work_mean(rho: StateLike, h: BatteryHamiltonian) -> float:
-    """Haar-averaged work E - tr[H]/d^2."""
-    return mean_work(_state_data(rho, h.d), h.total)
-
-
 def sector_variance(
     r_a2: float, r_b2: float, t2: float, ha2: float, hb2: float, g2v2: float, d: int
 ) -> float:
@@ -124,14 +117,9 @@ def pair_kron(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     return np.einsum("nab,ncd->nacbd", ua, ub).reshape(k, d * d, d * d)
 
 
-def conjugate(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Batched U m U^dag for a stack of unitaries."""
-    return u @ m @ u.conj().transpose(0, 2, 1)
-
-
 def conjugation_traces(u: np.ndarray, m: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Batched tr[U m U^dag obs], one einsum per obs (one gives (k,), a stack (G, D, D) (k, G)): the kernels' reference."""
-    c = conjugate(u, m)
+    c = u @ m @ u.conj().transpose(0, 2, 1)
     traces = np.stack([np.einsum("nij,ji->n", c, o).real for o in np.reshape(obs, (-1,) + c.shape[1:])], axis=-1)
     return traces if np.ndim(obs) == 3 else traces[:, 0]
 
@@ -393,9 +381,17 @@ def rotated_energies(
 
 
 def _check_samples(n: int) -> None:
-    """Refuse fewer than the three samples the standard error of a variance needs."""
+    """Refuse an n that is no integer in [3, 2^63 - 1].
+
+    A variance's standard error needs three samples, and the cap keeps every
+    chunk index within Philox's 64-bit counter word.
+    """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"the number of samples must be an integer, got {n!r}")
     if n < 3:
         raise ValueError(f"need at least three samples, got {n}")
+    if n > 2**63 - 1:
+        raise ValueError(f"need at most 2^63 - 1 samples, got {n}")
 
 
 def iter_samples(
@@ -562,16 +558,3 @@ def mc_work_statistics(
     """Monte-Carlo mean/variance of work over n unitary pairs, with SEs."""
     stats, _ = work_sample_summary(rho, h, n, cfg)
     return stats
-
-
-def work_histogram(
-    rho: StateLike,
-    h: BatteryHamiltonian,
-    n: int,
-    bin_width: float,
-    cfg: SamplerConfig,
-) -> WorkHistogram:
-    """Histogram of n work samples in bins of ``bin_width`` anchored at 0."""
-    _, hist = work_sample_summary(rho, h, n, cfg, bin_width=bin_width)
-    assert hist is not None
-    return hist

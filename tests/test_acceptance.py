@@ -17,7 +17,7 @@ from qbattery.battery import (
     spectral_decomposition,
     thermal_mixture_state,
 )
-from qbattery.bloch import bloch_decompose, bloch_reconstruct, gell_mann_basis
+from qbattery.bloch import bloch_decompose, gell_mann_basis
 from qbattery.coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
 from qbattery.haar import HaarSampler, SamplerConfig, twirl2
 from qbattery.linalg import (
@@ -38,6 +38,7 @@ from qbattery.witness import detect_schmidt_number
 from qbattery.workstats import analytic_work_variance, work_sample_summary
 
 from conftest import make_random_battery
+from oracles import bloch_reconstruct
 
 
 def _report(name: str, passed: bool, detail: str, t0: float) -> None:

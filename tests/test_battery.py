@@ -11,11 +11,12 @@ from qbattery.battery import (
     spectral_decomposition,
     thermal_mixture_state,
 )
-from qbattery.bloch import bloch_decompose, interaction_coeffs, operator_coeffs
+from qbattery.bloch import bloch_decompose, interaction_coeffs
 from qbattery.linalg import partial_trace, random_density_matrix, random_hermitian
 from qbattery.workstats import analytic_work_variance
 
 from conftest import make_random_battery
+from oracles import operator_coeffs
 
 Z = np.diag([1.0, -1.0])
 

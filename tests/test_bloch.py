@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from qbattery.bloch import (
-    bloch_decompose,
-    bloch_reconstruct,
-    gell_mann_basis,
-    interaction_coeffs,
-    operator_coeffs,
-)
-from qbattery.linalg import purity, random_density_matrix, random_hermitian, random_pure_state, sector_lengths
+from qbattery.bloch import bloch_decompose, gell_mann_basis, interaction_coeffs
+from qbattery.linalg import purity, random_density_matrix, random_hermitian, sector_lengths
 
 from conftest import bell_state
+from oracles import bloch_reconstruct, operator_coeffs, random_pure_state
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -13,10 +13,12 @@ import pytest
 from qbattery.battery import battery_hamiltonian, spectral_decomposition
 from qbattery.coincidence import coincidence_bound
 from qbattery.haar import SamplerConfig
-from qbattery.linalg import DensityMatrix, purity, random_density_matrix, random_hermitian, random_pure_state
+from qbattery.linalg import DensityMatrix, purity, random_density_matrix, random_hermitian
 from qbattery.tpm import tpm_variance_closed_form
 from qbattery.witness import detect_schmidt_number
 from qbattery.workstats import analytic_work_variance, mc_work_statistics
+
+from oracles import random_pure_state
 
 D = 16
 

@@ -259,6 +259,15 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
         ("witness", {"battery": {"ising": {**_ISING, "b": float("inf")}}}, "battery.ising.b"),
         ("sweep", {"protocol": "variance", "parameters": {"b_grid": [float("nan")]}}, "parameters.b_grid"),
         ("variance", {"sampling": {"seed": 1, "n_unitaries": 1000.7}}, "sampling.n_unitaries"),
+        # n beyond Philox's 64-bit counter word, and values that are no JSON number
+        ("variance", {"sampling": {"seed": 1, "n_unitaries": 10**30}}, "sampling.n_unitaries"),
+        ("variance", {"sampling": {"seed": 1, "n_unitaries": 1e30}}, "sampling.n_unitaries"),
+        ("variance", {"sampling": {"seed": True, "n_unitaries": 10}}, "sampling.seed"),
+        ("variance", {"sampling": {"seed": 1, "n_unitaries": "10"}}, "sampling.n_unitaries"),
+        ("witness", {"state": {"thermal_mixture": {"alpha": "0.5", "T": 1.5}}}, "state.thermal_mixture.alpha"),
+        ("witness", {"state": {"thermal_mixture": {"alpha": 0.5, "T": "1.5"}}}, "state.thermal_mixture.T"),
+        ("witness", {"battery": {"ising": {**_ISING, "b": False}}}, "battery.ising.b"),
+        ("sweep", {"protocol": "tpm", "parameters": {"eps_grid": [True]}}, "parameters.eps_grid"),
         ("verify", {"parameters": {"d": 2.7}}, "parameters.d"),
         ("verify", {"parameters": {"se_multiplier": -1}}, "parameters.se_multiplier"),
         ("verify", {"parameters": {"se_multiplier": float("nan")}}, "parameters.se_multiplier"),

@@ -12,9 +12,10 @@ from qbattery.coincidence import (
     mc_coincidence,
 )
 from qbattery.haar import HaarSampler, SamplerConfig
-from qbattery.linalg import DensityMatrix, random_density_matrix, subsystem_permutation
+from qbattery.linalg import DensityMatrix, random_density_matrix
 
 from conftest import make_random_battery
+from oracles import subsystem_permutation
 
 
 def _ising_spec(b=0.45):
@@ -61,8 +62,8 @@ def test_per_unitary_identity_vs_four_copy_trace(rng):
         perm = subsystem_permutation((0, 2, 1, 3), (d, d, d, d))  # (A,A',B,B') -> (A,B,A',B')
         big = perm @ np.kron(paa, pbb) @ perm.T
         u = np.kron(
-            HaarSampler(SamplerConfig(d=d, seed=81)).unitary(),
-            HaarSampler(SamplerConfig(d=d, seed=82)).unitary(),
+            HaarSampler(SamplerConfig(d=d, seed=81)).unitaries(1)[0],
+            HaarSampler(SamplerConfig(d=d, seed=82)).unitaries(1)[0],
         )
         rot = u @ rho @ u.conj().T
         literal = np.trace(big @ np.kron(rot, rot)).real
@@ -75,8 +76,8 @@ def test_sharp_limit_matches_projective_enumeration(rng):
     spec = spectral_decomposition(make_random_battery(rng, d))
     rho = random_density_matrix(rng, d * d).data
     u = np.kron(
-        HaarSampler(SamplerConfig(d=d, seed=83)).unitary(),
-        HaarSampler(SamplerConfig(d=d, seed=84)).unitary(),
+        HaarSampler(SamplerConfig(d=d, seed=83)).unitaries(1)[0],
+        HaarSampler(SamplerConfig(d=d, seed=84)).unitaries(1)[0],
     )
     rot = u @ rho @ u.conj().T
     prob = 0.0

@@ -19,11 +19,11 @@ from qbattery.battery import (
     thermal_mixture_state,
 )
 from qbattery.coincidence import mc_coincidence
-from qbattery.haar import DEFAULT_CHUNK, SamplerConfig, haar_unitary
+from qbattery.haar import DEFAULT_CHUNK, HaarSampler, SamplerConfig
 from qbattery.linalg import random_density_matrix, random_hermitian
 from qbattery.tpm import mc_tpm_statistics, tpm_variance_closed_form
 from qbattery.witness import detect_schmidt_number
-from qbattery.workstats import analytic_work_variance, mc_work_statistics, work_histogram
+from qbattery.workstats import analytic_work_variance, mc_work_statistics, work_sample_summary
 
 FIRST_UNITARY_D3_SEED20240901_STREAM2 = np.array(
     [
@@ -59,7 +59,7 @@ HISTOGRAM_COUNTS_N1000_SEED7_STREAM1 = [
 
 
 def test_first_haar_unitary_is_pinned():
-    u = haar_unitary(SamplerConfig(d=3, seed=20240901, stream=2))
+    u = HaarSampler(SamplerConfig(d=3, seed=20240901, stream=2)).unitaries(1)[0]
     np.testing.assert_allclose(u, FIRST_UNITARY_D3_SEED20240901_STREAM2, rtol=0, atol=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_mc_work_statistics_is_pinned():
 
 def test_work_histogram_is_pinned():
     h, rho, cfg = _default_point()
-    hist = work_histogram(rho, h, 1000, 0.05, cfg)
+    hist = work_sample_summary(rho, h, 1000, cfg, bin_width=0.05)[1]
     assert hist.origin == HISTOGRAM_ORIGIN_N1000_SEED7_STREAM1
     assert hist.counts.tolist() == HISTOGRAM_COUNTS_N1000_SEED7_STREAM1
     assert hist.n_samples == 1000

@@ -9,15 +9,15 @@ from qbattery.haar import (
     _gram_schmidt,
     SamplerConfig,
     chunk_size,
-    haar_unitary,
     pair_chunk,
     twirl1,
     twirl2,
-    two_copy_local_twirl,
     two_copy_local_twirl_probe,
 )
-from qbattery.linalg import MAX_LOCAL_DIM, random_density_matrix, random_hermitian, subsystem_permutation, swap_operator
+from qbattery.linalg import MAX_LOCAL_DIM, random_density_matrix, random_hermitian, swap_operator
 from qbattery.workstats import iter_samples
+
+from oracles import subsystem_permutation, two_copy_local_twirl
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def _partial_two_copy_twirl(x, d, positions):
 
 def test_unitarity():
     for d in (2, 3, 5):
-        u = haar_unitary(SamplerConfig(d=d, seed=1))
+        u = HaarSampler(SamplerConfig(d=d, seed=1)).unitaries(1)[0]
         assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-12
 
 
@@ -159,7 +159,7 @@ def test_left_right_invariance_ks(rng):
     d = 3
     x = random_hermitian(rng, d)
     y = random_hermitian(rng, d)
-    v = haar_unitary(SamplerConfig(d=d, seed=1234))
+    v = HaarSampler(SamplerConfig(d=d, seed=1234)).unitaries(1)[0]
     u1 = HaarSampler(SamplerConfig(d=d, seed=7, stream=0)).unitaries(2000)
     u2 = HaarSampler(SamplerConfig(d=d, seed=7, stream=1)).unitaries(2000)
     plain = np.einsum("nij,ji->n", u1 @ x @ u1.conj().transpose(0, 2, 1), y).real
@@ -228,8 +228,8 @@ def test_two_copy_local_twirl_against_exact_partial_twirls(rng, d):
 def test_two_copy_local_twirl_depends_only_on_sector_lengths(rng):
     d = 2
     rho = random_density_matrix(rng, d * d).data
-    va = haar_unitary(SamplerConfig(d=d, seed=2))
-    vb = haar_unitary(SamplerConfig(d=d, seed=3))
+    va = HaarSampler(SamplerConfig(d=d, seed=2)).unitaries(1)[0]
+    vb = HaarSampler(SamplerConfig(d=d, seed=3)).unitaries(1)[0]
     u = np.kron(va, vb)
     rotated = u @ rho @ u.conj().T
     np.testing.assert_allclose(

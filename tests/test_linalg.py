@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from qbattery import workstats
 from qbattery.bloch import gell_mann_basis
-from qbattery.haar import SamplerConfig, haar_unitary
+from qbattery.haar import HaarSampler, SamplerConfig
 from qbattery.linalg import (
+    MAX_LOCAL_DIM,
     POOL_DIM,
     PSD_TOL,
     DensityMatrix,
@@ -16,13 +18,12 @@ from qbattery.linalg import (
     purity,
     random_density_matrix,
     random_hermitian,
-    random_pure_state,
     sector_lengths,
     swap_operator,
-    subsystem_permutation,
 )
 
 from conftest import bell_state
+from oracles import random_pure_state, subsystem_permutation
 
 
 def test_density_matrix_rejects_non_hermitian():
@@ -196,7 +197,7 @@ def test_a_stack_is_refused_for_its_first_invalid_matrix_by_its_first_failed_che
 
 
 def _unitary_pair(d):
-    return haar_unitary(SamplerConfig(d, 40 + d, 0)), haar_unitary(SamplerConfig(d, 40 + d, 1))
+    return HaarSampler(SamplerConfig(d, 40 + d, 0)).unitaries(1)[0], HaarSampler(SamplerConfig(d, 40 + d, 1)).unitaries(1)[0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
@@ -291,6 +292,13 @@ def test_a_valid_d8_state_passes_with_no_hermitian_eigensolve(monkeypatch):
     check_density(np.stack([rank_one, mixed]))
     with pytest.raises(AssertionError, match="eigvalsh called"):
         check_density(_state_with_least_eigenvalue(-1e-3, d * d, d + 2))
+
+
+def test_pool_dim_is_the_state_dimension_of_the_last_threaded_d(monkeypatch):
+    """The SVD bound covers exactly the states of the largest d whose Monte Carlo runs on several threads."""
+    monkeypatch.setattr(workstats, "_cpus", lambda: 2)
+    threaded = [d for d in range(2, MAX_LOCAL_DIM + 1) if workstats._workers(d) > 1]
+    assert POOL_DIM == max(threaded) ** 2
 
 
 @pytest.mark.parametrize("d", [4, 16])

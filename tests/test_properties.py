@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_battery
+from oracles import random_pure_state
 from qbattery.battery import spectral_decomposition
 from qbattery.coincidence import avg_coincidence_closed, coincidence_bound
-from qbattery.haar import SamplerConfig, haar_unitary
-from qbattery.linalg import DensityMatrix, random_density_matrix, random_pure_state
+from qbattery.haar import HaarSampler, SamplerConfig
+from qbattery.linalg import DensityMatrix, random_density_matrix
 from qbattery.tpm import tpm_variance_closed_form
 from qbattery.witness import detect_schmidt_number
 from qbattery.workstats import analytic_work_variance
@@ -31,7 +32,7 @@ def test_variance_and_coincidence_are_local_unitary_invariant(d, seed, eps_a, ep
     h = make_random_battery(rng, d)
     spec = spectral_decomposition(h)
     rho = random_density_matrix(rng, d * d)
-    u = np.kron(haar_unitary(SamplerConfig(d, seed, 0)), haar_unitary(SamplerConfig(d, seed, 1)))
+    u = np.kron(HaarSampler(SamplerConfig(d, seed, 0)).unitaries(1)[0], HaarSampler(SamplerConfig(d, seed, 1)).unitaries(1)[0])
     rotated = DensityMatrix(u @ rho.data @ u.conj().T)
     np.testing.assert_allclose(
         analytic_work_variance(rotated, h).variance, analytic_work_variance(rho, h).variance, rtol=1e-10

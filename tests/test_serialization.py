@@ -10,11 +10,12 @@ from qbattery.runner import ExperimentConfig
 from qbattery.serialization import (
     ConfigError,
     battery_from_spec,
-    battery_to_spec,
     matrix_from_json,
     matrix_to_json,
     state_from_spec,
 )
+
+from oracles import battery_to_spec
 
 
 def test_matrix_round_trip(rng):

@@ -161,8 +161,8 @@ def test_tpm_run_zero_for_trivial_round():
 
 def test_tpm_run_zero_for_maximally_mixed():
     spec = _ising_spec()
-    ua = HaarSampler(SamplerConfig(d=4, seed=61)).unitary()
-    ub = HaarSampler(SamplerConfig(d=4, seed=62)).unitary()
+    ua = HaarSampler(SamplerConfig(d=4, seed=61)).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(d=4, seed=62)).unitaries(1)[0]
     assert abs(tpm_run(np.eye(16) / 16, spec, 0.7, 0.9, ua, ub)) < 1e-12
 
 
@@ -171,8 +171,8 @@ def test_tpm_run_projective_matches_enumeration_oracle(rng):
     d = 2
     spec = spectral_decomposition(make_random_battery(rng, d))
     rho = random_density_matrix(rng, d * d).data
-    ua = HaarSampler(SamplerConfig(d=d, seed=63)).unitary()
-    ub = HaarSampler(SamplerConfig(d=d, seed=64)).unitary()
+    ua = HaarSampler(SamplerConfig(d=d, seed=63)).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(d=d, seed=64)).unitaries(1)[0]
     u = np.kron(ua, ub)
     value = 0.0
     for i in range(d):
@@ -197,7 +197,7 @@ def test_tpm_run_matches_instrument_identity(rng):
         base = np.trace(rho.data @ spec.h_diag).real
         sampler = HaarSampler(SamplerConfig(d=d, seed=65))
         for _ in range(3):
-            ua, ub = sampler.unitary(), sampler.unitary()
+            ua, ub = sampler.unitaries(1)[0], sampler.unitaries(1)[0]
             u = np.kron(ua, ub)
             expected = base - np.trace(u @ xi @ u.conj().T @ spec.h_diag).real
             assert abs(tpm_run(rho, spec, 0.45, 0.8, ua, ub) - expected) < 1e-10
@@ -284,8 +284,8 @@ def test_probability_closure(rng):
     assert abs(m.sum() - 1) < 1e-12
     kr = np.einsum("iab,jcd->ijacbd", pa.roots, pb.roots).reshape(d * d, d * d, d * d)
     u = np.kron(
-        HaarSampler(SamplerConfig(d=d, seed=66)).unitary(),
-        HaarSampler(SamplerConfig(d=d, seed=67)).unitary(),
+        HaarSampler(SamplerConfig(d=d, seed=66)).unitaries(1)[0],
+        HaarSampler(SamplerConfig(d=d, seed=67)).unitaries(1)[0],
     )
     for idx in range(d * d):
         if m[idx] < 1e-14:
@@ -565,8 +565,8 @@ def test_shot_sampling_converges_to_exact(rng):
 
     spec = _ising_spec()
     rho = _mixture(0.6)
-    ua = HaarSampler(SamplerConfig(d=4, seed=74)).unitary()
-    ub = HaarSampler(SamplerConfig(d=4, seed=75)).unitary()
+    ua = HaarSampler(SamplerConfig(d=4, seed=74)).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(d=4, seed=75)).unitaries(1)[0]
     exact = tpm_run(rho, spec, 0.7, 0.7, ua, ub)
     draws = np.array(
         [tpm_shot_sample(rho, spec, 0.7, 0.7, ua, ub, 4000, np.random.default_rng(s)) for s in range(12)]

@@ -4,7 +4,7 @@ import pytest
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, thermal_mixture_state
 from qbattery.bloch import bloch_decompose
 from qbattery.haar import HaarSampler, SamplerConfig
-from qbattery.linalg import DensityMatrix, random_density_matrix, random_pure_state
+from qbattery.linalg import DensityMatrix, random_density_matrix
 from qbattery.witness import (
     detect_schmidt_number,
     pure_state_report,
@@ -14,6 +14,7 @@ from qbattery.witness import (
 from qbattery.workstats import analytic_work_variance
 
 from conftest import make_random_battery, max_entangled_state
+from oracles import random_pure_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -128,8 +129,8 @@ def test_ppt_threshold_below_witness_threshold():
 def test_local_unitary_invariance(rng):
     h = _ising()
     rho = _mixture(0.8, h)
-    va = HaarSampler(SamplerConfig(d=4, seed=51)).unitary()
-    vb = HaarSampler(SamplerConfig(d=4, seed=52)).unitary()
+    va = HaarSampler(SamplerConfig(d=4, seed=51)).unitaries(1)[0]
+    vb = HaarSampler(SamplerConfig(d=4, seed=52)).unitaries(1)[0]
     u = np.kron(va, vb)
     rotated = DensityMatrix(u @ rho.data @ u.conj().T)
     a = detect_schmidt_number(rho, h)

@@ -12,7 +12,7 @@ from qbattery import workstats
 from qbattery.battery import battery_hamiltonian, gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_state
 from qbattery.coincidence import avg_coincidence_closed, coincidence_bound, mc_coincidence
 from qbattery.haar import HaarSampler, SamplerConfig, chunk_size, pair_chunk
-from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermitian, random_pure_state
+from qbattery.linalg import DensityMatrix, random_density_matrix, random_hermitian
 from qbattery.tpm import (
     instrument_average,
     mc_tpm_statistics,
@@ -29,9 +29,7 @@ from qbattery.workstats import (
     _projector_coordinates,
     _real_adjoint,
     _rotated_planes,
-    analytic_work_mean,
     analytic_work_variance,
-    conjugate,
     conjugation_traces,
     histogram_fits,
     iter_samples,
@@ -43,11 +41,11 @@ from qbattery.workstats import (
     rotated_populations,
     summarize,
     work,
-    work_histogram,
     work_sample_summary,
 )
 
 from conftest import bell_state, make_random_battery, tag_chunks
+from oracles import random_pure_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -76,8 +74,8 @@ def test_work_zero_for_commuting_invariant_state():
 def test_work_dual_path(rng):
     h = make_random_battery(rng, 3)
     rho = random_density_matrix(rng, 9)
-    ua = HaarSampler(SamplerConfig(d=3, seed=8)).unitary()
-    ub = HaarSampler(SamplerConfig(d=3, seed=9)).unitary()
+    ua = HaarSampler(SamplerConfig(d=3, seed=8)).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(d=3, seed=9)).unitaries(1)[0]
     u = np.kron(ua, ub)
     expected = np.trace(rho.data @ h.total).real - np.trace(rho.data @ u.conj().T @ h.total @ u).real
     assert abs(work(rho, h, ua, ub) - expected) < 1e-12
@@ -89,14 +87,14 @@ def test_analytic_mean_trivials(rng):
         h.ha - np.trace(h.ha) / 2 * np.eye(2), h.hb - np.trace(h.hb) / 2 * np.eye(2), h.v, h.g
     )
     assert abs(np.trace(hh.total)) < 1e-10
-    assert abs(analytic_work_mean(np.eye(4) / 4, hh)) < 1e-12
+    assert abs(analytic_work_variance(np.eye(4) / 4, hh).mean) < 1e-12
 
 
 def test_mean_shift_invariance(rng):
     h = make_random_battery(rng, 2)
     rho = random_density_matrix(rng, 4)
     shifted = battery_hamiltonian(h.ha + 2.5 * np.eye(2), h.hb, h.v, h.g)
-    assert abs(analytic_work_mean(rho, h) - analytic_work_mean(rho, shifted)) < 1e-12
+    assert abs(analytic_work_variance(rho, h).mean - analytic_work_variance(rho, shifted).mean) < 1e-12
 
 
 def test_variance_shift_invariance(rng):
@@ -180,15 +178,20 @@ def test_mc_rejects_tiny_n():
         mc_work_statistics(bell_state(), _bell_battery(), 1, SamplerConfig(d=2, seed=1))
 
 
+@pytest.mark.parametrize("n, message", [(10**30, "at most 2^63 - 1"), (3.5, "must be an integer")])
+def test_mc_refuses_an_n_beyond_the_counter_or_not_an_integer(n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mc_work_statistics(bell_state(), _bell_battery(), n, SamplerConfig(d=2, seed=1))
+
+
 @pytest.mark.parametrize(
     "run",
     [
         lambda rho, h, cfg: mc_work_statistics(rho, h, 10, cfg),
-        lambda rho, h, cfg: work_histogram(rho, h, 10, 0.1, cfg),
+        lambda rho, h, cfg: work_sample_summary(rho, h, 10, cfg, bin_width=0.1)[1],
         lambda rho, h, cfg: mc_coincidence(rho, spectral_decomposition(h), 0.5, 0.5, 10, cfg),
         # every other entry point that takes a state for a battery reads it through the same intake
         lambda rho, h, cfg: work(rho, h, np.eye(4), np.eye(4)),
-        lambda rho, h, cfg: analytic_work_mean(rho, h),
         lambda rho, h, cfg: analytic_work_variance(rho, h),
         lambda rho, h, cfg: instrument_average(rho, spectral_decomposition(h), 0.5, 0.5),
         lambda rho, h, cfg: tpm_run(rho, spectral_decomposition(h), 0.5, 0.5, np.eye(4), np.eye(4)),
@@ -214,7 +217,7 @@ def test_a_monte_carlo_run_refuses_a_state_of_the_wrong_size_as_work_does(run):
 
 def test_histogram_counts_sum():
     h = _bell_battery()
-    hist = work_histogram(bell_state(), h, 4000, 0.1, SamplerConfig(d=2, seed=11))
+    hist = work_sample_summary(bell_state(), h, 4000, SamplerConfig(d=2, seed=11), bin_width=0.1)[1]
     assert hist.counts.sum() == 4000
     assert abs(hist.origin / 0.1 - round(hist.origin / 0.1)) < 1e-9  # anchored at 0
     assert len(hist.edges()) == len(hist.counts) + 1
@@ -250,7 +253,7 @@ def test_summary_consistent_with_parts():
 
 def test_histogram_rejects_bad_bin_width():
     with pytest.raises(ValueError):
-        work_histogram(bell_state(), _bell_battery(), 100, 0.0, SamplerConfig(d=2, seed=1))
+        work_sample_summary(bell_state(), _bell_battery(), 100, SamplerConfig(d=2, seed=1), bin_width=0.0)
 
 
 def test_histogram_matches_direct_binning_across_chunks():
@@ -258,7 +261,7 @@ def test_histogram_matches_direct_binning_across_chunks():
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     rho = DensityMatrix(np.eye(16) / 16)
     cfg = SamplerConfig(d=4, seed=21)
-    hist = work_histogram(rho, h, 10_000, 0.05, cfg)
+    hist = work_sample_summary(rho, h, 10_000, cfg, bin_width=0.05)[1]
     idx = np.floor(np.concatenate(list(iter_work_values(rho, h, 10_000, cfg))) / 0.05).astype(np.int64)
     assert hist.origin == idx.min() * 0.05
     assert hist.counts.tolist() == np.bincount(idx - idx.min()).tolist()
@@ -272,7 +275,7 @@ def test_histogram_rejects_too_many_bins_before_sampling():
     assert np.ptp(np.linalg.eigvalsh(h.total)) / 1e-12 + 2 > MAX_HISTOGRAM_BINS
     assert not histogram_fits(h, 1e-12)
     with pytest.raises(ValueError, match="bins"):
-        work_histogram(bell_state(), h, 100, 1e-12, SamplerConfig(d=2, seed=1))
+        work_sample_summary(bell_state(), h, 100, SamplerConfig(d=2, seed=1), bin_width=1e-12)
 
 
 def test_subnormal_bin_width_is_refused_without_a_numpy_warning():
@@ -282,7 +285,7 @@ def test_subnormal_bin_width_is_refused_without_a_numpy_warning():
         assert not histogram_fits(h, 5e-324)
         assert histogram_fits(h, 1e308)
         with pytest.raises(ValueError, match="bins"):
-            work_histogram(bell_state(), h, 100, 5e-324, SamplerConfig(d=2, seed=1))
+            work_sample_summary(bell_state(), h, 100, SamplerConfig(d=2, seed=1), bin_width=5e-324)
 
 
 @pytest.mark.parametrize("d", [2, 8, 16])
@@ -367,7 +370,8 @@ def test_rotated_populations_match_the_kronecker_reference(case, d):
     sampler = HaarSampler(SamplerConfig(d=d, seed=32))
     ua, ub = sampler.unitaries(5), sampler.unitaries(5)
     basis = np.kron(spec.vecs_a, spec.vecs_b)
-    rotated = basis.conj().T @ conjugate(pair_kron(ua, ub), x) @ basis
+    u = pair_kron(ua, ub)
+    rotated = basis.conj().T @ u @ x @ u.conj().transpose(0, 2, 1) @ basis
     reference = np.einsum("nxx->nx", rotated).real.reshape(5, d, d)
     assert np.max(np.abs(rotated_populations(x, spec)(ua, ub) - reference)) < 1e-12
 
