@@ -3,11 +3,14 @@
 Subcommands: variance, witness, histogram, tpm, coincidence, sweep, verify.
 Each takes an optional JSON config (--config) plus flag overrides; results
 go to stdout or --out as CSV/JSON.  ``runner.CONFIG_KEYS`` lists the keys
-each run reads; a config key or flag that the run does not read, or a config
-``protocol`` naming another run, is a configuration error naming the key
-(for a flag given to a sweep, also the grid that the sweep scans instead).
+each run reads and declares every override flag: each subcommand parses
+every flag, as the number its text spells, and writes it at its key, where
+the key's rule decides as for a config value.  A config key or flag that
+the run does not read, or a config ``protocol`` naming another run, is a
+configuration error naming the key (for a flag given to a sweep, also the
+grid that the sweep scans instead).
 variance, tpm, coincidence and the TPM sweep add Monte Carlo exactly when
-``--n`` (``sampling.n_unitaries``) is given; histogram and verify always sample.
+``sampling.n_unitaries`` is given; histogram and verify always sample.
 ``--format`` (default CSV) applies to sweep and histogram only; the other
 runs write JSON and refuse it as a configuration error.
 Exit codes: 0 success, 1 configuration error (a usage error, keyed by the
@@ -49,6 +52,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(self.prog, message)
 
 
+def number(text: str) -> int | float:
+    """The number a flag's text spells: an ``int`` for an integer literal, else a ``float``."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qbattery",
@@ -56,35 +67,23 @@ def build_parser() -> argparse.ArgumentParser:
         "for bipartite quantum batteries under random local unitaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int, help="sampler seed (mandatory for Monte Carlo)")
-        p.add_argument("--n", type=int, help="number of unitary pairs")
-        p.add_argument("--eps", type=float, help="symmetric detector efficiency")
-        p.add_argument("--eps-a", type=float, help="detector efficiency on side A")
-        p.add_argument("--eps-b", type=float, help="detector efficiency on side B")
-        p.add_argument("--alpha", type=float, help="thermal-mixture ratio override (sweeps: parameters.alpha_grid)")
-        p.add_argument("--b", type=float, help="Ising field strength override (variance sweep: parameters.b_grid)")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="sweep/histogram output format (default: csv)")
-
     for name, doc in (
-        ("variance", "closed-form work variance at one point (Monte Carlo with --n)"),
+        ("variance", "closed-form work variance at one point (Monte Carlo given sampling.n_unitaries)"),
         ("witness", "Schmidt-number witness report at one point"),
         ("histogram", "Monte-Carlo work histogram at one point"),
-        ("tpm", "noisy two-point-measurement report at one point (Monte Carlo with --n)"),
-        ("coincidence", "two-copy coincidence report at one point (Monte Carlo with --n)"),
-        ("sweep", "parameter-grid sweep (protocol from config: variance, or tpm with Monte Carlo given --n)"),
+        ("tpm", "noisy two-point-measurement report at one point (Monte Carlo given sampling.n_unitaries)"),
+        ("coincidence", "two-copy coincidence report at one point (Monte Carlo given sampling.n_unitaries)"),
+        ("sweep", "grid sweep of the config's protocol: variance, or tpm (Monte Carlo given sampling.n_unitaries)"),
         ("verify", "run all closed-form vs Monte-Carlo cross-checks"),
     ):
         p = sub.add_parser(name, help=doc)
-        add_common(p)
-        if name == "histogram":
-            p.add_argument("--bin-width", type=float, help="histogram bin width")
-        if name == "verify":
-            p.add_argument("--d", type=int, help="local dimension of the checks")
-
+        p.add_argument("--config", help="JSON experiment config")
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), help="sweep/histogram output format (default: csv)")
+        for key, (runs, flag, _) in CONFIG_KEYS.items():
+            if flag:
+                readers = ", ".join(runs)
+                p.add_argument(flag, type=number, dest=key, metavar="NUMBER", help=f"sets {key}; read by {readers}")
     return parser
 
 
@@ -103,7 +102,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     run = f"{cfg.protocol or 'variance'} sweep" if args.command == "sweep" else args.command
     cfg.check(run)
     for key, (runs, flag, grid) in CONFIG_KEYS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
+        value = getattr(args, key, None)
         if value is None:
             continue
         if run not in runs:

@@ -68,13 +68,20 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(obj, key: str = "matrix") -> np.ndarray:
-    """Parse the [re, im]-pair encoding back into a complex matrix."""
+    """Parse the [re, im]-pair encoding back into a complex matrix; each entry is a config number (``_number``).
+
+    ``asarray`` converts the whole matrix at once, but it also turns a numeric
+    string, a bool or null into a float, so the entries' types are read too.
+    """
     try:
         arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(key, f"not a numeric matrix: {exc}") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ConfigError(key, f"expected rows of [re, im] pairs, got shape {arr.shape}")
+    if {type(x) for row in obj for pair in row for x in pair} - {int, float} or not np.isfinite(arr).all():
+        for x in np.asarray(obj, dtype=object).flat:
+            _number(x, key)  # refuses the first entry that is no finite number
     return arr[..., 0] + 1j * arr[..., 1]
 
 

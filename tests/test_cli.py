@@ -206,6 +206,18 @@ _ISING_J1_X = {"ising": {"J1": "x", "J2": 1.0, "J3": 0.5, "b": 0.45}}
 _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
 
 
+def _with(matrix, i, j, part, value):
+    """A copy of an [re, im]-pair matrix with entry (i, j)'s real (part 0) or imaginary (part 1) number replaced."""
+    copy = json.loads(json.dumps(matrix))
+    copy[i][j][part] = value
+    return copy
+
+
+def _mixed16(i, j, part, value):
+    """The maximally mixed state of the default d = 4 battery with one number replaced."""
+    return _with([[[0.0625 if a == b else 0.0, 0.0] for b in range(16)] for a in range(16)], i, j, part, value)
+
+
 @pytest.mark.parametrize(
     "command, config, key",
     [
@@ -302,6 +314,20 @@ _ISING = {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}
         ("sweep", {"sampling": {"seed": 3}}, "sampling.seed"),
         ("histogram", {"sampling": {"mc": True, "seed": 1, "n_unitaries": 10}}, "sampling.mc"),
         ("sweep", {"protocol": "witness"}, "protocol"),
+        # matrix entries are config numbers too: no string, bool, NaN or float-overflowing integer
+        ("variance", {"state": {"matrix": _mixed16(0, 0, 0, "0.0625")}}, "state.matrix"),
+        ("variance", {"state": {"matrix": _mixed16(1, 1, 1, False)}}, "state.matrix"),
+        ("variance", {"state": {"matrix": _mixed16(0, 0, 0, 10**400)}}, "state.matrix"),
+        (
+            "witness",
+            {"battery": {"explicit": {"HA": _Z, "HB": _Z, "V": _with(_Z_Z, 0, 0, 0, float("nan")), "g": 1.0}}},
+            "battery.explicit.V",
+        ),
+        (
+            "witness",
+            {"battery": {"explicit": {"HA": _with(_Z, 1, 0, 1, True), "HB": _Z, "V": _Z_Z, "g": 1.0}}},
+            "battery.explicit.HA",
+        ),
     ],
 )
 def test_cli_config_file_out_of_range_is_a_config_error(tmp_path, command, config, key):
@@ -601,7 +627,7 @@ def test_cli_unreadable_config_path_is_a_one_line_error(tmp_path, capsys):
     [
         (["variance", "--foo"], "qbattery", "unrecognized arguments: --foo"),
         (["sweep", "--mc"], "qbattery", "unrecognized arguments: --mc"),
-        (["histogram", "--n", "abc"], "qbattery histogram", "argument --n: invalid int value: 'abc'"),
+        (["histogram", "--n", "abc"], "qbattery histogram", "argument --n: invalid number value: 'abc'"),
         ([], "qbattery", "the following arguments are required: command"),
     ],
 )
@@ -698,9 +724,9 @@ _COMMANDS = build_parser()._subparsers._group_actions[0].choices
 
 @pytest.mark.parametrize("command", _COMMANDS)
 def test_cli_every_flag_of_a_subcommand_sets_a_config_key(command):
-    """Besides -h, --config, --out and --format, a subcommand has only the flags of CONFIG_KEYS (so no --mc)."""
+    """Besides -h, --config, --out and --format, a subcommand has exactly the flags of CONFIG_KEYS (so no --mc)."""
     flags = {flag for _, flag, _ in CONFIG_KEYS.values() if flag}
-    assert set(_COMMANDS[command]._option_string_actions) - flags == {"-h", "--help", "--config", "--out", "--format"}
+    assert set(_COMMANDS[command]._option_string_actions) == flags | {"-h", "--help", "--config", "--out", "--format"}
 
 
 # A valid value for every config key, small enough that each run takes well under a second.
@@ -761,6 +787,37 @@ def test_cli_every_flag_a_run_reads_is_accepted(tmp_path, capsys, run, dest):
 _RUNS = list(dict.fromkeys(run for runs, _, _ in CONFIG_KEYS.values() for run in runs))
 
 
+@pytest.mark.parametrize(
+    "run, key", [(run, key) for key, (runs, flag, _) in CONFIG_KEYS.items() if flag for run in _RUNS if run not in runs]
+)
+def test_cli_every_flag_a_run_does_not_read_is_refused(tmp_path, capsys, run, key):
+    _, flag, grid = CONFIG_KEYS[key]
+    assert main(_run_args(tmp_path, run) + [flag, str(_VALUES[key])]) == 1
+    scans = f"; a sweep scans {grid}" if run.endswith(" sweep") and grid else ""
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {flag}: {run} does not read {key}{scans}"]
+
+
+@pytest.mark.parametrize(
+    "run, flags, config, code",
+    [
+        ("variance", ["--seed", "1", "--n", "2.5"], {"sampling": {"seed": 1, "n_unitaries": 2.5}}, 1),
+        ("verify", ["--d", "2.5"], {"parameters": {"d": 2.5}}, 1),
+        ("variance", ["--seed", "1.5", "--n", "100"], {"sampling": {"seed": 1.5, "n_unitaries": 100}}, 1),
+        ("variance", ["--seed", "1.0", "--n", "1e3"], {"sampling": {"seed": 1.0, "n_unitaries": 1e3}}, 0),
+    ],
+)
+def test_cli_a_flag_and_its_config_key_follow_one_number_rule(tmp_path, capsys, run, flags, config, code):
+    """A flag is the number its text spells, and its key's rule decides, so flag and config give the same bytes."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    outputs = []
+    for args in ([run, *flags], [run, "--config", str(path)]):
+        assert main(args) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].err.splitlines()) == code  # one stderr line on a refusal, none on a run
+
+
 @pytest.mark.parametrize("run", _RUNS)
 @pytest.mark.parametrize("key", [*_FILE_KEYS, *_REMOVED_KEYS])
 def test_cli_config_key_is_read_or_refused_by_each_run(tmp_path, capsys, key, run):
@@ -774,23 +831,16 @@ def test_cli_config_key_is_read_or_refused_by_each_run(tmp_path, capsys, key, ru
 
 
 def test_readme_flag_table_is_the_override_table():
+    """README's config-key table is CONFIG_KEYS: key, runs that read it, flag, grid a sweep scans instead."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         rows = [line for line in fh.read().splitlines() if line.startswith("| `")]
 
-    def runs_cell(runs):
-        return ", ".join(f"`{run}`" for run in runs)
+    def cell(*names):
+        return ", ".join(f"`{name}`" for name in names if name) or "none"
 
-    flags = [
-        f"| `{flag}` | `{key}` | {runs_cell(runs)} | " + (f"`{grid}` |" if grid else "none |")
-        for key, (runs, flag, grid) in CONFIG_KEYS.items()
-        if flag
-    ]
-    keys = [
-        f"| `{key}` | {runs_cell(runs)} | " + (f"`{flag}` |" if flag else "none |")
-        for key, (runs, flag, _) in CONFIG_KEYS.items()
-    ]
-    assert rows == flags + keys
+    keys = CONFIG_KEYS.items()
+    assert rows == [f"| `{key}` | {cell(*runs)} | {cell(flag)} | {cell(grid)} |" for key, (runs, flag, grid) in keys]
 
 
 def test_cli_tpm_sweep_takes_the_field_override(tmp_path, capsys):
