@@ -53,7 +53,6 @@ from .witness import (
     WitnessStack,
     detect_schmidt_number,
     detect_schmidt_number_stack,
-    pure_state_report,
     schmidt_t2_cap,
     work_variance_bound,
 )

@@ -8,8 +8,8 @@ A d x d bipartite state decomposes as
                       + sum_ij t_ij lam_i (x) lam_j ),
 
 and the squared coefficient norms rA^2, rB^2, t^2 ("sector lengths") are
-invariant under local unitaries.  No closed form reads this basis: verify's
-``proof_inequalities`` check uses it as an independent reference.
+invariant under local unitaries.  No closed form and no run reads this
+basis: the tests use it as an independent reference for the sector lengths.
 """
 
 from __future__ import annotations

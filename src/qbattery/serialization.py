@@ -70,16 +70,18 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(obj, key: str = "matrix") -> np.ndarray:
     """Parse the [re, im]-pair encoding back into a complex matrix; each entry is a config number (``_number``).
 
-    ``asarray`` converts the whole matrix at once, but it also turns a numeric
-    string, a bool or null into a float, so the entries' types are read too.
+    ``asarray`` converts the whole matrix at once but takes numeric strings, bools and null, and
+    refuses "x" or an int beyond the float range in its own words: so unless every entry is a finite
+    int or float, each goes through ``_number``.  Only bad nesting has a message of its own.
     """
     try:
         arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(key, f"not a numeric matrix: {exc}") from None
+    except (TypeError, ValueError, OverflowError):
+        arr = np.asarray(obj, dtype=object)  # an entry no float takes, or ragged nesting
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ConfigError(key, f"expected rows of [re, im] pairs, got shape {arr.shape}")
-    if {type(x) for row in obj for pair in row for x in pair} - {int, float} or not np.isfinite(arr).all():
+    numbers = arr.dtype != object and {type(x) for row in obj for pair in row for x in pair} <= {int, float}
+    if not (numbers and np.isfinite(arr).all()):
         for x in np.asarray(obj, dtype=object).flat:
             _number(x, key)  # refuses the first entry that is no finite number
     return arr[..., 0] + 1j * arr[..., 1]

@@ -416,6 +416,25 @@ def _dephased_sectors(states: np.ndarray, spec: SpectralDecomposition) -> dict[s
     return {name: tuple(x[..., k] for x in lengths) for k, name in enumerate(_DEPHASINGS)}
 
 
+def _explicit_dephasings(m: np.ndarray, spec: SpectralDecomposition) -> dict[str, np.ndarray]:
+    """Reference for ``_dephased_sectors``: its four states of a state's data m, formed explicitly, (d^2, d^2) each.
+
+    Side A's dephasing sum_i (Pi_i (x) 1) m (Pi_i (x) 1) over ``spec.proj_a`` is, for rank-1 Pi_i,
+    sum_i Pi_i (x) tr_A[(Pi_i (x) 1) m]: two d^5 contractions on the (d, d, d, d) layout, with no
+    eigenbasis rotation and no mask.  Side B's is side A's on the swapped halves; 'joint' applies it to side A's.
+    """
+    d, swap = spec.d, (1, 0, 3, 2)  # r[a, b, c, e] -> r[b, a, e, c]
+
+    def dephase_a(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
+        blocks = np.tensordot(proj, r, axes=([2, 1], [0, 2]))  # (i, b, e): tr_A[(Pi_i (x) 1) m]
+        return np.tensordot(proj, blocks, axes=(0, 0)).transpose(0, 2, 1, 3)
+
+    state = m.reshape(d, d, d, d)
+    local_a = dephase_a(state, spec.proj_a)
+    local_b, joint = (dephase_a(r.transpose(swap), spec.proj_b).transpose(swap) for r in (state, local_a))
+    return {name: r.reshape(d * d, d * d) for name, r in zip(_DEPHASINGS, (state, joint, local_a, local_b))}
+
+
 @dataclass(frozen=True)
 class TpmVarianceReport:
     """Closed-form TPM variance with its ideal/projective/noisy split.

@@ -32,7 +32,6 @@ __all__ = [
     "WitnessStack",
     "detect_schmidt_number",
     "detect_schmidt_number_stack",
-    "pure_state_report",
 ]
 
 #: Relative margin for strict-inequality violation checks, floored at an
@@ -209,24 +208,12 @@ def detect_schmidt_number(rho: StateLike, h: BatteryHamiltonian) -> WitnessRepor
     )
 
 
-def pure_state_report(rho: StateLike, h: BatteryHamiltonian) -> PureStateReport:
-    """Pure-state criterion t^2 <= d^2 + 1 - 2d/k with the variance rewrite.
-
-    Requires a pure input and symmetric local weights ha2 = hb2 = h2 (within
-    ``_PURE_TOL``); then the variance collapses to h2 + g_term * t^2 / (d^2 - 1)
-    with g_term = g^2 v^2/(d^2-1) - h2.
-    """
-    m = _state_data(rho, h.d)
-    pur = purity(m)
-    if abs(pur - 1.0) > _PURE_TOL:
-        raise ValueError(f"state must be pure within {_PURE_TOL}, got purity {pur}")
-    if abs(h.ha2 - h.hb2) > _PURE_TOL * max(1.0, h.ha2, h.hb2):
-        raise ValueError("local weights must be symmetric (ha2 = hb2) for the pure-state form")
-    return _pure_state_form(sector_lengths(m, h.d)[2], h)
-
-
 def _pure_state_form(t2: float, h: BatteryHamiltonian) -> PureStateReport:
-    """``pure_state_report`` of a pure state of correlation length ``t2``, its conditions checked by the caller."""
+    """Pure-state criterion t^2 <= d^2 + 1 - 2d/k of a pure state of correlation length ``t2``.
+
+    On symmetric local weights ha2 = hb2 = h2 (checked by the caller) the variance is
+    h2 + g_term * t^2 / (d^2 - 1) with g_term = g^2 v^2/(d^2-1) - h2.
+    """
     d = h.d
     h2 = (h.ha2 + h.hb2) / 2
     dd = d * d - 1

@@ -526,12 +526,10 @@ def work_sample_summary(
     n: int,
     cfg: SamplerConfig,
     *,
-    bin_width: float | None = None,
-) -> tuple[WorkStatistics, WorkHistogram | None]:
-    """One pass over n work samples: moments plus an optional histogram."""
+    bin_width: float,
+) -> tuple[WorkStatistics, WorkHistogram]:
+    """One pass over n work samples: moments plus a histogram of bins ``bin_width`` wide."""
     chunks = iter_work_values(rho, h, n, cfg)
-    if bin_width is None:
-        return summarize(chunks)[0], None
     _check_bin_width(bin_width, h)
     lo, counts = None, np.zeros(0, dtype=np.int64)  # counts[i] is bin lo + i
 
@@ -556,5 +554,4 @@ def mc_work_statistics(
     cfg: SamplerConfig,
 ) -> WorkStatistics:
     """Monte-Carlo mean/variance of work over n unitary pairs, with SEs."""
-    stats, _ = work_sample_summary(rho, h, n, cfg)
-    return stats
+    return summarize(iter_work_values(rho, h, n, cfg))[0]

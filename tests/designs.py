@@ -53,6 +53,13 @@ def _rotated(group: np.ndarray, x: np.ndarray):
         yield u @ x @ u.conj().transpose(0, 2, 1)
 
 
+def twirl(group: np.ndarray, x: np.ndarray, copies: int = 1) -> np.ndarray:
+    """The average of U^(x)copies x (U^dag)^(x)copies over every element U of the group (copies 1 or 2)."""
+    d = group.shape[1]
+    u = group if copies == 1 else np.einsum("nab,ncd->nacbd", group, group).reshape(len(group), d * d, d * d)
+    return np.mean(u @ x @ u.conj().transpose(0, 2, 1), axis=0)
+
+
 def _moments(values) -> tuple[float, float]:
     """Mean and population variance of the concatenated per-pair values."""
     v = np.concatenate(list(values))
@@ -96,3 +103,8 @@ def coincidence_mean(group: np.ndarray, rho: np.ndarray, spec, eps_a: float, eps
         "iab,jcd->ijacbd", _noisy_povm(spec.vecs_a, eps_a), _noisy_povm(spec.vecs_b, eps_b)
     ).reshape(spec.d, spec.d, spec.d**2, spec.d**2)
     return _moments((np.einsum("ijab,nba->nij", povm, r).real ** 2).sum(axis=(1, 2)) for r in _rotated(group, rho))[0]
+
+
+def probe_square_mean(group: np.ndarray, rho: np.ndarray, p: np.ndarray) -> float:
+    """Mean over all pairs of tr[P U rho U^dag]^2: tr[(P (x) P) T] for T the two-copy local twirl of rho."""
+    return _moments(np.einsum("ab,nba->n", p, r).real ** 2 for r in _rotated(group, rho))[0]

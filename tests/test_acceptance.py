@@ -35,7 +35,7 @@ from qbattery.tpm import (
     tpm_weights,
 )
 from qbattery.witness import detect_schmidt_number
-from qbattery.workstats import analytic_work_variance, work_sample_summary
+from qbattery.workstats import analytic_work_variance, mc_work_statistics, work_sample_summary
 
 from conftest import make_random_battery
 from oracles import bloch_reconstruct
@@ -103,7 +103,7 @@ def test_criterion_02_work_variance_closed_form():
             h, rho = _mixture(alpha, b=b)
             closed = analytic_work_variance(rho, h).variance
             seed += 1
-            stats, _ = work_sample_summary(rho, h, n, SamplerConfig(d=4, seed=seed))
+            stats = mc_work_statistics(rho, h, n, SamplerConfig(d=4, seed=seed))
             worst = max(worst, abs(stats.variance - closed) / stats.se_variance)
     passed = worst < 5 and time.time() - t0 < 300
     _report("C2 ideal work variance vs MC (3x3 grid, n=1e5)", passed, f"max dev {worst:.2f} SE", t0)

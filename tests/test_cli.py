@@ -318,6 +318,8 @@ def _mixed16(i, j, part, value):
         ("variance", {"state": {"matrix": _mixed16(0, 0, 0, "0.0625")}}, "state.matrix"),
         ("variance", {"state": {"matrix": _mixed16(1, 1, 1, False)}}, "state.matrix"),
         ("variance", {"state": {"matrix": _mixed16(0, 0, 0, 10**400)}}, "state.matrix"),
+        ("variance", {"state": {"matrix": _mixed16(0, 0, 0, "x")}}, "state.matrix"),
+        ("variance", {"state": {"matrix": _mixed16(2, 3, 1, 10**399)}}, "state.matrix"),
         (
             "witness",
             {"battery": {"explicit": {"HA": _Z, "HB": _Z, "V": _with(_Z_Z, 0, 0, 0, float("nan")), "g": 1.0}}},
@@ -628,6 +630,13 @@ def test_cli_unreadable_config_path_is_a_one_line_error(tmp_path, capsys):
         (["variance", "--foo"], "qbattery", "unrecognized arguments: --foo"),
         (["sweep", "--mc"], "qbattery", "unrecognized arguments: --mc"),
         (["histogram", "--n", "abc"], "qbattery histogram", "argument --n: invalid number value: 'abc'"),
+        # a flag the run does not read is refused before --format is looked at
+        (
+            ["sweep", "--alpha", "0.3", "--format", "json"],
+            "--alpha",
+            "variance sweep does not read state.thermal_mixture.alpha; a sweep scans parameters.alpha_grid",
+        ),
+        (["sweep", "--n", "10", "--format", "json"], "--n", "variance sweep does not read sampling.n_unitaries"),
         ([], "qbattery", "the following arguments are required: command"),
     ],
 )
@@ -682,41 +691,6 @@ def test_cli_out_check_leaves_no_file_and_keeps_an_existing_one(tmp_path, capsys
     kept.write_text("earlier result\n")
     assert main(["sweep", "--alpha", "0.3", "--out", str(kept)]) == 1
     assert kept.read_text() == "earlier result\n"
-
-
-@pytest.mark.parametrize(
-    "args, flag, grid",
-    [
-        (["sweep", "--alpha", "0.3"], "--alpha", "parameters.alpha_grid"),
-        (["sweep", "--alpha", "0.3", "--format", "json"], "--alpha", "parameters.alpha_grid"),
-        (["sweep", "--b", "0.3"], "--b", "parameters.b_grid"),
-        (["sweep", "--eps", "0.3"], "--eps", "parameters.eps_grid"),
-        (["sweep", "--config", "{tpm}", "--eps", "0.3"], "--eps", "parameters.eps_grid"),
-        (["sweep", "--config", "{tpm}", "--eps-a", "0.3"], "--eps-a", "parameters.eps_grid"),
-        (["sweep", "--eps-b", "0.3"], "--eps-b", "parameters.eps_grid"),
-        (["sweep", "--config", "{tpm}", "--alpha", "0.3"], "--alpha", "parameters.alpha_grid"),
-        (["sweep", "--n", "10", "--format", "json"], "--n", "sampling.n_unitaries"),
-        (["coincidence", "--eps-a", "0.3"], "--eps-a", "parameters.eps_a"),
-        (["coincidence", "--eps-b", "0.3"], "--eps-b", "parameters.eps_b"),
-        (["variance", "--eps", "0.3"], "--eps", "parameters.eps"),
-        (["histogram", "--seed", "1", "--n", "10", "--eps", "0.3"], "--eps", "parameters.eps"),
-        (["witness", "--seed", "3"], "--seed", "sampling.seed"),
-        (["witness", "--n", "50"], "--n", "sampling.n_unitaries"),
-        (["verify", "--alpha", "0.2"], "--alpha", "state.thermal_mixture.alpha"),
-        (["verify", "--b", "0.2"], "--b", "battery.ising.b"),
-        (["verify", "--eps", "0.2"], "--eps", "parameters.eps"),
-        (["sweep", "--seed", "1"], "--seed", "sampling.seed"),
-        (["sweep", "--n", "10"], "--n", "sampling.n_unitaries"),
-    ],
-)
-def test_cli_sweep_refuses_a_point_override_it_would_ignore(tmp_path, capsys, args, flag, grid):
-    config = tmp_path / "tpm.json"
-    config.write_text(json.dumps({"protocol": "tpm"}))
-    assert main([a.format(tpm=config) for a in args]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"configuration error: {flag}: ")
-    assert grid in err[0]
 
 
 _COMMANDS = build_parser()._subparsers._group_actions[0].choices

@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import make_random_battery
-from designs import clifford_group, coincidence_mean, frame_potential, tpm_moments, work_moments
+from designs import (
+    clifford_group,
+    coincidence_mean,
+    frame_potential,
+    probe_square_mean,
+    tpm_moments,
+    twirl,
+    work_moments,
+)
 from qbattery.battery import spectral_decomposition
 from qbattery.coincidence import avg_coincidence_closed
-from qbattery.linalg import random_density_matrix
+from qbattery.haar import twirl1, twirl2, two_copy_local_twirl_probe
+from qbattery.linalg import random_density_matrix, random_hermitian, swap_operator
 from qbattery.tpm import tpm_variance_closed_form
 from qbattery.workstats import analytic_work_variance
 
@@ -33,3 +42,24 @@ def test_closed_forms_are_exact_over_every_clifford_pair(rng, d):
         assert moments == pytest.approx((report.mean_tpm, report.var_tpm), rel=1e-12)
         coincidence = avg_coincidence_closed(rho, spec, eps_a, eps_b)
         assert coincidence_mean(group, rho.data, spec, eps_a, eps_b) == pytest.approx(coincidence, rel=1e-12)
+
+
+def _assert_relative(value, closed, rel=1e-12):
+    assert np.linalg.norm(np.subtract(value, closed)) <= rel * np.linalg.norm(closed)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_twirls_are_exact_over_the_clifford_group(rng, d):
+    """twirl1 over every element U, and twirl2 over every U (x) U, at 1e-12 relative on random Hermitian inputs."""
+    group = _GROUPS[d]
+    x1, x2 = random_hermitian(rng, d), random_hermitian(rng, d * d)
+    _assert_relative(twirl(group, x1), twirl1(x1))
+    _assert_relative(twirl(group, x2, copies=2), twirl2(x2))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_two_copy_local_twirl_probe_is_exact_over_every_clifford_pair(rng, d):
+    """The probes 1, SWAP and a random Hermitian P, averaged as tr[P U rho U^dag]^2 over all |C|^2 local pairs."""
+    group, rho = _GROUPS[d], random_density_matrix(rng, d * d)
+    for p in (np.eye(d * d), swap_operator(d), random_hermitian(rng, d * d)):
+        _assert_relative(probe_square_mean(group, rho.data, p), two_copy_local_twirl_probe(rho, d, p))

@@ -9,6 +9,7 @@ from qbattery.linalg import random_hermitian
 from qbattery.runner import ExperimentConfig
 from qbattery.serialization import (
     ConfigError,
+    _number,
     battery_from_spec,
     matrix_from_json,
     matrix_to_json,
@@ -31,10 +32,21 @@ def test_matrix_json_is_plain_data(rng):
 
 
 def test_matrix_rejects_malformed():
-    with pytest.raises(ConfigError):
-        matrix_from_json([[1.0, 2.0]])
-    with pytest.raises(ConfigError):
-        matrix_from_json("nope")
+    for obj in ([[1.0, 2.0]], "nope", [[[1.0, 2.0], [3.0]]]):
+        with pytest.raises(ConfigError, match=r"^matrix: expected rows of \[re, im\] pairs, got shape"):
+            matrix_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "value", ["x", "0.5", 10**399, True, None, float("nan")], ids=["x", "numeric_string", "int_400_digits", "bool", "null", "nan"]
+)
+def test_a_matrix_entry_is_refused_as_a_scalar_key_is(value):
+    matrix = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, value]]]
+    with pytest.raises(ConfigError) as entry:
+        matrix_from_json(matrix, "state.matrix")
+    with pytest.raises(ConfigError) as scalar:
+        _number(value, "state.matrix")
+    assert str(entry.value) == str(scalar.value)
 
 
 def test_battery_spec_round_trip():

@@ -5,8 +5,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import qbattery.bloch as bloch
 import qbattery.linalg as linalg
 import qbattery.runner as runner
+import qbattery.tpm as tpm
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
 from qbattery.haar import SamplerConfig, chunk_size
 from qbattery.linalg import random_hermitian
@@ -229,6 +231,38 @@ def test_each_twirl_check_deviation_is_its_per_probe_reference(monkeypatch, name
     stacked = _run_check(name, d, 4101)
     monkeypatch.setattr(runner, "_probe_check", _per_probe_check)
     assert stacked == _run_check(name, d, 4101)
+
+
+def test_verify_passes_with_the_gell_mann_route_refused(monkeypatch):
+    """The proof check reads explicit dephasing, so verify runs with every Gell-Mann entry point raising."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify read the Gell-Mann route")
+
+    for module in (bloch, tpm, runner):
+        for name in ("gell_mann_basis", "bloch_decompose", "tpm_spectral_stats"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    report = runner.run_verify(ExperimentConfig.from_dict({"parameters": {"d": 2}, "sampling": {"n_unitaries": 1500}}))
+    assert report["passed"]
+    [proof] = [check for check in report["checks"] if check["name"] == "proof_inequalities"]
+    assert set(proof["detail"]) == {"min_slack", "length_dev"}
+
+
+@pytest.mark.parametrize("dephasing", ["state", "joint", "local_a", "local_b"])
+@pytest.mark.parametrize("sector", range(3))
+def test_a_dephased_length_off_by_1e8_relative_fails_the_proof_check(monkeypatch, dephasing, sector):
+    exact = runner._dephased_sectors
+
+    def perturbed(states, spec):
+        sectors = exact(states, spec)
+        lengths = list(sectors[dephasing])
+        lengths[sector] *= 1 + 1e-8
+        return {**sectors, dephasing: tuple(lengths)}
+
+    assert _run_check("proof_inequalities", 2, 0)["deviation"] <= 1.0
+    monkeypatch.setattr(runner, "_dephased_sectors", perturbed)
+    assert _run_check("proof_inequalities", 2, 0)["deviation"] > 1.0
 
 
 def test_a_monte_carlo_tpm_sweep_draws_each_chunk_once(monkeypatch):

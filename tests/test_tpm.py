@@ -13,6 +13,7 @@ from qbattery.linalg import DensityMatrix, random_density_matrix, sector_lengths
 from qbattery.tpm import (
     _dephased_sectors,
     _diagonal_weights,
+    _explicit_dephasings,
     _instrument_stack,
     _zeta,
     energy_labels,
@@ -365,31 +366,13 @@ def test_zeta_closing_identity(rng):
         assert abs(lhs - rhs) < 1e-10
 
 
-def _dephase(rho, proj, side):
-    """sum_i (Pi_i on ``side``) rho (Pi_i on ``side``) for a (d, d, d) projector stack."""
-    d = proj.shape[-1]
-    r4 = rho.reshape(d, d, d, d)
-    if side == "A":
-        out = np.einsum("iax,xbye,iyc->abce", proj, r4, proj, optimize=True)
-    else:
-        out = np.einsum("ibx,axcy,iye->abce", proj, r4, proj, optimize=True)
-    return out.reshape(d * d, d * d)
-
-
 @pytest.mark.parametrize("d", [2, 3, 8, 16])
 def test_dephased_sectors_match_the_gell_mann_lengths_of_explicit_dephasing(d):
     rng = np.random.default_rng(100 + d)
     spec = spectral_decomposition(make_random_battery(rng, d, g=0.7))
     rho = random_density_matrix(rng, d * d).data
-    local_a = _dephase(rho, spec.proj_a, "A")
-    states = {
-        "state": rho,
-        "local_a": local_a,
-        "local_b": _dephase(rho, spec.proj_b, "B"),
-        "joint": _dephase(local_a, spec.proj_b, "B"),
-    }
     sectors = _dephased_sectors(rho, spec)
-    for name, state in states.items():
+    for name, state in _explicit_dephasings(rho, spec).items():
         form = bloch_decompose(state, d)
         np.testing.assert_allclose(sectors[name], (form.r_a2, form.r_b2, form.t2), rtol=1e-13, atol=0)
 

@@ -7,7 +7,6 @@ from qbattery.haar import HaarSampler, SamplerConfig
 from qbattery.linalg import DensityMatrix, random_density_matrix
 from qbattery.witness import (
     detect_schmidt_number,
-    pure_state_report,
     schmidt_t2_cap,
     work_variance_bound,
 )
@@ -194,7 +193,7 @@ def test_a_state_maximally_entangled_on_k_levels_is_certified_at_exactly_k(d, k)
 def test_pure_state_report_maximally_entangled():
     d = 4
     h = _ising()
-    rep = pure_state_report(max_entangled_state(d), h)
+    rep = detect_schmidt_number(max_entangled_state(d), h).pure_state_branch
     assert abs(rep.t2 - (d * d - 1)) < 1e-9
     # the cap is saturated (equality) only at k = d
     assert abs(rep.t2 - dict(rep.t2_caps)[d]) < 1e-9
@@ -212,7 +211,7 @@ def test_pure_state_flat_interaction_gives_constant_variance(rng):
     for seed in range(5):
         rng2 = np.random.default_rng(seed)
         psi = random_pure_state(rng2, 4)
-        rep = pure_state_report(psi, h)
+        rep = detect_schmidt_number(psi, h).pure_state_branch
         assert rep.bound_direction == "flat"
         values.append(rep.variance)
     assert np.ptp(values) < 1e-10
@@ -230,17 +229,16 @@ def test_pure_state_direction_signs():
     weak = battery_hamiltonian(Z, Z, np.kron(X, X), g=0.1)
     strong = battery_hamiltonian(Z, Z, np.kron(X, X), g=10.0)
     psi = max_entangled_state(2)
-    assert pure_state_report(psi, weak).bound_direction == "lower"
-    assert pure_state_report(psi, strong).bound_direction == "upper"
+    assert detect_schmidt_number(psi, weak).pure_state_branch.bound_direction == "lower"
+    assert detect_schmidt_number(psi, strong).pure_state_branch.bound_direction == "upper"
 
 
 def test_pure_state_report_rejects_mixed_and_asymmetric(rng):
     h = _ising()
-    with pytest.raises(ValueError, match="pure"):
-        pure_state_report(np.eye(16) / 16, h)
+    assert detect_schmidt_number(np.eye(16) / 16, h).pure_state_branch is None
     asym = ising_battery(0.5, 1.0, 0.9, 0.45)
-    with pytest.raises(ValueError, match="symmetric"):
-        pure_state_report(max_entangled_state(4), asym)
+    assert asym.ha2 != asym.hb2
+    assert detect_schmidt_number(max_entangled_state(4), asym).pure_state_branch is None
 
 
 def test_report_serializes(rng):

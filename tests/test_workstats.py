@@ -21,7 +21,7 @@ from qbattery.tpm import (
     tpm_spectral_stats,
     tpm_variance_closed_form,
 )
-from qbattery.witness import detect_schmidt_number, pure_state_report
+from qbattery.witness import detect_schmidt_number
 from qbattery.workstats import (
     MAX_HISTOGRAM_BINS,
     _block,
@@ -204,7 +204,6 @@ def test_mc_refuses_an_n_beyond_the_counter_or_not_an_integer(n, message):
         lambda rho, h, cfg: avg_coincidence_closed(rho, spectral_decomposition(h), 0.5, 0.5),
         lambda rho, h, cfg: coincidence_bound(rho, h, 0.5),
         lambda rho, h, cfg: detect_schmidt_number(rho, h),
-        lambda rho, h, cfg: pure_state_report(rho, h),
     ],
 )
 def test_a_monte_carlo_run_refuses_a_state_of_the_wrong_size_as_work_does(run):
