@@ -182,7 +182,8 @@ def gibbs_state(h: np.ndarray, temperature: float) -> DensityMatrix | np.ndarray
     _check_temperature(temperature)
     h = np.asarray(h, dtype=np.complex128)
     w, u = np.linalg.eigh(h)
-    x = np.exp(-(w - w.min(axis=-1, keepdims=True)) / temperature)
+    with np.errstate(over="ignore"):  # (w - w_min) / T overflows to inf at a tiny T, and exp(-inf) = 0 is the limit
+        x = np.exp(-(w - w.min(axis=-1, keepdims=True)) / temperature)
     rho = (u * x[..., None, :]) @ dagger(u)
     rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     if rho.ndim == 2:

@@ -39,6 +39,7 @@ from .tpm import (
 )
 from .witness import detect_schmidt_number, detect_schmidt_number_stack
 from .workstats import (
+    WorkStatistics,
     _check_bin_width,
     _check_samples,
     analytic_work_variance,
@@ -173,8 +174,19 @@ def _field_battery(ip: dict, b: float) -> BatteryHamiltonian:
         raise ConfigError("parameters.b_grid", f"b = {b}: {str(exc).removeprefix('battery.ising: ')}") from None
 
 
-#: Bytes of mixture states in one block of the variance sweep; a block holds whole b rows, at least one.
+#: Bytes of mixture states in one sweep block; each default grid is one block, so one TPM Monte-Carlo pass.
 _SWEEP_BLOCK_BYTES = 4 * 2**20
+
+
+def _sweep_blocks(spec: dict, batteries: list[BatteryHamiltonian], a_grid: list[float]):
+    """A (battery x alpha) grid's (battery slice, alphas, temperature, states) blocks, b-major, one ``thermal_mixtures``
+    call each: whole b rows while one row fits ``_SWEEP_BLOCK_BYTES``, else consecutive parts of one row."""
+    per_block = max(1, _SWEEP_BLOCK_BYTES // (batteries[0].d ** 4 * 16))  # complex (d^2, d^2) states
+    n_rows, n_alphas = max(1, per_block // len(a_grid)), min(per_block, len(a_grid))
+    for b in range(0, len(batteries), n_rows):
+        for a in range(0, len(a_grid), n_alphas):
+            alphas = a_grid[a : a + n_alphas]
+            yield slice(b, b + n_rows), alphas, *thermal_mixtures(spec, batteries[b : b + n_rows], alphas)
 
 
 def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
@@ -182,11 +194,10 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
 
     The default grid spans field strengths 0..0.9 and mixing ratios 0..1 for
     the Ising family, the setting in which stronger mixing crosses the
-    detection thresholds.  The grid is built and evaluated as one stack per
-    block of whole b rows, ``_SWEEP_BLOCK_BYTES`` of states at most (the
-    default grid is one block), with one witness call per block that reads
-    each b's weights; every row is bitwise what ``detect_schmidt_number``
-    reports for ``thermal_mixture_state`` at that point.
+    detection thresholds.  Each block of ``_sweep_blocks`` (the default grid
+    is one) is evaluated by one witness call that reads each b's weights;
+    every row is bitwise what ``detect_schmidt_number`` reports for
+    ``thermal_mixture_state`` at that point.
     """
     cfg.check("variance sweep")
     ip = ising_params(cfg.battery)
@@ -195,15 +206,11 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     b_grid = [_number(x, "parameters.b_grid") for x in cfg.parameters.get("b_grid", default)]
     batteries = [_field_battery(ip, b) for b in b_grid]
     d = batteries[0].d
-    row_bytes = len(a_grid) * d**4 * 16  # one b row of complex (d^2, d^2) states
-    per_block = max(1, _SWEEP_BLOCK_BYTES // row_bytes)
     keys = ("J1", "J2", "J3", "T", "b", "alpha", "variance", "detected_sn", "ppt_min_eig")
     keys += tuple(f"bound_k{k}" for k in range(1, d))  # k = d is never violable
     rows = []
-    for start in range(0, len(b_grid), per_block):
-        hs = batteries[start : start + per_block]
-        weights = (np.array([[getattr(h, w)] for h in hs]) for w in ("ha2", "hb2", "g2v2"))
-        temperature, states = thermal_mixtures(cfg.state, hs, a_grid)
+    for block, alphas, temperature, states in _sweep_blocks(cfg.state, batteries, a_grid):
+        weights = (np.array([[getattr(h, w)] for h in batteries[block]]) for w in ("ha2", "hb2", "g2v2"))
         det = detect_schmidt_number_stack(states, d, *weights)
         columns = zip(
             det.variance.tolist(),
@@ -211,9 +218,9 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
             det.ppt_min_eig.tolist(),
             det.thresholds[..., :-1].tolist(),
         )
-        for b, b_columns in zip(b_grid[start : start + per_block], columns):
+        for b, b_columns in zip(b_grid[block], columns):
             head = (ip["J1"], ip["J2"], ip["J3"], temperature, b)
-            for alpha, *point, bounds in zip(a_grid, *b_columns):
+            for alpha, *point, bounds in zip(alphas, *b_columns):
                 rows.append(dict(zip(keys, (*head, alpha, *point, *bounds))))
     return rows
 
@@ -221,35 +228,34 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
 def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Closed-form TPM variance and weights on an (alpha, eps) grid.
 
-    The alpha stack is evaluated at every eps in one ``tpm_variance_stack``
-    call, and each row reads its columns from the report of its point, which
-    is bitwise what ``tpm_variance_closed_form`` reports for
-    ``thermal_mixture_state`` there.  The Monte-Carlo columns, ``mc_<field>``
-    for each ``WorkStatistics`` field, appear when the sampling section gives
-    ``n_unitaries``; a seed is then mandatory.  One
-    ``mc_tpm_stack`` pass over the same stack and grid draws the pairs once
-    for every row, and each row's are bitwise ``mc_tpm_statistics`` there.
+    Each block of ``_sweep_blocks`` is evaluated at every eps in one
+    ``tpm_variance_stack`` call, and each row reads its columns from the
+    report of its point, bitwise ``tpm_variance_closed_form`` there.  The
+    Monte-Carlo columns, ``mc_<field>`` for each ``WorkStatistics`` field,
+    appear when the sampling section gives ``n_unitaries``; a seed is then
+    mandatory.  One ``mc_tpm_stack`` pass per block (one for the default
+    grid) draws the same pairs, so each row's are bitwise ``mc_tpm_statistics``.
     """
     cfg.check("tpm sweep")
     ip = ising_params(cfg.battery)
     a_grid = _alpha_grid(cfg, 0.05)
     eps_values = cfg.parameters.get("eps_grid", (0.2, 0.5, 1.0))
     eps_grid = [_number(x, "parameters.eps_grid", check=_check_eps) for x in eps_values]
+    eps_pairs = [(eps, eps) for eps in eps_grid]
     h = battery_from_spec(cfg.battery)
     spec = spectral_decomposition(h)
-    temperature, [states] = thermal_mixtures(cfg.state, [h], a_grid)
-    eps_pairs = [(eps, eps) for eps in eps_grid]
-    reports = tpm_variance_stack(states, spec, eps_pairs)
-    mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if cfg.samples() else None
-    head = {"J1": ip["J1"], "J2": ip["J2"], "J3": ip["J3"], "b": ip["b"], "T": temperature}
     rows = []
-    for i, (alpha, state_reports) in enumerate(zip(a_grid, reports)):
-        for j, rep in enumerate(state_reports):
-            row = {**head, "alpha": alpha, "eps_a": rep.eps_a, "eps_b": rep.eps_b, "var_tpm": rep.var_tpm}
-            row.update(var_diag=rep.var_diag, n0=rep.weights.n0, n1=rep.weights.n1, n_noisy=rep.weights.n_noisy)
-            if mc is not None:
-                row.update({f"mc_{key}": value for key, value in asdict(mc[i][j]).items()})
-            rows.append(row)
+    for _, alphas, temperature, [states] in _sweep_blocks(cfg.state, [h], a_grid):
+        reports = tpm_variance_stack(states, spec, eps_pairs)
+        mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if cfg.samples() else None
+        head = {"J1": ip["J1"], "J2": ip["J2"], "J3": ip["J3"], "b": ip["b"], "T": temperature}
+        for i, (alpha, state_reports) in enumerate(zip(alphas, reports)):
+            for j, rep in enumerate(state_reports):
+                row = {**head, "alpha": alpha, "eps_a": rep.eps_a, "eps_b": rep.eps_b, "var_tpm": rep.var_tpm}
+                row.update(var_diag=rep.var_diag, n0=rep.weights.n0, n1=rep.weights.n1, n_noisy=rep.weights.n_noisy)
+                if mc is not None:
+                    row.update({f"mc_{key}": value for key, value in asdict(mc[i][j]).items()})
+                rows.append(row)
     return rows
 
 
@@ -316,6 +322,11 @@ def run_point(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _deviation(stat: WorkStatistics, target: float, moment: str = "mean") -> float:
+    """|moment - target| in standard errors of that Monte-Carlo moment."""
+    return abs(getattr(stat, moment) - target) / (getattr(stat, f"se_{moment}") + 1e-12)
+
+
 def _probe_check(sample, probes, targets, d, n, cfg) -> dict:
     """Largest |MC mean - closed form| / SE over scalar probes P, each a column of one Monte-Carlo pass.
 
@@ -325,7 +336,7 @@ def _probe_check(sample, probes, targets, d, n, cfg) -> dict:
     """
     stack = np.stack(probes)
     stats = summarize(iter_samples(lambda ua, ub: sample(ua, ub, stack), d, n, cfg))
-    return {"deviation": max(abs(s.mean - target) / (s.se_mean + 1e-12) for s, target in zip(stats, targets))}
+    return {"deviation": max(_deviation(s, target) for s, target in zip(stats, targets))}
 
 
 def _check_single_copy_twirl(rng, d, n, cfg) -> dict:
@@ -369,29 +380,19 @@ def _random_point(rng, d) -> tuple[BatteryHamiltonian, SpectralDecomposition, De
 def _check_work_variance(rng, d, n, cfg) -> dict:
     h, _, rho = _random_point(rng, d)
     closed = analytic_work_variance(rho, h).variance
-    mc = mc_work_statistics(rho, h, n, cfg)
-    return {"deviation": abs(mc.variance - closed) / (mc.se_variance + 1e-12)}
+    return {"deviation": _deviation(mc_work_statistics(rho, h, n, cfg), closed, "variance")}
 
 
-def _check_tpm_mean(rng, d, n, cfg) -> dict:
+def _check_tpm(rng, d, n, cfg, moment: str, report_field: str) -> dict:
     _, spec, rho = _random_point(rng, d)
-    mean = tpm_variance_closed_form(rho, spec, 0.6, 0.8).mean_tpm
-    mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg)
-    return {"deviation": abs(mc.mean - mean) / (mc.se_mean + 1e-12)}
-
-
-def _check_tpm_variance(rng, d, n, cfg) -> dict:
-    _, spec, rho = _random_point(rng, d)
-    closed = tpm_variance_closed_form(rho, spec, 0.6, 0.8).var_tpm
-    mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg)
-    return {"deviation": abs(mc.variance - closed) / (mc.se_variance + 1e-12)}
+    closed = getattr(tpm_variance_closed_form(rho, spec, 0.6, 0.8), report_field)
+    return {"deviation": _deviation(mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg), closed, moment)}
 
 
 def _check_coincidence(rng, d, n, cfg) -> dict:
     _, spec, rho = _random_point(rng, d)
     closed = avg_coincidence_closed(rho, spec, 0.7, 0.4)
-    mc = mc_coincidence(rho, spec, 0.7, 0.4, n, cfg)
-    return {"deviation": abs(mc.mean - closed) / (mc.se_mean + 1e-12)}
+    return {"deviation": _deviation(mc_coincidence(rho, spec, 0.7, 0.4, n, cfg), closed)}
 
 
 def _check_proof_inequalities(rng, d, n, cfg) -> dict:
@@ -432,8 +433,8 @@ CHECKS: dict[str, Callable] = {
     "two_copy_twirl_vs_mc": _check_two_copy_twirl,
     "two_copy_local_twirl_vs_mc": _check_two_copy_local_twirl,
     "work_variance_vs_mc": _check_work_variance,
-    "tpm_mean_vs_mc": _check_tpm_mean,
-    "tpm_variance_vs_mc": _check_tpm_variance,
+    "tpm_mean_vs_mc": partial(_check_tpm, moment="mean", report_field="mean_tpm"),
+    "tpm_variance_vs_mc": partial(_check_tpm, moment="variance", report_field="var_tpm"),
     "coincidence_vs_mc": _check_coincidence,
     "proof_inequalities": _check_proof_inequalities,
     "weight_functions": _check_weight_functions,
@@ -455,20 +456,17 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     n = cfg.n_unitaries(10_000)
     seed = cfg.sampler(d, DEFAULT_VERIFY_SEED).seed
     checks = []
-    all_passed = True
     for idx, (name, fn) in enumerate(CHECKS.items()):
         rng = np.random.default_rng(seed + 10_000 + idx)
         cfg_s = SamplerConfig(d=d, seed=seed, stream=idx)
         result = fn(rng, d, n, cfg_s)
         deviation = float(result["deviation"])
         threshold = 1.0 if name in ("proof_inequalities", "weight_functions") else MC_GATE_SE
-        passed = bool(deviation <= threshold)
-        all_passed &= passed
-        entry = {"name": name, "passed": passed, "deviation": deviation, "threshold": threshold}
+        entry = {"name": name, "passed": bool(deviation <= threshold), "deviation": deviation, "threshold": threshold}
         if "detail" in result:
             entry["detail"] = result["detail"]
         checks.append(entry)
-    return {"seed": seed, "d": d, "n": n, "passed": all_passed, "checks": checks}
+    return {"seed": seed, "d": d, "n": n, "passed": all(entry["passed"] for entry in checks), "checks": checks}
 
 
 def schema_tag(name: str) -> str:

@@ -93,6 +93,14 @@ def test_gibbs_matches_direct_exponentiation():
     assert np.max(np.abs(tau.data - np.diag(np.diagonal(tau.data)))) < 1e-12
 
 
+def test_gibbs_at_a_subnormal_temperature_is_its_zero_temperature_limit_without_a_warning():
+    """At T = 1e-320, (E - E_0) / T overflows to inf, and exp(-inf) = 0 is the exact limit T = 1e-300 already gives."""
+    h = _ising()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(gibbs_state(h.ha, 1e-320).data, gibbs_state(h.ha, 1e-300).data)
+
+
 def test_gibbs_rejects_nonpositive_temperature():
     with pytest.raises(ValueError, match="temperature"):
         gibbs_state(np.eye(2), 0.0)

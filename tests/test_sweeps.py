@@ -1,5 +1,6 @@
 """The stacked sweeps and Monte-Carlo passes against their per-point oracles, row by row and bit for bit."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -145,24 +146,55 @@ def test_witness_stack_with_per_battery_weights_is_the_per_battery_calls_bitwise
             assert np.array_equal(column[i], getattr(alone, name)), name
 
 
-def _block_rows(monkeypatch, budget, parameters=None):
+def _block_rows(monkeypatch, budget, config, run=run_variance_sweep):
     monkeypatch.setattr(runner, "_SWEEP_BLOCK_BYTES", budget)
-    return run_variance_sweep(ExperimentConfig.from_dict({"parameters": parameters or {}}))
+    return run(ExperimentConfig.from_dict(config))
 
 
-@pytest.mark.parametrize("states", [1 / 4096, 7, 60])
-def test_the_variance_sweep_block_walk_moves_no_bits(monkeypatch, states):
-    """A byte budget of one byte, of 7 states (one b row per block) or of 60 (two rows) gives the one-block rows."""
-    rows = run_variance_sweep(ExperimentConfig())
-    walked = _block_rows(monkeypatch, int(states * 16**2 * 16))
+# 2 alpha x 3 eps at n = 4,101: two chunks of the d = 4 stream, the second holding 5 pairs
+_MC_SWEEP = {
+    "protocol": "tpm",
+    "parameters": {"alpha_grid": [0.0, 0.96], "eps_grid": [0.0, 0.5, 1.0]},
+    "sampling": {"seed": 3, "n_unitaries": 4101},
+}
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [(run_variance_sweep, {}), (run_tpm_sweep, {"protocol": "tpm"}), (run_tpm_sweep, _MC_SWEEP)],
+    ids=["variance", "tpm", "tpm_mc"],
+)
+@pytest.mark.parametrize("states", [1 / 4096, 7, 20, 60])
+def test_the_variance_sweep_block_walk_moves_no_bits(monkeypatch, run, config, states):
+    """Every budget gives either sweep's one-block rows, value types included.
+
+    One byte is one state per block, 7 states are parts of a b row, 20 are one fewer than the default TPM
+    sweep's 21 alphas (a row in two parts), and 60 hold two of the variance sweep's 26-alpha b rows.
+    """
+    rows = run(ExperimentConfig.from_dict(config))
+    walked = _block_rows(monkeypatch, int(states * 16**2 * 16), config, run)
     assert walked == rows
     assert all(type(x) is type(y) for a, b in zip(walked, rows) for x, y in zip(a.values(), b.values()))
+
+
+def test_a_monte_carlo_tpm_sweep_peak_memory_is_bounded_by_the_block_budget(monkeypatch):
+    """2,000 alphas in blocks of 64 states; the whole alpha stack alone takes 7.8 MiB, its three Xi stacks 23 MiB."""
+    grid = {"alpha_grid": np.linspace(0.0, 1.0, 2000).tolist()}
+    config = {"protocol": "tpm", "parameters": grid, "sampling": {"seed": 1, "n_unitaries": 50}}
+    monkeypatch.setattr(runner, "_SWEEP_BLOCK_BYTES", 64 * 16**2 * 16)
+    tracemalloc.start()
+    try:
+        rows = run_tpm_sweep(ExperimentConfig.from_dict(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 6000 and peak < 16 * 2**20, peak
 
 
 def test_every_non_default_variance_sweep_row_is_the_per_point_witness(monkeypatch):
     grid = {"b_grid": [0.0, 0.9], "alpha_grid": [0.0, 0.5, 1.0]}
     for budget in (runner._SWEEP_BLOCK_BYTES, 1):
-        rows = _block_rows(monkeypatch, budget, grid)
+        rows = _block_rows(monkeypatch, budget, {"parameters": grid})
         assert [(row["b"], row["alpha"]) for row in rows] == [(b, a) for b in grid["b_grid"] for a in grid["alpha_grid"]]
         for row in rows:
             h = ising_battery(row["J1"], row["J2"], row["J3"], row["b"])
@@ -189,12 +221,6 @@ def test_witness_stack_raises_when_the_routes_disagree(monkeypatch):
         detect_schmidt_number_stack(stack, h.d, h.ha2, h.hb2, h.g2v2)
 
 
-# 2 alpha x 2 eps at n = 4,101: two chunks of the d = 4 stream, the second holding 5 pairs
-_MC_SWEEP = {
-    "protocol": "tpm",
-    "parameters": {"alpha_grid": [0.0, 0.96], "eps_grid": [0.0, 0.5, 1.0]},
-    "sampling": {"seed": 3, "n_unitaries": 4101},
-}
 _TWIRL_CHECKS = ["single_copy_twirl_vs_mc", "two_copy_twirl_vs_mc", "two_copy_local_twirl_vs_mc"]
 
 
