@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    MAX_LOCAL_DIM,
     DensityMatrix,
     StateLike,
     check_density,
@@ -25,6 +24,7 @@ from .linalg import (
     kron,
     partial_trace,
     product_basis_rotation,
+    _check_dimension,
     _first_invalid_density,
     _raw,
 )
@@ -84,14 +84,13 @@ def battery_hamiltonian(
 ) -> BatteryHamiltonian:
     """Assemble and canonicalize a battery Hamiltonian.
 
-    ``ha``/``hb`` are Hermitian d x d local terms with 2 <= d <= MAX_LOCAL_DIM;
+    ``ha``/``hb`` are Hermitian d x d local terms, d as ``_check_dimension`` allows;
     ``v`` is a Hermitian d^2 x d^2 interaction; ``g`` its coupling strength.
     A non-finite entry or weight (ha2, hb2, g^2 v2) is a ValueError naming it.
     """
     ha = np.asarray(ha, dtype=np.complex128)
     d = ha.shape[0]
-    if not 2 <= d <= MAX_LOCAL_DIM:
-        raise ValueError(f"local dimension must lie in 2..{MAX_LOCAL_DIM}, got {d}")
+    _check_dimension(d)
     hb = np.asarray(hb, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     if ha.shape != (d, d) or hb.shape != (d, d):

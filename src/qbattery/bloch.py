@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_LOCAL_DIM, StateLike, _raw
+from .linalg import StateLike, _check_dimension, _raw
 
 __all__ = ["interaction_coeffs"]
 
@@ -40,10 +40,7 @@ class HermitianBasis:
 @functools.lru_cache(maxsize=None)
 def gell_mann_basis(d: int) -> HermitianBasis:
     """Build the basis at dimension d with tr[lam_i lam_j] = d * delta_ij."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if d > MAX_LOCAL_DIM:
-        raise ValueError(f"local dimensions above {MAX_LOCAL_DIM} are not supported")
+    _check_dimension(d)
     scale = np.sqrt(d / 2.0)  # standard Gell-Mann matrices carry tr[lam^2] = 2
     mats = []
     for j in range(d):

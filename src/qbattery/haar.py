@@ -2,7 +2,9 @@
 
 Sampling uses a counter-based PRNG (Philox) keyed by (seed, stream), so
 independent streams can be drawn without coordination and the sequence for a
-given ``SamplerConfig`` is bit-for-bit reproducible.  Monte-Carlo pairs come
+given ``SamplerConfig`` and dimension is bit-for-bit reproducible.  The
+dimension is not part of the key: it enters where unitaries are drawn, from
+the battery or spectral decomposition of the run.  Monte-Carlo pairs come
 in chunks of ``chunk_size(d)``, and chunk c starts its own sequence at
 Philox counter (0, 0, c, 0) (Salmon et al., SC'11), so any chunk is drawn
 without drawing the ones before it; chunk 0 is the unaddressed sequence.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_LOCAL_DIM, StateLike, partial_trace, purity, sector_lengths, swap_operator
+from .linalg import StateLike, _check_dimension, partial_trace, purity, sector_lengths, swap_operator
 
 __all__ = [
     "SamplerConfig",
@@ -38,43 +40,41 @@ __all__ = [
 
 #: Pairs per Monte-Carlo chunk at d <= 4 (``chunk_size`` shrinks it above).
 #: Every Monte-Carlo estimate, verify's checks included, draws through
-#: ``pair_chunk``, so (seed, stream) and n fix the draws.
+#: ``pair_chunk``, so (seed, stream), d and n fix the draws.
 DEFAULT_CHUNK = 4096
 
 
 def _check_u64(value: int, name: str) -> None:
-    """Refuse a ``name`` (a Philox key word: seed or stream) outside [0, 2^64)."""
-    if not 0 <= value < 2**64:
-        raise ValueError(f"{name} must be a non-negative 64-bit integer, got {value}")
+    """Refuse a ``name`` (a Philox key word: seed or stream) that is no integer in [0, 2^64), a bool, float or str too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be a non-negative 64-bit integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Addressable random stream: (d, seed, stream) fixes the sample sequence."""
+    """Addressable random stream: the Philox key (seed, stream), which with d and the draw sizes fixes the samples."""
 
-    d: int
     seed: int
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not 2 <= self.d <= MAX_LOCAL_DIM:
-            raise ValueError(f"dimension must lie in 2..{MAX_LOCAL_DIM}, got {self.d}")
         _check_u64(self.seed, "seed")
         _check_u64(self.stream, "stream index")
 
 
 class HaarSampler:
-    """Stateful Haar sampler over U(d) for one (seed, stream) pair, from the start of chunk ``chunk``."""
+    """Stateful Haar sampler over U(d) for one (seed, stream) key, from the start of chunk ``chunk``."""
 
-    def __init__(self, cfg: SamplerConfig, chunk: int = 0):
-        self.cfg = cfg
+    def __init__(self, cfg: SamplerConfig, d: int, chunk: int = 0):
+        _check_dimension(d)
+        self.d = d
         # A uint64 array: numpy reads a list holding a word >= 2^63 through float64 and rounds the key.
         key = np.array([cfg.seed, cfg.stream], dtype=np.uint64)
         self._rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, chunk, 0]))
 
     def unitaries(self, n: int) -> np.ndarray:
         """Draw a batch of n Haar-random unitaries, shape (n, d, d)."""
-        d = self.cfg.d
+        d = self.d
         a = self._rng.standard_normal((n, d, d))
         b = self._rng.standard_normal((n, d, d))
         return _gram_schmidt(a, b)
@@ -112,9 +112,9 @@ def chunk_size(d: int) -> int:
     return min(DEFAULT_CHUNK, 2**16 // d**2)
 
 
-def pair_chunk(cfg: SamplerConfig, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk c of the pairs of ``cfg``: k side-A unitaries, then k side-B ones, from the sampler at chunk c."""
-    sampler = HaarSampler(cfg, chunk=c)
+def pair_chunk(cfg: SamplerConfig, d: int, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chunk c of the pairs of ``cfg`` over U(d): k side-A unitaries, then k side-B ones, from the sampler at chunk c."""
+    sampler = HaarSampler(cfg, d, chunk=c)
     ua = sampler.unitaries(k)
     return ua, sampler.unitaries(k)
 

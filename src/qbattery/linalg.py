@@ -35,7 +35,6 @@ __all__ = [
 # level; these tolerances accept that without letting real defects through.
 HERMITICITY_TOL = 1e-9
 PSD_TOL = -1e-9
-MAX_LOCAL_DIM = 16
 #: Margin, in units of the shift c = ||m||_F, within which ``_shifted_spectrum``'s
 #: eigenvalue bounds leave a decision to ``eigvalsh``: over 1e3 times the
 #: rounding bound n eps ||m + c 1|| <= 2 n eps c of either route at n = 64.
@@ -47,6 +46,13 @@ SPECTRUM_MARGIN = 1e-10
 #: runs on one thread, which OpenBLAS's worker does not slow, so the SVD
 #: would only cost time.  ``_shifted_spectrum`` bounds only this size.
 POOL_DIM = 64
+MAX_LOCAL_DIM = 16
+
+
+def _check_dimension(d: int) -> None:
+    """Refuse a local dimension d outside 2..MAX_LOCAL_DIM: a battery's, a sampler's, a basis's or verify's."""
+    if not 2 <= d <= MAX_LOCAL_DIM:
+        raise ValueError(f"local dimension must lie in 2..{MAX_LOCAL_DIM}, got {d}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -25,7 +25,7 @@ import numpy as np
 from .battery import BatteryHamiltonian, SpectralDecomposition, _check_alpha, battery_hamiltonian, spectral_decomposition
 from .coincidence import _check_h2, avg_coincidence_closed, coincidence_bound, mc_coincidence
 from .haar import SamplerConfig, _check_u64, twirl1, twirl2, two_copy_local_twirl_probe
-from .linalg import MAX_LOCAL_DIM, DensityMatrix, random_density_matrix, random_hermitian, sector_lengths, swap_operator
+from .linalg import DensityMatrix, _check_dimension, random_density_matrix, random_hermitian, sector_lengths, swap_operator
 from .serialization import ConfigError, _number, battery_from_spec, ising_params, state_from_spec, thermal_mixtures
 from .tpm import (
     _check_eps,
@@ -138,12 +138,12 @@ class ExperimentConfig:
             if getattr(self, section) is None and run in CONFIG_KEYS[section][0]:
                 setattr(self, section, json.loads(json.dumps(default)))
 
-    def sampler(self, d: int, default_seed: int | None = None) -> SamplerConfig:
+    def sampler(self, default_seed: int | None = None) -> SamplerConfig:
         """Sampler config from the sampling section; the seed is mandatory unless a default is given."""
         seed = self.sampling.get("seed", default_seed)
         if seed is None:
             raise ConfigError("sampling.seed", "a seed is mandatory for Monte-Carlo runs")
-        return SamplerConfig(d=d, seed=_number(seed, "sampling.seed", int, check=partial(_check_u64, name="seed")))
+        return SamplerConfig(seed=_number(seed, "sampling.seed", int, check=partial(_check_u64, name="seed")))
 
     def samples(self) -> bool:
         """Whether a variance, tpm, coincidence or TPM-sweep run adds its Monte-Carlo estimate: when n is given."""
@@ -174,14 +174,16 @@ def _field_battery(ip: dict, b: float) -> BatteryHamiltonian:
         raise ConfigError("parameters.b_grid", f"b = {b}: {str(exc).removeprefix('battery.ising: ')}") from None
 
 
-#: Bytes of mixture states in one sweep block; each default grid is one block, so one TPM Monte-Carlo pass.
+#: Bytes of (d^2, d^2) matrices in one sweep block: its states, and with a TPM Monte Carlo each state's Xi per eps.
+#: Each default grid is one block, so one TPM Monte-Carlo pass.
 _SWEEP_BLOCK_BYTES = 4 * 2**20
 
 
-def _sweep_blocks(spec: dict, batteries: list[BatteryHamiltonian], a_grid: list[float]):
+def _sweep_blocks(spec: dict, batteries: list[BatteryHamiltonian], a_grid: list[float], per_state: int = 1):
     """A (battery x alpha) grid's (battery slice, alphas, temperature, states) blocks, b-major, one ``thermal_mixtures``
-    call each: whole b rows while one row fits ``_SWEEP_BLOCK_BYTES``, else consecutive parts of one row."""
-    per_block = max(1, _SWEEP_BLOCK_BYTES // (batteries[0].d ** 4 * 16))  # complex (d^2, d^2) states
+    call each: whole b rows while one row of ``per_state`` matrices a state fits ``_SWEEP_BLOCK_BYTES``, else
+    consecutive parts of one row."""
+    per_block = max(1, _SWEEP_BLOCK_BYTES // (per_state * batteries[0].d ** 4 * 16))  # complex (d^2, d^2) matrices
     n_rows, n_alphas = max(1, per_block // len(a_grid)), min(per_block, len(a_grid))
     for b in range(0, len(batteries), n_rows):
         for a in range(0, len(a_grid), n_alphas):
@@ -244,10 +246,11 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     eps_pairs = [(eps, eps) for eps in eps_grid]
     h = battery_from_spec(cfg.battery)
     spec = spectral_decomposition(h)
+    per_state = 1 + len(eps_pairs) if cfg.samples() else 1  # a Monte Carlo holds each state's Xi per eps
     rows = []
-    for _, alphas, temperature, [states] in _sweep_blocks(cfg.state, [h], a_grid):
+    for _, alphas, temperature, [states] in _sweep_blocks(cfg.state, [h], a_grid, per_state):
         reports = tpm_variance_stack(states, spec, eps_pairs)
-        mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler(h.d)) if cfg.samples() else None
+        mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler()) if cfg.samples() else None
         head = {"J1": ip["J1"], "J2": ip["J2"], "J3": ip["J3"], "b": ip["b"], "T": temperature}
         for i, (alpha, state_reports) in enumerate(zip(alphas, reports)):
             for j, rep in enumerate(state_reports):
@@ -265,7 +268,7 @@ def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     h = battery_from_spec(cfg.battery)
     rho = state_from_spec(cfg.state, h)
     bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=partial(_check_bin_width, h=h))
-    stats, hist = work_sample_summary(rho, h, cfg.n_unitaries(), cfg.sampler(h.d), bin_width=bin_width)
+    stats, hist = work_sample_summary(rho, h, cfg.n_unitaries(), cfg.sampler(), bin_width=bin_width)
     edges = hist.edges().tolist()  # Python floats, so CSV cells repr as 0.1
     rows = [
         {"bin_left": left, "bin_right": right, "count": int(c)}
@@ -308,7 +311,7 @@ def run_point(cfg: ExperimentConfig) -> dict:
         sample = lambda n, sampler: mc_coincidence(rho, spectral_decomposition(h), eps, eps, n, sampler)
     out = {"protocol": protocol, **closed}
     if cfg.samples():
-        stats = sample(cfg.n_unitaries(), cfg.sampler(h.d))
+        stats = sample(cfg.n_unitaries(), cfg.sampler())
         if protocol == "coincidence":
             out.update(cbar_mc=stats.mean, cbar_mc_se=stats.se_mean)
         else:
@@ -450,23 +453,20 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     """
     cfg.check("verify")
     p = cfg.parameters
-    d = _number(p.get("d", 2), "parameters.d", int)
-    if not 2 <= d <= MAX_LOCAL_DIM:
-        raise ConfigError("parameters.d", f"verify runs at d = 2..{MAX_LOCAL_DIM}, got {d}")
+    d = _number(p.get("d", 2), "parameters.d", int, check=_check_dimension)
     n = cfg.n_unitaries(10_000)
-    seed = cfg.sampler(d, DEFAULT_VERIFY_SEED).seed
+    base = cfg.sampler(DEFAULT_VERIFY_SEED)
     checks = []
     for idx, (name, fn) in enumerate(CHECKS.items()):
-        rng = np.random.default_rng(seed + 10_000 + idx)
-        cfg_s = SamplerConfig(d=d, seed=seed, stream=idx)
-        result = fn(rng, d, n, cfg_s)
+        rng = np.random.default_rng(base.seed + 10_000 + idx)
+        result = fn(rng, d, n, replace(base, stream=idx))
         deviation = float(result["deviation"])
         threshold = 1.0 if name in ("proof_inequalities", "weight_functions") else MC_GATE_SE
         entry = {"name": name, "passed": bool(deviation <= threshold), "deviation": deviation, "threshold": threshold}
         if "detail" in result:
             entry["detail"] = result["detail"]
         checks.append(entry)
-    return {"seed": seed, "d": d, "n": n, "passed": all(entry["passed"] for entry in checks), "checks": checks}
+    return {"seed": base.seed, "d": d, "n": n, "passed": all(entry["passed"] for entry in checks), "checks": checks}
 
 
 def schema_tag(name: str) -> str:

@@ -36,7 +36,6 @@ from .workstats import _state_data
 
 __all__ = [
     "ConfigError",
-    "matrix_to_json",
     "matrix_from_json",
     "battery_from_spec",
     "ising_params",
@@ -59,12 +58,6 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 def matrix_from_json(obj, key: str = "matrix") -> np.ndarray:

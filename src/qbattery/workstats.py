@@ -24,7 +24,7 @@ import numpy as np
 
 from .battery import BatteryHamiltonian, SpectralDecomposition, spectral_decomposition
 from .haar import SamplerConfig, chunk_size, pair_chunk
-from .linalg import SPECTRUM_MARGIN, DensityMatrix, StateLike, _shifted_spectrum, sector_lengths
+from .linalg import SPECTRUM_MARGIN, DensityMatrix, StateLike, _check_dimension, _shifted_spectrum, sector_lengths
 from .montecarlo import MomentAccumulator
 
 __all__ = [
@@ -402,8 +402,8 @@ def iter_samples(
     Every estimator, verify's twirl probes included, is a per-chunk sample
     function over local unitary stacks whose value for a pair depends on that
     pair alone.  The pairs come in chunks of ``chunk_size(d)``, the last
-    holding the remainder, and chunk c is ``pair_chunk(cfg, c, k)``, drawn
-    from its own place in the stream: (seed, stream, n) fix the draws and
+    holding the remainder, and chunk c is ``pair_chunk(cfg, d, c, k)``, drawn
+    from its own place in the stream: (seed, stream), d and n fix the draws and
     the order in which moments are folded, whatever the thread count.  That
     is the reproducibility contract.
 
@@ -416,14 +416,13 @@ def iter_samples(
     queued chunks and joins every thread before the caller goes on.
     """
     _check_samples(n)
-    if cfg.d != d:
-        raise ValueError(f"sampler dimension {cfg.d} does not match battery d = {d}")
+    _check_dimension(d)
     k = chunk_size(d)
     chunks = range(-(-n // k))
     threads = min(_workers(d), len(chunks))
 
     def task(c: int) -> np.ndarray:
-        return sample(*pair_chunk(cfg, c, min(k, n - c * k)))
+        return sample(*pair_chunk(cfg, d, c, min(k, n - c * k)))
 
     if threads == 1:
         yield from map(task, chunks)

@@ -26,10 +26,10 @@ def tag_chunks(monkeypatch):
     """Wrap the chunk draw: a sample function reads its chunk index from ``current.c``; ``drawn`` lists the chunks drawn."""
     current, drawn = threading.local(), []
 
-    def draw(cfg, c, k):
+    def draw(cfg, d, c, k):
         current.c = c
         drawn.append(c)
-        return pair_chunk(cfg, c, k)
+        return pair_chunk(cfg, d, c, k)
 
     monkeypatch.setattr(workstats, "pair_chunk", draw)
     return current, drawn

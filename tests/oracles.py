@@ -3,7 +3,8 @@
 Each is an independent, slower or more explicit spelling of something the
 library computes another way: the Gell-Mann reconstruction of a state, the
 d^4 x d^4 two-copy local twirl, explicit subsystem permutations, and the
-battery spec writer that round-trips through ``battery_from_spec``.
+matrix and battery spec writers that round-trip through ``matrix_from_json``
+and ``battery_from_spec``.
 """
 
 from typing import Sequence
@@ -13,7 +14,6 @@ import numpy as np
 from qbattery.battery import BatteryHamiltonian
 from qbattery.bloch import BlochForm, gell_mann_basis
 from qbattery.linalg import DensityMatrix, StateLike, sector_lengths
-from qbattery.serialization import matrix_to_json
 
 
 def bloch_reconstruct(form: BlochForm) -> np.ndarray:
@@ -69,6 +69,12 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
+
+
+def matrix_to_json(m: np.ndarray) -> list:
+    """The JSON encoding ``matrix_from_json`` reads: row-major nested lists of [re, im] pairs."""
+    m = np.asarray(m, dtype=np.complex128)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 def battery_to_spec(h: BatteryHamiltonian) -> dict:

@@ -69,7 +69,7 @@ def test_criterion_01_two_copy_twirl_oracle():
         targets = [twirl2(x) for x in xs]
         sums = [np.zeros((dim * dim, dim * dim), complex) for _ in xs]
         sq = [np.zeros((2, dim * dim, dim * dim)) for _ in xs]
-        sampler = HaarSampler(SamplerConfig(d=dim, seed=1000 + dim))
+        sampler = HaarSampler(SamplerConfig(seed=1000 + dim), dim)
         left = n
         while left:
             k = min(2048, left)
@@ -103,7 +103,7 @@ def test_criterion_02_work_variance_closed_form():
             h, rho = _mixture(alpha, b=b)
             closed = analytic_work_variance(rho, h).variance
             seed += 1
-            stats = mc_work_statistics(rho, h, n, SamplerConfig(d=4, seed=seed))
+            stats = mc_work_statistics(rho, h, n, SamplerConfig(seed=seed))
             worst = max(worst, abs(stats.variance - closed) / stats.se_variance)
     passed = worst < 5 and time.time() - t0 < 300
     _report("C2 ideal work variance vs MC (3x3 grid, n=1e5)", passed, f"max dev {worst:.2f} SE", t0)
@@ -133,7 +133,7 @@ def test_criterion_04_histogram_reproduction():
     for seed, alpha in ((4001, 0.96), (4002, 0.08)):
         h, rho = _mixture(alpha)
         closed = analytic_work_variance(rho, h).variance
-        stats, hist = work_sample_summary(rho, h, n, SamplerConfig(d=4, seed=seed), bin_width=0.1)
+        stats, hist = work_sample_summary(rho, h, n, SamplerConfig(seed=seed), bin_width=0.1)
         assert hist is not None and hist.counts.sum() == n
         results[alpha] = (stats, closed)
     dev_hi = abs(results[0.96][0].variance - results[0.96][1]) / results[0.96][0].se_variance
@@ -164,7 +164,7 @@ def test_criterion_05_tpm_closed_form_and_bound():
             _, rho = _mixture(alpha)
             rep = tpm_variance_closed_form(rho, spec, eps, eps)
             seed += 1
-            stats = mc_tpm_statistics(rho, spec, eps, eps, 10_000, SamplerConfig(d=4, seed=seed))
+            stats = mc_tpm_statistics(rho, spec, eps, eps, 10_000, SamplerConfig(seed=seed))
             worst = max(worst, abs(stats.variance - rep.var_tpm) / stats.se_variance)
     # noise never increases the variance above the diagonal-Hamiltonian value
     min_slack = np.inf
@@ -221,7 +221,7 @@ def test_criterion_07_coincidence_closed_form_and_bound():
             for eps in (0.3, 0.7, 1.0):
                 closed = avg_coincidence_closed(rho, spec, eps, eps)
                 seed += 1
-                mc = mc_coincidence(rho, spec, eps, eps, n, SamplerConfig(d=dim, seed=seed))
+                mc = mc_coincidence(rho, spec, eps, eps, n, SamplerConfig(seed=seed))
                 worst = max(worst, abs(mc.mean - closed) / (mc.se_mean + 1e-15))
     min_slack = np.inf
     h = _ising()

@@ -63,7 +63,7 @@ def test_d16_boundary(case):
         report = detect_schmidt_number(rho, h)
         tpm = tpm_variance_closed_form(rho, spec, eps, eps)
         bound = coincidence_bound(rho, h, eps)
-        mc = mc_work_statistics(rho, h, 64, SamplerConfig(d=D, seed=5))
+        mc = mc_work_statistics(rho, h, 64, SamplerConfig(seed=5))
     closed = analytic_work_variance(rho, h)
 
     # the sector lengths split the purity: d^2 tr rho^2 = 1 + rA^2 + rB^2 + t^2

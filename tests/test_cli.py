@@ -451,7 +451,7 @@ def _default_taus():
                 (["witness"], {"state": {"matrix": _STATE9}}, "state.matrix"),
                 (["coincidence", "--seed", "1", "--n", "10"], {"state": {"matrix": _STATE9}}, "state.matrix"),
             ],
-            lambda: mc_work_statistics(np.eye(9) / 9, ising_battery(0.5, 1.0, 0.5, 0.45), 10, SamplerConfig(d=4, seed=1)),
+            lambda: mc_work_statistics(np.eye(9) / 9, ising_battery(0.5, 1.0, 0.5, 0.45), 10, SamplerConfig(seed=1)),
         ),
     ],
     ids=["alpha", "T", "state_dimension"],
@@ -495,7 +495,7 @@ def test_a_point_runs_monte_carlo_report_is_its_work_statistics(run):
     out = run_point(ExperimentConfig.from_dict({"protocol": run, "sampling": {"seed": 3, "n_unitaries": 300}}))
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     rho = thermal_mixture_state(0.96, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
-    sampler = SamplerConfig(d=4, seed=3)
+    sampler = SamplerConfig(seed=3)
     if run == "variance":
         stats = mc_work_statistics(rho, h, 300, sampler)
     else:

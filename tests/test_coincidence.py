@@ -62,8 +62,8 @@ def test_per_unitary_identity_vs_four_copy_trace(rng):
         perm = subsystem_permutation((0, 2, 1, 3), (d, d, d, d))  # (A,A',B,B') -> (A,B,A',B')
         big = perm @ np.kron(paa, pbb) @ perm.T
         u = np.kron(
-            HaarSampler(SamplerConfig(d=d, seed=81)).unitaries(1)[0],
-            HaarSampler(SamplerConfig(d=d, seed=82)).unitaries(1)[0],
+            HaarSampler(SamplerConfig(seed=81), d).unitaries(1)[0],
+            HaarSampler(SamplerConfig(seed=82), d).unitaries(1)[0],
         )
         rot = u @ rho @ u.conj().T
         literal = np.trace(big @ np.kron(rot, rot)).real
@@ -76,8 +76,8 @@ def test_sharp_limit_matches_projective_enumeration(rng):
     spec = spectral_decomposition(make_random_battery(rng, d))
     rho = random_density_matrix(rng, d * d).data
     u = np.kron(
-        HaarSampler(SamplerConfig(d=d, seed=83)).unitaries(1)[0],
-        HaarSampler(SamplerConfig(d=d, seed=84)).unitaries(1)[0],
+        HaarSampler(SamplerConfig(seed=83), d).unitaries(1)[0],
+        HaarSampler(SamplerConfig(seed=84), d).unitaries(1)[0],
     )
     rot = u @ rho @ u.conj().T
     prob = 0.0
@@ -91,7 +91,7 @@ def test_sharp_limit_matches_projective_enumeration(rng):
 def test_mc_matches_closed_form():
     _, spec = _ising_spec()
     rho = _mixture(0.7)
-    cfg = SamplerConfig(d=4, seed=85)
+    cfg = SamplerConfig(seed=85)
     closed = avg_coincidence_closed(rho, spec, 0.6, 0.35)
     mc = mc_coincidence(rho, spec, 0.6, 0.35, 15_000, cfg)
     assert mc.n_samples == 15_000
@@ -100,14 +100,14 @@ def test_mc_matches_closed_form():
 
 def test_mc_maximally_mixed():
     _, spec = _ising_spec()
-    mc = mc_coincidence(np.eye(16) / 16, spec, 0.5, 0.5, 2000, SamplerConfig(d=4, seed=86))
+    mc = mc_coincidence(np.eye(16) / 16, spec, 0.5, 0.5, 2000, SamplerConfig(seed=86))
     assert abs(mc.mean - 1 / 16) < max(5 * mc.se_mean, 1e-12)
 
 
 def test_mc_determinism_and_convergence():
     _, spec = _ising_spec()
     rho = _mixture(0.4)
-    cfg = SamplerConfig(d=4, seed=87)
+    cfg = SamplerConfig(seed=87)
     a = mc_coincidence(rho, spec, 0.8, 0.8, 4000, cfg)
     b = mc_coincidence(rho, spec, 0.8, 0.8, 4000, cfg)
     assert a == b

@@ -18,10 +18,10 @@ from qbattery.linalg import random_density_matrix, random_hermitian, swap_operat
 from qbattery.tpm import tpm_variance_closed_form
 from qbattery.workstats import analytic_work_variance
 
-_GROUPS = {d: clifford_group(d) for d in (2, 3)}
+_GROUPS = {d: clifford_group(d) for d in (2, 3, 5)}  # 24, 216 and 3,000 elements
 
 
-@pytest.mark.parametrize("d, size", [(2, 24), (3, 216)])
+@pytest.mark.parametrize("d, size", [(2, 24), (3, 216), (5, 3000)])
 def test_clifford_group_is_a_unitary_2_design(d, size):
     group = _GROUPS[d]
     assert len(group) == size
@@ -48,7 +48,7 @@ def _assert_relative(value, closed, rel=1e-12):
     assert np.linalg.norm(np.subtract(value, closed)) <= rel * np.linalg.norm(closed)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_twirls_are_exact_over_the_clifford_group(rng, d):
     """twirl1 over every element U, and twirl2 over every U (x) U, at 1e-12 relative on random Hermitian inputs."""
     group = _GROUPS[d]

@@ -59,14 +59,14 @@ HISTOGRAM_COUNTS_N1000_SEED7_STREAM1 = [
 
 
 def test_first_haar_unitary_is_pinned():
-    u = HaarSampler(SamplerConfig(d=3, seed=20240901, stream=2)).unitaries(1)[0]
+    u = HaarSampler(SamplerConfig(seed=20240901, stream=2), 3).unitaries(1)[0]
     np.testing.assert_allclose(u, FIRST_UNITARY_D3_SEED20240901_STREAM2, rtol=0, atol=1e-12)
 
 
 def _default_point():
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     rho = thermal_mixture_state(0.96, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
-    return h, rho, SamplerConfig(d=4, seed=7, stream=1)
+    return h, rho, SamplerConfig(seed=7, stream=1)
 
 
 def test_mc_work_statistics_is_pinned():

@@ -1,4 +1,6 @@
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -66,47 +68,47 @@ def _partial_two_copy_twirl(x, d, positions):
 
 def test_unitarity():
     for d in (2, 3, 5):
-        u = HaarSampler(SamplerConfig(d=d, seed=1)).unitaries(1)[0]
+        u = HaarSampler(SamplerConfig(seed=1), d).unitaries(1)[0]
         assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-12
 
 
 def test_determinism_and_stream_separation():
-    cfg = SamplerConfig(d=3, seed=99, stream=4)
-    a = HaarSampler(cfg).unitaries(10)
-    b = HaarSampler(cfg).unitaries(10)
+    cfg = SamplerConfig(seed=99, stream=4)
+    a = HaarSampler(cfg, 3).unitaries(10)
+    b = HaarSampler(cfg, 3).unitaries(10)
     assert np.array_equal(a, b)
-    c = HaarSampler(SamplerConfig(d=3, seed=99, stream=5)).unitaries(10)
+    c = HaarSampler(SamplerConfig(seed=99, stream=5), 3).unitaries(10)
     assert not np.allclose(a, c)
 
 
 def test_chunked_pairs_match_direct_draws():
     # chunk c, the ragged last one included, is its addressed sampler drawn side A, then side B
-    cfg = SamplerConfig(d=2, seed=5)
+    cfg = SamplerConfig(seed=5)
     n, k = 9000, chunk_size(2)
     chunks = list(iter_samples(lambda ua, ub: (ua, ub), 2, n, cfg))
     assert [len(ua) for ua, _ in chunks] == [4096, 4096, 808]
     for c, (ua, ub) in enumerate(chunks):
-        direct = HaarSampler(cfg, chunk=c)
+        direct = HaarSampler(cfg, 2, chunk=c)
         assert np.array_equal(ua, direct.unitaries(min(k, n - c * k)))
         assert np.array_equal(ub, direct.unitaries(min(k, n - c * k)))
-    serial = HaarSampler(cfg)
+    serial = HaarSampler(cfg, 2)
     serial.unitaries(2 * k)
     assert not np.allclose(chunks[1][0], serial.unitaries(k))  # chunk 1 is not the serial continuation of chunk 0
 
 
 def test_chunk_c_starts_at_philox_counter_word_2():
-    cfg = SamplerConfig(d=3, seed=5, stream=2)
+    cfg = SamplerConfig(seed=5, stream=2)
     rng = np.random.Generator(np.random.Philox(key=[5, 2], counter=[0, 0, 7, 0]))
     side_a, side_b = (_gram_schmidt(rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))) for _ in "AB")
-    ua, ub = pair_chunk(cfg, 7, 2)
+    ua, ub = pair_chunk(cfg, 3, 7, 2)
     assert np.array_equal(ua, side_a) and np.array_equal(ub, side_b)
 
 
 def test_seeds_above_two_to_the_63_keep_every_bit_of_the_key():
     # numpy reads a list key holding a word >= 2^63 through float64, which rounds both seeds to 2^63
-    a, b = (HaarSampler(SamplerConfig(d=3, seed=2**63 + k)).unitaries(4) for k in (1, 2))
+    a, b = (HaarSampler(SamplerConfig(seed=2**63 + k), 3).unitaries(4) for k in (1, 2))
     assert not np.allclose(a, b)
-    c, e = (HaarSampler(SamplerConfig(d=3, seed=1, stream=2**63 + k)).unitaries(4) for k in (1, 2))
+    c, e = (HaarSampler(SamplerConfig(seed=1, stream=2**63 + k), 3).unitaries(4) for k in (1, 2))
     assert not np.allclose(c, e)
 
 
@@ -115,14 +117,14 @@ def test_the_largest_seed_and_stream_draw_without_a_warning(seed, stream):
     # next to a small word, numpy reads a list key holding 2^64 - 1 through float64, whose cast back overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u = HaarSampler(SamplerConfig(d=2, seed=seed, stream=stream), chunk=3).unitaries(5)
+        u = HaarSampler(SamplerConfig(seed=seed, stream=stream), 2, chunk=3).unitaries(5)
     assert np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2))) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_chunk_zero_is_the_unaddressed_samplers_first_draws(d):
-    cfg = SamplerConfig(d=d, seed=17)
-    serial = HaarSampler(cfg)
+    cfg = SamplerConfig(seed=17)
+    serial = HaarSampler(cfg, d)
     ua, ub = next(iter_samples(lambda ua, ub: (ua, ub), d, 9000, cfg))
     assert len(ua) == chunk_size(d)
     assert np.array_equal(ua, serial.unitaries(len(ua)))
@@ -133,7 +135,7 @@ def test_single_copy_twirl_against_mc(rng):
     d = 2
     n = 100_000
     x = random_hermitian(rng, d)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=31))
+    sampler = HaarSampler(SamplerConfig(seed=31), d)
     acc = np.zeros((d, d), dtype=complex)
     left = n
     while left:
@@ -146,7 +148,7 @@ def test_single_copy_twirl_against_mc(rng):
 
 def test_eigenphases_uniform_chi2():
     # marginal phase of each eigenvalue is uniform on [-pi, pi]
-    sampler = HaarSampler(SamplerConfig(d=3, seed=17))
+    sampler = HaarSampler(SamplerConfig(seed=17), 3)
     u = sampler.unitaries(10_000)
     phases = np.angle(np.linalg.eigvals(u)).ravel()
     counts, _ = np.histogram(phases, bins=20, range=(-np.pi, np.pi))
@@ -159,9 +161,9 @@ def test_left_right_invariance_ks(rng):
     d = 3
     x = random_hermitian(rng, d)
     y = random_hermitian(rng, d)
-    v = HaarSampler(SamplerConfig(d=d, seed=1234)).unitaries(1)[0]
-    u1 = HaarSampler(SamplerConfig(d=d, seed=7, stream=0)).unitaries(2000)
-    u2 = HaarSampler(SamplerConfig(d=d, seed=7, stream=1)).unitaries(2000)
+    v = HaarSampler(SamplerConfig(seed=1234), d).unitaries(1)[0]
+    u1 = HaarSampler(SamplerConfig(seed=7, stream=0), d).unitaries(2000)
+    u2 = HaarSampler(SamplerConfig(seed=7, stream=1), d).unitaries(2000)
     plain = np.einsum("nij,ji->n", u1 @ x @ u1.conj().transpose(0, 2, 1), y).real
     rot = v @ u2 @ x @ u2.conj().transpose(0, 2, 1) @ v.conj().T
     shifted = np.einsum("nij,ji->n", rot, y).real
@@ -188,7 +190,7 @@ def test_twirl2_against_mc(rng):
     n = 40_000
     x = random_hermitian(rng, d * d)
     target = twirl2(x)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=77))
+    sampler = HaarSampler(SamplerConfig(seed=77), d)
     total = np.zeros((d * d, d * d), dtype=complex)
     total_sq = np.zeros((2, d * d, d * d))
     left = n
@@ -228,8 +230,8 @@ def test_two_copy_local_twirl_against_exact_partial_twirls(rng, d):
 def test_two_copy_local_twirl_depends_only_on_sector_lengths(rng):
     d = 2
     rho = random_density_matrix(rng, d * d).data
-    va = HaarSampler(SamplerConfig(d=d, seed=2)).unitaries(1)[0]
-    vb = HaarSampler(SamplerConfig(d=d, seed=3)).unitaries(1)[0]
+    va = HaarSampler(SamplerConfig(seed=2), d).unitaries(1)[0]
+    vb = HaarSampler(SamplerConfig(seed=3), d).unitaries(1)[0]
     u = np.kron(va, vb)
     rotated = u @ rho @ u.conj().T
     np.testing.assert_allclose(
@@ -249,17 +251,48 @@ def test_two_copy_local_twirl_probe_is_the_full_matrix_on_p_tensor_p(rng, d):
 
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(d=1, seed=0)
+        SamplerConfig(seed=-1)
     with pytest.raises(ValueError):
-        SamplerConfig(d=2, seed=-1)
-    with pytest.raises(ValueError):
-        SamplerConfig(d=2, seed=0, stream=-1)
+        SamplerConfig(seed=0, stream=-1)
 
 
-def test_sampler_config_refuses_dimensions_above_the_limit():
-    SamplerConfig(d=MAX_LOCAL_DIM, seed=0)
-    with pytest.raises(ValueError, match="dimension"):
-        SamplerConfig(d=MAX_LOCAL_DIM + 1, seed=0)
+def test_sampler_config_is_the_philox_key_alone():
+    assert [f.name for f in fields(SamplerConfig)] == ["seed", "stream"]
+
+
+@pytest.mark.parametrize("d", [1, MAX_LOCAL_DIM + 1, 300])
+def test_a_dimension_outside_the_supported_range_is_refused_where_unitaries_are_drawn(d):
+    HaarSampler(SamplerConfig(seed=0), MAX_LOCAL_DIM)
+    message = re.escape(f"local dimension must lie in 2..{MAX_LOCAL_DIM}, got {d}")
+    with pytest.raises(ValueError, match=message):
+        HaarSampler(SamplerConfig(seed=0), d)
+    with pytest.raises(ValueError, match=message):
+        pair_chunk(SamplerConfig(seed=0), d, 0, 3)
+    with pytest.raises(ValueError, match=message):  # at d > 256 a chunk would hold no pair
+        next(iter_samples(lambda ua, ub: ua, d, 10, SamplerConfig(seed=0)))
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"seed": 1, "stream": 0.9}, "stream index"),
+        ({"seed": 1, "stream": False}, "stream index"),
+        ({"seed": 1, "stream": "0"}, "stream index"),
+    ],
+)
+def test_a_key_word_that_is_no_integer_is_refused_by_name(key, name):
+    # a float key word would be truncated by the uint64 key array: seed 1.5 drew seed 1's unitaries
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative 64-bit integer, got "):
+        SamplerConfig(**key)
+
+
+def test_numpy_integer_key_words_draw_the_unitaries_of_their_values():
+    a = HaarSampler(SamplerConfig(seed=np.uint64(2**64 - 1), stream=np.int32(3)), 2).unitaries(2)
+    assert np.array_equal(a, HaarSampler(SamplerConfig(seed=2**64 - 1, stream=3), 2).unitaries(2))
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +300,11 @@ def test_sampler_config_refuses_dimensions_above_the_limit():
 # ---------------------------------------------------------------------------
 
 
-def _lapack_reference(cfg, n):
+def _lapack_reference(cfg, d, n):
     """The sampler's normals, drawn again, and Q of their QR with R's diagonal phases absorbed."""
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, cfg.stream]))
-    a = rng.standard_normal((n, cfg.d, cfg.d))
-    b = rng.standard_normal((n, cfg.d, cfg.d))
+    a = rng.standard_normal((n, d, d))
+    b = rng.standard_normal((n, d, d))
     q, r = np.linalg.qr(a + 1j * b)
     diag = np.einsum("nii->ni", r)
     return a, b, q * (diag / np.abs(diag))[:, None, :]
@@ -280,9 +313,9 @@ def _lapack_reference(cfg, n):
 @pytest.mark.parametrize("d", range(2, MAX_LOCAL_DIM + 1))
 def test_draws_match_lapack_qr_on_the_same_normals(d):
     n = 200
-    cfg = SamplerConfig(d=d, seed=20261018, stream=d)
-    a, b, ref = _lapack_reference(cfg, n)
-    q = HaarSampler(cfg).unitaries(n)
+    cfg = SamplerConfig(seed=20261018, stream=d)
+    a, b, ref = _lapack_reference(cfg, d, n)
+    q = HaarSampler(cfg, d).unitaries(n)
     assert np.array_equal(q, _gram_schmidt(a, b))
     assert np.max(np.abs(q - ref)) <= 1e-12
     qh = q.conj().transpose(0, 2, 1)
@@ -296,7 +329,7 @@ def test_draws_match_lapack_qr_on_the_same_normals(d):
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_eigenphases_uniform_chi2_at_larger_d(d):
-    u = HaarSampler(SamplerConfig(d=d, seed=17)).unitaries(10_000)
+    u = HaarSampler(SamplerConfig(seed=17), d).unitaries(10_000)
     phases = np.angle(np.linalg.eigvals(u)).ravel()
     counts, _ = np.histogram(phases, bins=20, range=(-np.pi, np.pi))
     expected = phases.size / 20

@@ -197,7 +197,7 @@ def test_a_stack_is_refused_for_its_first_invalid_matrix_by_its_first_failed_che
 
 
 def _unitary_pair(d):
-    return HaarSampler(SamplerConfig(d, 40 + d, 0)).unitaries(1)[0], HaarSampler(SamplerConfig(d, 40 + d, 1)).unitaries(1)[0]
+    return HaarSampler(SamplerConfig(40 + d, 0), d).unitaries(1)[0], HaarSampler(SamplerConfig(40 + d, 1), d).unitaries(1)[0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])

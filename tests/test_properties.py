@@ -32,7 +32,7 @@ def test_variance_and_coincidence_are_local_unitary_invariant(d, seed, eps_a, ep
     h = make_random_battery(rng, d)
     spec = spectral_decomposition(h)
     rho = random_density_matrix(rng, d * d)
-    u = np.kron(HaarSampler(SamplerConfig(d, seed, 0)).unitaries(1)[0], HaarSampler(SamplerConfig(d, seed, 1)).unitaries(1)[0])
+    u = np.kron(HaarSampler(SamplerConfig(seed, 0), d).unitaries(1)[0], HaarSampler(SamplerConfig(seed, 1), d).unitaries(1)[0])
     rotated = DensityMatrix(u @ rho.data @ u.conj().T)
     np.testing.assert_allclose(
         analytic_work_variance(rotated, h).variance, analytic_work_variance(rho, h).variance, rtol=1e-10

@@ -12,11 +12,10 @@ from qbattery.serialization import (
     _number,
     battery_from_spec,
     matrix_from_json,
-    matrix_to_json,
     state_from_spec,
 )
 
-from oracles import battery_to_spec
+from oracles import battery_to_spec, matrix_to_json
 
 
 def test_matrix_round_trip(rng):
@@ -139,4 +138,4 @@ def test_config_rejects_unknown_keys_and_empty_grids():
 def test_config_requires_seed_for_mc():
     cfg = ExperimentConfig.from_dict({"sampling": {"n_unitaries": 100}})
     with pytest.raises(ConfigError, match="seed"):
-        cfg.sampler(4)
+        cfg.sampler()

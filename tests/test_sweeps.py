@@ -177,9 +177,18 @@ def test_the_variance_sweep_block_walk_moves_no_bits(monkeypatch, run, config, s
     assert all(type(x) is type(y) for a, b in zip(walked, rows) for x, y in zip(a.values(), b.values()))
 
 
-def test_a_monte_carlo_tpm_sweep_peak_memory_is_bounded_by_the_block_budget(monkeypatch):
-    """2,000 alphas in blocks of 64 states; the whole alpha stack alone takes 7.8 MiB, its three Xi stacks 23 MiB."""
-    grid = {"alpha_grid": np.linspace(0.0, 1.0, 2000).tolist()}
+@pytest.mark.parametrize(
+    "n_alphas, eps_grid, gate_mib",
+    [(2000, [0.2, 0.5, 1.0], 16), (200, np.linspace(0.0, 1.0, 20).tolist(), 8)],
+    ids=["3_eps", "20_eps"],
+)
+def test_a_monte_carlo_tpm_sweep_peak_memory_is_bounded_by_the_block_budget(monkeypatch, n_alphas, eps_grid, gate_mib):
+    """A budget of 64 states' bytes (1 MiB), which counts each state's Xi per eps.
+
+    2,000 alphas alone take 7.8 MiB and their three Xi stacks 23 MiB; 200 alphas' twenty Xi stacks take 16 MiB,
+    so a block of 64 states without its Xi in the budget peaks near 14 MiB.
+    """
+    grid = {"alpha_grid": np.linspace(0.0, 1.0, n_alphas).tolist(), "eps_grid": eps_grid}
     config = {"protocol": "tpm", "parameters": grid, "sampling": {"seed": 1, "n_unitaries": 50}}
     monkeypatch.setattr(runner, "_SWEEP_BLOCK_BYTES", 64 * 16**2 * 16)
     tracemalloc.start()
@@ -188,7 +197,7 @@ def test_a_monte_carlo_tpm_sweep_peak_memory_is_bounded_by_the_block_budget(monk
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 6000 and peak < 16 * 2**20, peak
+    assert len(rows) == n_alphas * len(eps_grid) and peak < gate_mib * 2**20, peak
 
 
 def test_every_non_default_variance_sweep_row_is_the_per_point_witness(monkeypatch):
@@ -235,7 +244,7 @@ def _per_probe_check(sample, probes, targets, d, n, cfg):
 
 def _run_check(name, d, n):
     idx = list(runner.CHECKS).index(name)
-    return runner.CHECKS[name](np.random.default_rng(99 + idx), d, n, SamplerConfig(d=d, seed=99, stream=idx))
+    return runner.CHECKS[name](np.random.default_rng(99 + idx), d, n, SamplerConfig(seed=99, stream=idx))
 
 
 def test_every_monte_carlo_tpm_sweep_row_is_the_point_estimator():
@@ -246,7 +255,7 @@ def test_every_monte_carlo_tpm_sweep_row_is_the_point_estimator():
     taus = _taus(h)
     for row in rows:
         rho = thermal_mixture_state(row["alpha"], *taus)
-        stats = mc_tpm_statistics(rho, spec, row["eps_a"], row["eps_b"], 4101, SamplerConfig(d=4, seed=3))
+        stats = mc_tpm_statistics(rho, spec, row["eps_a"], row["eps_b"], 4101, SamplerConfig(seed=3))
         assert stats.n_samples == 4101
         assert {key: row[f"mc_{key}"] for key in asdict(stats)} == asdict(stats)
 
@@ -311,7 +320,7 @@ def test_the_tpm_monte_carlo_validates_no_state_again(monkeypatch):
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     rho = thermal_mixture_state(0.5, *_taus(h)).data
     calls.clear()
-    mc_tpm_statistics(rho, spectral_decomposition(h), 0.5, 0.5, 30, SamplerConfig(d=4, seed=3))
+    mc_tpm_statistics(rho, spectral_decomposition(h), 0.5, 0.5, 30, SamplerConfig(seed=3))
     assert len(calls) == 1
 
 

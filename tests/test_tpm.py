@@ -127,7 +127,7 @@ def test_zero_epsilon_is_one_message_from_the_labels_the_simulation_and_the_cli(
         energy_labels(_ising_spec(), 0.0, 0.5)
     with pytest.raises(ValueError, match=re.escape("eps_b" + _LABELS_DIVERGE)):
         energy_labels(_ising_spec(), 0.5, 0.0)
-    stats = mc_tpm_statistics(_mixture(0.5), _ising_spec(), 0.5, 0.0, 10, SamplerConfig(d=4, seed=1))
+    stats = mc_tpm_statistics(_mixture(0.5), _ising_spec(), 0.5, 0.0, 10, SamplerConfig(seed=1))
     assert stats.n_samples == 10 and np.isfinite([stats.mean, stats.variance]).all()
     assert main(["tpm", "--eps", "0", "--seed", "1", "--n", "10"]) == 0
     captured = capsys.readouterr()
@@ -136,14 +136,14 @@ def test_zero_epsilon_is_one_message_from_the_labels_the_simulation_and_the_cli(
 
 def test_simulation_names_the_efficiency_out_of_range():
     with pytest.raises(ValueError, match=re.escape("eps_a must lie in [0, 1], got 1.5")):
-        mc_tpm_statistics(_mixture(0.5), _ising_spec(), 1.5, 0.5, 10, SamplerConfig(d=4, seed=1))
+        mc_tpm_statistics(_mixture(0.5), _ising_spec(), 1.5, 0.5, 10, SamplerConfig(seed=1))
     # the closed forms and the coincidence protocol name the failing side the same way
     for run in (
         lambda: tpm_variance_closed_form(_mixture(0.5), _ising_spec(), 0.5, 1.5),
         lambda: instrument_average(_mixture(0.5), _ising_spec(), 0.5, 1.5),
         lambda: tpm_weights(0.5, 1.5, 4),
         lambda: avg_coincidence_closed(_mixture(0.5), _ising_spec(), 0.5, 1.5),
-        lambda: mc_coincidence(_mixture(0.5), _ising_spec(), 0.5, 1.5, 10, SamplerConfig(d=4, seed=1)),
+        lambda: mc_coincidence(_mixture(0.5), _ising_spec(), 0.5, 1.5, 10, SamplerConfig(seed=1)),
     ):
         with pytest.raises(ValueError, match=re.escape("eps_b must lie in [0, 1], got 1.5")):
             run()
@@ -162,8 +162,8 @@ def test_tpm_run_zero_for_trivial_round():
 
 def test_tpm_run_zero_for_maximally_mixed():
     spec = _ising_spec()
-    ua = HaarSampler(SamplerConfig(d=4, seed=61)).unitaries(1)[0]
-    ub = HaarSampler(SamplerConfig(d=4, seed=62)).unitaries(1)[0]
+    ua = HaarSampler(SamplerConfig(seed=61), 4).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(seed=62), 4).unitaries(1)[0]
     assert abs(tpm_run(np.eye(16) / 16, spec, 0.7, 0.9, ua, ub)) < 1e-12
 
 
@@ -172,8 +172,8 @@ def test_tpm_run_projective_matches_enumeration_oracle(rng):
     d = 2
     spec = spectral_decomposition(make_random_battery(rng, d))
     rho = random_density_matrix(rng, d * d).data
-    ua = HaarSampler(SamplerConfig(d=d, seed=63)).unitaries(1)[0]
-    ub = HaarSampler(SamplerConfig(d=d, seed=64)).unitaries(1)[0]
+    ua = HaarSampler(SamplerConfig(seed=63), d).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(seed=64), d).unitaries(1)[0]
     u = np.kron(ua, ub)
     value = 0.0
     for i in range(d):
@@ -196,7 +196,7 @@ def test_tpm_run_matches_instrument_identity(rng):
         rho = random_density_matrix(rng, d * d)
         xi = instrument_average(rho, spec, 0.45, 0.8)
         base = np.trace(rho.data @ spec.h_diag).real
-        sampler = HaarSampler(SamplerConfig(d=d, seed=65))
+        sampler = HaarSampler(SamplerConfig(seed=65), d)
         for _ in range(3):
             ua, ub = sampler.unitaries(1)[0], sampler.unitaries(1)[0]
             u = np.kron(ua, ub)
@@ -285,8 +285,8 @@ def test_probability_closure(rng):
     assert abs(m.sum() - 1) < 1e-12
     kr = np.einsum("iab,jcd->ijacbd", pa.roots, pb.roots).reshape(d * d, d * d, d * d)
     u = np.kron(
-        HaarSampler(SamplerConfig(d=d, seed=66)).unitaries(1)[0],
-        HaarSampler(SamplerConfig(d=d, seed=67)).unitaries(1)[0],
+        HaarSampler(SamplerConfig(seed=66), d).unitaries(1)[0],
+        HaarSampler(SamplerConfig(seed=67), d).unitaries(1)[0],
     )
     for idx in range(d * d):
         if m[idx] < 1e-14:
@@ -438,7 +438,7 @@ def test_monte_carlo_stack_columns_are_the_per_point_estimates(d):
     spec = spectral_decomposition(make_random_battery(rng, d))
     states = np.stack([random_density_matrix(rng, d * d).data for _ in range(3)])
     pairs = [(1.0, 1.0), (0.2, 0.9), (0.7, 0.4)]
-    n, cfg = chunk_size(d) + 7, SamplerConfig(d=d, seed=74)  # the last chunk holds 7 pairs
+    n, cfg = chunk_size(d) + 7, SamplerConfig(seed=74)  # the last chunk holds 7 pairs
     stats = mc_tpm_stack(states, spec, pairs, n, cfg)
     assert stats == [[mc_tpm_statistics(m, spec, ea, eb, n, cfg) for ea, eb in pairs] for m in states]
 
@@ -450,7 +450,7 @@ def test_stack_rejects_a_single_state_or_a_wrong_dimension():
         with pytest.raises(ValueError, match="expected a stack"):
             tpm_variance_stack(states, spec, [(0.5, 0.5)])
         with pytest.raises(ValueError, match="expected a stack"):
-            mc_tpm_stack(states, spec, [(0.5, 0.5)], 10, SamplerConfig(d=4, seed=1))
+            mc_tpm_stack(states, spec, [(0.5, 0.5)], 10, SamplerConfig(seed=1))
 
 
 def test_variance_bounded_by_diagonal_variance(rng):
@@ -496,7 +496,7 @@ def test_diagonal_variance_matches_full_form_when_already_diagonal():
 def test_closed_form_matches_mc():
     spec = _ising_spec()
     rho = _mixture(0.5)
-    cfg = SamplerConfig(d=4, seed=71)
+    cfg = SamplerConfig(seed=71)
     for eps in (0.2, 1.0):
         rep = tpm_variance_closed_form(rho, spec, eps, eps)
         stats = mc_tpm_statistics(rho, spec, eps, eps, 8000, cfg)
@@ -510,7 +510,7 @@ def test_closed_form_matches_mc_at_zero_efficiency(eps_a, eps_b):
     spec = _ising_spec()
     rho = _mixture(0.96)
     rep = tpm_variance_closed_form(rho, spec, eps_a, eps_b)
-    stats = mc_tpm_statistics(rho, spec, eps_a, eps_b, 8000, SamplerConfig(d=4, seed=76))
+    stats = mc_tpm_statistics(rho, spec, eps_a, eps_b, 8000, SamplerConfig(seed=76))
     assert abs(stats.variance - rep.var_tpm) < 5 * stats.se_variance
     assert abs(stats.mean - rep.mean_tpm) < 5 * stats.se_mean
 
@@ -519,14 +519,14 @@ def test_mean_closed_form(rng):
     d = 3
     spec = spectral_decomposition(make_random_battery(rng, d))
     rho = random_density_matrix(rng, d * d)
-    stats = mc_tpm_statistics(rho, spec, 0.5, 0.75, 8000, SamplerConfig(d=d, seed=72))
+    stats = mc_tpm_statistics(rho, spec, 0.5, 0.75, 8000, SamplerConfig(seed=72))
     assert abs(stats.mean - tpm_variance_closed_form(rho, spec, 0.5, 0.75).mean_tpm) < 5 * stats.se_mean
 
 
 def test_mc_determinism_and_guards():
     spec = _ising_spec()
     rho = _mixture(0.5)
-    cfg = SamplerConfig(d=4, seed=73)
+    cfg = SamplerConfig(seed=73)
     a = mc_tpm_statistics(rho, spec, 0.5, 0.5, 2000, cfg)
     b = mc_tpm_statistics(rho, spec, 0.5, 0.5, 2000, cfg)
     assert a == b
@@ -548,8 +548,8 @@ def test_shot_sampling_converges_to_exact(rng):
 
     spec = _ising_spec()
     rho = _mixture(0.6)
-    ua = HaarSampler(SamplerConfig(d=4, seed=74)).unitaries(1)[0]
-    ub = HaarSampler(SamplerConfig(d=4, seed=75)).unitaries(1)[0]
+    ua = HaarSampler(SamplerConfig(seed=74), 4).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(seed=75), 4).unitaries(1)[0]
     exact = tpm_run(rho, spec, 0.7, 0.7, ua, ub)
     draws = np.array(
         [tpm_shot_sample(rho, spec, 0.7, 0.7, ua, ub, 4000, np.random.default_rng(s)) for s in range(12)]

@@ -128,8 +128,8 @@ def test_ppt_threshold_below_witness_threshold():
 def test_local_unitary_invariance(rng):
     h = _ising()
     rho = _mixture(0.8, h)
-    va = HaarSampler(SamplerConfig(d=4, seed=51)).unitaries(1)[0]
-    vb = HaarSampler(SamplerConfig(d=4, seed=52)).unitaries(1)[0]
+    va = HaarSampler(SamplerConfig(seed=51), 4).unitaries(1)[0]
+    vb = HaarSampler(SamplerConfig(seed=52), 4).unitaries(1)[0]
     u = np.kron(va, vb)
     rotated = DensityMatrix(u @ rho.data @ u.conj().T)
     a = detect_schmidt_number(rho, h)

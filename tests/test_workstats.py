@@ -74,8 +74,8 @@ def test_work_zero_for_commuting_invariant_state():
 def test_work_dual_path(rng):
     h = make_random_battery(rng, 3)
     rho = random_density_matrix(rng, 9)
-    ua = HaarSampler(SamplerConfig(d=3, seed=8)).unitaries(1)[0]
-    ub = HaarSampler(SamplerConfig(d=3, seed=9)).unitaries(1)[0]
+    ua = HaarSampler(SamplerConfig(seed=8), 3).unitaries(1)[0]
+    ub = HaarSampler(SamplerConfig(seed=9), 3).unitaries(1)[0]
     u = np.kron(ua, ub)
     expected = np.trace(rho.data @ h.total).real - np.trace(rho.data @ u.conj().T @ h.total @ u).real
     assert abs(work(rho, h, ua, ub) - expected) < 1e-12
@@ -119,7 +119,7 @@ def test_bell_state_variance_closed_value():
 
 
 def test_bell_state_variance_matches_mc():
-    stats = mc_work_statistics(bell_state(), _bell_battery(), 30_000, SamplerConfig(d=2, seed=21))
+    stats = mc_work_statistics(bell_state(), _bell_battery(), 30_000, SamplerConfig(seed=21))
     closed = 0.7**2 / 3
     assert abs(stats.variance - closed) < 5 * stats.se_variance
 
@@ -129,7 +129,7 @@ def test_mc_matches_closed_form_random(rng):
         h = make_random_battery(rng, d)
         rho = random_density_matrix(rng, d * d)
         closed = analytic_work_variance(rho, h)
-        stats = mc_work_statistics(rho, h, 20_000, SamplerConfig(d=d, seed=40 + d))
+        stats = mc_work_statistics(rho, h, 20_000, SamplerConfig(seed=40 + d))
         assert abs(stats.variance - closed.variance) < 5 * stats.se_variance
         assert abs(stats.mean - closed.mean) < 5 * stats.se_mean
 
@@ -145,7 +145,7 @@ def test_oracle_equivalence_twenty_random_batteries():
             rho = random_density_matrix(rng2, d * d)
             closed = analytic_work_variance(rho, h).variance
             count += 1
-            stats = mc_work_statistics(rho, h, 100_000, SamplerConfig(d=d, seed=660 + count))
+            stats = mc_work_statistics(rho, h, 100_000, SamplerConfig(seed=660 + count))
             worst = max(worst, abs(stats.variance - closed) / stats.se_variance)
     assert count == 20
     assert worst < 5
@@ -153,7 +153,7 @@ def test_oracle_equivalence_twenty_random_batteries():
 
 def test_mc_determinism():
     h = _bell_battery()
-    cfg = SamplerConfig(d=2, seed=3)
+    cfg = SamplerConfig(seed=3)
     a = mc_work_statistics(bell_state(), h, 5000, cfg)
     b = mc_work_statistics(bell_state(), h, 5000, cfg)
     assert a == b
@@ -161,27 +161,27 @@ def test_mc_determinism():
 
 def test_mc_se_shrinks_with_n():
     h = _bell_battery()
-    small = mc_work_statistics(bell_state(), h, 1000, SamplerConfig(d=2, seed=5))
-    large = mc_work_statistics(bell_state(), h, 100_000, SamplerConfig(d=2, seed=6))
+    small = mc_work_statistics(bell_state(), h, 1000, SamplerConfig(seed=5))
+    large = mc_work_statistics(bell_state(), h, 100_000, SamplerConfig(seed=6))
     ratio = small.se_variance / large.se_variance
     assert 6 < ratio < 16  # expect ~10x for 100x samples
 
 
 def test_mc_maximally_mixed_variance_near_zero():
     h = _bell_battery()
-    stats = mc_work_statistics(np.eye(4) / 4, h, 3000, SamplerConfig(d=2, seed=10))
+    stats = mc_work_statistics(np.eye(4) / 4, h, 3000, SamplerConfig(seed=10))
     assert stats.variance < 1e-25  # exactly zero work for every unitary
 
 
 def test_mc_rejects_tiny_n():
     with pytest.raises(ValueError):
-        mc_work_statistics(bell_state(), _bell_battery(), 1, SamplerConfig(d=2, seed=1))
+        mc_work_statistics(bell_state(), _bell_battery(), 1, SamplerConfig(seed=1))
 
 
 @pytest.mark.parametrize("n, message", [(10**30, "at most 2^63 - 1"), (3.5, "must be an integer")])
 def test_mc_refuses_an_n_beyond_the_counter_or_not_an_integer(n, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        mc_work_statistics(bell_state(), _bell_battery(), n, SamplerConfig(d=2, seed=1))
+        mc_work_statistics(bell_state(), _bell_battery(), n, SamplerConfig(seed=1))
 
 
 @pytest.mark.parametrize(
@@ -209,14 +209,14 @@ def test_mc_refuses_an_n_beyond_the_counter_or_not_an_integer(n, message):
 def test_a_monte_carlo_run_refuses_a_state_of_the_wrong_size_as_work_does(run):
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     with pytest.raises(ValueError, match=re.escape("state dimension 9 does not match battery d^2 = 16")):
-        run(np.eye(9) / 9, h, SamplerConfig(d=4, seed=1))
+        run(np.eye(9) / 9, h, SamplerConfig(seed=1))
     with pytest.raises(ValueError, match=re.escape("density matrix must have unit trace, got 16.0")):
-        run(np.eye(16), h, SamplerConfig(d=4, seed=1))
+        run(np.eye(16), h, SamplerConfig(seed=1))
 
 
 def test_histogram_counts_sum():
     h = _bell_battery()
-    hist = work_sample_summary(bell_state(), h, 4000, SamplerConfig(d=2, seed=11), bin_width=0.1)[1]
+    hist = work_sample_summary(bell_state(), h, 4000, SamplerConfig(seed=11), bin_width=0.1)[1]
     assert hist.counts.sum() == 4000
     assert abs(hist.origin / 0.1 - round(hist.origin / 0.1)) < 1e-9  # anchored at 0
     assert len(hist.edges()) == len(hist.counts) + 1
@@ -226,7 +226,7 @@ def test_histogram_symmetric_for_mixed_state_sign_flip_oracle(rng):
     # maximally mixed battery state with traceless H gives symmetric work
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     mixed = DensityMatrix(np.eye(16) / 16)
-    values = np.concatenate(list(iter_work_values(mixed, h, 20_000, SamplerConfig(d=4, seed=12))))
+    values = np.concatenate(list(iter_work_values(mixed, h, 20_000, SamplerConfig(seed=12))))
     g1 = _skew(values)
     flips = rng.choice([-1.0, 1.0], size=(200, values.size))
     boot = np.array([_skew(values * f) for f in flips])
@@ -243,7 +243,7 @@ def _skew(x):
 
 def test_summary_consistent_with_parts():
     h = _bell_battery()
-    cfg = SamplerConfig(d=2, seed=13)
+    cfg = SamplerConfig(seed=13)
     stats, hist = work_sample_summary(bell_state(), h, 3000, cfg, bin_width=0.05)
     assert hist is not None and hist.counts.sum() == 3000
     again = mc_work_statistics(bell_state(), h, 3000, cfg)
@@ -252,14 +252,14 @@ def test_summary_consistent_with_parts():
 
 def test_histogram_rejects_bad_bin_width():
     with pytest.raises(ValueError):
-        work_sample_summary(bell_state(), _bell_battery(), 100, SamplerConfig(d=2, seed=1), bin_width=0.0)
+        work_sample_summary(bell_state(), _bell_battery(), 100, SamplerConfig(seed=1), bin_width=0.0)
 
 
 def test_histogram_matches_direct_binning_across_chunks():
     # 10_000 samples span three chunks, so the bin counts are merged twice
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     rho = DensityMatrix(np.eye(16) / 16)
-    cfg = SamplerConfig(d=4, seed=21)
+    cfg = SamplerConfig(seed=21)
     hist = work_sample_summary(rho, h, 10_000, cfg, bin_width=0.05)[1]
     idx = np.floor(np.concatenate(list(iter_work_values(rho, h, 10_000, cfg))) / 0.05).astype(np.int64)
     assert hist.origin == idx.min() * 0.05
@@ -274,7 +274,7 @@ def test_histogram_rejects_too_many_bins_before_sampling():
     assert np.ptp(np.linalg.eigvalsh(h.total)) / 1e-12 + 2 > MAX_HISTOGRAM_BINS
     assert not histogram_fits(h, 1e-12)
     with pytest.raises(ValueError, match="bins"):
-        work_sample_summary(bell_state(), h, 100, SamplerConfig(d=2, seed=1), bin_width=1e-12)
+        work_sample_summary(bell_state(), h, 100, SamplerConfig(seed=1), bin_width=1e-12)
 
 
 def test_subnormal_bin_width_is_refused_without_a_numpy_warning():
@@ -284,7 +284,7 @@ def test_subnormal_bin_width_is_refused_without_a_numpy_warning():
         assert not histogram_fits(h, 5e-324)
         assert histogram_fits(h, 1e308)
         with pytest.raises(ValueError, match="bins"):
-            work_sample_summary(bell_state(), h, 100, SamplerConfig(d=2, seed=1), bin_width=5e-324)
+            work_sample_summary(bell_state(), h, 100, SamplerConfig(seed=1), bin_width=5e-324)
 
 
 @pytest.mark.parametrize("d", [2, 8, 16])
@@ -316,7 +316,7 @@ def test_a_d8_bin_width_far_from_the_limit_is_decided_with_no_hermitian_eigensol
 def test_mc_estimators_need_three_samples():
     h = _bell_battery()
     spec = spectral_decomposition(h)
-    cfg = SamplerConfig(d=2, seed=1)
+    cfg = SamplerConfig(seed=1)
     with pytest.raises(ValueError, match="three"):
         mc_work_statistics(bell_state(), h, 2, cfg)
     with pytest.raises(ValueError, match="three"):
@@ -349,7 +349,7 @@ _KERNEL_CASES = [("mixed", d) for d in (2, 3, 4, 8, 16)] + [("rank1", 3), ("xi_e
 @pytest.mark.parametrize("case, d", _KERNEL_CASES)
 def test_pair_traces_match_the_kronecker_reference(case, d):
     spec, x, obs = _kernel_case(case, d)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=31))
+    sampler = HaarSampler(SamplerConfig(seed=31), d)
     ua, ub = sampler.unitaries(5), sampler.unitaries(5)
     reference = conjugation_traces(pair_kron(ua, ub), x, obs)
     assert np.max(np.abs(pair_traces(ua, ub, x, obs) - reference)) < 1e-12
@@ -366,7 +366,7 @@ def test_pair_traces_match_the_kronecker_reference(case, d):
 @pytest.mark.parametrize("case, d", _KERNEL_CASES)
 def test_rotated_populations_match_the_kronecker_reference(case, d):
     spec, x, _ = _kernel_case(case, d)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=32))
+    sampler = HaarSampler(SamplerConfig(seed=32), d)
     ua, ub = sampler.unitaries(5), sampler.unitaries(5)
     basis = np.kron(spec.vecs_a, spec.vecs_b)
     u = pair_kron(ua, ub)
@@ -380,7 +380,7 @@ def test_one_side_kernels_do_not_depend_on_the_block_size(d, block, monkeypatch)
     monkeypatch.setattr(workstats, "_cpus", lambda: 16)
     assert _block(10**6, d) == block  # outside a pool, max(1, 2^18 / d^4) whatever the CPUs: a (block, d^2, d^2) complex buffer is 4 MiB at most
     spec, x, obs = _kernel_case("mixed", d)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=33))
+    sampler = HaarSampler(SamplerConfig(seed=33), d)
     k = 2 * block + 5  # two full blocks and a ragged tail
     ua, ub = sampler.unitaries(k), sampler.unitaries(k)
     populations = rotated_populations(x, spec)
@@ -394,7 +394,7 @@ def test_one_side_kernels_do_not_depend_on_the_block_size(d, block, monkeypatch)
 @pytest.mark.parametrize("case, d", _KERNEL_CASES)
 def test_rotated_energies_match_the_kronecker_reference(case, d):
     spec, x, _ = _kernel_case(case, d)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=39))
+    sampler = HaarSampler(SamplerConfig(seed=39), d)
     ua, ub = sampler.unitaries(5), sampler.unitaries(5)
     reference = conjugation_traces(pair_kron(ua, ub), x, spec.h_diag)
     stacked = rotated_energies(np.stack([x, 2 * x]), spec)(ua, ub)
@@ -406,7 +406,7 @@ def test_rotated_energies_match_the_kronecker_reference(case, d):
 def test_rotated_energies_do_not_depend_on_the_block_size(d, block):
     assert _block(10**6, d) == block
     spec, x, _ = _kernel_case("mixed", d)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=33))
+    sampler = HaarSampler(SamplerConfig(seed=33), d)
     k = 2 * block + 5  # two full blocks and a ragged tail
     ua, ub = sampler.unitaries(k), sampler.unitaries(k)
     energies = rotated_energies(np.stack([x, spec.h_diag]), spec)
@@ -442,7 +442,7 @@ def test_pair_coordinates_are_the_traces_against_the_product_basis(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 def test_the_real_product_rotation_is_the_complex_product(d):
     spec, _, _ = _kernel_case("mixed", d)
-    u = HaarSampler(SamplerConfig(d=d, seed=42)).unitaries(7)
+    u = HaarSampler(SamplerConfig(seed=42), d).unitaries(7)
     for vecs in (spec.vecs_a, spec.vecs_b):
         assert np.any(vecs.imag) and _real_adjoint(vecs) is not None  # a complex eigenbasis, not the identity
         re, im = _rotated_planes(_real_adjoint(vecs), u, np.empty((7, 2 * d, d)), np.empty((7, 2 * d, d)))
@@ -453,7 +453,7 @@ def test_the_default_battery_keeps_the_identity_eigenbases_of_the_no_product_rou
     spec = spectral_decomposition(ising_battery(0.5, 1.0, 0.5, 0.45))
     for vecs in (spec.vecs_a, spec.vecs_b):
         assert np.array_equal(vecs, np.eye(4)) and _real_adjoint(vecs) is None
-    u = HaarSampler(SamplerConfig(d=4, seed=43)).unitaries(3)
+    u = HaarSampler(SamplerConfig(seed=43), 4).unitaries(3)
     re, im = _rotated_planes(None, u, np.empty((3, 8, 4)), np.empty((3, 8, 4)))
     assert np.shares_memory(re, u) and np.shares_memory(im, u)  # U's own planes, no product
 
@@ -462,8 +462,8 @@ def test_the_no_product_route_gives_the_bits_of_the_real_products_on_an_ising_ba
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     spec = spectral_decomposition(h)
     rho = thermal_mixture_state(0.96, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5))
-    cfg, n = SamplerConfig(d=4, seed=44), chunk_size(4) + 100  # a full chunk and a ragged one
-    ua, ub = pair_chunk(cfg, 0, 600)
+    cfg, n = SamplerConfig(seed=44), chunk_size(4) + 100  # a full chunk and a ragged one
+    ua, ub = pair_chunk(cfg, 4, 0, 600)
 
     def outputs():
         return (
@@ -482,7 +482,7 @@ def test_the_no_product_route_gives_the_bits_of_the_real_products_on_an_ising_ba
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 def test_a_multiple_of_the_identity_gives_constant_populations_exactly(d):
     spec, _, _ = _kernel_case("mixed", d)
-    sampler = HaarSampler(SamplerConfig(d=d, seed=40))
+    sampler = HaarSampler(SamplerConfig(seed=40), d)
     ua, ub = sampler.unitaries(7), sampler.unitaries(7)
     for c in (1.0, 0.3, -2.7):
         x = c / d**2 * np.eye(d * d)  # c times the maximally mixed state: tr(x)/d^2 = c/d^2
@@ -494,10 +494,10 @@ def test_a_multiple_of_the_identity_gives_constant_populations_exactly(d):
 def test_the_ising_work_read_from_the_populations_is_the_pair_traces_work(alpha):
     h = ising_battery(0.5, 1.0, 0.5, 0.45)
     m = thermal_mixture_state(alpha, gibbs_state(h.ha, 1.5), gibbs_state(h.hb, 1.5)).data
-    cfg, n = SamplerConfig(d=4, seed=41), chunk_size(4) + 100  # a full chunk and a ragged one
+    cfg, n = SamplerConfig(seed=41), chunk_size(4) + 100  # a full chunk and a ragged one
     values = np.concatenate(list(iter_work_values(m, h, n, cfg)))
     energy = float(np.vdot(h.total, m).real)
-    reference = np.concatenate([energy - pair_traces(*pair_chunk(cfg, c, k), m, h.total) for c, k in [(0, n - 100), (1, 100)]])
+    reference = np.concatenate([energy - pair_traces(*pair_chunk(cfg, 4, c, k), m, h.total) for c, k in [(0, n - 100), (1, 100)]])
     assert np.max(np.abs(values - reference)) < 1e-12
 
 
@@ -513,7 +513,7 @@ def test_the_work_calls_pair_traces_exactly_when_the_interaction_leaves_the_loca
         return traces(*args)
 
     monkeypatch.setattr(workstats, "pair_traces", counted)
-    mc_work_statistics(rho, h, 5000, SamplerConfig(d=4, seed=42))
+    mc_work_statistics(rho, h, 5000, SamplerConfig(seed=42))
     assert spectral_decomposition(h).v_od.any() == (family == "random")
     assert sorted(calls) == ([904, 4096] if family == "random" else [])  # one call per chunk
 
@@ -524,7 +524,7 @@ def test_mc_estimators_peak_memory_stays_below_64_mib(d, n, monkeypatch):
     h = make_random_battery(rng, d)
     spec = spectral_decomposition(h)
     rho = random_density_matrix(rng, d * d)
-    cfg = SamplerConfig(d=d, seed=34)
+    cfg = SamplerConfig(seed=34)
     estimators = {
         "work": lambda: mc_work_statistics(rho, h, n, cfg),
         "tpm": lambda: mc_tpm_statistics(rho, spec, 0.6, 0.8, n, cfg),
@@ -550,10 +550,10 @@ def test_the_worker_count_changes_no_bit(d, n, monkeypatch):
     rho = random_density_matrix(rng, d * d)
 
     def outputs():
-        stats, hist = work_sample_summary(rho, h, n, SamplerConfig(d=d, seed=35), bin_width=0.05)
-        tpm = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, SamplerConfig(d=d, seed=36))
-        coincidence = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(d=d, seed=37))
-        values = np.concatenate(list(iter_work_values(rho, h, n, SamplerConfig(d=d, seed=35))))
+        stats, hist = work_sample_summary(rho, h, n, SamplerConfig(seed=35), bin_width=0.05)
+        tpm = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, SamplerConfig(seed=36))
+        coincidence = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(seed=37))
+        values = np.concatenate(list(iter_work_values(rho, h, n, SamplerConfig(seed=35))))
         return stats, hist.origin, hist.counts.tolist(), tpm, coincidence, values.tolist()
 
     runs = []
@@ -575,7 +575,7 @@ def test_the_block_budget_is_shared_by_the_threads_started(monkeypatch):
         return ua[:, 0, 0].real
 
     # d = 8, 4,096 pairs: four 1,024-pair chunks start four threads, which share 2^18 / 8^4 = 64 pairs
-    assert sum(len(c) for c in iter_samples(record, 8, 4096, SamplerConfig(d=8, seed=1))) == 4096
+    assert sum(len(c) for c in iter_samples(record, 8, 4096, SamplerConfig(seed=1))) == 4096
     assert seen == [(4, 16)] * 4
     assert threading.active_count() == baseline
 
@@ -585,7 +585,7 @@ def test_the_block_budget_is_shared_by_the_threads_started(monkeypatch):
 
     for d, n, block in [(4, 4096, 1024), (16, 600, 4)]:  # one chunk, or d = 16: no thread, the whole budget
         seen.clear()
-        assert sum(len(c) for c in iter_samples(inline, d, n, SamplerConfig(d=d, seed=1))) == n
+        assert sum(len(c) for c in iter_samples(inline, d, n, SamplerConfig(seed=1))) == n
         assert set(seen) == {(0, block)}
 
 
@@ -601,7 +601,7 @@ def test_each_chunk_is_cut_into_one_slice_per_worker_and_block(d, n, slices, mon
 
     monkeypatch.setattr(workstats, "apply_pair", record)
     _, x, obs = _kernel_case("mixed", d)
-    chunks = [len(c) for c in iter_samples(lambda ua, ub: pair_traces(ua, ub, x, obs), d, n, SamplerConfig(d=d, seed=1))]
+    chunks = [len(c) for c in iter_samples(lambda ua, ub: pair_traces(ua, ub, x, obs), d, n, SamplerConfig(seed=1))]
     assert sum(chunks) == n and len(chunks) == -(-n // chunk_size(d))
     assert sorted((b for b, _ in seen), reverse=True) == sorted(slices * 2, reverse=True)  # two apply_pair calls per block
     assert {on_caller for _, on_caller in seen} == {d > 8}  # d = 16 runs on the caller, d <= 8 on the two workers
@@ -609,7 +609,7 @@ def test_each_chunk_is_cut_into_one_slice_per_worker_and_block(d, n, slices, mon
 
 def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
     current, _ = tag_chunks(monkeypatch)
-    cfg = SamplerConfig(d=2, seed=3)
+    cfg = SamplerConfig(seed=3)
     baseline = threading.active_count()
 
     def sample(ua, ub, failing):
@@ -627,7 +627,7 @@ def test_a_worker_error_reaches_the_caller_and_every_thread_ends(monkeypatch):
 
 def test_chunk_sizes_keep_a_chunks_unitary_stacks_at_2_mib():
     def sizes(d, n):
-        return [len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], d, n, SamplerConfig(d=d, seed=1))]
+        return [len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], d, n, SamplerConfig(seed=1))]
 
     assert [chunk_size(d) for d in (2, 3, 4, 8, 16)] == [4096, 4096, 4096, 1024, 256]
     assert all(2 * chunk_size(d) * d * d * 16 <= 2**21 for d in range(2, 17))  # side A and B, complex128
@@ -648,7 +648,7 @@ def test_a_break_cancels_the_queued_chunks_and_every_thread_ends(monkeypatch):
     monkeypatch.setattr(workstats, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(workstats, "_cpus", lambda: 2)
     current, drawn = tag_chunks(monkeypatch)
-    cfg = SamplerConfig(d=2, seed=3)
+    cfg = SamplerConfig(seed=3)
     baseline = threading.active_count()
     assert sum(len(c) for c in iter_samples(lambda ua, ub: ua[:, 0, 0], 2, 9000, cfg)) == 9000
     assert sorted(drawn) == submitted == [0, 1, 2]
@@ -684,7 +684,7 @@ def test_a_draw_error_reaches_the_caller_of_mc_work_statistics(monkeypatch):
     h, rho = make_random_battery(rng, 2), random_density_matrix(rng, 4)
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="draw failed"):
-        mc_work_statistics(rho, h, 3 * 4096 + 904, SamplerConfig(d=2, seed=1))
+        mc_work_statistics(rho, h, 3 * 4096 + 904, SamplerConfig(seed=1))
     assert sorted(calls) == [904] + [4096] * 6
     assert threading.active_count() == baseline
 
@@ -695,13 +695,13 @@ def test_mc_at_d16_matches_every_closed_form():
     spec = spectral_decomposition(h)
     rho = random_density_matrix(rng, 256)
     n = 2000
-    work_mc = mc_work_statistics(rho, h, n, SamplerConfig(d=16, seed=71))
+    work_mc = mc_work_statistics(rho, h, n, SamplerConfig(seed=71))
     closed = analytic_work_variance(rho, h)
     assert abs(work_mc.mean - closed.mean) < 5 * work_mc.se_mean
     assert abs(work_mc.variance - closed.variance) < 5 * work_mc.se_variance
-    tpm_mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, SamplerConfig(d=16, seed=72))
+    tpm_mc = mc_tpm_statistics(rho, spec, 0.6, 0.8, n, SamplerConfig(seed=72))
     tpm_closed = tpm_variance_closed_form(rho, spec, 0.6, 0.8)
     assert abs(tpm_mc.mean - tpm_closed.mean_tpm) < 5 * tpm_mc.se_mean
     assert abs(tpm_mc.variance - tpm_closed.var_tpm) < 5 * tpm_mc.se_variance
-    coincidence = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(d=16, seed=73))
+    coincidence = mc_coincidence(rho, spec, 0.7, 0.4, n, SamplerConfig(seed=73))
     assert abs(coincidence.mean - avg_coincidence_closed(rho, spec, 0.7, 0.4)) < 5 * coincidence.se_mean
