@@ -25,9 +25,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
+
+import numpy as np
 
 from .runner import (
     CONFIG_KEYS,
@@ -141,31 +142,34 @@ def _check_out(path: str) -> None:
 _NOT_FINITE = "a result is not finite: it overflows the float range at this energy scale"
 
 
-def _check_finite(rows: list[dict]) -> None:
-    """Refuse a float cell that is not finite, as a ConfigError at ``battery``."""
-    if not all(math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float)):
-        raise ConfigError("battery", _NOT_FINITE)
-
-
 def _output(out: str | None):
     """The --out file to write, or stdout, which stays open."""
     return _open_out(out) if out else contextlib.nullcontext(sys.stdout)
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
+def _json_text(obj: dict) -> str:
+    """An output's indented JSON; a value that is not finite is a ConfigError at ``battery``."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise ConfigError("battery", _NOT_FINITE) from None
+
+
+def _write(text: str, out: str | None) -> None:
     with _output(out) as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
-def _emit_rows(rows: list[dict], args: argparse.Namespace, schema: str) -> None:
+def _row_dicts(rows: np.ndarray) -> list[dict]:
+    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+
+
+def _emit_rows(rows: np.ndarray, args: argparse.Namespace, schema: str) -> None:
     if args.format == "json":
-        _emit_json({"schema": schema_tag(schema), "rows": rows}, args.out)
+        _write(_json_text({"schema": schema_tag(schema), "rows": _row_dicts(rows)}), args.out)
         return
-    _check_finite(rows)
+    if not all(np.isfinite(rows[key]).all() for key in rows.dtype.names):
+        raise ConfigError("battery", _NOT_FINITE)
     with _output(args.out) as fh:
         write_rows_csv(rows, fh, schema)
 
@@ -194,7 +198,7 @@ def _run(argv: list[str] | None) -> int:
         cfg = _load_config(args)
         if args.command == "verify":
             report = run_verify(cfg)
-            _emit_json(report, args.out)
+            _write(_json_text(report), args.out)
             return 0 if report["passed"] else 2
         if args.command == "sweep":
             rows = run_variance_sweep(cfg) if cfg.protocol == "variance" else run_tpm_sweep(cfg)
@@ -203,14 +207,14 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "histogram":
             rows, summary = run_histogram(cfg)
             if args.format == "json":
-                _emit_json({"summary": summary, "bins": rows}, args.out)
+                _write(_json_text({"summary": summary, "bins": _row_dicts(rows)}), args.out)
             else:
-                _check_finite([summary])  # before the CSV is written
+                text = _json_text(summary)  # checked before the CSV is written
                 _emit_rows(rows, args, "histogram")
-                _emit_json(summary, args.out + ".summary.json" if args.out else None)
+                _write(text, args.out + ".summary.json" if args.out else None)
             return 0
         # single-point protocols
-        _emit_json(run_point(cfg), args.out)
+        _write(_json_text(run_point(cfg)), args.out)
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ class MomentAccumulator:
     m4: float = 0.0
 
     def add_chunk(self, values: np.ndarray) -> None:
-        """Fold a chunk of sample values into the running moments."""
+        """Fold a chunk of sample values into the running moments; the M4 merge reads both halves' m3, so m3 is kept."""
         values = np.asarray(values, dtype=np.float64)
         nb = values.size
         if nb == 0:

@@ -18,6 +18,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -191,7 +192,16 @@ def _sweep_blocks(spec: dict, batteries: list[BatteryHamiltonian], a_grid: list[
             yield slice(b, b + n_rows), alphas, *thermal_mixtures(spec, batteries[b : b + n_rows], alphas)
 
 
-def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
+def _table(shape: tuple[int, ...], columns: dict) -> np.ndarray:
+    """A block's rows in row-major grid order: each column broadcast over ``shape``, int64 if integer, else float64."""
+    arrays = {key: np.asarray(value) for key, value in columns.items()}
+    table = np.empty(shape, [(key, np.int64 if a.dtype.kind in "iu" else np.float64) for key, a in arrays.items()])
+    for key, a in arrays.items():
+        table[key] = a
+    return table.reshape(-1)
+
+
+def run_variance_sweep(cfg: ExperimentConfig) -> np.ndarray:
     """Closed-form variance, per-k bounds, detected level, and PPT on a (b, alpha) grid.
 
     The default grid spans field strengths 0..0.9 and mixing ratios 0..1 for
@@ -210,24 +220,17 @@ def run_variance_sweep(cfg: ExperimentConfig) -> list[dict]:
     d = batteries[0].d
     keys = ("J1", "J2", "J3", "T", "b", "alpha", "variance", "detected_sn", "ppt_min_eig")
     keys += tuple(f"bound_k{k}" for k in range(1, d))  # k = d is never violable
-    rows = []
+    tables = []
     for block, alphas, temperature, states in _sweep_blocks(cfg.state, batteries, a_grid):
         weights = (np.array([[getattr(h, w)] for h in batteries[block]]) for w in ("ha2", "hb2", "g2v2"))
         det = detect_schmidt_number_stack(states, d, *weights)
-        columns = zip(
-            det.variance.tolist(),
-            det.detected_sn_lower_bound.tolist(),
-            det.ppt_min_eig.tolist(),
-            det.thresholds[..., :-1].tolist(),
-        )
-        for b, b_columns in zip(b_grid[block], columns):
-            head = (ip["J1"], ip["J2"], ip["J3"], temperature, b)
-            for alpha, *point, bounds in zip(alphas, *b_columns):
-                rows.append(dict(zip(keys, (*head, alpha, *point, *bounds))))
-    return rows
+        head = (ip["J1"], ip["J2"], ip["J3"], temperature, np.array(b_grid[block])[:, None], alphas)
+        point = (det.variance, det.detected_sn_lower_bound, det.ppt_min_eig, *np.moveaxis(det.thresholds, -1, 0)[:-1])
+        tables.append(_table(det.variance.shape, dict(zip(keys, (*head, *point)))))
+    return np.concatenate(tables)
 
 
-def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
+def run_tpm_sweep(cfg: ExperimentConfig) -> np.ndarray:
     """Closed-form TPM variance and weights on an (alpha, eps) grid.
 
     Each block of ``_sweep_blocks`` is evaluated at every eps in one
@@ -247,41 +250,33 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> list[dict]:
     h = battery_from_spec(cfg.battery)
     spec = spectral_decomposition(h)
     per_state = 1 + len(eps_pairs) if cfg.samples() else 1  # a Monte Carlo holds each state's Xi per eps
-    rows = []
+    head = {key: ip[key] for key in ("J1", "J2", "J3", "b")}
+    report_keys = ("eps_a", "eps_b", "var_tpm", "var_diag", "weights.n0", "weights.n1", "weights.n_noisy")
+    read = lambda grid, key: [list(map(attrgetter(key), row)) for row in grid]
+    tables = []
     for _, alphas, temperature, [states] in _sweep_blocks(cfg.state, [h], a_grid, per_state):
         reports = tpm_variance_stack(states, spec, eps_pairs)
-        mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler()) if cfg.samples() else None
-        head = {"J1": ip["J1"], "J2": ip["J2"], "J3": ip["J3"], "b": ip["b"], "T": temperature}
-        for i, (alpha, state_reports) in enumerate(zip(alphas, reports)):
-            for j, rep in enumerate(state_reports):
-                row = {**head, "alpha": alpha, "eps_a": rep.eps_a, "eps_b": rep.eps_b, "var_tpm": rep.var_tpm}
-                row.update(var_diag=rep.var_diag, n0=rep.weights.n0, n1=rep.weights.n1, n_noisy=rep.weights.n_noisy)
-                if mc is not None:
-                    row.update({f"mc_{key}": value for key, value in asdict(mc[i][j]).items()})
-                rows.append(row)
-    return rows
+        columns = {**head, "T": temperature, "alpha": np.array(alphas)[:, None]}
+        columns.update({key.rpartition(".")[2]: read(reports, key) for key in report_keys})
+        if cfg.samples():
+            mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler())
+            columns.update({f"mc_{f.name}": read(mc, f.name) for f in fields(WorkStatistics)})
+        tables.append(_table((len(alphas), len(eps_pairs)), columns))
+    return np.concatenate(tables)
 
 
-def run_histogram(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+def run_histogram(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     """Binned work counts plus a summary with sample mean/variance and SEs."""
     cfg.check("histogram")
     h = battery_from_spec(cfg.battery)
     rho = state_from_spec(cfg.state, h)
     bin_width = _number(cfg.parameters.get("bin_width", 0.1), "parameters.bin_width", check=partial(_check_bin_width, h=h))
     stats, hist = work_sample_summary(rho, h, cfg.n_unitaries(), cfg.sampler(), bin_width=bin_width)
-    edges = hist.edges().tolist()  # Python floats, so CSV cells repr as 0.1
-    rows = [
-        {"bin_left": left, "bin_right": right, "count": int(c)}
-        for left, right, c in zip(edges[:-1], edges[1:], hist.counts)
-    ]
+    edges = hist.edges()
+    rows = _table(hist.counts.shape, {"bin_left": edges[:-1], "bin_right": edges[1:], "count": hist.counts})
     closed = analytic_work_variance(rho, h)
-    summary = {
-        **asdict(stats),
-        "closed_form_mean": closed.mean,
-        "closed_form_variance": closed.variance,
-        "bin_width": bin_width,
-        "origin": hist.origin,
-    }
+    summary = {**asdict(stats), "closed_form_mean": closed.mean, "closed_form_variance": closed.variance}
+    summary.update(bin_width=bin_width, origin=hist.origin)
     return rows, summary
 
 
@@ -474,12 +469,12 @@ def schema_tag(name: str) -> str:
     return f"qbattery.{name}.v{SCHEMA_VERSION}"
 
 
-def write_rows_csv(rows: list[dict], stream, schema: str) -> None:
-    """CSV with a versioned schema comment; '.' decimals, no locale."""
-    if not rows:
+def write_rows_csv(rows: np.ndarray, stream, schema: str) -> None:
+    """CSV of a table with a versioned schema comment; '.' decimals, no locale."""
+    if not len(rows):
         raise ValueError("no rows to write")
     stream.write(f"# schema={schema_tag(schema)}\n")
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0]))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+    writer = csv.writer(stream)
+    writer.writerow(rows.dtype.names)
+    for start in range(0, len(rows), 4096):  # 4,096 rows at a time as Python floats and ints, each cell its repr
+        writer.writerows(rows[start : start + 4096].tolist())

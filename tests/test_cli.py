@@ -132,12 +132,13 @@ def test_a_run_adds_monte_carlo_exactly_when_n_is_given(run, given_n):
     if run == "tpm sweep":
         grids = {"alpha_grid": [0.5], "eps_grid": [0.5]}
         cfg = ExperimentConfig.from_dict({"protocol": "tpm", "parameters": grids, "sampling": sampling})
-        out = run_tpm_sweep(cfg)[0]
+        keys = run_tpm_sweep(cfg).dtype.names
     else:
         out = run_point(ExperimentConfig.from_dict({"protocol": run, "sampling": sampling}))
+        keys = [key for key, value in out.items() if value is not None]
     sweep_keys = {f"mc_{field.name}" for field in fields(WorkStatistics)}
     mc_keys = {"tpm sweep": sweep_keys, "coincidence": {"cbar_mc", "cbar_mc_se"}}
-    sampled = {key for key, value in out.items() if "mc" in key and value is not None}
+    sampled = {key for key in keys if "mc" in key}
     assert sampled == (mc_keys.get(run, {"mc"}) if given_n else set())
 
 
@@ -483,11 +484,14 @@ def test_a_non_finite_result_is_refused_before_any_byte_is_written(tmp_path, cap
     assert json.loads(capsys.readouterr().out)["variance"] == pytest.approx(7.2e306, rel=1e-12)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"parameters": {"b_grid": [0.45, 4e153], "alpha_grid": [1.0]}}))
-    for fmt in ("csv", "json"):
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflow itself still warns (no rescaling yet)
-            assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("configuration error: battery: ")
-        assert not out.exists()
+    # the histogram's bins are finite at bins of 1e150, its summary is not: neither the CSV nor its sidecar is written
+    histogram = ["histogram", "--b", "4e153", "--alpha", "1", "--seed", "1", "--n", "100", "--bin-width", "1e150"]
+    for args in (["sweep", "--config", str(config)], histogram):
+        for fmt in ("csv", "json"):
+            with np.errstate(over="ignore", invalid="ignore"):  # the overflow itself still warns (no rescaling yet)
+                assert main([*args, "--format", fmt, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("configuration error: battery: ")
+            assert not out.exists() and not (tmp_path / "out.summary.json").exists()
 
 
 @pytest.mark.parametrize("run", ["variance", "tpm"])

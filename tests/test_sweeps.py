@@ -1,5 +1,8 @@
 """The stacked sweeps and Monte-Carlo passes against their per-point oracles, row by row and bit for bit."""
 
+import csv
+import json
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -11,9 +14,10 @@ import qbattery.linalg as linalg
 import qbattery.runner as runner
 import qbattery.tpm as tpm
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
+from qbattery.cli import main
 from qbattery.haar import SamplerConfig, chunk_size
 from qbattery.linalg import random_hermitian
-from qbattery.runner import ExperimentConfig, run_tpm_sweep, run_variance_sweep
+from qbattery.runner import ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
 from qbattery.tpm import mc_tpm_statistics, tpm_variance_closed_form
 from qbattery.witness import detect_schmidt_number, detect_schmidt_number_stack
 from qbattery.workstats import iter_samples, summarize
@@ -37,9 +41,9 @@ def test_every_default_variance_sweep_row_is_the_per_point_witness():
         assert row["variance"] == rep.variance_used
         assert row["detected_sn"] == rep.detected_sn_lower_bound
         assert row["ppt_min_eig"] == rep.ppt_min_eig
-        bounds = {key: value for key, value in row.items() if key.startswith("bound_k")}
+        bounds = {key: row[key] for key in rows.dtype.names if key.startswith("bound_k")}
         assert bounds == {f"bound_k{k}": bound for k, bound in rep.thresholds[:-1]}
-        assert type(row["variance"]) is float and type(row["detected_sn"]) is int
+    assert all(rows.dtype[key] == (np.int64 if key == "detected_sn" else np.float64) for key in rows.dtype.names)
 
 
 def test_every_default_tpm_sweep_row_is_the_per_point_closed_form():
@@ -166,15 +170,15 @@ _MC_SWEEP = {
 )
 @pytest.mark.parametrize("states", [1 / 4096, 7, 20, 60])
 def test_the_variance_sweep_block_walk_moves_no_bits(monkeypatch, run, config, states):
-    """Every budget gives either sweep's one-block rows, value types included.
+    """Every budget gives either sweep's one-block rows, bit for bit and field types included.
 
     One byte is one state per block, 7 states are parts of a b row, 20 are one fewer than the default TPM
     sweep's 21 alphas (a row in two parts), and 60 hold two of the variance sweep's 26-alpha b rows.
     """
     rows = run(ExperimentConfig.from_dict(config))
     walked = _block_rows(monkeypatch, int(states * 16**2 * 16), config, run)
-    assert walked == rows
-    assert all(type(x) is type(y) for a, b in zip(walked, rows) for x, y in zip(a.values(), b.values()))
+    assert np.array_equal(walked, rows) and walked.dtype == rows.dtype
+    assert walked.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -198,6 +202,18 @@ def test_a_monte_carlo_tpm_sweep_peak_memory_is_bounded_by_the_block_budget(monk
     finally:
         tracemalloc.stop()
     assert len(rows) == n_alphas * len(eps_grid) and peak < gate_mib * 2**20, peak
+
+
+def test_a_fine_histogram_peak_memory_is_its_table():
+    """README's histogram at n = 20,000 and bin width 1e-5 has 197,402 bins: 4.5 MiB as a table, 47 MiB as row dicts."""
+    config = {"protocol": "histogram", "parameters": {"bin_width": 1e-5}, "sampling": {"seed": 11, "n_unitaries": 20_000}}
+    tracemalloc.start()
+    try:
+        rows, _ = run_histogram(ExperimentConfig.from_dict(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 197_402 and peak < 24 * 2**20, peak
 
 
 def test_every_non_default_variance_sweep_row_is_the_per_point_witness(monkeypatch):
@@ -258,6 +274,43 @@ def test_every_monte_carlo_tpm_sweep_row_is_the_point_estimator():
         stats = mc_tpm_statistics(rho, spec, row["eps_a"], row["eps_b"], 4101, SamplerConfig(seed=3))
         assert stats.n_samples == 4101
         assert {key: row[f"mc_{key}"] for key in asdict(stats)} == asdict(stats)
+
+
+_HISTOGRAM = {"protocol": "histogram", "parameters": {"bin_width": 0.01}, "sampling": {"seed": 11, "n_unitaries": 2000}}
+
+
+@pytest.mark.parametrize(
+    "command, config, run, ints",
+    [
+        ("sweep", {"parameters": {"b_grid": [0.45], "alpha_grid": [0.08, 0.96]}}, run_variance_sweep, {"detected_sn"}),
+        ("sweep", _MC_SWEEP, run_tpm_sweep, {"mc_n_samples"}),
+        ("histogram", _HISTOGRAM, lambda cfg: run_histogram(cfg)[0], {"count"}),
+    ],
+    ids=["variance", "tpm_mc", "histogram"],
+)
+def test_the_cli_csv_and_json_rows_are_the_table(tmp_path, command, config, run, ints):
+    """The CSV header is the table's field names, every float cell parses back bit for bit, every int field is an int
+    literal, and the ``--format json`` rows are the table's ``tolist`` rows as dicts (a histogram's summary, its sidecar's)."""
+    rows = run(ExperimentConfig.from_dict(config))
+    path, out = tmp_path / "config.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert fh.readline().startswith("# schema=qbattery.")
+        header, *cells = csv.reader(fh)
+    assert tuple(header) == rows.dtype.names and len(cells) == len(rows)
+    assert {name for name in header if rows.dtype[name] == np.int64} == ints
+    for name, column in zip(header, zip(*cells)):
+        if name in ints:
+            assert all(re.fullmatch(r"-?[0-9]+", cell) for cell in column)
+            assert [int(cell) for cell in column] == rows[name].tolist()
+        else:
+            assert np.array([float(cell) for cell in column]).tobytes() == rows[name].tobytes(), name
+    assert main([command, "--config", str(path), "--format", "json", "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["bins" if command == "histogram" else "rows"] == [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+    if command == "histogram":  # the CSV run's sidecar holds the summary the JSON run writes
+        assert json.loads((tmp_path / "rows.csv.summary.json").read_text()) == document["summary"]
 
 
 @pytest.mark.parametrize("d", [2, 4])
