@@ -12,7 +12,8 @@ grid that the sweep scans instead).
 variance, tpm, coincidence and the TPM sweep add Monte Carlo exactly when
 ``sampling.n_unitaries`` is given; histogram and verify always sample.
 ``--format`` (default CSV) applies to sweep and histogram only; the other
-runs write JSON and refuse it as a configuration error.
+runs write JSON and refuse it as a configuration error.  Only this module
+formats bytes: a table is written in chunks, as CSV or JSON, from its array.
 Exit codes: 0 success, 1 configuration error (a usage error, keyed by the
 command, an unreadable --config or unwritable --out path included, and the
 histogram CSV's ``.summary.json`` sidecar, all checked before any
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import itertools
 import json
 import os
 import sys
@@ -38,12 +41,14 @@ from .runner import (
     run_tpm_sweep,
     run_variance_sweep,
     run_verify,
-    schema_tag,
-    write_rows_csv,
 )
 from .serialization import ConfigError
 
 __all__ = ["main", "build_parser"]
+
+SCHEMA_VERSION = 1  # of a table's tag, qbattery.<name>.v<SCHEMA_VERSION>, in CSV and JSON alike
+_CHUNK = 4096  # table rows made Python floats and ints at a time
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)  # every JSON output; a non-finite value raises
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,8 +124,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _open_out(path: str, mode: str = "w"):
-    """Open an output file for writing; a path that cannot be written is a ConfigError naming it."""
+def _open_out(path: str | None, mode: str = "w"):
+    """The output file opened for writing, or stdout without a path; a path that cannot be written is a ConfigError."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, mode, newline="")
     except OSError as exc:
@@ -142,36 +149,57 @@ def _check_out(path: str) -> None:
 _NOT_FINITE = "a result is not finite: it overflows the float range at this energy scale"
 
 
-def _output(out: str | None):
-    """The --out file to write, or stdout, which stays open."""
-    return _open_out(out) if out else contextlib.nullcontext(sys.stdout)
-
-
 def _json_text(obj: dict) -> str:
     """An output's indented JSON; a value that is not finite is a ConfigError at ``battery``."""
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _JSON.encode(obj) + "\n"
     except ValueError:
         raise ConfigError("battery", _NOT_FINITE) from None
 
 
 def _write(text: str, out: str | None) -> None:
-    with _output(out) as fh:
+    with _open_out(out) as fh:
         fh.write(text)
 
 
-def _row_dicts(rows: np.ndarray) -> list[dict]:
-    return [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]
+class _Table(list):
+    """A table walked ``_CHUNK`` rows at a time, as lists of Python floats and ints (a float's str is its repr) or as
+    dicts.  It is itself an empty list, so only ``JSONEncoder.iterencode`` may walk it: 3.13's C encoder reads the list."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def chunks(self):
+        return (self.rows[start : start + _CHUNK] for start in range(0, len(self.rows), _CHUNK))
+
+    def __iter__(self):
+        return (dict(zip(self.rows.dtype.names, row)) for chunk in self.chunks() for row in chunk.tolist())
 
 
-def _emit_rows(rows: np.ndarray, args: argparse.Namespace, schema: str) -> None:
-    if args.format == "json":
-        _write(_json_text({"schema": schema_tag(schema), "rows": _row_dicts(rows)}), args.out)
-        return
+def _emit_table(args: argparse.Namespace, schema: str, rows: np.ndarray, summary: dict | None = None) -> None:
+    """A sweep's table, or a histogram's and its summary, as CSV (the summary in its sidecar) or JSON; the table (one
+    ``np.isfinite`` per field) and the summary (rendered) are checked before the output is opened."""
     if not all(np.isfinite(rows[key]).all() for key in rows.dtype.names):
         raise ConfigError("battery", _NOT_FINITE)
-    with _output(args.out) as fh:
-        write_rows_csv(rows, fh, schema)
+    sidecar = _json_text(summary) if summary else None
+    table, tag = _Table(rows), f"qbattery.{schema}.v{SCHEMA_VERSION}"
+    with _open_out(args.out) as fh:
+        if args.format == "json":
+            pieces = _JSON.iterencode({"summary": summary, "bins": table} if summary else {"schema": tag, "rows": table})
+            while batch := "".join(itertools.islice(pieces, 2**14)):
+                fh.write(batch)
+            fh.write("\n")
+            return
+        fh.write(f"# schema={tag}\n")
+        writer = csv.writer(fh)
+        writer.writerow(rows.dtype.names)
+        for chunk in table.chunks():
+            writer.writerows(chunk.tolist())
+    if sidecar:
+        _write(sidecar, args.out + ".summary.json" if args.out else None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,19 +230,11 @@ def _run(argv: list[str] | None) -> int:
             return 0 if report["passed"] else 2
         if args.command == "sweep":
             rows = run_variance_sweep(cfg) if cfg.protocol == "variance" else run_tpm_sweep(cfg)
-            _emit_rows(rows, args, f"{cfg.protocol}_sweep")
-            return 0
-        if args.command == "histogram":
-            rows, summary = run_histogram(cfg)
-            if args.format == "json":
-                _write(_json_text({"summary": summary, "bins": _row_dicts(rows)}), args.out)
-            else:
-                text = _json_text(summary)  # checked before the CSV is written
-                _emit_rows(rows, args, "histogram")
-                _write(text, args.out + ".summary.json" if args.out else None)
-            return 0
-        # single-point protocols
-        _write(_json_text(run_point(cfg)), args.out)
+            _emit_table(args, f"{cfg.protocol}_sweep", rows)
+        elif args.command == "histogram":
+            _emit_table(args, "histogram", *run_histogram(cfg))
+        else:  # single-point protocols
+            _write(_json_text(run_point(cfg)), args.out)
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

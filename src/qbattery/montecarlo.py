@@ -32,32 +32,32 @@ class MomentAccumulator:
         nb = values.size
         if nb == 0:
             return
-        mb = float(values.mean())
-        dv = values - mb
-        dv2 = dv * dv
-        m2b, m3b, m4b = float(dv2.sum()), float((dv2 * dv).sum()), float((dv2 * dv2).sum())
-        na = self.n
-        if na == 0:
-            self.n, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b
-            return
-        n = na + nb
-        delta = mb - self.mean
-        na_f, nb_f, n_f = float(na), float(nb), float(n)
-        m4 = (
-            self.m4
-            + m4b
-            + delta**4 * na_f * nb_f * (na_f**2 - na_f * nb_f + nb_f**2) / n_f**3
-            + 6.0 * delta**2 * (na_f**2 * m2b + nb_f**2 * self.m2) / n_f**2
-            + 4.0 * delta * (na_f * m3b - nb_f * self.m3) / n_f
-        )
-        m3 = (
-            self.m3
-            + m3b
-            + delta**3 * na_f * nb_f * (na_f - nb_f) / n_f**2
-            + 3.0 * delta * (na_f * m2b - nb_f * self.m2) / n_f
-        )
-        m2 = self.m2 + m2b + delta**2 * na_f * nb_f / n_f
-        self.mean += delta * nb_f / n_f
+        with np.errstate(over="ignore", invalid="ignore"):  # np.float64 moments overflow to inf/nan; a float's ** raises
+            mb = values.mean()
+            dv = values - mb
+            dv2 = dv * dv
+            m2b, m3b, m4b = dv2.sum(), (dv2 * dv).sum(), (dv2 * dv2).sum()
+            if self.n == 0:
+                self.n, self.mean, self.m2, self.m3, self.m4 = nb, mb, m2b, m3b, m4b
+                return
+            n = self.n + nb
+            delta = mb - self.mean
+            na_f, nb_f, n_f = float(self.n), float(nb), float(n)
+            m4 = (
+                self.m4
+                + m4b
+                + delta**4 * na_f * nb_f * (na_f**2 - na_f * nb_f + nb_f**2) / n_f**3
+                + 6.0 * delta**2 * (na_f**2 * m2b + nb_f**2 * self.m2) / n_f**2
+                + 4.0 * delta * (na_f * m3b - nb_f * self.m3) / n_f
+            )
+            m3 = (
+                self.m3
+                + m3b
+                + delta**3 * na_f * nb_f * (na_f - nb_f) / n_f**2
+                + 3.0 * delta * (na_f * m2b - nb_f * self.m2) / n_f
+            )
+            m2 = self.m2 + m2b + delta**2 * na_f * nb_f / n_f
+            self.mean += delta * nb_f / n_f
         self.n, self.m2, self.m3, self.m4 = n, m2, m3, m4
 
     @property
@@ -77,5 +77,6 @@ class MomentAccumulator:
         if self.n < 3:
             raise ValueError("variance standard error needs at least three samples")
         n = float(self.n)
-        num = n * self.m4 - self.m2**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = n * self.m4 - self.m2**2
         return float(np.sqrt(max(num, 0.0) / ((n - 1.0) * (n - 2.0) ** 2)))

@@ -5,15 +5,14 @@ Configs are JSON dicts with the sections ``battery``, ``state``,
 ``CONFIG_KEYS`` does not list for it.  Only ``serialization`` reads the
 battery and state formats, and ``thermal_mixtures`` builds the states of a
 point run and of both sweeps.  Each input rule is one ``_check_*`` function
-that the runner passes to ``_number`` for the key path.  Sweeps emit one
-CSV row per grid point with the swept parameters echoed, so any row can be
-reproduced by a direct library call; CSV files start with a versioned
-schema comment.  A seed is mandatory for anything that samples unitaries.
+that the runner passes to ``_number`` for the key path.  Sweeps return one
+table row per grid point with the swept parameters echoed, so any row can
+be reproduced by a direct library call; ``cli`` writes the tables.  A seed
+is mandatory for anything that samples unitaries.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -59,12 +58,7 @@ __all__ = [
     "run_histogram",
     "run_point",
     "run_verify",
-    "schema_tag",
-    "write_rows_csv",
-    "SCHEMA_VERSION",
 ]
-
-SCHEMA_VERSION = 1
 
 DEFAULT_BATTERY = {"ising": {"J1": 0.5, "J2": 1.0, "J3": 0.5, "b": 0.45}}
 DEFAULT_STATE = {"thermal_mixture": {"alpha": 0.96, "T": 1.5}}
@@ -462,19 +456,3 @@ def run_verify(cfg: ExperimentConfig) -> dict:
             entry["detail"] = result["detail"]
         checks.append(entry)
     return {"seed": base.seed, "d": d, "n": n, "passed": all(entry["passed"] for entry in checks), "checks": checks}
-
-
-def schema_tag(name: str) -> str:
-    """The versioned schema tag of an output, ``qbattery.<name>.v<SCHEMA_VERSION>``, in CSV and JSON alike."""
-    return f"qbattery.{name}.v{SCHEMA_VERSION}"
-
-
-def write_rows_csv(rows: np.ndarray, stream, schema: str) -> None:
-    """CSV of a table with a versioned schema comment; '.' decimals, no locale."""
-    if not len(rows):
-        raise ValueError("no rows to write")
-    stream.write(f"# schema={schema_tag(schema)}\n")
-    writer = csv.writer(stream)
-    writer.writerow(rows.dtype.names)
-    for start in range(0, len(rows), 4096):  # 4,096 rows at a time as Python floats and ints, each cell its repr
-        writer.writerows(rows[start : start + 4096].tolist())

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields
 
@@ -18,6 +19,8 @@ from qbattery.runner import CONFIG_KEYS, ExperimentConfig, run_histogram, run_po
 from qbattery.tpm import mc_tpm_statistics
 from qbattery.witness import detect_schmidt_number
 from qbattery.workstats import WorkStatistics, mc_work_statistics
+
+from test_sweeps import _HISTOGRAM, _MC_SWEEP
 
 
 def _read_csv(path):
@@ -150,6 +153,50 @@ def test_sweep_json_schema_tag_is_its_csv_tag(tmp_path):
     assert main(["sweep", "--config", str(config), "--format", "json", "--out", str(as_json)]) == 0
     tag = as_csv.read_text().splitlines()[0].removeprefix("# schema=")
     assert json.loads(as_json.read_text())["schema"] == tag == "qbattery.tpm_sweep.v1"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sweep", {}),
+        ("sweep", _MC_SWEEP),
+        ("histogram", _HISTOGRAM),
+        ("sweep", {"protocol": "tpm", "parameters": {"alpha_grid": np.linspace(0.0, 1.0, 1400).tolist()}}),
+    ],
+    ids=["variance", "tpm_mc", "histogram", "4200_rows"],
+)
+def test_a_json_table_is_the_dumps_of_its_row_dicts(tmp_path, command, config):
+    """The streamed ``--format json`` output is byte for byte ``json.dumps`` of the table's ``tolist`` rows as dicts;
+    4,200 rows cross the writer's 4,096-row chunk boundary."""
+    cfg = ExperimentConfig.from_dict(config)
+    if command == "histogram":
+        rows, summary = run_histogram(cfg)
+        head, key = {"summary": summary}, "bins"
+    else:
+        rows = run_tpm_sweep(cfg) if cfg.protocol == "tpm" else run_variance_sweep(cfg)
+        head, key = {"schema": f"qbattery.{cfg.protocol}_sweep.v1"}, "rows"
+    doc = {**head, key: [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]}
+    path, out = tmp_path / "config.json", tmp_path / "rows.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_json_sweep_peak_memory_is_its_csv_peak(tmp_path):
+    """A 2,000-alpha x 20-eps TPM sweep (40,000 rows) written as JSON peaks within 1.2 times its CSV run: the rows
+    stream from the table in chunks instead of becoming one list of dicts and one rendered document."""
+    grid = {"alpha_grid": np.linspace(0.0, 1.0, 2000).tolist(), "eps_grid": np.linspace(0.0, 1.0, 20).tolist()}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": "tpm", "parameters": grid}))
+    peaks = {}
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", str(config), "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] <= 1.2 * peaks["csv"], peaks
 
 
 def test_cli_histogram_requires_seed(capsys):
@@ -492,6 +539,20 @@ def test_a_non_finite_result_is_refused_before_any_byte_is_written(tmp_path, cap
                 assert main([*args, "--format", fmt, "--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith("configuration error: battery: ")
             assert not out.exists() and not (tmp_path / "out.summary.json").exists()
+
+
+@pytest.mark.parametrize("n", [100, 5000])
+@pytest.mark.parametrize("run", [["variance"], ["tpm"], ["histogram", "--bin-width", "1e150"]], ids=lambda run: run[0])
+def test_an_overflowing_monte_carlo_moment_is_refused_in_one_line(tmp_path, capsys, run, n):
+    """At b = 1e153 the work values are finite but their moments are not: M2^2 in the variance SE at n = 100, and
+    the merge of a second chunk (4,096 pairs at d = 4) at n = 5,000.  No warning, no traceback, no file."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*run, "--b", "1e153", "--seed", "1", "--n", str(n), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: battery: a result is not finite") and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "out.summary.json").exists()
 
 
 @pytest.mark.parametrize("run", ["variance", "tpm"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from qbattery.montecarlo import MomentAccumulator
@@ -49,3 +51,15 @@ def test_small_sample_guards():
     except ValueError:
         raised = True
     assert raised
+
+
+def test_moments_past_the_float_range_are_inf_or_nan_without_a_warning(rng):
+    """Values near 1e152 have finite squares but fourth powers past the float range, in one chunk and in a merge."""
+    x = rng.standard_normal(300) * 1e152
+    acc = MomentAccumulator()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc.add_chunk(x[:100])
+        assert np.isfinite(acc.variance) and not np.isfinite(acc.se_variance)
+        acc.add_chunk(x[100:])
+        assert not np.isfinite(acc.m4) and not np.isfinite(acc.se_variance)
