@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import os
 import sys
@@ -48,7 +47,7 @@ __all__ = ["main", "build_parser"]
 
 SCHEMA_VERSION = 1  # of a table's tag, qbattery.<name>.v<SCHEMA_VERSION>, in CSV and JSON alike
 _CHUNK = 4096  # table rows made Python floats and ints at a time
-_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)  # every JSON output; a non-finite value raises
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)  # all but a table's rows; non-finite raises
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,43 +161,33 @@ def _write(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-class _Table(list):
-    """A table walked ``_CHUNK`` rows at a time, as lists of Python floats and ints (a float's str is its repr) or as
-    dicts.  It is itself an empty list, so only ``JSONEncoder.iterencode`` may walk it: 3.13's C encoder reads the list."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def chunks(self):
-        return (self.rows[start : start + _CHUNK] for start in range(0, len(self.rows), _CHUNK))
-
-    def __iter__(self):
-        return (dict(zip(self.rows.dtype.names, row)) for chunk in self.chunks() for row in chunk.tolist())
-
-
 def _emit_table(args: argparse.Namespace, schema: str, rows: np.ndarray, summary: dict | None = None) -> None:
-    """A sweep's table, or a histogram's and its summary, as CSV (the summary in its sidecar) or JSON; the table (one
-    ``np.isfinite`` per field) and the summary (rendered) are checked before the output is opened."""
+    """A sweep's table, or a histogram's and its summary, as CSV (the summary in its sidecar) or JSON, both written
+    ``_CHUNK`` rows of Python floats and ints at a time; the table (one ``np.isfinite`` per field) and the summary
+    (rendered) are checked before the output is opened."""
     if not all(np.isfinite(rows[key]).all() for key in rows.dtype.names):
         raise ConfigError("battery", _NOT_FINITE)
     sidecar = _json_text(summary) if summary else None
-    table, tag = _Table(rows), f"qbattery.{schema}.v{SCHEMA_VERSION}"
+    tag, as_json = f"qbattery.{schema}.v{SCHEMA_VERSION}", args.format == "json"
+    if as_json:  # a row is its fields in sorted key order, each the repr that json writes for a finite float or an int
+        names = sorted(rows.dtype.names)
+        rows, row = rows[names], "    {\n" + ",\n".join(f"      {json.dumps(key)}: %r" for key in names) + "\n    }"
+        tail = '"summary": ' + sidecar[:-1].replace("\n", "\n  ") if summary else f'"schema": {json.dumps(tag)}'
     with _open_out(args.out) as fh:
-        if args.format == "json":
-            pieces = _JSON.iterencode({"summary": summary, "bins": table} if summary else {"schema": tag, "rows": table})
-            while batch := "".join(itertools.islice(pieces, 2**14)):
-                fh.write(batch)
-            fh.write("\n")
-            return
-        fh.write(f"# schema={tag}\n")
-        writer = csv.writer(fh)
-        writer.writerow(rows.dtype.names)
-        for chunk in table.chunks():
-            writer.writerows(chunk.tolist())
-    if sidecar:
+        if as_json:
+            fh.write('{\n  "bins": [\n' if summary else '{\n  "rows": [\n')
+        else:
+            fh.write(f"# schema={tag}\n")
+            writer = csv.writer(fh)
+            writer.writerow(rows.dtype.names)
+        for start in range(0, len(rows), _CHUNK):
+            if as_json:
+                fh.write(",\n" * (start > 0) + ",\n".join(row % r for r in rows[start : start + _CHUNK].tolist()))
+            else:
+                writer.writerows(rows[start : start + _CHUNK].tolist())
+        if as_json:
+            fh.write(f"\n  ],\n  {tail}\n}}\n")
+    if sidecar and not as_json:
         _write(sidecar, args.out + ".summary.json" if args.out else None)
 
 

@@ -490,9 +490,10 @@ def tpm_variance_stack(
         coeffs.append((ff**2, ka**2, kb**2, kab**2, ff * ka, ff * kb, ka * kb, ff * kab, ka * kab, kb * kab))
     c = np.reshape(coeffs, (-1, 10)).T  # one row per integral, one column per pair
     joint, local_a, local_b = var["joint"], var["local_a"], var["local_b"]
-    ideal = c[3] * var["state"]
-    proj = c[0] * joint + c[1] * local_a + c[2] * local_b
-    noisy = 2.0 * sum(coeff * v for coeff, v in zip(c[4:], (joint, joint, joint, joint, local_a, local_b)))
+    with np.errstate(invalid="ignore"):  # inf * 0 at an overflowed variance is nan, which the CLI refuses by name
+        ideal = c[3] * var["state"]
+        proj = c[0] * joint + c[1] * local_a + c[2] * local_b
+        noisy = 2.0 * sum(coeff * v for coeff, v in zip(c[4:], (joint, joint, joint, joint, local_a, local_b)))
     n1, n_noisy = (np.array([getattr(w, name) for w in ws]) for name in ("n1", "n_noisy"))
     columns = (  # the report's fields from var_tpm to noisy_term, one (state, pair) cell each
         ideal + proj + noisy,

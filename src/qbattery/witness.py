@@ -43,7 +43,8 @@ _PURE_TOL = 1e-9
 
 def _violates(value, cap):
     """value > cap beyond the detection margin; elementwise on arrays."""
-    return value - cap > DETECTION_MARGIN * np.maximum(1.0, np.maximum(np.abs(value), np.abs(cap)))
+    with np.errstate(invalid="ignore"):  # inf - inf at an overflowed variance is nan, which violates no cap
+        return value - cap > DETECTION_MARGIN * np.maximum(1.0, np.maximum(np.abs(value), np.abs(cap)))
 
 
 def _detected_level(value, caps: np.ndarray) -> np.ndarray:

@@ -101,7 +101,8 @@ def sector_variance(
     Also evaluated at capped (Schmidt-number) or dephased (TPM) sector lengths.
     """
     dd = d * d - 1
-    return (r_a2 * ha2 + r_b2 * hb2 + t2 * g2v2 / dd) / dd
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf, which the CLI refuses by name
+        return (r_a2 * ha2 + r_b2 * hb2 + t2 * g2v2 / dd) / dd
 
 
 def analytic_work_variance(rho: StateLike, h: BatteryHamiltonian) -> WorkStatistics:

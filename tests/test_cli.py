@@ -1,4 +1,6 @@
+import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 import qbattery
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
-from qbattery.cli import build_parser, main
+from qbattery.cli import _emit_table, build_parser, main
 from qbattery.haar import SamplerConfig, twirl1
 from qbattery.linalg import swap_operator
 from qbattery.runner import CONFIG_KEYS, ExperimentConfig, run_histogram, run_point, run_tpm_sweep, run_variance_sweep
@@ -180,6 +182,51 @@ def test_a_json_table_is_the_dumps_of_its_row_dicts(tmp_path, command, config):
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path), "--format", "json", "--out", str(out)]) == 0
     assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_CELLS = {  # declared out of sorted key order; the float cells span repr's forms: -0.0, subnormal, exponent, 0.1 + 0.2
+    "b": [-0.0, 5e-324, 1e16, 1e-7],
+    "J1": [0.1 + 0.2, 1.7976931348623157e308, -2.5e-308, 1.0],
+    "alpha": [1e-7, -0.0, 0.1 + 0.2, 123456789.0],
+    "T": [1e22, 5e-324, -1e16, 0.5],
+    "count": [2**63 - 1, -(2**63 - 1), 0, 7],
+}
+
+
+@pytest.mark.parametrize(
+    "summary", [None, {"n_samples": 4100, "origin": -0.0, "fit": {"z": 1e-7, "a": [1, 2]}}], ids=["sweep", "histogram"]
+)
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_a_table_writes_each_number_as_json_and_csv_read_it_back(tmp_path, capsys, summary, to_file):
+    """JSON is byte for byte ``json.dumps`` of the rows as dicts, whatever the fields' declared order, and every CSV
+    cell parses back to its bits; 4,100 rows cross the writer's 4,096-row chunk boundary."""
+    dtype = [(key, "i8" if key == "count" else "f8") for key in _CELLS]
+    rows = np.zeros(4 * 1025, dtype=dtype)
+    for key, cells in _CELLS.items():
+        rows[key] = np.tile(np.array(cells, dtype=rows.dtype[key]), 1025)
+    out = tmp_path / "table"
+    sidecar = json.dumps(summary, indent=2, sort_keys=True) + "\n" if summary else ""
+
+    def emit(fmt):
+        _emit_table(argparse.Namespace(out=str(out) if to_file else None, format=fmt), "probe", rows, summary)
+        return out.read_bytes().decode() if to_file else capsys.readouterr().out
+
+    head, key = ({"summary": summary}, "bins") if summary else ({"schema": "qbattery.probe.v1"}, "rows")
+    doc = {**head, key: [dict(zip(rows.dtype.names, row)) for row in rows.tolist()]}
+    assert emit("json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = emit("csv")
+    if to_file:
+        assert not summary or (tmp_path / "table.summary.json").read_text() == sidecar
+    else:
+        assert text.endswith(sidecar)
+        text = text[: len(text) - len(sidecar)]
+    fh = io.StringIO(text, newline="")
+    assert fh.readline() == "# schema=qbattery.probe.v1\n"
+    header, *cells = csv.reader(fh)
+    assert header == list(_CELLS) and len(cells) == len(rows)
+    for key, column in zip(header, zip(*cells)):
+        parsed = np.array([int(cell) if key == "count" else float(cell) for cell in column], dtype=rows.dtype[key])
+        assert np.array_equal(parsed.view(np.int64), rows[key].view(np.int64)), key
 
 
 def test_a_json_sweep_peak_memory_is_its_csv_peak(tmp_path):
@@ -535,7 +582,8 @@ def test_a_non_finite_result_is_refused_before_any_byte_is_written(tmp_path, cap
     histogram = ["histogram", "--b", "4e153", "--alpha", "1", "--seed", "1", "--n", "100", "--bin-width", "1e150"]
     for args in (["sweep", "--config", str(config)], histogram):
         for fmt in ("csv", "json"):
-            with np.errstate(over="ignore", invalid="ignore"):  # the overflow itself still warns (no rescaling yet)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the overflow is refused, not warned about
                 assert main([*args, "--format", fmt, "--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith("configuration error: battery: ")
             assert not out.exists() and not (tmp_path / "out.summary.json").exists()
@@ -553,6 +601,31 @@ def test_an_overflowing_monte_carlo_moment_is_refused_in_one_line(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("configuration error: battery: a result is not finite") and err.count("\n") == 1
     assert not out.exists() and not (tmp_path / "out.summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "run, config",
+    [
+        (["witness", "--b", "4e153", "--alpha", "1"], None),
+        (["tpm", "--b", "4e153", "--alpha", "1"], None),
+        (["sweep"], {"parameters": {"b_grid": [4e153], "alpha_grid": [1.0]}}),
+        (["sweep", "--b", "4e153"], {"protocol": "tpm", "parameters": {"alpha_grid": [1.0]}}),
+    ],
+    ids=["witness", "tpm", "variance_sweep", "tpm_sweep"],
+)
+def test_an_overflowing_closed_form_is_refused_in_one_line(tmp_path, capsys, run, config):
+    """At b = 4e153 the variance's sum overflows, and the witness reads inf - inf from it and the TPM variance
+    inf * 0.  No warning, no traceback, no file: the one-line refusal at ``battery``."""
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        run = [*run, "--config", str(tmp_path / "config.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*run, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: battery: a result is not finite") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("run", ["variance", "tpm"])
