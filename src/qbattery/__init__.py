@@ -38,6 +38,7 @@ from .montecarlo import MomentAccumulator
 from .tpm import (
     NoisyPovm,
     TpmVarianceReport,
+    TpmVarianceStack,
     TpmWeights,
     energy_labels,
     mc_tpm_statistics,

@@ -82,26 +82,51 @@ def battery_hamiltonian(
     v: np.ndarray,
     g: float,
 ) -> BatteryHamiltonian:
-    """Assemble and canonicalize a battery Hamiltonian.
+    """Assemble and canonicalize a battery Hamiltonian: ``_battery_stack`` of one.
 
     ``ha``/``hb`` are Hermitian d x d local terms, d as ``_check_dimension`` allows;
     ``v`` is a Hermitian d^2 x d^2 interaction; ``g`` its coupling strength.
     A non-finite entry or weight (ha2, hb2, g^2 v2) is a ValueError naming it.
     """
-    ha = np.asarray(ha, dtype=np.complex128)
-    d = ha.shape[0]
+    stack = (np.asarray(m, dtype=np.complex128)[None] for m in (ha, hb))
+    return _built(_battery_stack(*stack, v, g)[0])
+
+
+def _built(entry: BatteryHamiltonian | ValueError) -> BatteryHamiltonian:
+    """A battery of a ``_battery_stack``; an entry whose build failed raises its error."""
+    if isinstance(entry, ValueError):
+        raise entry
+    return entry
+
+
+def _battery_stack(ha: np.ndarray, hb: np.ndarray, v: np.ndarray, g: float) -> list[BatteryHamiltonian | ValueError]:
+    """The batteries of two stacks (n, d, d) of local terms with one interaction ``v`` and coupling ``g``.
+
+    Entry i is the battery of (ha[i], hb[i]), bitwise its build alone, or the
+    ValueError of the first check that build fails, in the order: each term
+    finite, then Hermitian (ha, hb, v), then each weight finite (ha2, hb2,
+    g^2 v2).  A wrong shape or dimension is every entry's, and is raised.
+    The shared interaction is checked and canonicalized once: its identity
+    and single-sided components are split off, the local parts folded
+    (scaled by g) into every pair's local terms with one warning.
+    """
+    d = ha.shape[1]
     _check_dimension(d)
-    hb = np.asarray(hb, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
-    if ha.shape != (d, d) or hb.shape != (d, d):
+    if ha.shape[1:] != (d, d) or hb.shape[1:] != (d, d):
         raise ValueError("local Hamiltonians must be square and equal-sized")
     if v.shape != (d * d, d * d):
         raise ValueError(f"interaction must be {d * d} x {d * d}, got {v.shape}")
-    for name, m in (("ha", ha), ("hb", hb), ("v", v)):
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} has a non-finite entry")
-        if not is_hermitian(m, tol=1e-10):
-            raise ValueError(f"{name} must be Hermitian")
+    terms = (("ha", ha), ("hb", hb), ("v", v))
+    passed = np.empty((2 * len(terms), len(ha)), dtype=bool)  # each entry's checks, in the order of a build alone
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite term, which its finiteness check refuses first
+        for k, (name, m) in enumerate(terms):
+            passed[2 * k] = np.isfinite(m).all(axis=(-2, -1))
+            passed[2 * k + 1] = is_hermitian(m, tol=1e-10)
+    messages = [f"{name} {rule}" for name, _ in terms for rule in ("has a non-finite entry", "must be Hermitian")]
+    errors = [None if ok else messages[k] for ok, k in zip(passed.all(axis=0).tolist(), passed.argmin(axis=0).tolist())]
+    if all(errors):
+        return [ValueError(message) for message in errors]
 
     # Split off identity and single-sided components of v.
     offset = np.trace(v).real / d**2
@@ -114,27 +139,25 @@ def battery_hamiltonian(
         warnings.warn(
             "interaction had identity/local components; local parts were folded "
             "(scaled by g) into the local Hamiltonians and the identity offset dropped",
-            stacklevel=2,
+            stacklevel=3,
         )
         ha = ha + g * local_a
         hb = hb + g * local_b
         v = v_corr
 
-    h = BatteryHamiltonian(
-        d=d,
-        ha=ha,
-        hb=hb,
-        v=v,
-        g=float(g),
-        ha2=_sq_norm(ha - np.trace(ha) / d * eye) / d,
-        hb2=_sq_norm(hb - np.trace(hb) / d * eye) / d,
-        v2=_sq_norm(v_corr) / d**2,
-    )
-    # g * g, not the property's g**2: a float's ** raises OverflowError where * gives inf
-    for name, weight in (("ha2", h.ha2), ("hb2", h.hb2), ("g^2 v2", h.g * h.g * h.v2)):
-        if not math.isfinite(weight):
-            raise ValueError(f"the weight {name} = {weight} is not finite")
-    return h
+    # Each pair's weights: squared norms of the traceless parts, one vdot per matrix, so an entry has its build's bits
+    with np.errstate(invalid="ignore", over="ignore"):  # a failed entry's terms may be inf; its weights are not read
+        ha0, hb0 = (m - (np.trace(m, axis1=-2, axis2=-1) / d)[:, None, None] * eye for m in (ha, hb))
+    v2 = _sq_norm(v_corr) / d**2
+    batteries = []
+    for a, b, a0, b0, error in zip(ha, hb, ha0, hb0, errors):
+        if error is None:
+            h = BatteryHamiltonian(d=d, ha=a, hb=b, v=v, g=float(g), ha2=_sq_norm(a0) / d, hb2=_sq_norm(b0) / d, v2=v2)
+            # g * g, not the property's g**2: a float's ** raises OverflowError where * gives inf
+            weights = (("ha2", h.ha2), ("hb2", h.hb2), ("g^2 v2", h.g * h.g * h.v2))
+            error = next((f"the weight {name} = {w} is not finite" for name, w in weights if not math.isfinite(w)), None)
+        batteries.append(h if error is None else ValueError(error))
+    return batteries
 
 
 _PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -146,17 +169,23 @@ _ISING_BOND = np.kron(np.kron(_EYE2, _PAULI_Z), np.kron(_PAULI_Z, _EYE2))
 
 
 def ising_battery(j1: float, j2: float, j3: float, b: float) -> BatteryHamiltonian:
-    """Four-qubit Ising chain with a homogeneous Z field, split (1,2 | 3,4).
+    """Four-qubit Ising chain with a homogeneous Z field, split (1,2 | 3,4): ``_ising_stack`` of one.
 
     Each battery half is a two-qubit system (d = 4) with ZZ coupling j1
     (resp. j3) and field b; the halves couple through the middle ZZ bond of
     strength j2, i.e. Z on qubit 2 with Z on qubit 3.  The derived scalars
     satisfy ha2 = j1^2 + 2 b^2, hb2 = j3^2 + 2 b^2 and g2v2 = j2^2.
     """
-    with np.errstate(over="ignore"):  # an overflowing entry is inf, which battery_hamiltonian refuses by name
+    return _built(_ising_stack(j1, j2, j3, [b])[0])
+
+
+def _ising_stack(j1: float, j2: float, j3: float, fields) -> list[BatteryHamiltonian | ValueError]:
+    """The Ising batteries at each field b of ``fields``, one ``_battery_stack`` with the bond canonicalized once."""
+    b = np.asarray(fields)[:, None, None]
+    with np.errstate(over="ignore"):  # an overflowing entry is inf, which the build refuses by name
         ha = j1 * _ISING_ZZ + b * _ISING_FIELD
         hb = j3 * _ISING_ZZ + b * _ISING_FIELD
-    return battery_hamiltonian(ha, hb, _ISING_BOND, g=j2)
+    return _battery_stack(ha, hb, _ISING_BOND, g=j2)
 
 
 def _check_temperature(temperature: float) -> None:

@@ -69,9 +69,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Check Hermiticity in max-norm."""
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
+def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL):
+    """Check Hermiticity in max-norm: a bool for one matrix, the array (...) of checks for a stack (..., n, n)."""
+    return _scalar(np.max(np.abs(a - dagger(a)), axis=(-2, -1)) <= tol, bool)
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,14 @@ def _bipartite(m: np.ndarray, d: int, what: str) -> np.ndarray:
     return m.reshape(m.shape[:-2] + (d, d, d, d))
 
 
-def _scalar(x: np.ndarray):
-    """A 0-d result as a Python float; a stack's results stay an array."""
-    return float(x) if x.ndim == 0 else x
+def _scalar(x: np.ndarray, kind: type = float):
+    """A 0-d result as a Python float (or ``kind``); a stack's results stay an array."""
+    return kind(x) if x.ndim == 0 else x
+
+
+#: The partial traces on the (..., d, d, d, d) layout r[a, b, c, e], keeping side A or B, as einsum diagonal sums:
+#: bitwise ``ndarray.trace`` over the same axes at every d from 2 to 16, in one call instead of a view and a sum.
+_REDUCTIONS = {"A": "...abcb->...ac", "B": "...abae->...be"}
 
 
 def partial_trace(rho: StateLike, side: str, d: int):
@@ -200,13 +205,9 @@ def partial_trace(rho: StateLike, side: str, d: int):
     input yields density-matrix output; raw arrays pass through as arrays,
     and a stack (..., d^2, d^2) gives the stack (..., d, d) of reductions.
     """
-    r4 = _bipartite(_raw(rho), d, "operator")
-    if side == "A":
-        out = r4.trace(axis1=-3, axis2=-1)
-    elif side == "B":
-        out = r4.trace(axis1=-4, axis2=-2)
-    else:
+    if side not in _REDUCTIONS:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    out = np.einsum(_REDUCTIONS[side], _bipartite(_raw(rho), d, "operator"))
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out)
     return out
@@ -216,11 +217,23 @@ def partial_transpose_min_eig(rho: StateLike, d: int):
     """Minimum eigenvalue of the partial transpose on the first subsystem; >= 0 means PPT.
 
     A float for one d^2 x d^2 operator; for a stack (..., d^2, d^2) the array
-    (...) of minima, from one stacked ``eigvalsh`` that equals the
-    per-matrix calls bitwise.
+    (...) of minima.  A matrix whose imaginary part is exactly zero (every
+    thermal mixture of the Ising family) has a real symmetric partial
+    transpose, formed from its real part and solved by the real eigensolver;
+    the others by the complex one.  The route is chosen per matrix and each
+    route is one stacked ``eigvalsh``, so every entry is bitwise its call alone.
     """
     m = _raw(rho)
-    return _scalar(np.linalg.eigvalsh(_bipartite(m, d, "operator").swapaxes(-4, -2).reshape(m.shape))[..., 0])
+    r4 = _bipartite(m, d, "operator")
+    flat = m.reshape((-1,) + m.shape[-2:])
+    real = ~np.any(flat.imag, axis=(-2, -1))
+    out = np.empty(len(flat))
+    for route, part in ((real, r4.real), (~real, r4)):
+        if route.any():
+            x = part.reshape((-1,) + part.shape[-4:])
+            x = x if route.all() else x[route]
+            out[route] = np.linalg.eigvalsh(x.swapaxes(-4, -2).reshape((-1,) + m.shape[-2:]))[:, 0]
+    return _scalar(out.reshape(m.shape[:-2]))
 
 
 def product_basis_rotation(x: np.ndarray, va: np.ndarray, vb: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -279,16 +292,21 @@ def sector_lengths(rho: StateLike, d: int):
     part is squared in place: the correlation part in the one copy of the
     stack it is formed in.
     """
+    return _lengths_and_reductions(rho, d)[0]
+
+
+def _lengths_and_reductions(rho: StateLike, d: int) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
+    """``sector_lengths`` and the reductions (rho_A, rho_B) it forms them from, for a caller that reads both."""
     m = _raw(rho)
     r4 = _bipartite(m, d, "state")
     eye = np.eye(d) / d
-    loc_a = r4.trace(axis1=-3, axis2=-1) - eye
-    red_b = r4.trace(axis1=-4, axis2=-2)
+    red_a, red_b = (np.einsum(_REDUCTIONS[side], r4) for side in "AB")
+    loc_a = red_a - eye
     corr = r4.copy()  # minus loc_a (x) 1/d and 1/d (x) rho_B, through writable diagonal views
     np.einsum("...abcb->...acb", corr)[...] -= loc_a[..., None] / d
     np.einsum("...abae->...abe", corr)[...] -= red_b[..., None, :, :] / d
     parts = ((d, loc_a), (d, red_b - eye), (d * d, corr.reshape(m.shape)))
-    return tuple(k * _scalar(_sum_squares(x)) for k, x in parts)
+    return tuple(k * _scalar(_sum_squares(x)) for k, x in parts), (red_a, red_b)
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -17,16 +17,30 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .battery import BatteryHamiltonian, SpectralDecomposition, _check_alpha, battery_hamiltonian, spectral_decomposition
+from .battery import (
+    BatteryHamiltonian,
+    SpectralDecomposition,
+    _check_alpha,
+    _ising_stack,
+    battery_hamiltonian,
+    spectral_decomposition,
+)
 from .coincidence import _check_h2, avg_coincidence_closed, coincidence_bound, mc_coincidence
 from .haar import SamplerConfig, _check_u64, twirl1, twirl2, two_copy_local_twirl_probe
 from .linalg import DensityMatrix, _check_dimension, random_density_matrix, random_hermitian, sector_lengths, swap_operator
-from .serialization import ConfigError, _number, battery_from_spec, ising_params, state_from_spec, thermal_mixtures
+from .serialization import (
+    ConfigError,
+    _number,
+    _required_number,
+    battery_from_spec,
+    ising_params,
+    state_from_spec,
+    thermal_mixtures,
+)
 from .tpm import (
     _check_eps,
     _dephased_sectors,
@@ -160,13 +174,18 @@ def _alpha_grid(cfg: ExperimentConfig, step: float) -> list[float]:
     return [_number(x, "parameters.alpha_grid", check=_check_alpha) for x in cfg.parameters.get("alpha_grid", default)]
 
 
-def _field_battery(ip: dict, b: float) -> BatteryHamiltonian:
-    """The Ising battery of a variance sweep at field b; a field whose build fails is a ConfigError at its grid."""
-    try:
-        return battery_from_spec({"ising": {**ip, "b": b}})
-    except ConfigError as exc:
-        battery_from_spec({"ising": {**ip, "b": 0.0}})  # couplings that fail at any field are reported as theirs
-        raise ConfigError("parameters.b_grid", f"b = {b}: {str(exc).removeprefix('battery.ising: ')}") from None
+def _field_batteries(ip: dict, b_grid: list[float]) -> list[BatteryHamiltonian]:
+    """The Ising batteries of a variance sweep at each field b, from one stacked build.
+
+    The first field whose build fails is a ConfigError at its grid, with the
+    error of that field's build alone.
+    """
+    batteries = _ising_stack(*(_required_number(ip, key, "battery.ising") for key in ("J1", "J2", "J3")), b_grid)
+    for b, h in zip(b_grid, batteries):
+        if isinstance(h, ValueError):
+            battery_from_spec({"ising": {**ip, "b": 0.0}})  # couplings that fail at any field are reported as theirs
+            raise ConfigError("parameters.b_grid", f"b = {b}: {h}")
+    return batteries
 
 
 #: Bytes of (d^2, d^2) matrices in one sweep block: its states, and with a TPM Monte Carlo each state's Xi per eps.
@@ -210,7 +229,7 @@ def run_variance_sweep(cfg: ExperimentConfig) -> np.ndarray:
     a_grid = _alpha_grid(cfg, 0.04)
     default = np.round(np.arange(0.0, 0.901, 0.05), 10)
     b_grid = [_number(x, "parameters.b_grid") for x in cfg.parameters.get("b_grid", default)]
-    batteries = [_field_battery(ip, b) for b in b_grid]
+    batteries = _field_batteries(ip, b_grid)
     d = batteries[0].d
     keys = ("J1", "J2", "J3", "T", "b", "alpha", "variance", "detected_sn", "ppt_min_eig")
     keys += tuple(f"bound_k{k}" for k in range(1, d))  # k = d is never violable
@@ -228,8 +247,8 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> np.ndarray:
     """Closed-form TPM variance and weights on an (alpha, eps) grid.
 
     Each block of ``_sweep_blocks`` is evaluated at every eps in one
-    ``tpm_variance_stack`` call, and each row reads its columns from the
-    report of its point, bitwise ``tpm_variance_closed_form`` there.  The
+    ``tpm_variance_stack`` call, whose columns the rows read, each cell
+    bitwise ``tpm_variance_closed_form`` at its point.  The
     Monte-Carlo columns, ``mc_<field>`` for each ``WorkStatistics`` field,
     appear when the sampling section gives ``n_unitaries``; a seed is then
     mandatory.  One ``mc_tpm_stack`` pass per block (one for the default
@@ -245,16 +264,16 @@ def run_tpm_sweep(cfg: ExperimentConfig) -> np.ndarray:
     spec = spectral_decomposition(h)
     per_state = 1 + len(eps_pairs) if cfg.samples() else 1  # a Monte Carlo holds each state's Xi per eps
     head = {key: ip[key] for key in ("J1", "J2", "J3", "b")}
-    report_keys = ("eps_a", "eps_b", "var_tpm", "var_diag", "weights.n0", "weights.n1", "weights.n_noisy")
-    read = lambda grid, key: [list(map(attrgetter(key), row)) for row in grid]
+    closed_keys = ("eps_a", "eps_b", "var_tpm", "var_diag", "n0", "n1", "n_noisy")
+    mc_keys = [f.name for f in fields(WorkStatistics)]
     tables = []
     for _, alphas, temperature, [states] in _sweep_blocks(cfg.state, [h], a_grid, per_state):
-        reports = tpm_variance_stack(states, spec, eps_pairs)
+        closed = tpm_variance_stack(states, spec, eps_pairs)
         columns = {**head, "T": temperature, "alpha": np.array(alphas)[:, None]}
-        columns.update({key.rpartition(".")[2]: read(reports, key) for key in report_keys})
+        columns.update({key: getattr(closed, key) for key in closed_keys})
         if cfg.samples():
             mc = mc_tpm_stack(states, spec, eps_pairs, cfg.n_unitaries(), cfg.sampler())
-            columns.update({f"mc_{f.name}": read(mc, f.name) for f in fields(WorkStatistics)})
+            columns.update({f"mc_{key}": [[getattr(s, key) for s in row] for row in mc] for key in mc_keys})
         tables.append(_table((len(alphas), len(eps_pairs)), columns))
     return np.concatenate(tables)
 

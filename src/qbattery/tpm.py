@@ -19,7 +19,8 @@ weak-measurement limit, where the instrument average is the state itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "NoisyPovm",
     "TpmWeights",
     "TpmVarianceReport",
+    "TpmVarianceStack",
     "povm_root_coeffs",
     "noisy_povm",
     "energy_labels",
@@ -462,15 +464,40 @@ class TpmVarianceReport:
     weights: TpmWeights
 
 
+class TpmVarianceStack(NamedTuple):
+    """The numbers of ``TpmVarianceReport`` for a stack of states at a list of detector pairs.
+
+    Each field is a (states, pairs) array.  The weights' n0, n1 and n_noisy
+    stand in for the report's ``weights``; ``tpm_weights`` gives the rest.
+    """
+
+    eps_a: np.ndarray
+    eps_b: np.ndarray
+    mean_tpm: np.ndarray
+    var_tpm: np.ndarray
+    var_diag: np.ndarray
+    var_projective: np.ndarray
+    var_noisy: np.ndarray
+    ideal_term: np.ndarray
+    projective_term: np.ndarray
+    noisy_term: np.ndarray
+    ha2: np.ndarray
+    hb2: np.ndarray
+    g2v2_diag: np.ndarray
+    n0: np.ndarray
+    n1: np.ndarray
+    n_noisy: np.ndarray
+
+
 def tpm_variance_stack(
     states: np.ndarray, spec: SpectralDecomposition, eps_pairs: list[tuple[float, float]]
-) -> list[list[TpmVarianceReport]]:
-    """``tpm_variance_closed_form`` of every state of a stack at every detector pair.
+) -> TpmVarianceStack:
+    """``tpm_variance_closed_form`` of every state of a stack at every detector pair, as columns.
 
     ``states`` is a stack (n, d^2, d^2) of density matrices, taken as valid
-    and not re-validated, as in ``detect_schmidt_number_stack``; reports[i][j]
-    is bitwise what the per-state call reports for state i at the pair
-    eps_pairs[j] = (eps_a, eps_b).  The variance is a sum of ten Haar
+    and not re-validated, as in ``detect_schmidt_number_stack``; cell [i, j]
+    of each column is bitwise what the per-state call reports for state i at
+    the pair eps_pairs[j] = (eps_a, eps_b).  The variance is a sum of ten Haar
     integrals, each a product of kappa weights with the work variance under
     H_D of one state of ``_dephased_sectors``: the joint, local_a, local_b
     and state squares, and six cross terms that enter twice.  The state
@@ -494,25 +521,26 @@ def tpm_variance_stack(
         ideal = c[3] * var["state"]
         proj = c[0] * joint + c[1] * local_a + c[2] * local_b
         noisy = 2.0 * sum(coeff * v for coeff, v in zip(c[4:], (joint, joint, joint, joint, local_a, local_b)))
-    n1, n_noisy = (np.array([getattr(w, name) for w in ws]) for name in ("n1", "n_noisy"))
-    columns = (  # the report's fields from var_tpm to noisy_term, one (state, pair) cell each
-        ideal + proj + noisy,
-        np.broadcast_to(var["state"], proj.shape),
-        np.divide(proj, n1, out=np.zeros_like(proj), where=n1 > 0),
-        np.divide(noisy, n_noisy, out=np.zeros_like(noisy), where=n_noisy > 0),
-        ideal,
-        proj,
-        noisy,
+    pair = {key: np.array([getattr(w, key) for w in ws], float) for key in ("eps_a", "eps_b", "n0", "n1", "n_noisy")}
+    cells = dict(
+        mean_tpm=np.array([mean_work(m, spec.h_diag) for m in states])[:, None],
+        var_tpm=ideal + proj + noisy,
+        var_diag=var["state"],
+        var_projective=np.divide(proj, pair["n1"], out=np.zeros_like(proj), where=pair["n1"] > 0),
+        var_noisy=np.divide(noisy, pair["n_noisy"], out=np.zeros_like(noisy), where=pair["n_noisy"] > 0),
+        ideal_term=ideal,
+        projective_term=proj,
+        noisy_term=noisy,
+        **dict(zip(("ha2", "hb2", "g2v2_diag"), diag)),
+        **pair,
     )
-    means = [mean_work(m, spec.h_diag) for m in states]
-    return [
-        [TpmVarianceReport(d, w.eps_a, w.eps_b, mean, *cells, *diag, w) for w, *cells in zip(ws, *state_columns)]
-        for mean, *state_columns in zip(means, *(col.tolist() for col in columns))
-    ]
+    return TpmVarianceStack(**{name: np.broadcast_to(x, proj.shape) for name, x in cells.items()})
 
 
 def tpm_variance_closed_form(
     rho: StateLike, spec: SpectralDecomposition, eps_a: float, eps_b: float
 ) -> TpmVarianceReport:
     """Closed-form variance of the presumed TPM work over Haar unitary pairs: ``tpm_variance_stack`` of one."""
-    return tpm_variance_stack(_state_data(rho, spec.d)[None], spec, [(eps_a, eps_b)])[0][0]
+    stack = tpm_variance_stack(_state_data(rho, spec.d)[None], spec, [(eps_a, eps_b)])
+    cells = {f.name: float(getattr(stack, f.name)[0, 0]) for f in fields(TpmVarianceReport)[1:-1]}
+    return TpmVarianceReport(spec.d, **cells, weights=tpm_weights(eps_a, eps_b, spec.d))

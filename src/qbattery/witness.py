@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .battery import BatteryHamiltonian
-from .linalg import StateLike, partial_trace, partial_transpose_min_eig, purity, sector_lengths
+from .linalg import StateLike, _lengths_and_reductions, partial_transpose_min_eig, purity
 from .workstats import _state_data, sector_variance
 
 __all__ = [
@@ -138,11 +138,12 @@ def detect_schmidt_number_stack(states: np.ndarray, d: int, ha2, hb2, g2v2) -> W
     stack's leading axes, so one call serves states of several batteries.
     The rows are taken as valid states and are not re-validated (a convex
     mixture of validated states, as ``thermal_mixture_stack`` builds, needs
-    no check).  Every entry is bitwise what the per-state call reports, which
-    runs this on a stack of one.  Raises ``RuntimeError`` on the first state
+    no check).  The purity route reads the marginals that the sector lengths
+    are formed from.  Every entry is bitwise what the per-state call reports,
+    which runs this on a stack of one.  Raises ``RuntimeError`` on the first state
     whose two routes disagree where the variance route resolves a k-step.
     """
-    r_a2, r_b2, t2 = sector_lengths(states, d)
+    (r_a2, r_b2, t2), reductions = _lengths_and_reductions(states, d)
     var = sector_variance(r_a2, r_b2, t2, ha2, hb2, g2v2, d)
     ks = np.arange(1, d + 1)
     weights = (np.asarray(w)[..., None] for w in (ha2, hb2, g2v2))
@@ -150,7 +151,7 @@ def detect_schmidt_number_stack(states: np.ndarray, d: int, ha2, hb2, g2v2) -> W
     detected = _detected_level(var, thresholds)
 
     pur = purity(states)
-    min_marginal = np.minimum(purity(partial_trace(states, "A", d)), purity(partial_trace(states, "B", d)))
+    min_marginal = np.minimum(*map(purity, reductions))
     purity_sn = _detected_level(pur, ks * min_marginal[..., None])
 
     k_step = g2v2 * d / (d * d - 1) ** 2

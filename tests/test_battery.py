@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qbattery.battery import (
+    _ising_stack,
     battery_hamiltonian,
     gibbs_state,
     ising_battery,
@@ -252,3 +253,45 @@ def test_battery_refuses_a_non_finite_entry_or_weight_by_name(build, message):
         warnings.simplefilter("error")  # refused before any overflow warning
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+
+_BATTERY_FIELDS = ("ha", "hb", "v", "g", "ha2", "hb2", "v2")
+
+
+def _random_couplings_and_fields(seed):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.uniform(-2.0, 2.0, 3).tolist()), rng.uniform(-3.0, 3.0, int(rng.integers(1, 60))).tolist()
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+def test_the_stacked_ising_build_is_the_per_field_build_bitwise(seed):
+    """One stacked build over a field grid gives each field's ``ising_battery``, every field bit for bit.
+
+    The default variance sweep's 19 fields, then random couplings and grids; each local term is also the
+    chain's formula j * ZZ + b * (Z1 + Z2) as numpy's kron spells it.
+    """
+    default = ((0.5, 1.0, 0.5), np.round(np.arange(0.0, 0.901, 0.05), 10).tolist())
+    couplings, fields = default if seed is None else _random_couplings_and_fields(seed)
+    zz, field = np.kron(Z, Z), np.kron(Z, np.eye(2)) + np.kron(np.eye(2), Z)
+    stack = _ising_stack(*couplings, fields)
+    assert len(stack) == len(fields)
+    for b, h in zip(fields, stack):
+        alone = ising_battery(*couplings, b)
+        for name in _BATTERY_FIELDS:
+            x, y = getattr(h, name), getattr(alone, name)
+            assert type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+        assert np.array_equal(h.ha, couplings[0] * zz + b * field)
+        assert np.array_equal(h.hb, couplings[2] * zz + b * field)
+
+
+def test_a_stacked_build_gives_each_failing_field_the_error_of_its_build_alone():
+    stack = _ising_stack(0.5, 1.0, 0.5, [0.1, 1e308, 0.2, 1e200])
+    assert [type(h) for h in stack] == [type(_ising()), ValueError, type(_ising()), ValueError]
+    for b, h in zip((1e308, 1e200), stack[1::2]):
+        with pytest.raises(ValueError) as alone:
+            ising_battery(0.5, 1.0, 0.5, b)
+        assert str(h) == str(alone.value)
+    assert [str(h) for h in _ising_stack(0.5, 1e200, 0.5, [0.1, 1e308])] == [
+        "the weight g^2 v2 = inf is not finite",
+        "ha has a non-finite entry",
+    ]

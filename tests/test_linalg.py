@@ -134,6 +134,20 @@ def test_stacked_kernels_equal_the_per_matrix_calls_bitwise(d):
     assert np.array_equal(sector_lengths(nested, d)[2], lengths[2][: n // 3 * 3].reshape(n // 3, 3))
 
 
+@pytest.mark.parametrize("d", range(2, MAX_LOCAL_DIM + 1))
+def test_partial_traces_are_the_diagonal_sums_of_ndarray_trace_bitwise(d):
+    """The einsum spelling of both partial traces, which sector lengths and the witness's purity route read, against
+    ``ndarray.trace`` over the same axes: one operator and a stack, entries spread over 1e-150..1e150."""
+    rng = np.random.default_rng(1200 + d)
+    m = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
+    m *= 10.0 ** rng.integers(-150, 150, m.shape)
+    r4 = m.reshape(3, d, d, d, d)
+    for side, axes in (("A", (-3, -1)), ("B", (-4, -2))):
+        reference = r4.trace(axis1=axes[0], axis2=axes[1])
+        assert partial_trace(m, side, d).tobytes() == reference.tobytes()
+        assert partial_trace(m[1], side, d).tobytes() == reference[1].tobytes()
+
+
 def test_single_matrix_kernels_return_floats():
     rho = np.eye(4) / 4
     assert type(purity(rho)) is float

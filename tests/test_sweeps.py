@@ -16,8 +16,9 @@ import qbattery.tpm as tpm
 from qbattery.battery import gibbs_state, ising_battery, spectral_decomposition, thermal_mixture_stack, thermal_mixture_state
 from qbattery.cli import main
 from qbattery.haar import SamplerConfig, chunk_size
-from qbattery.linalg import random_hermitian
+from qbattery.linalg import partial_transpose_min_eig, random_density_matrix, random_hermitian
 from qbattery.runner import ExperimentConfig, run_histogram, run_tpm_sweep, run_variance_sweep
+from qbattery.serialization import ConfigError, thermal_mixtures
 from qbattery.tpm import mc_tpm_statistics, tpm_variance_closed_form
 from qbattery.witness import detect_schmidt_number, detect_schmidt_number_stack
 from qbattery.workstats import iter_samples, summarize
@@ -226,6 +227,76 @@ def test_every_non_default_variance_sweep_row_is_the_per_point_witness(monkeypat
             rep = detect_schmidt_number(thermal_mixture_state(row["alpha"], *_taus(h, row["T"])), h)
             assert (row["variance"], row["detected_sn"], row["ppt_min_eig"]) == (rep.variance_used, rep.detected_sn_lower_bound, rep.ppt_min_eig)
             assert [row[f"bound_k{k}"] for k in range(1, 4)] == [bound for _, bound in rep.thresholds[:-1]]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"parameters": {"b_grid": [0.1, 1e308, 0.2]}}, "parameters.b_grid: b = 1e+308: ha has a non-finite entry"),
+        ({"parameters": {"b_grid": [0.1, 1e200]}}, "parameters.b_grid: b = 1e+200: the weight ha2 = inf is not finite"),
+        ({"battery": {"ising": {"J1": 0.5, "J2": 1e200, "J3": 0.5}}}, "battery.ising: the weight g^2 v2 = inf is not finite"),
+        (
+            {"battery": {"ising": {"J1": 0.5, "J2": 1e200, "J3": 0.5}}, "parameters": {"b_grid": [1e308]}},
+            "battery.ising: the weight g^2 v2 = inf is not finite",
+        ),
+        ({"battery": {"ising": {"J2": 1.0, "J3": 0.5}}}, "battery.ising.J1: missing required key"),
+    ],
+)
+def test_a_variance_sweep_refuses_its_first_failing_field_at_its_grid_and_failing_couplings_as_theirs(config, message):
+    with pytest.raises(ConfigError) as exc:
+        run_variance_sweep(ExperimentConfig.from_dict(config))
+    assert str(exc.value) == message
+
+
+def _ising_ppt_oracle(j, temperature, b, alpha):
+    """Least eigenvalue of a thermal mixture's partial transpose, from the shared Gibbs spectrum p of either half.
+
+    Each half of the Ising chain (J1 = J3 = j) has the energies j + 2b, -j, -j, j - 2b.  The partial transpose of
+    alpha |phi><phi| + (1 - alpha) tau (x) tau, |phi> = sum_i sqrt(p_i) |e_i f_i>, has the eigenvalues
+    alpha p_i + (1 - alpha) p_i^2 and, for i < k, (1 - alpha) p_i p_k +- alpha sqrt(p_i p_k).
+    """
+    energies = np.array([j + 2 * b, -j, -j, j - 2 * b])
+    p = np.exp(-(energies - energies.min()) / temperature)
+    p /= p.sum()
+    i, k = np.triu_indices(4, 1)
+    pairs = np.sqrt(p[i] * p[k])
+    spectrum = [alpha * p + (1 - alpha) * p**2, (1 - alpha) * pairs**2 + alpha * pairs, (1 - alpha) * pairs**2 - alpha * pairs]
+    return min(x.min() for x in spectrum)
+
+
+def _ppt_grid(seed):
+    if seed is None:
+        return ExperimentConfig()
+    rng = np.random.default_rng(seed)
+    j, j2, temperature = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), rng.uniform(0.3, 3.0)
+    grid = {"b_grid": rng.uniform(-2.0, 2.0, 7).tolist(), "alpha_grid": [0.0, 1.0, *rng.uniform(0.0, 1.0, 9).tolist()]}
+    battery = {"ising": {"J1": j, "J2": j2, "J3": j, "b": 0.0}}
+    return ExperimentConfig.from_dict({"battery": battery, "state": {"thermal_mixture": {"alpha": 0.5, "T": temperature}}, "parameters": grid})
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_ppt_min_eig_is_the_closed_form_partial_transpose_spectrum_and_each_solver_route_is_exact(seed):
+    """The sweep's ppt_min_eig column against the thermal mixture's closed-form partial-transpose spectrum.
+
+    Those states are real, so their partial transposes go to the real eigensolver: it agrees with the complex one
+    to 1e-14, and in a stack that mixes real and complex states each entry is bitwise its call alone.
+    """
+    cfg = _ppt_grid(seed)
+    rows = run_variance_sweep(cfg)
+    for row in rows:
+        oracle = _ising_ppt_oracle(row["J1"], row["T"], row["b"], row["alpha"])
+        assert abs(row["ppt_min_eig"] - oracle) <= 1e-12
+    batteries = [ising_battery(row["J1"], row["J2"], row["J3"], row["b"]) for row in rows[:: len(set(rows["alpha"]))]]
+    states = thermal_mixtures(cfg.state, batteries, sorted(set(rows["alpha"].tolist())))[1].reshape(-1, 16, 16)
+    assert not np.any(states.imag)
+    transposed = states.reshape(-1, 4, 4, 4, 4).swapaxes(1, 3).reshape(states.shape)
+    assert np.max(np.abs(partial_transpose_min_eig(states, 4) - np.linalg.eigvalsh(transposed)[:, 0])) <= 1e-14
+    rng = np.random.default_rng([17, seed or 0])
+    mixed = np.stack([m for real in states[:6] for m in (real, random_density_matrix(rng, 16).data)]).reshape(2, 6, 16, 16)
+    stacked = partial_transpose_min_eig(mixed, 4)
+    assert stacked.shape == (2, 6)
+    for m, value in zip(mixed.reshape(-1, 16, 16), stacked.ravel()):
+        assert value == partial_transpose_min_eig(m, 4)
 
 
 def test_witness_stack_rejects_a_wrongly_shaped_stack():

@@ -419,17 +419,20 @@ def test_variance_is_the_ideal_form_of_h_diag_at_the_instrument_average(d):
 
 @pytest.mark.parametrize("d", [3, 8])
 def test_stack_reports_are_the_per_point_reports(d):
+    """Each (state, pair) cell of the stack's columns is the per-point report's number, its weights' n0, n1, n_noisy."""
     rng = np.random.default_rng(500 + d)
     spec = spectral_decomposition(make_random_battery(rng, d))
     states = np.stack([random_density_matrix(rng, d * d).data for _ in range(4)])
     pairs = [(0.0, 0.0), (1.0, 1.0), (0.2, 0.9), (0.7, 0.7)]
     with np.errstate(all="raise"):
-        reports = tpm_variance_stack(states, spec, pairs)
-        assert len(reports) == len(states)
-        for m, row in zip(states, reports):
-            assert len(row) == len(pairs)
-            for (ea, eb), rep in zip(pairs, row):
-                assert asdict(rep) == asdict(tpm_variance_closed_form(m, spec, ea, eb))
+        stack = tpm_variance_stack(states, spec, pairs)
+        for column in stack:
+            assert column.shape == (len(states), len(pairs)) and column.dtype == np.float64
+        for i, m in enumerate(states):
+            for j, (ea, eb) in enumerate(pairs):
+                rep = asdict(tpm_variance_closed_form(m, spec, ea, eb))
+                rep.update(rep.pop("weights"))
+                assert {name: column[i, j] for name, column in stack._asdict().items()} == {name: rep[name] for name in stack._fields}
 
 
 @pytest.mark.parametrize("d", [3, 8])

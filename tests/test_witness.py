@@ -7,6 +7,7 @@ from qbattery.haar import HaarSampler, SamplerConfig
 from qbattery.linalg import DensityMatrix, random_density_matrix
 from qbattery.witness import (
     detect_schmidt_number,
+    detect_schmidt_number_stack,
     schmidt_t2_cap,
     work_variance_bound,
 )
@@ -178,6 +179,33 @@ def test_isotropic_detection_threshold_small_grid():
         t2 = 15 * alpha**2
         expected = 1 + sum(1 for k in range(1, 5) if t2 > 4 * k - 1 + 1e-12)
         assert rep.detected_sn_lower_bound == expected
+
+
+def _isotropic_levels(d, p):
+    """The stacked witness's levels on rho_p = (1 - p) 1/d^2 + p |Phi+><Phi+| at each p, in stacks of at most 2 MiB."""
+    h = make_random_battery(np.random.default_rng(1100 + d), d)
+    phi = np.eye(d).reshape(d * d) / np.sqrt(d)
+    levels = []
+    for part in np.array_split(p, -(-len(p) * d**4 * 16 // 2**21)):
+        states = (1 - part)[:, None, None] * np.eye(d * d) / d**2 + part[:, None, None] * np.outer(phi, phi)
+        levels.append(detect_schmidt_number_stack(states, d, h.ha2, h.hb2, h.g2v2).detected_sn_lower_bound)
+    return np.concatenate(levels)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_the_witness_certifies_an_isotropic_state_at_its_closed_form_level_and_never_above_its_schmidt_number(d):
+    """On isotropic states t^2 = p^2 (d^2 - 1) with maximally mixed marginals, so the work witness certifies k + 1
+    exactly where p^2 > (kd - 1)/(d^2 - 1).  Their Schmidt number is ceil(d F), F = p + (1 - p)/d^2 (Terhal and
+    Horodecki 2000), which exceeds k where p > (kd - 1)/(d^2 - 1): the same threshold on p instead of p^2, so the
+    witness is sound and loses levels.
+    """
+    p = np.linspace(0.0, 1.0, 201)
+    levels = _isotropic_levels(d, p)
+    ks = np.arange(1, d + 1)
+    assert np.array_equal(levels, 1 + np.max(np.where(p[:, None] ** 2 > (ks * d - 1) / (d * d - 1), ks, 0), axis=1))
+    schmidt_number = np.ceil(d * (p + (1 - p) / d**2) - 1e-9)
+    assert np.all(levels <= schmidt_number)
+    assert levels[-1] == schmidt_number[-1] == d
 
 
 @pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 4, 8, 16) for k in sorted({1, 2, d // 2, d - 1, d})])
